@@ -78,9 +78,12 @@ class LeftComodule:
         hopf, elems = self.hopf.materialize(field) if field else self.hopf.materialize()
         index = {e: i for i, e in enumerate(elems)}
         dh = hopf.dim
-        lam = Mat.zeros(hopf.field, dh * self.dim, self.dim)
-        for i, deg in enumerate(self.degrees):
-            lam._rows[index[deg] * self.dim + i][i] = hopf.field.one()
+        lam = Mat.from_entries(
+            hopf.field,
+            dh * self.dim,
+            self.dim,
+            {(index[deg] * self.dim + i, i): 1 for i, deg in enumerate(self.degrees)},
+        )
         return LeftComodule(hopf, self.dim, coaction=lam, names=self.names)
 
 
@@ -164,19 +167,16 @@ def comodule_direct_sum(v: LeftComodule, w: LeftComodule) -> LeftComodule:
     h = v.hopf
     field = h.field
     total = v.dim + w.dim
-    lam = Mat.zeros(field, h.dim * total, total)
+    entries = {}
     for r in range(h.dim * v.dim):
         hh, x = divmod(r, v.dim)
         for c in range(v.dim):
-            val = v.coaction.entry(r, c)
-            if val:
-                lam._rows[hh * total + x][c] = val
+            entries[(hh * total + x, c)] = v.coaction.entry(r, c)
     for r in range(h.dim * w.dim):
         hh, x = divmod(r, w.dim)
         for c in range(w.dim):
-            val = w.coaction.entry(r, c)
-            if val:
-                lam._rows[hh * total + v.dim + x][v.dim + c] = val
+            entries[(hh * total + v.dim + x, v.dim + c)] = w.coaction.entry(r, c)
+    lam = Mat.from_entries(field, h.dim * total, total, entries)
     return LeftComodule(h, total, coaction=lam, names=v.names + w.names)
 
 
@@ -290,17 +290,14 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
             raise InvariantViolation("bundle is not closed under the left base action")
         left_ops.append(lop)
 
-    right_action = Mat.zeros(field, dim, dim * db)
-    left_action = Mat.zeros(field, dim, db * dim)
+    right, left = {}, {}
     for j in range(db):
         for x in range(dim):
             for r in range(dim):
-                val = right_ops[j].entry(r, x)
-                if val:
-                    right_action._rows[r][x * db + j] = val
-                val = left_ops[j].entry(r, x)
-                if val:
-                    left_action._rows[r][j * dim + x] = val
+                right[(r, x * db + j)] = right_ops[j].entry(r, x)
+                left[(r, j * dim + x)] = left_ops[j].entry(r, x)
+    right_action = Mat.from_entries(field, dim, dim * db, right)
+    left_action = Mat.from_entries(field, dim, db * dim, left)
     return AssociatedBundle(e, v, space, left_action, right_action)
 
 
@@ -471,9 +468,7 @@ def certify_fgp(b: AssociatedBundle) -> FgpReport:
     if base.is_commutative():
         chars = _split_characters(base)
         if chars is not None:
-            lam = chars[0]
-            for row in chars[1:]:
-                lam = lam.vstack(row)
+            lam = chars[0].vstack(*chars[1:])
             idem = inverse(lam)
             if idem is not None:
                 mults = []
@@ -502,24 +497,14 @@ def _bimodule_intertwiners(dom_ops, cod_ops, dim: int, field) -> list[Mat]:
     columns = []
     for i in range(dim):
         for c in range(dim):
-            unit_mat = Mat.zeros(field, dim, dim)
-            unit_mat._rows[i][c] = field.one()
+            unit_mat = Mat.from_entries(field, dim, dim, {(i, c): 1})
             flat = []
             for d_op, c_op in zip(dom_ops, cod_ops):
                 defect = unit_mat.mul(d_op) - c_op.mul(unit_mat)
                 flat.extend(defect.entries())
             columns.append(Mat.column(field, flat))
-    big = columns[0]
-    for col in columns[1:]:
-        big = big.hstack(col)
-    mats = []
-    for v in kernel(big).basis_columns():
-        f = Mat.zeros(field, dim, dim)
-        for i in range(dim):
-            for c in range(dim):
-                f._rows[i][c] = v.entry(i * dim + c, 0)
-        mats.append(f)
-    return mats
+    big = columns[0].hstack(*columns[1:])
+    return [Mat(field, dim, dim, v.entries()) for v in kernel(big).basis_columns()]
 
 
 def _search_iso(dom_ops, cod_ops, dim: int, field, budget: int) -> Mat | None:

@@ -13,7 +13,6 @@ input or schema is bad, 3 a verdict is undecided.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import click
@@ -26,6 +25,7 @@ from .exact_linear import (
     PreconditionError,
     QQ,
     Subspace,
+    max_tensor_dim,
 )
 from .hopf_core import AlgebraData, HopfData, HopfMap, check_hopf
 from .comodule import (
@@ -75,9 +75,6 @@ _SECTIONS = (
     "module",
     "bundle_request",
 )
-
-_DEFAULT_MAX_DIM = 4096
-
 
 class SchemaError(Exception):
     """A document problem, carrying the path that caused it."""
@@ -130,8 +127,7 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
     triples = obj.get("triples", [])
     if not isinstance(triples, list):
         raise SchemaError(f"{path}.triples", "expected a list of [row, col, scalar]")
-    grid = [[field.zero()] * c for _ in range(r)]
-    seen = set()
+    entries = {}
     for idx, t in enumerate(triples):
         tpath = f"{path}.triples[{idx}]"
         if not (isinstance(t, list) and len(t) == 3):
@@ -141,11 +137,10 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
             raise SchemaError(tpath, "row and column must be integers")
         if not (0 <= i < r and 0 <= j < c):
             raise SchemaError(tpath, f"index ({i}, {j}) outside {r}x{c}")
-        if (i, j) in seen:
+        if (i, j) in entries:
             raise SchemaError(tpath, f"duplicate entry for ({i}, {j})")
-        seen.add((i, j))
-        grid[i][j] = _parse_scalar(field, raw, tpath)
-    return Mat.from_rows(field, grid)
+        entries[(i, j)] = _parse_scalar(field, raw, tpath)
+    return Mat.from_entries(field, r, c, entries)
 
 
 def _parse_names(obj, dim: int, path: str, key: str = "basis_names"):
@@ -292,18 +287,11 @@ def _parse_field_tag(tag) -> Field:
     raise SchemaError("field", f"expected \"Q\" or \"Fp:<prime>\", got {tag!r}")
 
 
-def _max_dim() -> int:
-    raw = os.environ.get("HOPFGAL_MAX_DIM", "")
-    if not raw:
-        return _DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("HOPFGAL_MAX_DIM", f"not an integer: {raw!r}")
-
-
 def _guard_dims(path: str, **products: int):
-    cap = _max_dim()
+    try:
+        cap = max_tensor_dim()
+    except InputError as e:
+        raise SchemaError("HOPFGAL_MAX_DIM", str(e))
     for name, p in sorted(products.items()):
         if p > cap:
             raise SchemaError(path, f"{name} tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}")

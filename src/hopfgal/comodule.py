@@ -113,9 +113,12 @@ class ComoduleAlgebra:
         hopf, elems = self.hopf.materialize(self.field)
         index = {e: i for i, e in enumerate(elems)}
         da, dh = self.dim, hopf.dim
-        rho = Mat.zeros(self.field, da * dh, da)
-        for i, deg in enumerate(self.degrees):
-            rho._rows[i * dh + index[deg]][i] = self.field.one()
+        rho = Mat.from_entries(
+            self.field,
+            da * dh,
+            da,
+            {(i * dh + index[deg], i): 1 for i, deg in enumerate(self.degrees)},
+        )
         return ComoduleAlgebra(self.algebra, hopf, coaction=rho)
 
 
@@ -252,10 +255,9 @@ class Extension:
             invariant_subalgebra = coinvariants(comodule_algebra)
         self.invariant_subalgebra = invariant_subalgebra
         if inclusion is None:
-            cols = invariant_subalgebra.basis_columns()
-            inclusion = Mat.zeros(comodule_algebra.field, comodule_algebra.dim, 0)
-            for c in cols:
-                inclusion = inclusion.hstack(c)
+            inclusion = Mat.zeros(comodule_algebra.field, comodule_algebra.dim, 0).hstack(
+                *invariant_subalgebra.basis_columns()
+            )
         if (inclusion.rows, inclusion.cols) != (
             comodule_algebra.dim,
             invariant_subalgebra.dim,
@@ -291,16 +293,14 @@ class Extension:
         a = self.algebra
         field, db = self.field, self.base_dim
         cols = self.base_basis_columns()
-        out = Mat.zeros(field, db, db * db)
-        for i, u in enumerate(cols):
-            for j, v in enumerate(cols):
-                prod = a.multiply(u, v)
-                coords = solve(self.inclusion, prod)
+        products = []
+        for u in cols:
+            for v in cols:
+                coords = solve(self.inclusion, a.multiply(u, v))
                 if coords is None:
                     raise InvariantViolation("base is not closed under multiplication")
-                for k in range(db):
-                    out._rows[k][i * db + j] = coords.entry(k, 0)
-        return out
+                products.append(coords)
+        return Mat.zeros(field, db, 0).hstack(*products)
 
     def base_unit(self) -> Mat:
         coords = solve(self.inclusion, self.algebra.unit)
@@ -470,23 +470,13 @@ def _intertwiner_space(e: Extension) -> tuple[list[Mat], int, int]:
     columns = []
     for i in range(da):
         for c in range(dom):
-            unit_mat = Mat.zeros(field, da, dom)
-            unit_mat._rows[i][c] = field.one()
+            unit_mat = Mat.from_entries(field, da, dom, {(i, c): 1})
             flat = []
             for d in defects(unit_mat):
                 flat.extend(d.entries())
             columns.append(Mat.column(field, flat))
-    big = columns[0]
-    for col in columns[1:]:
-        big = big.hstack(col)
-    sol = kernel(big)
-    mats = []
-    for v in sol.basis_columns():
-        m = Mat.zeros(field, da, dom)
-        for i in range(da):
-            for c in range(dom):
-                m._rows[i][c] = v.entry(i * dom + c, 0)
-        mats.append(m)
+    big = columns[0].hstack(*columns[1:])
+    mats = [Mat(field, da, dom, v.entries()) for v in kernel(big).basis_columns()]
     return mats, da, dom
 
 

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Q and over prime fields F_p.
+"""Exact sparse linear algebra over Q and over prime fields F_p.
 
 Everything downstream (Hopf axiom checks, canonical-map bijectivity, cotensor
 kernels, balanced-tensor quotients) reduces to matrix identities over an exact
-field, so this module is deliberately small and boring: dense matrices, reduced
-row echelon form, kernels, solving, and quotient spaces with a chosen section.
+field, so this module is deliberately small and boring: matrices stored as
+sparse rows, reduced row echelon form, kernels, solving, and quotient spaces
+with a chosen section.
 
 Conventions used by the whole package:
 
@@ -40,16 +41,20 @@ DEFAULT_MAX_DIM = 4096
 
 
 def max_tensor_dim() -> int:
-    """Dimension cap for tensor constructions, from HOPFGAL_MAX_DIM."""
-    raw = os.environ.get("HOPFGAL_MAX_DIM")
-    if raw is None:
+    """Dimension cap for tensor constructions, from HOPFGAL_MAX_DIM.
+
+    Unset or empty means the default; anything but a positive integer is an
+    InputError.
+    """
+    raw = os.environ.get("HOPFGAL_MAX_DIM", "")
+    if not raw:
         return DEFAULT_MAX_DIM
     try:
         val = int(raw)
     except ValueError:
         raise InputError(f"HOPFGAL_MAX_DIM must be an integer, got {raw!r}")
     if val <= 0:
-        raise InputError("HOPFGAL_MAX_DIM must be positive")
+        raise InputError(f"HOPFGAL_MAX_DIM must be positive, got {val}")
     return val
 
 
@@ -143,16 +148,21 @@ class Field:
         if p is not None and not _is_prime(p):
             raise InputError(f"modulus {p} is not prime")
         self.p = p
+        # Scalars are never mutated, so one zero and one one serve every caller.
+        if p is None:
+            self._zero, self._one = Fraction(0), Fraction(1)
+        else:
+            self._zero, self._one = FpScalar(p, 0), FpScalar(p, 1)
 
     @property
     def is_rational(self) -> bool:
         return self.p is None
 
     def zero(self):
-        return Fraction(0) if self.p is None else FpScalar(self.p, 0)
+        return self._zero
 
     def one(self):
-        return Fraction(1) if self.p is None else FpScalar(self.p, 1)
+        return self._one
 
     def of(self, x):
         if self.p is None:
@@ -216,17 +226,23 @@ QQ = Field()
 
 
 class Mat:
-    """A dense matrix over a fixed field, stored row-major.
+    """A matrix over a fixed field, stored as sparse rows.
 
-    Instances are treated as immutable; all operations return new matrices.
-    Multiplication skips zero entries, which matters because all structure
-    matrices in this package (multiplication tables, comultiplications,
-    Kronecker products, flips) are very sparse.
+    ``_rows[i]`` is a dict ``{col: value}`` holding exactly the nonzero
+    entries of row ``i``; a zero is never stored, so equality and hashing see
+    the nonzeros only. Every kernel costs time per nonzero, not per cell,
+    which matters because the structure matrices of this package
+    (multiplication tables, comultiplications, Kronecker products, flips)
+    have about one nonzero per column.
+
+    Instances are immutable: all operations return new matrices, and a row
+    dict may be shared between matrices, so none is changed once built.
     """
 
     __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
+        """Dense constructor: ``entries`` lists all rows*cols scalars row-major."""
         if rows < 0 or cols < 0:
             raise InputError("negative matrix dimensions")
         entries = list(entries)
@@ -234,13 +250,35 @@ class Mat:
             raise InputError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
+        entries = [field.of(x) for x in entries]
         self.field = field
         self.rows = rows
         self.cols = cols
-        of = field.of
         self._rows = [
-            [of(entries[i * cols + j]) for j in range(cols)] for i in range(rows)
+            {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)
         ]
+
+    @staticmethod
+    def _make(field: Field, rows: int, cols: int, row_dicts: list) -> "Mat":
+        m = Mat.__new__(Mat)
+        m.field, m.rows, m.cols, m._rows = field, rows, cols, row_dicts
+        return m
+
+    @staticmethod
+    def from_entries(field: Field, rows: int, cols: int, entries) -> "Mat":
+        """Sparse constructor from a mapping ``{(i, j): scalar}``; zeros are dropped."""
+        if rows < 0 or cols < 0:
+            raise InputError("negative matrix dimensions")
+        out = [{} for _ in range(rows)]
+        of = field.of
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InputError(f"index ({i}, {j}) outside {rows}x{cols}")
+            x = of(x)
+            if x:
+                out[i][j] = x
+        return Mat._make(field, rows, cols, out)
 
     @staticmethod
     def from_rows(field: Field, row_lists) -> "Mat":
@@ -254,19 +292,12 @@ class Mat:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        z, o = field.zero(), field.one()
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = field, n, n
-        m._rows = [[o if i == j else z for j in range(n)] for i in range(n)]
-        return m
+        one = field.one()
+        return Mat._make(field, n, n, [{i: one} for i in range(n)])
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero()
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = field, rows, cols
-        m._rows = [[z] * cols for _ in range(rows)]
-        return m
+        return Mat._make(field, rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def column(field: Field, entries) -> "Mat":
@@ -275,24 +306,25 @@ class Mat:
 
     @staticmethod
     def basis_vector(field: Field, dim: int, i: int) -> "Mat":
-        v = Mat.zeros(field, dim, 1)
-        v._rows[i][0] = field.one()
-        return v
+        return Mat.from_entries(field, dim, 1, {(i, 0): field.one()})
 
     def entry(self, i: int, j: int):
-        return self._rows[i][j]
+        return self._rows[i].get(j, self.field._zero)
 
     def row_list(self, i: int):
-        return list(self._rows[i])
+        row, zero = self._rows[i], self.field._zero
+        return [row.get(j, zero) for j in range(self.cols)]
 
     def col_vector(self, j: int) -> "Mat":
-        return Mat.column(self.field, [self._rows[i][j] for i in range(self.rows)])
+        return Mat._make(
+            self.field, self.rows, 1, [{0: r[j]} if j in r else {} for r in self._rows]
+        )
 
     def entries(self):
-        return [x for r in self._rows for x in r]
+        return [x for i in range(self.rows) for x in self.row_list(i)]
 
     def is_zero(self) -> bool:
-        return all(not x for r in self._rows for x in r)
+        return not any(self._rows)
 
     def _check_same_field(self, other: "Mat"):
         if self.field != other.field:
@@ -309,42 +341,47 @@ class Mat:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(tuple(r) for r in self._rows)))
+        return hash(
+            (self.field, self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows))
+        )
+
+    def _add(self, other: "Mat", sign: int, what: str) -> "Mat":
+        self._check_same_field(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise InputError(f"shape mismatch in {what}")
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            if not rb:
+                out.append(ra)
+                continue
+            row = dict(ra)
+            for j, b in rb.items():
+                if sign < 0:
+                    b = -b
+                v = row.get(j)
+                v = b if v is None else v + b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return Mat._make(self.field, self.rows, self.cols, out)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("shape mismatch in addition")
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols
-        m._rows = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
-        ]
-        return m
+        return self._add(other, 1, "addition")
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("shape mismatch in subtraction")
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols
-        m._rows = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
-        ]
-        return m
+        return self._add(other, -1, "subtraction")
 
     def __neg__(self) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols
-        m._rows = [[-a for a in r] for r in self._rows]
-        return m
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = self.field.of(c)
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols
-        m._rows = [[c * a for a in r] for r in self._rows]
-        return m
+        if not c:
+            return Mat.zeros(self.field, self.rows, self.cols)
+        rows = [{j: c * x for j, x in r.items()} for r in self._rows]
+        return Mat._make(self.field, self.rows, self.cols, rows)
 
     def mul(self, other: "Mat") -> "Mat":
         """Matrix product self * other (composition of linear maps)."""
@@ -353,52 +390,58 @@ class Mat:
             raise InputError(
                 f"shape mismatch in product: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        z = self.field.zero()
-        out = [[z] * other.cols for _ in range(self.rows)]
         orows = other._rows
-        for i in range(self.rows):
-            srow = self._rows[i]
-            orow_acc = out[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if not a:
-                    continue
-                br = orows[k]
-                for j in range(other.cols):
-                    b = br[j]
-                    if b:
-                        orow_acc[j] = orow_acc[j] + a * b
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, other.cols
-        m._rows = out
-        return m
+        out = []
+        for srow in self._rows:
+            if len(srow) == 1:
+                # One term: a nonzero multiple of one row of other, no sums to cancel.
+                ((k, a),) = srow.items()
+                brow = orows[k]
+                out.append(brow if a == 1 else {j: a * b for j, b in brow.items()})
+                continue
+            acc = {}
+            for k, a in srow.items():
+                a_one = a == 1
+                for j, b in orows[k].items():
+                    ab = b if a_one else a * b
+                    v = acc.get(j)
+                    acc[j] = ab if v is None else v + ab
+            out.append({j: v for j, v in acc.items() if v})
+        return Mat._make(self.field, self.rows, other.cols, out)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return self.mul(other)
 
     def transpose(self) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.cols, self.rows
-        m._rows = [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return m
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return Mat._make(self.field, self.cols, self.rows, out)
 
-    def hstack(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if self.rows != other.rows:
-            raise InputError("row mismatch in hstack")
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols + other.cols
-        m._rows = [ra + rb for ra, rb in zip(self._rows, other._rows)]
-        return m
+    def hstack(self, *others: "Mat") -> "Mat":
+        """Columns of self followed by those of each matrix in others."""
+        out = [dict(r) for r in self._rows]
+        offset = self.cols
+        for m in others:
+            self._check_same_field(m)
+            if m.rows != self.rows:
+                raise InputError("row mismatch in hstack")
+            for row, r in zip(out, m._rows):
+                for j, x in r.items():
+                    row[offset + j] = x
+            offset += m.cols
+        return Mat._make(self.field, self.rows, offset, out)
 
-    def vstack(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if self.cols != other.cols:
-            raise InputError("column mismatch in vstack")
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows + other.rows, self.cols
-        m._rows = [list(r) for r in self._rows] + [list(r) for r in other._rows]
-        return m
+    def vstack(self, *others: "Mat") -> "Mat":
+        """Rows of self followed by those of each matrix in others."""
+        out = list(self._rows)
+        for m in others:
+            self._check_same_field(m)
+            if m.cols != self.cols:
+                raise InputError("column mismatch in vstack")
+            out.extend(m._rows)
+        return Mat._make(self.field, len(out), self.cols, out)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product, the matrix of ``f (x) g`` in tensor indexing.
@@ -413,120 +456,91 @@ class Mat:
             raise InputError(
                 f"tensor dimension {max(R, C)} exceeds HOPFGAL_MAX_DIM={cap}"
             )
-        z = self.field.zero()
-        out = [[z] * C for _ in range(R)]
-        for i in range(self.rows):
-            srow = self._rows[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if not a:
-                    continue
-                base_r = i * other.rows
-                base_c = k * other.cols
-                for i2 in range(other.rows):
-                    orow = other._rows[i2]
-                    trow = out[base_r + i2]
-                    for k2 in range(other.cols):
-                        b = orow[k2]
-                        if b:
-                            trow[base_c + k2] = a * b
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, R, C
-        m._rows = out
-        return m
+        oc = other.cols
+        # Skip products with a unit factor: most structure entries are 1.
+        orows = [[(k2, b, b == 1) for k2, b in r.items()] for r in other._rows]
+        out = []
+        for srow in self._rows:
+            terms = [(k * oc, a, a == 1) for k, a in srow.items()]
+            for items in orows:
+                out.append({
+                    base + k2: b if a_one else (a if b_one else a * b)
+                    for base, a, a_one in terms
+                    for k2, b, b_one in items
+                })
+        return Mat._make(self.field, R, C, out)
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns."""
-        rows = [list(r) for r in self._rows]
+        """Reduced row echelon form and the tuple of pivot columns.
+
+        Gauss-Jordan elimination on the sparse rows: for each column in turn
+        the pivot is the first remaining row with a nonzero there, and every
+        other row holding that column is reduced by it.
+        """
+        rows = list(self._rows)
         nr, nc = self.rows, self.cols
+        one = self.field.one()
         pivots = []
         r = 0
         for c in range(nc):
-            pivot_row = None
-            for i in range(r, nr):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, nr) if c in rows[i]), None)
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            if pv != self.field.one():
-                inv = self.field.one() / pv
-                rows[r] = [inv * x for x in rows[r]]
+            prow = rows[r]
+            pv = prow[c]
+            if pv != one:
+                inv = one / pv
+                prow = rows[r] = {j: inv * x for j, x in prow.items()}
             for i in range(nr):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                f = rows[i].get(c) if i != r else None
+                if f is None:
+                    continue
+                row = dict(rows[i])
+                for j, y in prow.items():
+                    v = row.get(j)
+                    v = -(f * y) if v is None else v - f * y
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                rows[i] = row
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, nr, nc
-        m._rows = rows
-        return m, tuple(pivots)
+        return Mat._make(self.field, nr, nc, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def __repr__(self):
         fmt = self.field.format
-        body = "; ".join(" ".join(fmt(x) for x in r) for r in self._rows)
+        body = "; ".join(
+            " ".join(fmt(x) for x in self.row_list(i)) for i in range(self.rows)
+        )
         return f"Mat({self.field}, {self.rows}x{self.cols}: {body})"
 
 
 def flip(field: Field, dim_left: int, dim_right: int) -> Mat:
     """The matrix of the flip U (x) V -> V (x) U, e_i (x) e_j -> e_j (x) e_i."""
     n = dim_left * dim_right
-    m = Mat.zeros(field, n, n)
-    o = field.one()
+    one = field.one()
+    out = [None] * n
     for i in range(dim_left):
         for j in range(dim_right):
-            m._rows[j * dim_left + i][i * dim_right + j] = o
-    return m
-
-
-def tensor_permutation(field: Field, dims: list[int], perm: list[int]) -> Mat:
-    """Permutation of tensor legs.
-
-    ``dims[t]`` is the dimension of input leg ``t``; output leg ``t`` carries
-    input leg ``perm[t]``. Returns the matrix sending
-    ``e_{i_0} (x) ... (x) e_{i_{k-1}}`` to ``e_{i_{perm[0]}} (x) ...``.
-    """
-    k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise InputError(f"not a permutation of {k} legs: {perm}")
-    total = 1
-    for d in dims:
-        total *= d
-    out_dims = [dims[perm[t]] for t in range(k)]
-    m = Mat.zeros(field, total, total)
-    o = field.one()
-    # Strides for mixed-radix index decoding, left factor slowest.
-    in_strides = [1] * k
-    for t in range(k - 2, -1, -1):
-        in_strides[t] = in_strides[t + 1] * dims[t + 1]
-    out_strides = [1] * k
-    for t in range(k - 2, -1, -1):
-        out_strides[t] = out_strides[t + 1] * out_dims[t + 1]
-    for idx in range(total):
-        rem = idx
-        digits = []
-        for t in range(k):
-            digits.append(rem // in_strides[t])
-            rem %= in_strides[t]
-        out_idx = sum(digits[perm[t]] * out_strides[t] for t in range(k))
-        m._rows[out_idx][idx] = o
-    return m
+            out[j * dim_left + i] = {i * dim_right + j: one}
+    return Mat._make(field, n, n, out)
 
 
 def permute_legs(m: Mat, dims: list[int], perm: list[int]) -> Mat:
-    """tensor_permutation(field, dims, perm) @ m, without building the permutation.
+    """Permute the tensor legs indexing the rows of m.
 
-    m's rows are indexed by the legs described by dims; the result's row at
-    the permuted index is the corresponding row of m. Used where the
-    permutation matrix itself would be quadratically large.
+    ``dims[t]`` is the dimension of input leg ``t``; output leg ``t`` carries
+    input leg ``perm[t]``. The result is P @ m for the permutation matrix P
+    sending ``e_{i_0} (x) ... (x) e_{i_{k-1}}`` to
+    ``e_{i_{perm[0]}} (x) ... (x) e_{i_{perm[k-1]}}``, computed by moving rows
+    without building P.
     """
     k = len(dims)
     if sorted(perm) != list(range(k)):
@@ -536,26 +550,21 @@ def permute_legs(m: Mat, dims: list[int], perm: list[int]) -> Mat:
         total *= d
     if m.rows != total:
         raise InputError(f"row count {m.rows} does not match legs of total size {total}")
-    out_dims = [dims[perm[t]] for t in range(k)]
-    in_strides = [1] * k
-    for t in range(k - 2, -1, -1):
-        in_strides[t] = in_strides[t + 1] * dims[t + 1]
-    out_strides = [1] * k
-    for t in range(k - 2, -1, -1):
-        out_strides[t] = out_strides[t + 1] * out_dims[t + 1]
+    # Output stride of each input leg, left factor slowest.
+    leg_stride = [0] * k
+    stride = 1
+    for u in range(k - 1, -1, -1):
+        leg_stride[perm[u]] = stride
+        stride *= dims[perm[u]]
+    # target[idx] is the output row of input row idx, built leg by leg.
+    target = [0]
+    for t in range(k):
+        s = leg_stride[t]
+        target = [x + a * s for x in target for a in range(dims[t])]
     new_rows: list = [None] * total
-    for idx in range(total):
-        rem = idx
-        digits = []
-        for t in range(k):
-            digits.append(rem // in_strides[t])
-            rem %= in_strides[t]
-        out_idx = sum(digits[perm[t]] * out_strides[t] for t in range(k))
-        new_rows[out_idx] = list(m._rows[idx])
-    out = Mat.__new__(Mat)
-    out.field, out.rows, out.cols = m.field, total, m.cols
-    out._rows = new_rows
-    return out
+    for idx, row in zip(target, m._rows):
+        new_rows[idx] = row
+    return Mat._make(m.field, total, m.cols, new_rows)
 
 
 class Subspace:
@@ -584,15 +593,10 @@ class Subspace:
             if v.rows != ambient_dim or v.cols != 1:
                 raise InputError("spanning vector has wrong shape")
         if not cols:
-            return Subspace(field, ambient_dim, Mat.zeros(field, ambient_dim, 0))
-        row_mat = Mat.from_rows(
-            field, [[v.entry(i, 0) for i in range(ambient_dim)] for v in cols]
-        )
-        red, pivots = row_mat.rref()
-        basis_rows = [red.row_list(i) for i in range(len(pivots))]
-        if not basis_rows:
-            return Subspace(field, ambient_dim, Mat.zeros(field, ambient_dim, 0))
-        return Subspace(field, ambient_dim, Mat.from_rows(field, basis_rows).transpose())
+            return Subspace.zero(field, ambient_dim)
+        red, pivots = Mat.zeros(field, ambient_dim, 0).hstack(*cols).transpose().rref()
+        basis = Mat._make(field, len(pivots), ambient_dim, red._rows[: len(pivots)])
+        return Subspace(field, ambient_dim, basis.transpose())
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -638,11 +642,13 @@ def kernel(m: Mat) -> Subspace:
     field = m.field
     vectors = []
     for fc in free_cols:
-        v = Mat.zeros(field, m.cols, 1)
-        v._rows[fc][0] = field.one()
+        rows = [{} for _ in range(m.cols)]
+        rows[fc] = {0: field.one()}
         for r, pc in enumerate(pivots):
-            v._rows[pc][0] = -red.entry(r, fc)
-        vectors.append(v)
+            x = red._rows[r].get(fc)
+            if x is not None:
+                rows[pc] = {0: -x}
+        vectors.append(Mat._make(field, m.cols, 1, rows))
     return Subspace.from_spanning_columns(field, m.cols, vectors)
 
 
@@ -658,12 +664,11 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     # A pivot in the appended block means that column is inconsistent.
     if any(p >= m.cols for p in pivots):
         return None
-    field = m.field
-    x = Mat.zeros(field, m.cols, b.cols)
+    n = m.cols
+    rows = [{} for _ in range(n)]
     for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x._rows[pc][j] = red.entry(r, m.cols + j)
-    return x
+        rows[pc] = {j - n: x for j, x in red._rows[r].items() if j >= n}
+    return Mat._make(m.field, n, b.cols, rows)
 
 
 def is_bijective(m: Mat) -> bool:
@@ -698,18 +703,15 @@ def quotient(ambient_dim: int, relations: Subspace) -> tuple[int, Mat, Mat]:
     rel_rows = relations.mat.transpose()  # rows are the echelon basis vectors
     red, pivots = rel_rows.rref()
     pivot_set = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
+    free = {c: qi for qi, c in enumerate(c for c in range(ambient_dim) if c not in pivot_set)}
     qdim = len(free)
-    projector = Mat.zeros(field, qdim, ambient_dim)
+    one = field.one()
     # Reduce e_c modulo the relation rows, then read off free coordinates.
-    for c in range(ambient_dim):
-        if c in pivot_set:
-            r = pivots.index(c)
-            for qi, fc in enumerate(free):
-                projector._rows[qi][c] = -red.entry(r, fc)
-        else:
-            projector._rows[free.index(c)][c] = field.one()
-    section = Mat.zeros(field, ambient_dim, qdim)
-    for qi, fc in enumerate(free):
-        section._rows[fc][qi] = field.one()
-    return qdim, projector, section
+    proj_rows = [{c: one} for c in free]
+    for r, c in enumerate(pivots):
+        for fc, x in red._rows[r].items():
+            if fc in free:
+                proj_rows[free[fc]][c] = -x
+    section_rows = [{free[c]: one} if c in free else {} for c in range(ambient_dim)]
+    projector = Mat._make(field, qdim, ambient_dim, proj_rows)
+    return qdim, projector, Mat._make(field, ambient_dim, qdim, section_rows)

@@ -750,21 +750,23 @@ def coinvariant_cotensor_checks(
     s1 = kernel(mod.coaction - Mat.identity(field, dmp).kron(hp.unit))
     s2 = kernel(coact_c - Mat.identity(field, cot.dim).kron(h.unit))
 
-    u_cols = Mat.zeros(field, s2.dim, 0)
+    u_parts = []
     for v in s1.basis_columns():
         in_cot = cot.coordinates(v.kron(h.unit))
         coords = solve(s2.mat, in_cot)
         if coords is None:
             raise InvariantViolation("coinvariant image is not coinvariant in the cotensor")
-        u_cols = u_cols.hstack(coords)
-    d_cols = Mat.zeros(field, s1.dim, 0)
+        u_parts.append(coords)
+    u_cols = Mat.zeros(field, s2.dim, 0).hstack(*u_parts)
+    d_parts = []
     strip = Mat.identity(field, dmp).kron(h.counit)
     for w in s2.basis_columns():
         back = strip.mul(cot.embed.mul(w))
         coords = solve(s1.mat, back)
         if coords is None:
             raise InvariantViolation("cotensor coinvariant does not land in the module coinvariants")
-        d_cols = d_cols.hstack(coords)
+        d_parts.append(coords)
+    d_cols = Mat.zeros(field, s1.dim, 0).hstack(*d_parts)
 
     names1 = [f"w{i}" for i in range(s1.dim)]
     names2 = [f"w{i}" for i in range(s2.dim)]

@@ -435,19 +435,14 @@ def build_group_algebra(g: Group, field: Field = QQ, max_order: int = 512) -> Ho
     n = g.order
     if n > max_order:
         raise InputError(f"group order {n} exceeds bound {max_order}")
-    mult = Mat.zeros(field, n, n * n)
     one = field.one()
-    for i in range(n):
-        for j in range(n):
-            mult._rows[g.table[i][j]][i * n + j] = one
+    mult = Mat.from_entries(
+        field, n, n * n, {(g.table[i][j], i * n + j): one for i in range(n) for j in range(n)}
+    )
     unit = Mat.basis_vector(field, n, g.identity)
-    comult = Mat.zeros(field, n * n, n)
-    for i in range(n):
-        comult._rows[i * n + i][i] = one
+    comult = Mat.from_entries(field, n * n, n, {(i * n + i, i): one for i in range(n)})
     counit = Mat(field, 1, n, [1] * n)
-    antipode = Mat.zeros(field, n, n)
-    for i in range(n):
-        antipode._rows[g.inv[i]][i] = one
+    antipode = Mat.from_entries(field, n, n, {(g.inv[i], i): one for i in range(n)})
     algebra = AlgebraData(field, n, g.labels, mult, unit)
     return HopfData(
         algebra, comult, counit, antipode, antipode, rep_hint=("group_algebra", g)
@@ -460,20 +455,14 @@ def build_dual_group_algebra(g: Group, field: Field = QQ, max_order: int = 512) 
     if n > max_order:
         raise InputError(f"group order {n} exceeds bound {max_order}")
     labels = [f"d_{lbl}" for lbl in g.labels]
-    mult = Mat.zeros(field, n, n * n)
     one = field.one()
-    for i in range(n):
-        mult._rows[i][i * n + i] = one
+    mult = Mat.from_entries(field, n, n * n, {(i, i * n + i): one for i in range(n)})
     unit = Mat(field, n, 1, [1] * n)
-    comult = Mat.zeros(field, n * n, n)
-    for i in range(n):
-        for j in range(n):
-            comult._rows[i * n + j][g.table[i][j]] = one
-    counit = Mat.zeros(field, 1, n)
-    counit._rows[0][g.identity] = one
-    antipode = Mat.zeros(field, n, n)
-    for i in range(n):
-        antipode._rows[g.inv[i]][i] = one
+    comult = Mat.from_entries(
+        field, n * n, n, {(i * n + j, g.table[i][j]): one for i in range(n) for j in range(n)}
+    )
+    counit = Mat.from_entries(field, 1, n, {(0, g.identity): one})
+    antipode = Mat.from_entries(field, n, n, {(g.inv[i], i): one for i in range(n)})
     algebra = AlgebraData(field, n, labels, mult, unit)
     return HopfData(
         algebra, comult, counit, antipode, antipode, rep_hint=("dual_group_algebra", g)
@@ -498,11 +487,12 @@ def sweedler_h4(field: Field = QQ) -> HopfData:
         [[(2, 1)], [(3, -1)], [], []],
         [[(3, 1)], [(2, -1)], [], []],
     ]
-    mult = Mat.zeros(field, d, d * d)
-    for i in range(d):
-        for j in range(d):
-            for k, c in products[i][j]:
-                mult._rows[k][i * d + j] = field.of(c)
+    mult = Mat.from_entries(
+        field,
+        d,
+        d * d,
+        {(k, i * d + j): c for i in range(d) for j in range(d) for k, c in products[i][j]},
+    )
     unit = Mat.basis_vector(field, d, 0)
     coproducts = [
         [(0, 0, 1)],
@@ -510,16 +500,14 @@ def sweedler_h4(field: Field = QQ) -> HopfData:
         [(2, 0, 1), (1, 2, 1)],
         [(3, 1, 1), (0, 3, 1)],
     ]
-    comult = Mat.zeros(field, d * d, d)
-    for col, terms in enumerate(coproducts):
-        for a, b, c in terms:
-            comult._rows[a * d + b][col] = field.of(c)
+    comult = Mat.from_entries(
+        field,
+        d * d,
+        d,
+        {(a * d + b, col): c for col, terms in enumerate(coproducts) for a, b, c in terms},
+    )
     counit = Mat(field, 1, d, [1, 1, 0, 0])
-    antipode = Mat.zeros(field, d, d)
-    antipode._rows[0][0] = field.one()
-    antipode._rows[1][1] = field.one()
-    antipode._rows[3][2] = field.of(-1)
-    antipode._rows[2][3] = field.one()
+    antipode = Mat.from_entries(field, d, d, {(0, 0): 1, (1, 1): 1, (3, 2): -1, (2, 3): 1})
     algebra = AlgebraData(field, d, names, mult, unit)
     h = HopfData(algebra, comult, counit, antipode, rep_hint=("sweedler", None))
     return with_antipode_inverse(h)
@@ -559,9 +547,9 @@ def group_algebra_map(g_src: Group, g_tgt: Group, index_map, field: Field = QQ) 
     """Hopf map kG -> kG' induced by a group homomorphism given on indices."""
     src = build_group_algebra(g_src, field)
     tgt = build_group_algebra(g_tgt, field)
-    m = Mat.zeros(field, g_tgt.order, g_src.order)
-    for i in range(g_src.order):
-        m._rows[index_map[i]][i] = field.one()
+    m = Mat.from_entries(
+        field, g_tgt.order, g_src.order, {(index_map[i], i): 1 for i in range(g_src.order)}
+    )
     return HopfMap(src, tgt, m)
 
 
@@ -589,10 +577,7 @@ def fourier_iso(p: int) -> HopfMap:
     tgt = build_dual_group_algebra(g, field)
     w = _primitive_root(p)
     n = p - 1
-    m = Mat.zeros(field, n, n)
-    for k in range(n):
-        for j in range(n):
-            m._rows[j][k] = field.of(pow(w, (j * k) % n, p))
+    m = Mat(field, n, n, [pow(w, (j * k) % n, p) for j in range(n) for k in range(n)])
     return HopfMap(src, tgt, m)
 
 

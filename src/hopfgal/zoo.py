@@ -65,7 +65,6 @@ def q_sqrt2_extension() -> Extension:
 
 def cubic_radical_algebra(field: Field = QQ) -> AlgebraData:
     """k[s]/(s^3 - 2) with basis {1, s, s^2}."""
-    mult = Mat.zeros(field, 3, 9)
     vals = {
         (0, 0): (0, 1),
         (0, 1): (1, 1),
@@ -77,8 +76,7 @@ def cubic_radical_algebra(field: Field = QQ) -> AlgebraData:
         (2, 1): (0, 2),
         (2, 2): (1, 2),
     }
-    for (i, j), (k, v) in vals.items():
-        mult._rows[k][i * 3 + j] = field.of(v)
+    mult = Mat.from_entries(field, 3, 9, {(k, i * 3 + j): v for (i, j), (k, v) in vals.items()})
     unit = Mat.basis_vector(field, 3, 0)
     return AlgebraData(field, 3, ["1", "s", "s2"], mult, unit)
 

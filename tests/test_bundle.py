@@ -93,7 +93,7 @@ class TestLeftComodule:
 
     def test_corrupted_coaction_fails_with_witness(self):
         h = sweedler_h4()
-        rows = [list(r) for r in h.comult._rows]
+        rows = [h.comult.row_list(i) for i in range(h.comult.rows)]
         rows[0][0] = QQ.of(2)
         bad = LeftComodule(h, 4, coaction=Mat.from_rows(QQ, rows))
         fails = [c for c in check_left_comodule(bad) if not c.ok]

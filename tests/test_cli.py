@@ -6,9 +6,11 @@ drive the installed commands the way a user would.
 """
 
 import json
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 import time
 
 import pytest
@@ -20,7 +22,8 @@ from hopfgal.comodule import Verdict
 from hopfgal.exact_linear import QQ
 from hopfgal.hopf_core import sweedler_h4
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
 
 
 def fx(name: str) -> str:
@@ -29,6 +32,18 @@ def fx(name: str) -> str:
 
 def invoke(args, env=None):
     return CliRunner().invoke(main, [str(a) for a in args], env=env)
+
+
+def hopfgal_command(args):
+    """Run the hopfgal console script, or ``python -m hopfgal`` when it is not installed."""
+    script = shutil.which("hopfgal")
+    if script is not None:
+        return subprocess.run([script, *args], capture_output=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "hopfgal", *args], capture_output=True, env=env)
 
 
 def verdict_map(result):
@@ -384,6 +399,20 @@ class TestSchemaErrors:
         assert r.exit_code == 2
         assert "exceeds HOPFGAL_MAX_DIM=8" in r.stderr
 
+    @pytest.mark.parametrize("raw", ["0", "-5", "abc"])
+    def test_invalid_max_dim_is_named(self, raw):
+        r = invoke(
+            ["check", "hopf", fx("hopf_sweedler.json")],
+            env={"HOPFGAL_MAX_DIM": raw},
+        )
+        assert r.exit_code == 2
+        assert r.stderr.startswith("error at HOPFGAL_MAX_DIM:")
+        assert "exceeds" not in r.stderr
+
+    def test_empty_max_dim_means_default(self):
+        r = invoke(["check", "hopf", fx("hopf_sweedler.json")], env={"HOPFGAL_MAX_DIM": ""})
+        assert r.exit_code == 0
+
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -452,12 +481,9 @@ class TestDeterminism:
         assert sweep() == sweep()
 
     def test_subprocess_runs_are_byte_identical(self):
-        hopfgal = shutil.which("hopfgal")
-        if hopfgal is None:
-            pytest.skip("console script not on PATH")
-        cmd = [hopfgal, "check", "galois", fx("qsqrt2.json"), "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        cmd = ["check", "galois", fx("qsqrt2.json"), "--format", "json"]
+        first = hopfgal_command(cmd)
+        second = hopfgal_command(cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
@@ -465,11 +491,6 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_console_script_golden_line(self):
-        hopfgal = shutil.which("hopfgal")
-        if hopfgal is None:
-            pytest.skip("console script not on PATH")
-        out = subprocess.run(
-            [hopfgal, "at", "--n", "1", "--k", "2"], capture_output=True
-        )
+        out = hopfgal_command(["at", "--n", "1", "--k", "2"])
         assert out.returncode == 0
         assert out.stdout == b"2 [L1] - 1 [L0]\n"

@@ -57,7 +57,7 @@ class TestComoduleAxioms:
     def test_corrupted_coaction_fails_with_witness(self):
         e = zoo.q_sqrt2_extension()
         c = e.comodule_algebra
-        rows = [list(r) for r in c.coaction._rows]
+        rows = [c.coaction.row_list(i) for i in range(c.coaction.rows)]
         rows[0][1] = rows[0][1] + QQ.one()
         bad = ComoduleAlgebra(c.algebra, c.hopf, coaction=Mat.from_rows(QQ, rows))
         report = check_comodule_algebra(bad)
@@ -136,8 +136,8 @@ class TestBalancedTensor:
         e = zoo.trivial_coaction_extension()
         full = Extension(e.comodule_algebra, Subspace.full(QQ, e.dim))
         bt = balanced_self_tensor(full)
-        raw = Mat.zeros(QQ, 1, bt.ambient_dim)
-        raw._rows[0][1] = QQ.one()  # picks out one tensor coordinate: not balanced
+        # Picks out one tensor coordinate: not balanced.
+        raw = Mat.from_entries(QQ, 1, bt.ambient_dim, {(0, 1): 1})
         with pytest.raises(InvariantViolation):
             bt.descend(raw)
 
@@ -252,7 +252,7 @@ class TestRelativeHopfModules:
 
     def test_corrupted_action_fails_with_witness(self):
         m = zoo.module_self(zoo.q_sqrt2_extension().comodule_algebra)
-        rows = [list(r) for r in m.action._rows]
+        rows = [m.action.row_list(i) for i in range(m.action.rows)]
         rows[0][0] = rows[0][0] + QQ.one()
         bad = zoo.RelativeHopfModule(
             m.base, m.dim, Mat.from_rows(QQ, rows), m.coaction, names=m.names

@@ -24,7 +24,6 @@ from hopfgal.exact_linear import (
     permute_legs,
     quotient,
     solve,
-    tensor_permutation,
 )
 
 
@@ -58,6 +57,30 @@ def bareiss_rank_and_witness(int_rows):
         if r == nr:
             break
     return r, prev
+
+
+def tensor_permutation(field, dims, perm):
+    """Oracle for ``permute_legs``: the full leg-permutation matrix.
+
+    Each basis index is decoded into its mixed-radix digits (left leg
+    slowest) and re-encoded with the legs in the order ``perm``; shares no
+    code with the library's row-moving implementation.
+    """
+    total = 1
+    for d in dims:
+        total *= d
+    grid = [[0] * total for _ in range(total)]
+    for idx in range(total):
+        digits, rem = [], idx
+        for d in reversed(dims):
+            rem, digit = divmod(rem, d)
+            digits.append(digit)
+        digits.reverse()
+        out_idx = 0
+        for t in range(len(dims)):
+            out_idx = out_idx * dims[perm[t]] + digits[perm[t]]
+        grid[out_idx][idx] = 1
+    return Mat.from_rows(field, grid)
 
 
 def rand_int_matrix(rng, rows, cols, lo=-5, hi=5):

@@ -64,7 +64,7 @@ class TestZooPasses:
 
 
 def _perturb(mat: Mat, i: int, j: int) -> Mat:
-    rows = [list(r) for r in mat._rows]
+    rows = [mat.row_list(i) for i in range(mat.rows)]
     rows[i][j] = rows[i][j] + mat.field.one()
     return Mat.from_rows(mat.field, rows)
 

@@ -1,0 +1,206 @@
+"""Differential tests: sparse-row ``Mat`` against a dense list-of-lists model.
+
+The reference below keeps every cell, zeros included, and does textbook
+arithmetic on plain ``Fraction`` (over Q) or on ints reduced mod p (over
+F_p). It shares no code with ``exact_linear`` beyond the dense ``Mat``
+constructor used to read its results back, so agreement on random sparse
+shapes checks the sparse kernels cell by cell.
+"""
+
+from fractions import Fraction
+from itertools import product
+from math import prod
+
+from hypothesis import given, settings, strategies as st
+
+from hopfgal.exact_linear import Field, Mat, QQ, permute_legs
+
+FIELDS = [QQ, Field(2), Field(3), Field(7)]
+
+
+class Dense:
+    """Reference arithmetic on canonical scalars of one field."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.p
+
+    def canon(self, x):
+        if self.p is None:
+            return Fraction(x)
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+
+    def add(self, a, b):
+        return a + b if self.p is None else (a + b) % self.p
+
+    def mul(self, a, b):
+        return a * b if self.p is None else a * b % self.p
+
+    def neg(self, a):
+        return -a if self.p is None else -a % self.p
+
+    def inv(self, a):
+        return 1 / a if self.p is None else pow(a, -1, self.p)
+
+    def matmul(self, a, b, inner, cols):
+        out = []
+        for row in a:
+            acc = [self.canon(0)] * cols
+            for k in range(inner):
+                for j in range(cols):
+                    acc[j] = self.add(acc[j], self.mul(row[k], b[k][j]))
+            out.append(acc)
+        return out
+
+    def kron(self, a, b):
+        return [[self.mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+    def rref(self, m, ncols):
+        rows = [list(r) for r in m]
+        pivots, r = [], 0
+        for c in range(ncols):
+            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = self.inv(rows[r][c])
+            rows[r] = [self.mul(inv, x) for x in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c] != 0:
+                    f = rows[i][c]
+                    rows[i] = [self.add(x, self.neg(self.mul(f, y))) for x, y in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+        return rows, tuple(pivots)
+
+
+def to_mat(field, grid, rows, cols):
+    return Mat(field, rows, cols, [x for r in grid for x in r])
+
+
+def assert_matches(field, got: Mat, grid, rows, cols):
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.entries() == [field.of(x) for r in grid for x in r]
+    assert got == to_mat(field, grid, rows, cols)
+
+
+@st.composite
+def sparse_grid(draw, field, rows=None, cols=None):
+    """A rows x cols grid of canonical scalars, mostly zero."""
+    d = Dense(field)
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    values = [1, -1, 2, 3] + ([Fraction(1, 2), Fraction(-5, 3)] if field.is_rational else [])
+    scalar = st.one_of(st.just(0), st.just(0), st.sampled_from(values))
+    return [[d.canon(draw(scalar)) for _ in range(cols)] for _ in range(rows)], rows, cols
+
+
+fields = st.sampled_from(FIELDS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mul_matches_dense(data):
+    field = data.draw(fields)
+    a, r, k = data.draw(sparse_grid(field))
+    b, _, c = data.draw(sparse_grid(field, rows=k))
+    got = to_mat(field, a, r, k).mul(to_mat(field, b, k, c))
+    assert_matches(field, got, Dense(field).matmul(a, b, k, c), r, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kron_matches_dense(data):
+    field = data.draw(fields)
+    a, r1, c1 = data.draw(sparse_grid(field))
+    b, r2, c2 = data.draw(sparse_grid(field))
+    got = to_mat(field, a, r1, c1).kron(to_mat(field, b, r2, c2))
+    assert_matches(field, got, Dense(field).kron(a, b), r1 * r2, c1 * c2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_add_sub_neg_scale_transpose_match_dense(data):
+    field = data.draw(fields)
+    d = Dense(field)
+    a, r, c = data.draw(sparse_grid(field))
+    b, _, _ = data.draw(sparse_grid(field, rows=r, cols=c))
+    ma, mb = to_mat(field, a, r, c), to_mat(field, b, r, c)
+    total = [[d.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    diff = [[d.add(x, d.neg(y)) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert_matches(field, ma + mb, total, r, c)
+    assert_matches(field, ma - mb, diff, r, c)
+    assert_matches(field, -ma, [[d.neg(x) for x in row] for row in a], r, c)
+    assert_matches(field, ma.scale(3), [[d.mul(d.canon(3), x) for x in row] for row in a], r, c)
+    assert_matches(field, ma.transpose(), [[a[i][j] for i in range(r)] for j in range(c)], c, r)
+    assert ma.transpose().transpose() == ma
+    assert (ma - ma).is_zero() and ma - ma == Mat.zeros(field, r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hstack_vstack_match_dense(data):
+    field = data.draw(fields)
+    a, r, c1 = data.draw(sparse_grid(field))
+    b, _, c2 = data.draw(sparse_grid(field, rows=r))
+    e, _, c3 = data.draw(sparse_grid(field, rows=r))
+    ma, mb, me = (to_mat(field, g, r, c) for g, c in ((a, c1), (b, c2), (e, c3)))
+    wide = [ra + rb + re for ra, rb, re in zip(a, b, e)]
+    assert_matches(field, ma.hstack(mb, me), wide, r, c1 + c2 + c3)
+    assert ma.hstack(mb, me) == ma.hstack(mb).hstack(me)
+    top, _, _ = data.draw(sparse_grid(field, cols=c1))
+    bottom, r3, _ = data.draw(sparse_grid(field, cols=c1))
+    mt, mbot = to_mat(field, top, len(top), c1), to_mat(field, bottom, r3, c1)
+    assert_matches(field, mt.vstack(ma, mbot), top + a + bottom, len(top) + r + r3, c1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rref_rows_and_pivots_match_dense(data):
+    field = data.draw(fields)
+    a, r, c = data.draw(sparse_grid(field))
+    red, pivots = to_mat(field, a, r, c).rref()
+    ref_rows, ref_pivots = Dense(field).rref(a, c)
+    assert pivots == ref_pivots
+    assert_matches(field, red, ref_rows, r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permute_legs_matches_dense(data):
+    field = data.draw(fields)
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    perm = data.draw(st.permutations(range(len(dims))))
+    total = prod(dims)
+    a, _, c = data.draw(sparse_grid(field, rows=total))
+    # Both index spaces enumerate digit tuples lexicographically, left leg
+    # slowest; output leg t carries input leg perm[t].
+    out_index = {
+        digits: idx for idx, digits in enumerate(product(*(range(dims[t]) for t in perm)))
+    }
+    expected = [None] * total
+    for idx, digits in enumerate(product(*(range(dd) for dd in dims))):
+        expected[out_index[tuple(digits[t] for t in perm)]] = a[idx]
+    got = permute_legs(to_mat(field, a, total, c), dims, list(perm))
+    assert_matches(field, got, expected, total, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_explicit_zeros_do_not_change_equality_or_hash(data):
+    field = data.draw(fields)
+    a, r, c = data.draw(sparse_grid(field))
+    with_zeros = {(i, j): a[i][j] for i in range(r) for j in range(c)}
+    without = {key: x for key, x in with_zeros.items() if x != 0}
+    m1 = Mat.from_entries(field, r, c, with_zeros)
+    m2 = Mat.from_entries(field, r, c, without)
+    m3 = to_mat(field, a, r, c)
+    assert m1 == m2 == m3
+    assert hash(m1) == hash(m2) == hash(m3)
+    zero = Mat.zeros(field, r, c)
+    eye = Mat.identity(field, c)
+    # Both a sum and a product whose terms cancel exactly must store no zeros.
+    for cancelled in (m3 + m3.scale(-1), m3.hstack(-m3).mul(eye.vstack(eye))):
+        assert cancelled == zero
+        assert hash(cancelled) == hash(zero)
