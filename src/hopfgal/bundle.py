@@ -447,7 +447,7 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
         for j in range(base.dim):
             image = base.right_mult(Mat.basis_vector(field, base.dim, j)).mul(w)
             row.append(image.entry(lead, 0) / w.entry(lead, 0))
-        chars.append(Mat.from_rows(field, [row]))
+        chars.append(Mat(field, 1, base.dim, row))
     return chars
 
 

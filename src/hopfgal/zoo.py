@@ -29,13 +29,7 @@ from .extension import ExtensionMorphism, identity_cover
 
 def quadratic_field_algebra(d: int, field: Field = QQ, names=("1", "s")) -> AlgebraData:
     """k[s]/(s^2 - d) with basis {1, s}."""
-    mult = Mat.from_rows(
-        field,
-        [
-            [1, 0, 0, d],
-            [0, 1, 1, 0],
-        ],
-    )
+    mult = Mat.from_entries(field, 2, 4, {(0, 0): 1, (0, 3): d, (1, 1): 1, (1, 2): 1})
     unit = Mat.basis_vector(field, 2, 0)
     return AlgebraData(field, 2, list(names), mult, unit)
 
@@ -49,15 +43,7 @@ def q_sqrt2_extension() -> Extension:
     a = quadratic_field_algebra(2)
     h = build_dual_group_algebra(Group.cyclic(2))
     # rho(1) = 1 (x) (d_e + d_g), rho(s) = s (x) (d_e - d_g)
-    rho = Mat.from_rows(
-        QQ,
-        [
-            [1, 0],
-            [1, 0],
-            [0, 1],
-            [0, -1],
-        ],
-    )
+    rho = Mat.from_entries(QQ, 4, 2, {(0, 0): 1, (1, 0): 1, (2, 1): 1, (3, 1): -1})
     c = ComoduleAlgebra(a, h, coaction=rho)
     base = Subspace.from_spanning_columns(QQ, 2, [Mat.basis_vector(QQ, 2, 0)])
     return Extension(c, base)
