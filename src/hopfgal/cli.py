@@ -76,6 +76,19 @@ _SECTIONS = (
     "bundle_request",
 )
 
+def _echo(text: str, err: bool = False):
+    """click.echo to the current stdout or stderr, resolved afresh on each call.
+
+    click.echo without a file memoizes its stream wrapper in a
+    WeakKeyDictionary whose value is the stream itself, so a redirected
+    stream (a StringIO under redirect_stdout) is never freed. The stream is
+    the one click.echo would pick: get_text_stdout/get_text_stderr with
+    their default error handler, so the bytes written are the same.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(text, file=stream)
+
+
 class SchemaError(Exception):
     """A document problem, carrying the path that caused it."""
 
@@ -91,7 +104,7 @@ class SchemaError(Exception):
 
 def _warn_unknown(obj: dict, known, path: str):
     for key in sorted(set(obj) - set(known)):
-        click.echo(f"warning: unknown key at {path}.{key}", err=True)
+        _echo(f"warning: unknown key at {path}.{key}", err=True)
 
 
 def _get(obj: dict, key: str, path: str, kind, kind_name: str):
@@ -287,11 +300,15 @@ def _parse_field_tag(tag) -> Field:
     raise SchemaError("field", f"expected \"Q\" or \"Fp:<prime>\", got {tag!r}")
 
 
-def _guard_dims(path: str, **products: int):
+def _max_dim() -> int:
     try:
-        cap = max_tensor_dim()
+        return max_tensor_dim()
     except InputError as e:
         raise SchemaError("HOPFGAL_MAX_DIM", str(e))
+
+
+def _guard_dims(path: str, **products: int):
+    cap = _max_dim()
     for name, p in sorted(products.items()):
         if p > cap:
             raise SchemaError(path, f"{name} tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}")
@@ -342,7 +359,7 @@ def _emit_report(command: str, verdicts, dims: dict, fmt: str, timings=None, ext
             doc.update(extra)
         if timings is not None:
             doc["timings_ms"] = timings
-        click.echo(json.dumps(doc, separators=(",", ":")))
+        _echo(json.dumps(doc, separators=(",", ":")))
         return
     width = max([len("check")] + [len(n) for n, _, _ in verdicts])
     lines = [f"{'check':<{width}}  status     witness"]
@@ -359,7 +376,7 @@ def _emit_report(command: str, verdicts, dims: dict, fmt: str, timings=None, ext
                 lines.append(f"{key}: {value}")
     if timings is not None:
         lines.append("timings_ms: " + " ".join(f"{k}={v}" for k, v in timings.items()))
-    click.echo("\n".join(lines))
+    _echo("\n".join(lines))
 
 
 def _finish(command: str, verdicts, dims, fmt, started, timings_flag, extra=None):
@@ -376,16 +393,16 @@ def _handle_errors(fn):
     except SystemExit:
         raise
     except SchemaError as e:
-        click.echo(f"error at {e.path}: {e.message}", err=True)
+        _echo(f"error at {e.path}: {e.message}", err=True)
         raise SystemExit(2)
     except InputError as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         raise SystemExit(2)
     except PreconditionError as e:
-        click.echo(f"undecided: {e}", err=True)
+        _echo(f"undecided: {e}", err=True)
         raise SystemExit(3)
     except InvariantViolation as e:
-        click.echo(f"failed: {e}", err=True)
+        _echo(f"failed: {e}", err=True)
         raise SystemExit(1)
 
 
@@ -539,9 +556,14 @@ def cmd_at(n, k, k_range, self_check, fmt):
                 raise click.BadParameter("--k-range must be nondecreasing")
         else:
             lo, hi = 0, n
+        cap = _max_dim()
+        if n + 1 > cap:
+            raise SchemaError("--n", f"vector length {n + 1} exceeds HOPFGAL_MAX_DIM={cap}")
+        if hi - lo + 1 > cap:
+            raise SchemaError("--k-range", f"{hi - lo + 1} rows exceed HOPFGAL_MAX_DIM={cap}")
         rows = at_table(n, lo, hi)
         if self_check and not _run_at_self_check(n):
-            click.echo("self-check failed", err=True)
+            _echo("self-check failed", err=True)
             raise SystemExit(1)
         if fmt == "json":
             if k is not None:
@@ -550,7 +572,7 @@ def cmd_at(n, k, k_range, self_check, fmt):
                 doc = {"n": n, "rows": [{"k": kk, "coords": list(cc)} for kk, cc in rows]}
             if self_check:
                 doc["self_check"] = "ok"
-            click.echo(json.dumps(doc, separators=(",", ":")))
+            _echo(json.dumps(doc, separators=(",", ":")))
         else:
             if k is not None:
                 lines = [_format_shifted(rows[0][1])]
@@ -561,7 +583,7 @@ def cmd_at(n, k, k_range, self_check, fmt):
                     lines.append(f"{kk:<{kw}}  {_format_shifted(cc)}")
             if self_check:
                 lines.append("self-check: ok")
-            click.echo("\n".join(lines))
+            _echo("\n".join(lines))
         raise SystemExit(0)
 
     _handle_errors(run)
@@ -587,11 +609,11 @@ def cmd_phi(file, fmt, timings):
         if verdict.value is not True:
             if fmt == "json":
                 doc = {"error": "kappa not bijective", "reasons": list(verdict.reasons)}
-                click.echo(json.dumps(doc, separators=(",", ":")))
+                _echo(json.dumps(doc, separators=(",", ":")))
             else:
-                click.echo("kappa not bijective")
+                _echo("kappa not bijective")
                 for reason in verdict.reasons:
-                    click.echo(f"  {reason}")
+                    _echo(f"  {reason}")
             raise SystemExit(1)
         p = pullback_structure(m, verify=True)
         mirror_ok = p.kappa.mul(p.phi) == kappa_tilde(m)

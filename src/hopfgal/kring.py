@@ -149,6 +149,11 @@ class TruncatedPoly:
                     out[i + j] += a * b
         return TruncatedPoly(self.n, tuple(out))
 
+    def times_one_plus_x(self) -> "TruncatedPoly":
+        """This element times 1+x: coefficient i becomes c_i + c_{i-1}, one shift-add."""
+        c = self.coeffs
+        return TruncatedPoly(self.n, c[:1] + tuple(a + b for a, b in zip(c[1:], c)))
+
     def __pow__(self, k: int) -> "TruncatedPoly":
         if k < 0:
             raise InputError("negative powers need an explicit inverse")
@@ -166,17 +171,20 @@ def inv_one_plus_x(n: int) -> TruncatedPoly:
     """Inverse of 1+x in Z[x]/(x^{n+1}), computed twice and cross-checked.
 
     One route is the alternating-sign recurrence for (1+x)u = 1 and the
-    other the closed binomial form sum (-1)^k C(n+1, k+1) (1+x)^k.
+    other the closed binomial form sum (-1)^k C(n+1, k+1) (1+x)^k, whose
+    powers are walked one factor 1+x at a time, so both cost O(n^2).
     """
     if n < 0:
         raise InputError("truncation degree must be nonnegative")
     recurrence = TruncatedPoly(n, tuple((-1) ** j for j in range(n + 1)))
-    closed = TruncatedPoly.zero(n)
-    one_plus = TruncatedPoly.from_coeffs(n, [1, 1])
+    closed = [0] * (n + 1)
+    power = TruncatedPoly.one(n)
     for k in range(n + 1):
         coeff = (-1) ** k * math.comb(n + 1, k + 1)
-        closed = closed + (one_plus ** k) * TruncatedPoly.from_coeffs(n, [coeff])
-    if recurrence != closed:
+        for j, c in enumerate(power.coeffs):
+            closed[j] += coeff * c
+        power = power.times_one_plus_x()
+    if recurrence != TruncatedPoly(n, tuple(closed)):
         raise InvariantViolation("the two inversion routes for 1+x disagree")
     return recurrence
 
@@ -231,10 +239,14 @@ def int_det(a) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        piv = a[k][k]
         for i in range(k + 1, m):
+            if a[i][k] == 0 and piv == prev:
+                # (x * piv - 0) // prev == x: the step leaves this row as it is
+                continue
             for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        prev = piv
     return sign * a[m - 1][m - 1]
 
 
@@ -299,15 +311,31 @@ class KClassVector:
         return KClassVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
 
+def _taylor_shift(coeffs, step: int) -> tuple:
+    """Coefficients of f(y + step), step = +1 or -1, from those of f(y).
+
+    Horner's rule in the shifted variable, done in place: O(n^2) additions
+    and no base-change matrix (von zur Gathen & Gerhard, ISSAC 1997).
+    """
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += step * a[j + 1]
+    return tuple(a)
+
+
 def to_monomials(v: KClassVector) -> TruncatedPoly:
-    """Expand shifted coordinates into the monomial basis of Z[x]/(x^{n+1})."""
-    mono = int_mat_vec(at_base_change(v.n), list(v.coords))
-    return TruncatedPoly(v.n, tuple(mono))
+    """Expand shifted coordinates into the monomial basis of Z[x]/(x^{n+1}).
+
+    sum c_k (1+x)^k is f(1+x) for f(y) = sum c_k y^k: a Taylor shift by +1.
+    """
+    return TruncatedPoly(v.n, _taylor_shift(v.coords, 1))
 
 
 def from_monomials(p: TruncatedPoly) -> KClassVector:
-    shifted = int_mat_vec(at_base_change_inverse(p.n), list(p.coeffs))
-    return KClassVector(p.n, tuple(shifted))
+    """Shifted coordinates of p: p(x) = p((1+x) - 1), a Taylor shift by -1."""
+    return KClassVector(p.n, _taylor_shift(p.coeffs, -1))
 
 
 def line_class(n: int, k: int) -> KClassVector:
@@ -348,18 +376,32 @@ def at_table(n: int, k_lo: int, k_hi: int):
     ring structure: all pairs when the range holds at most 16 indices, and a
     structured subfamily (lower end, diagonal, successor, upper end) beyond
     that so wide tables stay inside the interactive time budget.
+
+    The powers come from two windows, each anchored once by one_plus_x_power
+    and walked up by one factor 1+x per index: the rows (1+x)^k for k in
+    [k_lo, k_hi], and the products (1+x)^s for s in [2 k_lo, 2 k_hi], which
+    holds every k1 + k2 a checked pair can reach. The product anchor is
+    computed on its own, not as the square of the row anchor, so a wrong
+    step in either walk shows up as a failed pair. A step that multiplies by
+    some other unit u keeps every pair consistent (both sides pick up the
+    same power of u), so the first row step is also compared with a plain
+    product by 1+x.
     """
     if k_hi < k_lo:
         raise InputError("empty exponent range")
-    powers: dict = {}
 
-    def power(k: int) -> TruncatedPoly:
-        if k not in powers:
-            powers[k] = one_plus_x_power(n, k)
-        return powers[k]
+    def walk(start: int, stop: int) -> dict:
+        p = one_plus_x_power(n, start)
+        out = {start: p}
+        for k in range(start + 1, stop + 1):
+            p = p.times_one_plus_x()
+            out[k] = p
+        return out
 
+    power = walk(k_lo, k_hi)
+    product = walk(2 * k_lo, 2 * k_hi)
     ks = range(k_lo, k_hi + 1)
-    rows = [(k, from_monomials(power(k))) for k in ks]
+    rows = [(k, from_monomials(power[k])) for k in ks]
     if k_hi - k_lo + 1 <= 16:
         pairs = [(a, b) for a in ks for b in ks]
     else:
@@ -369,10 +411,12 @@ def at_table(n: int, k_lo: int, k_hi: int):
             if a < k_hi:
                 pairs.append((a, a + 1))
     for k1, k2 in pairs:
-        if power(k1) * power(k2) != power(k1 + k2):
+        if power[k1] * power[k2] != product[k1 + k2]:
             raise InvariantViolation(
                 f"line class product fails at ({k1}, {k2}) for degree {n}"
             )
+    if k_hi > k_lo and power[k_lo + 1] != power[k_lo] * TruncatedPoly.from_coeffs(n, [1, 1]):
+        raise InvariantViolation(f"line class step fails at {k_lo} for degree {n}")
     return [(k, v.coords) for k, v in rows]
 
 

@@ -5,13 +5,18 @@ by scripts/generate_fixtures.py; these tests treat them as opaque inputs and
 drive the installed commands the way a user would.
 """
 
+import contextlib
+import gc
+import io
 import json
+import math
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -198,6 +203,125 @@ class TestAt:
     @pytest.mark.parametrize("bad", ["1..2..3", "abc..3", "5", "3..1"])
     def test_rejects_malformed_ranges(self, bad):
         assert invoke(["at", "--n", "2", "--k-range", bad]).exit_code == 2
+
+    def test_huge_degree_is_refused_before_work(self):
+        started = time.perf_counter()
+        r = invoke(["at", "--n", "100000", "--k", "3"])
+        assert time.perf_counter() - started < 1.0
+        assert r.exit_code == 2
+        assert r.stderr == "error at --n: vector length 100001 exceeds HOPFGAL_MAX_DIM=4096\n"
+        assert r.stdout == ""
+
+    def test_degree_bound_follows_max_dim(self):
+        env = {"HOPFGAL_MAX_DIM": "8"}
+        refused = invoke(["at", "--n", "8"], env=env)
+        assert refused.exit_code == 2
+        assert refused.stderr.startswith("error at --n:")
+        assert invoke(["at", "--n", "7"], env=env).exit_code == 0
+
+    def test_oversized_range_is_named(self):
+        r = invoke(["at", "--n", "2", "--k-range", "-5..9"], env={"HOPFGAL_MAX_DIM": "8"})
+        assert r.exit_code == 2
+        assert r.stderr == "error at --k-range: 15 rows exceed HOPFGAL_MAX_DIM=8\n"
+        big = invoke(["at", "--n", "2", "--k-range", "0..10000000000"])
+        assert big.exit_code == 2
+        assert big.stderr.startswith("error at --k-range:")
+
+
+def generalized_binomial(a: int, m: int) -> int:
+    return math.prod(range(a - m + 1, a + 1)) // math.factorial(m)
+
+
+def oracle_coords(n: int, k: int) -> list:
+    """Coordinates of (1+x)^k in the basis (1+x)^0..(1+x)^n of Z[x]/(x^{n+1}).
+
+    Expanding (1+x)^k = sum_m C(k, m) x^m and x^m = ((1+x) - 1)^m, the
+    coefficient of (1+x)^j is C(k, j) sum_{i <= n-j} (-1)^i C(k-j, i), and
+    the partial alternating sum is (-1)^(n-j) C(k-j-1, n-j).
+    """
+    return [
+        (-1) ** (n - j) * generalized_binomial(k, j) * generalized_binomial(k - j - 1, n - j)
+        for j in range(n + 1)
+    ]
+
+
+def oracle_class(coords) -> str:
+    terms = [(i, c) for i, c in reversed(list(enumerate(coords))) if c]
+    if not terms:
+        return "0"
+    text = ("-" if terms[0][1] < 0 else "") + f"{abs(terms[0][1])} [L{terms[0][0]}]"
+    for i, c in terms[1:]:
+        text += f" {'-' if c < 0 else '+'} {abs(c)} [L{i}]"
+    return text
+
+
+def oracle_at_report(n: int, ks, single: bool, fmt: str, self_check: bool = False) -> str:
+    if fmt == "json":
+        if single:
+            body = f'"k":{ks[0]},"coords":{json.dumps(oracle_coords(n, ks[0]), separators=(",", ":"))}'
+        else:
+            rows = ",".join(
+                f'{{"k":{k},"coords":{json.dumps(oracle_coords(n, k), separators=(",", ":"))}}}'
+                for k in ks
+            )
+            body = f'"rows":[{rows}]'
+        tail = ',"self_check":"ok"' if self_check else ""
+        return f'{{"n":{n},{body}{tail}}}\n'
+    if single:
+        lines = [oracle_class(oracle_coords(n, ks[0]))]
+    else:
+        width = max(1, *(len(str(k)) for k in ks))
+        lines = ["k".ljust(width) + "  class"]
+        lines += [str(k).ljust(width) + "  " + oracle_class(oracle_coords(n, k)) for k in ks]
+    if self_check:
+        lines.append("self-check: ok")
+    return "\n".join(lines) + "\n"
+
+
+class TestAtOracleSweep:
+    """Every at report, byte for byte, against closed-form generalized binomials."""
+
+    def test_oracle_golden_values(self):
+        assert oracle_coords(1, 2) == [-1, 2]
+        assert oracle_coords(2, -1) == [3, -3, 1]
+        assert oracle_coords(2, 3) == [1, -3, 3]
+        assert oracle_class([3, -3, 1]) == "1 [L2] - 3 [L1] + 3 [L0]"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33])
+    def test_single_indices(self, n, fmt):
+        for k in range(-40, 101):
+            r = invoke(["at", "--n", n, "--k", k, "--format", fmt])
+            assert (r.exit_code, r.stdout) == (0, oracle_at_report(n, [k], True, fmt)), k
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33])
+    def test_ranges(self, n, fmt):
+        for lo, hi in [(-5, 5), (-1, 0), (-30, -12), (-9, 20), (60, 61)]:
+            r = invoke(["at", "--n", n, "--k-range", f"{lo}..{hi}", "--format", fmt])
+            expect = oracle_at_report(n, list(range(lo, hi + 1)), False, fmt)
+            assert (r.exit_code, r.stdout) == (0, expect), (lo, hi)
+        r = invoke(["at", "--n", n, "--self-check", "--format", fmt])
+        assert (r.exit_code, r.stdout) == (0, oracle_at_report(n, list(range(n + 1)), False, fmt, True))
+
+
+class TestStreams:
+    def test_redirected_streams_are_not_retained(self):
+        # click.echo's own stream memo would keep every redirected stream alive
+        refs = []
+        for k in range(20):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit):
+                    main(["at", "--n", "2", "--k", str(k - 10)])
+                with pytest.raises(SystemExit):
+                    main(["at", "--n", "100000"])
+            assert out.getvalue() == oracle_at_report(2, [k - 10], True, "table")
+            assert err.getvalue().startswith("error at --n:")
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 # ---------------------------------------------------------------------------

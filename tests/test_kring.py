@@ -1,7 +1,9 @@
+from fractions import Fraction
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopfgal.exact_linear import QQ, InputError, InvariantViolation, Mat
 from hopfgal.hopf_core import AlgebraData, Group, build_group_algebra, report_ok
@@ -34,6 +36,7 @@ from hopfgal.kring import (
     int_det,
     int_identity,
     int_mat_mul,
+    int_mat_vec,
     integers_ring,
     inv_one_plus_x,
     k_functor,
@@ -269,6 +272,148 @@ class TestAtTable:
     def test_empty_range_rejected(self):
         with pytest.raises(InputError):
             at_table(2, 3, 1)
+
+    @pytest.mark.parametrize("n, lo, hi", [(0, -3, 4), (3, -5, 5), (6, -9, 30), (12, 40, 60)])
+    def test_rows_match_independent_powers(self, n, lo, hi):
+        # the walked rows against powers built one by one by repeated squaring
+        expect = [(k, line_class(n, k).coords) for k in range(lo, hi + 1)]
+        assert at_table(n, lo, hi) == expect
+
+
+# ---------------------------------------------------------------------------
+# the linear-step kernels against the routes they replaced
+
+
+big_ints = st.integers(min_value=-(10**40), max_value=10**40)
+
+
+@st.composite
+def truncated_polys(draw, max_n=40):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return TruncatedPoly(n, tuple(draw(st.lists(big_ints, min_size=n + 1, max_size=n + 1))))
+
+
+def fraction_det(a) -> int:
+    """Determinant by Gaussian elimination over Q, independent of Bareiss."""
+    m = [[Fraction(x) for x in row] for row in a]
+    size = len(m)
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, size):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+@st.composite
+def int_matrices(draw):
+    size = draw(st.integers(min_value=0, max_value=6))
+    shape = draw(st.sampled_from(["full", "upper", "lower", "sparse"]))
+    entry = st.integers(min_value=-6, max_value=6)
+    if shape == "sparse":
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    a = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if (shape == "upper" and i > j) or (shape == "lower" and i < j):
+                a[i][j] = 0
+    return a
+
+
+class TestLinearKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(truncated_polys())
+    def test_times_one_plus_x_is_a_product(self, p):
+        assert p.times_one_plus_x() == p * TruncatedPoly.from_coeffs(p.n, [1, 1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(truncated_polys())
+    def test_to_monomials_matches_base_change(self, p):
+        v = KClassVector(p.n, p.coeffs)
+        assert list(to_monomials(v).coeffs) == int_mat_vec(at_base_change(p.n), list(v.coords))
+
+    @settings(max_examples=80, deadline=None)
+    @given(truncated_polys())
+    def test_from_monomials_matches_base_change_inverse(self, p):
+        expect = int_mat_vec(at_base_change_inverse(p.n), list(p.coeffs))
+        assert list(from_monomials(p).coords) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    @example([[2, 1], [0, 3]])
+    @example([[2, 0, 1], [0, 3, 0], [1, 0, 5]])
+    @example([[0, 1, 0], [2, 0, 0], [0, 0, 7]])
+    def test_int_det_matches_fraction_elimination(self, a):
+        # the examples keep a zero under a pivot that differs from the last
+        # one, where a row may not be skipped
+        assert int_det(a) == fraction_det(a)
+
+
+# ---------------------------------------------------------------------------
+# the self-checks catch a wrong kernel
+
+
+def _bump(p: TruncatedPoly, j: int) -> TruncatedPoly:
+    c = list(p.coeffs)
+    c[j] += 1
+    return TruncatedPoly(p.n, tuple(c))
+
+
+class TestChecksCatchCorruption:
+    RANGES = [(0, 9), (-3, 12), (1, 30), (-20, 4)]  # at most 16 indices, then wider
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    @pytest.mark.parametrize("j", [0, 3, 5])
+    def test_corrupt_product(self, monkeypatch, lo, hi, j):
+        mul = TruncatedPoly.__mul__
+        monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: _bump(mul(a, b), j))
+        with pytest.raises(InvariantViolation, match="line class product fails"):
+            at_table(5, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (1, 30)])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_corrupt_step(self, monkeypatch, lo, hi, j):
+        step = TruncatedPoly.times_one_plus_x
+        monkeypatch.setattr(TruncatedPoly, "times_one_plus_x", lambda p: _bump(step(p), j))
+        with pytest.raises(InvariantViolation, match="line class product fails"):
+            at_table(5, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (1, 30)])
+    @pytest.mark.parametrize("wrong", ["top coefficient", "other unit"])
+    def test_consistent_wrong_step(self, monkeypatch, lo, hi, wrong):
+        # both corruptions keep every checked pair consistent; the step
+        # comparison with a plain product catches them
+        step = TruncatedPoly.times_one_plus_x
+        if wrong == "top coefficient":
+            bad = lambda p: _bump(step(p), p.n)
+        else:
+            bad = lambda p: p * TruncatedPoly.from_coeffs(p.n, [1, 1, 1])
+        monkeypatch.setattr(TruncatedPoly, "times_one_plus_x", bad)
+        with pytest.raises(InvariantViolation, match="line class step fails"):
+            at_table(5, lo, hi)
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    def test_corrupt_inversion_route(self, monkeypatch, n):
+        step = TruncatedPoly.times_one_plus_x
+        monkeypatch.setattr(TruncatedPoly, "times_one_plus_x", lambda p: _bump(step(p), p.n))
+        with pytest.raises(InvariantViolation, match="inversion routes"):
+            inv_one_plus_x(n)
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    def test_corrupt_closed_form(self, monkeypatch, n):
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda a, b: comb(a, b) + (b == 1))
+        with pytest.raises(InvariantViolation, match="inversion routes"):
+            inv_one_plus_x(n)
 
 
 class TestAugmentationSurjective:
