@@ -29,6 +29,8 @@ from .exact_linear import (
     is_bijective,
     inverse,
     kernel,
+    kron_interleaved,
+    linear_solutions,
     permute_legs,
     solve,
 )
@@ -38,8 +40,12 @@ from .hopf_core import (
     GradedHopfShortcut,
     HopfData,
     antipode_inverse,
+    associative_law,
+    coassociative_law,
+    counital_law,
     hopf_equal,
     tensor_names,
+    unital_law,
     _check_eq,
 )
 from .comodule import BalancedTensor, Extension, RelativeHopfModule
@@ -90,26 +96,9 @@ class LeftComodule:
 def check_left_comodule(v: LeftComodule) -> list[AxiomCheck]:
     if v.is_graded:
         return [AxiomCheck("left_comodule_graded", True, None)]
-    h = v.hopf
-    field = h.field
-    eye_v = Mat.identity(field, v.dim)
-    eye_h = Mat.identity(field, h.dim)
-    v_names = tensor_names(v.names)
     return [
-        _check_eq(
-            "left_coassociative",
-            h.comult.kron(eye_v).mul(v.coaction),
-            eye_h.kron(v.coaction).mul(v.coaction),
-            v_names,
-            tensor_names(h.basis_names, h.basis_names, v.names),
-        ),
-        _check_eq(
-            "left_counital",
-            h.counit.kron(eye_v).mul(v.coaction),
-            eye_v,
-            v_names,
-            v_names,
-        ),
+        coassociative_law("left_coassociative", v.coaction, v.hopf, v.names, side="left"),
+        counital_law("left_counital", v.coaction, v.hopf, v.names, side="left"),
     ]
 
 
@@ -145,12 +134,10 @@ def comodule_tensor(v: LeftComodule, w: LeftComodule) -> LeftComodule:
     if not hopf_equal(v.hopf, w.hopf):
         raise InputError("comodules over different Hopf algebras")
     h = v.hopf
-    field = h.field
-    dh, dv, dw = h.dim, v.dim, w.dim
-    spread = permute_legs(
-        v.coaction.kron(w.coaction), [dh, dv, dh, dw], [0, 2, 1, 3]
-    )
-    lam = h.mult.kron(Mat.identity(field, dv * dw)).mul(spread)
+    dv, dw = v.dim, w.dim
+    # (h, v, h', w) -> (h h', v, w)
+    merge = kron_interleaved(h.mult, Mat.identity(h.field, dv * dw), h.dim, dw)
+    lam = merge.mul(v.coaction.kron(w.coaction))
     names = tensor_names(v.names, w.names)
     return LeftComodule(h, dv * dw, coaction=lam, names=names)
 
@@ -306,46 +293,20 @@ def check_associated_bundle(b: AssociatedBundle) -> list[AxiomCheck]:
     field = e.field
     base = e.base_algebra()
     db, dim = base.dim, b.dim
-    eye_x = Mat.identity(field, dim)
     eye_b = Mat.identity(field, db)
-    x_names = [f"x{i}" for i in range(dim)]
-    xb_names = tensor_names(x_names, base.basis_names)
-    bx_names = tensor_names(base.basis_names, x_names)
+    x = [f"x{i}" for i in range(dim)]
+    right, left = b.right_action, b.left_action
     return [
-        _check_eq(
-            "right_unital",
-            b.right_action.mul(eye_x.kron(base.unit)),
-            eye_x,
-            x_names,
-            x_names,
-        ),
-        _check_eq(
-            "right_associative",
-            b.right_action.mul(b.right_action.kron(eye_b)),
-            b.right_action.mul(eye_x.kron(base.mult)),
-            tensor_names(x_names, base.basis_names, base.basis_names),
-            x_names,
-        ),
-        _check_eq(
-            "left_unital",
-            b.left_action.mul(base.unit.kron(eye_x)),
-            eye_x,
-            x_names,
-            x_names,
-        ),
-        _check_eq(
-            "left_associative",
-            b.left_action.mul(eye_b.kron(b.left_action)),
-            b.left_action.mul(base.mult.kron(eye_x)),
-            tensor_names(base.basis_names, base.basis_names, x_names),
-            x_names,
-        ),
+        unital_law("right_unital", right, base, x, labels=x),
+        associative_law("right_associative", right, base, x, labels=x),
+        unital_law("left_unital", left, base, x, side="left", labels=x),
+        associative_law("left_associative", left, base, x, side="left", labels=x),
         _check_eq(
             "bimodule_compatible",
-            b.left_action.mul(eye_b.kron(b.right_action)),
-            b.right_action.mul(b.left_action.kron(eye_b)),
-            tensor_names(base.basis_names, x_names, base.basis_names),
-            x_names,
+            left.mul(eye_b.kron(right)),
+            right.mul(left.kron(eye_b)),
+            tensor_names(base.basis_names, x, base.basis_names),
+            x,
         ),
     ]
 
@@ -492,23 +453,10 @@ def certify_fgp(b: AssociatedBundle) -> FgpReport:
     )
 
 
-def _bimodule_intertwiners(dom_ops, cod_ops, dim: int, field) -> list[Mat]:
-    """Basis of maps f with f dom_op = cod_op f for every paired operator."""
-    columns = []
-    for i in range(dim):
-        for c in range(dim):
-            unit_mat = Mat.from_entries(field, dim, dim, {(i, c): 1})
-            flat = []
-            for d_op, c_op in zip(dom_ops, cod_ops):
-                defect = unit_mat.mul(d_op) - c_op.mul(unit_mat)
-                flat.extend(defect.entries())
-            columns.append(Mat.column(field, flat))
-    big = columns[0].hstack(*columns[1:])
-    return [Mat(field, dim, dim, v.entries()) for v in kernel(big).basis_columns()]
-
-
 def _search_iso(dom_ops, cod_ops, dim: int, field, budget: int) -> Mat | None:
-    mats = _bimodule_intertwiners(dom_ops, cod_ops, dim, field)
+    mats = linear_solutions(
+        field, dim, dim, lambda f: [f.mul(d) - c.mul(f) for d, c in zip(dom_ops, cod_ops)]
+    )
     if not mats:
         return None
     for f in mats:
@@ -564,10 +512,10 @@ def bundle_tensor_data(
             f"balanced tensor has dimension {qt.dim}, cotensor bundle {b12.dim}"
         )
 
+    # (a, v1, a', v2) -> (a a', v1, v2)
     dv1, dv2 = b1.rep.dim, b2.rep.dim
-    raw = a.mult.kron(Mat.identity(field, dv1 * dv2)).mul(
-        permute_legs(b1.embed.kron(b2.embed), [a.dim, dv1, a.dim, dv2], [0, 2, 1, 3])
-    )
+    merge = kron_interleaved(a.mult, Mat.identity(field, dv1 * dv2), a.dim, dv2)
+    raw = merge.mul(b1.embed.kron(b2.embed))
     cand = solve(b12.embed, qt.descend(raw))
     if cand is None:
         raise InvariantViolation("product of bundle sections leaves the cotensor bundle")

@@ -449,26 +449,7 @@ class Mat:
         Basis order: left factor slowest, so ``(f (x) g)(e_i (x) e_j)`` sits in
         column ``i*cols(g) + j``.
         """
-        self._check_same_field(other)
-        cap = max_tensor_dim()
-        R, C = self.rows * other.rows, self.cols * other.cols
-        if R > cap or C > cap:
-            raise InputError(
-                f"tensor dimension {max(R, C)} exceeds HOPFGAL_MAX_DIM={cap}"
-            )
-        oc = other.cols
-        # Skip products with a unit factor: most structure entries are 1.
-        orows = [[(k2, b, b == 1) for k2, b in r.items()] for r in other._rows]
-        out = []
-        for srow in self._rows:
-            terms = [(k * oc, a, a == 1) for k, a in srow.items()]
-            for items in orows:
-                out.append({
-                    base + k2: b if a_one else (a if b_one else a * b)
-                    for base, a, a_one in terms
-                    for k2, b, b_one in items
-                })
-        return Mat._make(self.field, R, C, out)
+        return kron_interleaved(self, other, 1, max(other.cols, 1))
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
@@ -520,6 +501,48 @@ class Mat:
             " ".join(fmt(x) for x in self.row_list(i)) for i in range(self.rows)
         )
         return f"Mat({self.field}, {self.rows}x{self.cols}: {body})"
+
+
+def kron_interleaved(f: Mat, g: Mat, f_right: int, g_right: int) -> Mat:
+    """``f (x) g`` with its input legs taken in the order (x, y, x', y').
+
+    f maps X (x) X' and g maps Y (x) Y', where X' and Y' have dimensions
+    f_right and g_right. The result maps X (x) Y (x) X' (x) Y' to the target
+    of f (x) g: it is ``kron(f, g)`` composed with the leg permutation
+    (x, y, x', y') -> (x, x', y, y'), built in one pass over the nonzeros of
+    f and g, at the cost of ``kron``. For two multiplication tables it is the
+    multiplication of the tensor product algebra. ``kron`` is the case
+    f_right = 1, g_right = cols(g).
+    """
+    f._check_same_field(g)
+    if f_right < 1 or g_right < 1 or f.cols % f_right or g.cols % g_right:
+        raise InputError(
+            f"legs of size {f_right} and {g_right} do not split {f.cols} and {g.cols} columns"
+        )
+    cap = max_tensor_dim()
+    R, C = f.rows * g.rows, f.cols * g.cols
+    if R > cap or C > cap:
+        raise InputError(f"tensor dimension {max(R, C)} exceeds HOPFGAL_MAX_DIM={cap}")
+    # Output column of (x, y, x', y'): each factor's nonzero adds its own offset.
+    x_stride, y_stride = f_right * g.cols, f_right * g_right
+    # Skip products with a unit factor: most structure entries are 1.
+    g_rows = [
+        [((k // g_right) * y_stride + k % g_right, b, b == 1) for k, b in r.items()]
+        for r in g._rows
+    ]
+    out = []
+    for frow in f._rows:
+        terms = [
+            ((k // f_right) * x_stride + (k % f_right) * g_right, a, a == 1)
+            for k, a in frow.items()
+        ]
+        for items in g_rows:
+            out.append({
+                base + k2: b if a_one else (a if b_one else a * b)
+                for base, a, a_one in terms
+                for k2, b, b_one in items
+            })
+    return Mat._make(f.field, R, C, out)
 
 
 def flip(field: Field, dim_left: int, dim_right: int) -> Mat:
@@ -650,6 +673,24 @@ def kernel(m: Mat) -> Subspace:
                 rows[pc] = {0: -x}
         vectors.append(Mat._make(field, m.cols, 1, rows))
     return Subspace.from_spanning_columns(field, m.cols, vectors)
+
+
+def linear_solutions(field: Field, rows: int, cols: int, defects) -> list[Mat]:
+    """Basis of the rows x cols matrices f with every matrix in defects(f) zero.
+
+    defects must be linear in f. Applying it to the matrix units (row-major)
+    gives the columns of one homogeneous system; its kernel basis, reshaped,
+    is the answer.
+    """
+    columns = []
+    for i in range(rows):
+        for c in range(cols):
+            flat = []
+            for d in defects(Mat.from_entries(field, rows, cols, {(i, c): 1})):
+                flat.extend(d.entries())
+            columns.append(Mat.column(field, flat))
+    big = columns[0].hstack(*columns[1:])
+    return [Mat(field, rows, cols, v.entries()) for v in kernel(big).basis_columns()]
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:

@@ -28,6 +28,7 @@ from .exact_linear import (
     PreconditionError,
     is_bijective,
     kernel,
+    kron_interleaved,
     permute_legs,
     solve,
 )
@@ -36,10 +37,13 @@ from .hopf_core import (
     AxiomCheck,
     HopfData,
     HopfMap,
+    algebra_map_law,
     antipode_inverse,
     check_hopf_map,
     hopf_equal,
     is_cosemisimple_certified,
+    report_ok,
+    tensor_algebra,
     tensor_names,
     trivial_hopf,
     _check_eq,
@@ -172,26 +176,7 @@ class ExtensionMorphism:
 def check_extension_morphism(m: ExtensionMorphism) -> list[AxiomCheck]:
     src, tgt = m.source, m.target
     a, ap = src.algebra, tgt.algebra
-    out = list(check_hopf_map(m.chi))
-    ap_names = tensor_names(ap.basis_names)
-    out.append(
-        _check_eq(
-            "alpha_multiplicative",
-            m.alpha.mul(a.mult),
-            ap.mult.mul(m.alpha.kron(m.alpha)),
-            tensor_names(a.basis_names, a.basis_names),
-            ap_names,
-        )
-    )
-    out.append(
-        _check_eq(
-            "alpha_unital",
-            m.alpha.mul(a.unit),
-            ap.unit,
-            ["(1)"],
-            ap_names,
-        )
-    )
+    out = check_hopf_map(m.chi) + algebra_map_law("alpha", m.alpha, a, ap)
     out.append(
         _check_eq(
             "coaction_intertwined",
@@ -343,16 +328,12 @@ def distributive_law(m: ExtensionMorphism) -> Mat:
     return distributive_law_data(m)[0]
 
 
-def _cotensor_algebra(cot: CotensorSpace, ap: AlgebraData, h: HopfData) -> tuple[Mat, Mat]:
-    """Multiplication and unit of A' box^{H'} H inside A' (x) H."""
-    field = ap.field
-    dap, dh = ap.dim, h.dim
-    spread = permute_legs(
-        cot.embed.kron(cot.embed), [dap, dh, dap, dh], [0, 2, 1, 3]
-    )
-    mult = cot.coordinates(ap.mult.kron(h.mult).mul(spread))
-    unit = cot.coordinates(ap.unit.kron(h.unit))
-    return mult, unit
+def _cotensor_algebra(cot: CotensorSpace, ap: AlgebraData, h: HopfData) -> AlgebraData:
+    """A' box^{H'} H as a subalgebra of A' (x) H, in the cotensor basis."""
+    ambient = tensor_algebra(ap, h.algebra)
+    mult = cot.coordinates(ambient.mult.mul(cot.embed.kron(cot.embed)))
+    names = [f"c{i}" for i in range(cot.dim)]
+    return AlgebraData(ap.field, cot.dim, names, mult, cot.coordinates(ambient.unit))
 
 
 @dataclass
@@ -422,7 +403,7 @@ def _verify_pullback(p: PullbackStructure):
     m = p.morphism
     src, tgt = m.source, m.target
     field = m.field
-    a, ap, h = src.algebra, tgt.algebra, src.hopf
+    ap, h = tgt.algebra, src.hopf
     alg_q = p.comodule_algebra.algebra
     eye_h = Mat.identity(field, h.dim)
 
@@ -431,15 +412,16 @@ def _verify_pullback(p: PullbackStructure):
             f"pullback verification failed: {name}" + (f" ({detail})" if detail else "")
         )
 
+    def require(checks):
+        for check in checks:
+            if not check.ok:
+                fail(check.name)
+
     for check in check_comodule_algebra(p.comodule_algebra):
         if not check.ok:
             fail(check.name, check.witness or "")
 
-    mult_c, unit_c = _cotensor_algebra(p.cotensor, ap, h)
-    if p.kappa.mul(alg_q.mult) != mult_c.mul(p.kappa.kron(p.kappa)):
-        fail("kappa_multiplicative")
-    if p.kappa.mul(alg_q.unit) != unit_c:
-        fail("kappa_unital")
+    require(algebra_map_law("kappa", p.kappa, alg_q, _cotensor_algebra(p.cotensor, ap, h)))
     coact_c = p.cotensor.h_coaction()
     if coact_c.mul(p.kappa) != p.kappa.kron(eye_h).mul(p.comodule_algebra.coaction):
         fail("kappa_comodule_map")
@@ -457,15 +439,10 @@ def _verify_pullback(p: PullbackStructure):
     if p.iota_base.mul(m.beta) != p.iota_fiber.mul(src.inclusion):
         fail("base_square")
 
-    base_p = tgt.base_algebra()
-    if p.iota_base.mul(base_p.mult) != alg_q.mult.mul(p.iota_base.kron(p.iota_base)):
-        fail("target_base_map_multiplicative")
+    # The step for the target base map covers products only.
+    require(algebra_map_law("target_base_map", p.iota_base, tgt.base_algebra(), alg_q)[:1])
     ib = p.iota_base.mul(m.beta)
-    src_base = src.base_algebra()
-    if ib.mul(src_base.mult) != alg_q.mult.mul(ib.kron(ib)):
-        fail("base_map_multiplicative")
-    if ib.mul(src_base.unit) != alg_q.unit:
-        fail("base_map_unital")
+    require(algebra_map_law("base_map", ib, src.base_algebra(), alg_q))
     if p.comodule_algebra.coaction.mul(ib) != ib.kron(h.unit):
         fail("base_map_coinvariant")
 
@@ -612,8 +589,8 @@ def f_upper_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PushedModule:
 
     spread = mod.coaction.kron(tgt.comodule_algebra.coaction)
     spread = eye_m.kron(m.chi.matrix).kron(Mat.identity(field, dap * dhp)).mul(spread)
-    spread = permute_legs(spread, [dm, dhp, dap, dhp], [0, 2, 1, 3])
-    spread = Mat.identity(field, dm * dap).kron(hp.mult).mul(spread)
+    # (m, h, a', h') -> (m, a', h h')
+    spread = kron_interleaved(Mat.identity(field, dm * dap), hp.mult, dap, dhp).mul(spread)
     coact = bt.descend(bt.projector.kron(Mat.identity(field, dhp)).mul(spread))
 
     module = RelativeHopfModule(tgt.comodule_algebra, bt.dim, act, coact)
@@ -634,8 +611,8 @@ def f_lower_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PulledModule:
     # (m' (x) h) . a = m' . alpha(a_(0)) (x) h a_(1)
     step = Mat.identity(field, dmp * dh).kron(rho)
     step = Mat.identity(field, dmp * dh).kron(m.alpha).kron(Mat.identity(field, dh)).mul(step)
-    step = permute_legs(step, [dmp, dh, dap, dh], [0, 2, 1, 3])
-    step = mod.action.kron(h.mult).mul(step)
+    # (m', h, a', h') -> (m' a', h h')
+    step = kron_interleaved(mod.action, h.mult, dap, dh).mul(step)
     act = cot.coordinates(step.mul(cot.embed.kron(Mat.identity(field, da))))
 
     module = RelativeHopfModule(src.comodule_algebra, cot.dim, act, cot.h_coaction())
@@ -810,13 +787,7 @@ class KTopology:
         found_identity = False
         for cov in covers:
             cov = cov.materialize()
-            b = cov.base_algebra()
-            if not (
-                b.field == base.field
-                and b.dim == base.dim
-                and b.mult == base.mult
-                and b.unit == base.unit
-            ):
+            if not _bases_match(cov.base_algebra(), base):
                 raise InputError("cover base does not match the topology base")
             if require_galois:
                 verdict = is_hopf_galois(cov)
@@ -854,7 +825,7 @@ def is_k_continuous(
     field = base_s.field
     if (f.rows, f.cols) != (base_t.dim, base_s.dim):
         raise InputError(f"f must be {base_t.dim}x{base_s.dim}")
-    if f.mul(base_s.mult) != base_t.mult.mul(f.kron(f)) or f.mul(base_s.unit) != base_t.unit:
+    if not report_ok(algebra_map_law("f", f, base_s, base_t)):
         raise InputError("f is not a unital algebra map between the topology bases")
 
     f_is_identity = _bases_match(base_s, base_t) and f == Mat.identity(field, base_s.dim)

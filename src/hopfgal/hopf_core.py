@@ -16,6 +16,7 @@ comodules are just integer gradings, which is all later modules need).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .exact_linear import (
@@ -26,7 +27,7 @@ from .exact_linear import (
     QQ,
     flip,
     inverse,
-    permute_legs,
+    kron_interleaved,
 )
 
 
@@ -69,6 +70,19 @@ def _check_eq(name, lhs, rhs, domain_names, codomain_names) -> AxiomCheck:
     return AxiomCheck(name, False, _diff_witness(name, lhs, rhs, domain_names, codomain_names))
 
 
+@contextmanager
+def _named(name: str):
+    """Raise an error met while evaluating a check again, the check's name in front.
+
+    The error that matters is a tensor over HOPFGAL_MAX_DIM: the law helpers
+    below build their tensor operators inside this context.
+    """
+    try:
+        yield
+    except InputError as e:
+        raise InputError(f"{name}: {e}") from None
+
+
 class AlgebraData:
     """A finite-dimensional unital associative algebra by structure constants.
 
@@ -109,23 +123,109 @@ class AlgebraData:
         return Mat.basis_vector(self.field, self.dim, i)
 
 
-def check_algebra(a: AlgebraData) -> list[AxiomCheck]:
-    field, d = a.field, a.dim
-    eye = Mat.identity(field, d)
-    names1 = tensor_names(a.basis_names)
-    names3 = tensor_names(a.basis_names, a.basis_names, a.basis_names)
-    out = [
-        _check_eq(
-            "associativity",
-            a.mult.mul(a.mult.kron(eye)),
-            a.mult.mul(eye.kron(a.mult)),
-            names3,
-            names1,
-        ),
-        _check_eq("left_unit", a.mult.mul(a.unit.kron(eye)), eye, names1, names1),
-        _check_eq("right_unit", a.mult.mul(eye.kron(a.unit)), eye, names1, names1),
+def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:
+    """A (x) B with the componentwise product; basis labels (a,b)."""
+    return AlgebraData(
+        a.field,
+        a.dim * b.dim,
+        tensor_names(a.basis_names, b.basis_names),
+        kron_interleaved(a.mult, b.mult, a.dim, b.dim),
+        a.unit.kron(b.unit),
+    )
+
+
+def ground_algebra(field: Field) -> AlgebraData:
+    """The ground field k as a one-dimensional algebra with basis 1."""
+    one = Mat.identity(field, 1)
+    return AlgebraData(field, 1, ["1"], one, one)
+
+
+# The law helpers. Each states one identity once, for every structure that
+# must satisfy it; the caller names the check. A module or comodule M is
+# given by its structure matrix and the labels of its basis.
+
+
+def associative_law(name, action: Mat, alg: AlgebraData, names, side="right", labels=None):
+    """Acting twice equals acting by the product.
+
+    Right action M (x) A -> M: act(act (x) id) = act(id (x) mult).
+    Left action A (x) M -> M: act(id (x) act) = act(mult (x) id).
+    Witnesses label M's basis by labels, by default the names in parentheses.
+    """
+    eye_a, eye_m = Mat.identity(alg.field, alg.dim), Mat.identity(alg.field, action.rows)
+    legs = [names, alg.basis_names, alg.basis_names]
+    with _named(name):
+        if side == "right":
+            lhs, rhs = action.mul(action.kron(eye_a)), action.mul(eye_m.kron(alg.mult))
+        else:
+            lhs, rhs = action.mul(eye_a.kron(action)), action.mul(alg.mult.kron(eye_m))
+            legs.reverse()
+    return _check_eq(name, lhs, rhs, tensor_names(*legs), labels or tensor_names(names))
+
+
+def unital_law(name, action: Mat, alg: AlgebraData, names, side="right", labels=None):
+    """The unit acts as the identity: act(id (x) unit) = id; on the left act(unit (x) id) = id."""
+    eye_m = Mat.identity(alg.field, action.rows)
+    with _named(name):
+        lhs = action.mul(eye_m.kron(alg.unit) if side == "right" else alg.unit.kron(eye_m))
+    labels = labels or tensor_names(names)
+    return _check_eq(name, lhs, eye_m, labels, labels)
+
+
+def coassociative_law(name, coaction: Mat, h: HopfData, names, side="right"):
+    """Coacting twice equals coacting, then comultiplying.
+
+    Right coaction M -> M (x) H: (co (x) id) co = (id (x) Delta) co.
+    Left coaction M -> H (x) M: (Delta (x) id) co = (id (x) co) co.
+    """
+    eye_h, eye_m = Mat.identity(h.field, h.dim), Mat.identity(h.field, coaction.cols)
+    legs = [names, h.basis_names, h.basis_names]
+    with _named(name):
+        if side == "right":
+            lhs, rhs = coaction.kron(eye_h).mul(coaction), eye_m.kron(h.comult).mul(coaction)
+        else:
+            lhs, rhs = h.comult.kron(eye_m).mul(coaction), eye_h.kron(coaction).mul(coaction)
+            legs.reverse()
+    return _check_eq(name, lhs, rhs, tensor_names(names), tensor_names(*legs))
+
+
+def counital_law(name, coaction: Mat, h: HopfData, names, side="right"):
+    """The counit undoes the coaction: (id (x) eps) co = id; on the left (eps (x) id) co = id."""
+    eye_m = Mat.identity(h.field, coaction.cols)
+    with _named(name):
+        strip = eye_m.kron(h.counit) if side == "right" else h.counit.kron(eye_m)
+    labels = tensor_names(names)
+    return _check_eq(name, strip.mul(coaction), eye_m, labels, labels)
+
+
+def algebra_map_law(prefix, f: Mat, src: AlgebraData, *tgt: AlgebraData) -> list[AxiomCheck]:
+    """f: src -> tgt is multiplicative (f mult = mult' (f (x) f)) and unital (f unit = unit').
+
+    tgt is the target algebra, or two factors (A, H) for the target A (x) H;
+    ground_algebra stands for k. The checks are named <prefix>_multiplicative
+    and <prefix>_unital.
+    """
+    mult_name = f"{prefix}_multiplicative"
+    with _named(mult_name):
+        target = tgt[0] if len(tgt) == 1 else tensor_algebra(*tgt)
+        ff = f.kron(f)
+        # The product of k is the identity, so there mult' (f (x) f) is f (x) f.
+        on_k = target.mult == Mat.identity(f.field, 1)
+        lhs, rhs = f.mul(src.mult), ff if on_k else target.mult.mul(ff)
+    labels = tensor_names(*(t.basis_names for t in tgt))
+    return [
+        _check_eq(mult_name, lhs, rhs, tensor_names(src.basis_names, src.basis_names), labels),
+        _check_eq(f"{prefix}_unital", f.mul(src.unit), target.unit, ["(1)"], labels),
     ]
-    return out
+
+
+def check_algebra(a: AlgebraData) -> list[AxiomCheck]:
+    names = a.basis_names
+    return [
+        associative_law("associativity", a.mult, a, names),
+        unital_law("left_unit", a.mult, a, names, side="left"),
+        unital_law("right_unit", a.mult, a, names),
+    ]
 
 
 class HopfData:
@@ -194,65 +294,13 @@ def check_hopf(h: HopfData) -> list[AxiomCheck]:
     eye = Mat.identity(field, d)
     raw = h.basis_names
     names1 = tensor_names(raw)
-    names2 = tensor_names(raw, raw)
-    scalar_name = ["(1)"]
     out = check_algebra(h.algebra)
-
-    out.append(
-        _check_eq(
-            "coassociativity",
-            h.comult.kron(eye).mul(h.comult),
-            eye.kron(h.comult).mul(h.comult),
-            names1,
-            tensor_names(raw, raw, raw),
-        )
-    )
-    out.append(
-        _check_eq("left_counit", h.counit.kron(eye).mul(h.comult), eye, names1, names1)
-    )
-    out.append(
-        _check_eq("right_counit", eye.kron(h.counit).mul(h.comult), eye, names1, names1)
-    )
-
+    out.append(coassociative_law("coassociativity", h.comult, h, raw))
+    out.append(counital_law("left_counit", h.comult, h, raw, side="left"))
+    out.append(counital_law("right_counit", h.comult, h, raw))
     # Bialgebra axiom: comult and counit are algebra maps.
-    out.append(
-        _check_eq(
-            "comult_multiplicative",
-            h.comult.mul(h.mult),
-            h.mult.kron(h.mult).mul(
-                permute_legs(h.comult.kron(h.comult), [d, d, d, d], [0, 2, 1, 3])
-            ),
-            names2,
-            names2,
-        )
-    )
-    out.append(
-        _check_eq(
-            "comult_unital",
-            h.comult.mul(h.unit),
-            h.unit.kron(h.unit),
-            scalar_name,
-            names2,
-        )
-    )
-    out.append(
-        _check_eq(
-            "counit_multiplicative",
-            h.counit.mul(h.mult),
-            h.counit.kron(h.counit),
-            names2,
-            scalar_name,
-        )
-    )
-    out.append(
-        _check_eq(
-            "counit_unital",
-            h.counit.mul(h.unit),
-            Mat.identity(field, 1),
-            scalar_name,
-            scalar_name,
-        )
-    )
+    out.extend(algebra_map_law("comult", h.comult, h.algebra, h.algebra, h.algebra))
+    out.extend(algebra_map_law("counit", h.counit, h.algebra, ground_algebra(field)))
 
     unit_counit = h.unit.mul(h.counit)
     out.append(
@@ -336,25 +384,15 @@ class HopfMap:
 def check_hopf_map(f: HopfMap) -> list[AxiomCheck]:
     src, tgt, m = f.source, f.target, f.matrix
     names1 = tensor_names(src.basis_names)
-    names2 = tensor_names(src.basis_names, src.basis_names)
     tgt_names = tensor_names(tgt.basis_names)
-    tgt2 = tensor_names(tgt.basis_names, tgt.basis_names)
     scalar = ["(1)"]
-    return [
-        _check_eq(
-            "map_multiplicative",
-            m.mul(src.mult),
-            tgt.mult.mul(m.kron(m)),
-            names2,
-            tgt_names,
-        ),
-        _check_eq("map_unital", m.mul(src.unit), tgt.unit, scalar, tgt_names),
+    return algebra_map_law("map", m, src.algebra, tgt.algebra) + [
         _check_eq(
             "map_comultiplicative",
             tgt.comult.mul(m),
             m.kron(m).mul(src.comult),
             names1,
-            tgt2,
+            tensor_names(tgt.basis_names, tgt.basis_names),
         ),
         _check_eq("map_counital", tgt.counit.mul(m), src.counit, names1, scalar),
         _check_eq(
@@ -516,8 +554,8 @@ def sweedler_h4(field: Field = QQ) -> HopfData:
 def trivial_hopf(field: Field = QQ) -> HopfData:
     """The ground field as a one-dimensional Hopf algebra."""
     one = Mat.identity(field, 1)
-    algebra = AlgebraData(field, 1, ["1"], one, one)
-    return HopfData(algebra, one, one, one, one, rep_hint=("group_algebra", Group.trivial()))
+    hint = ("group_algebra", Group.trivial())
+    return HopfData(ground_algebra(field), one, one, one, one, rep_hint=hint)
 
 
 def counit_map(h: HopfData) -> HopfMap:

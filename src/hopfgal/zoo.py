@@ -8,7 +8,7 @@ compatibility checks.
 
 from __future__ import annotations
 
-from .exact_linear import Field, Mat, QQ, Subspace, flip, permute_legs
+from .exact_linear import Field, Mat, QQ, Subspace, kron_interleaved, permute_legs
 from .hopf_core import (
     AlgebraData,
     Group,
@@ -19,7 +19,7 @@ from .hopf_core import (
     counit_map,
     group_algebra_map,
     sweedler_h4,
-    tensor_names,
+    tensor_algebra,
     unit_map,
     with_antipode_inverse,
 )
@@ -123,23 +123,16 @@ def module_diagonal(c: ComoduleAlgebra) -> RelativeHopfModule:
     dh, da = h.dim, a.dim
     dm = dh * da
     action = Mat.identity(field, dh).kron(a.mult)
-    spread = h.comult.kron(c.coaction)  # legs (h1, h2, a0, a1) sized [dh,dh,da,dh]
-    merge = Mat.identity(field, dm).kron(h.mult)
-    coaction = merge.mul(permute_legs(spread, [dh, dh, da, dh], [0, 2, 1, 3]))
+    spread = h.comult.kron(c.coaction)  # legs (h1, h2, a0, a1)
+    # (h1, h2, a0, a1) -> (h1, a0, h2 a1)
+    coaction = kron_interleaved(Mat.identity(field, dm), h.mult, da, dh).mul(spread)
     names = [f"({hn},{an})" for hn in h.basis_names for an in a.basis_names]
     return RelativeHopfModule(c, dm, action, coaction, names=names)
 
 
 def tensor_square_algebra(h: HopfData) -> AlgebraData:
     """H (x) H with the componentwise product."""
-    d = h.dim
-    field = h.field
-    mult = permute_legs(
-        h.mult.kron(h.mult).transpose(), [d, d, d, d], [0, 2, 1, 3]
-    ).transpose()
-    unit = h.unit.kron(h.unit)
-    names = tensor_names(h.basis_names, h.basis_names)
-    return AlgebraData(field, d * d, names, mult, unit)
+    return tensor_algebra(h.algebra, h.algebra)
 
 
 def self_galois_morphism(h: HopfData) -> ExtensionMorphism:

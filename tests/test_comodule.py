@@ -212,6 +212,17 @@ class TestGaloisVerdicts:
         assert not names["base_contains_unit"].ok
 
 
+class TestOverflowNamesTheCheck:
+    def test_galois_verdict_names_the_law_that_overflows(self, monkeypatch):
+        monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
+        e = zoo.regular_extension(build_group_algebra(Group.cyclic(9)))
+        with pytest.raises(InputError) as err:
+            is_hopf_galois(e)
+        assert str(err.value) == (
+            "coaction_multiplicative: tensor dimension 6561 exceeds HOPFGAL_MAX_DIM=4096"
+        )
+
+
 class TestNormalBasis:
     def test_regular_extension_has_normal_basis(self):
         for _, build in zoo.GALOIS_HOPF_EXAMPLES:

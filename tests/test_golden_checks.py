@@ -41,7 +41,7 @@ from hopfgal.comodule import (
     check_relative_hopf_module,
     is_hopf_galois,
 )
-from hopfgal.exact_linear import InputError, InvariantViolation, Mat, QQ
+from hopfgal.exact_linear import InputError, InvariantViolation, Mat, QQ, kernel
 from hopfgal.extension import (
     ExtensionMorphism,
     KTopology,
@@ -234,7 +234,7 @@ def _morphism_cases(out: dict):
 
 
 def _pullback_cases(out: dict):
-    for name in ["identity_q_sqrt2", "cyclic_4_2", "self_galois_QZ2"]:
+    for name in ["identity_q_sqrt2", "cyclic_4_2", "to_trivial_q_sqrt2", "self_galois_QZ2"]:
         m = dict(_morphisms())[name]
         out[f"pullback_structure/{name}"] = _outcome(lambda: pullback_structure(m) and "ok")
         p = pullback_structure(m, verify=False)
@@ -244,6 +244,22 @@ def _pullback_cases(out: dict):
                 fields = dict(vars(p))
                 fields[attr] = _bump(mat, i, j)
                 out[f"_verify_pullback/{name}/{attr}_{where}"] = _outcome(
+                    lambda: _verify_pullback(PullbackStructure(**fields)) or "ok"
+                )
+        # Move iota_base by a vector that the counit strip and beta both miss,
+        # so that every step before the base maps holds.
+        h = m.source.hopf
+        strip = Mat.identity(m.field, m.target.dim).kron(h.counit).mul(p.cotensor.embed)
+        unused = [c for c in range(m.beta.rows) if not any(m.beta.row_list(c))]
+        for w in kernel(strip.mul(p.kappa)).basis_columns()[:1]:
+            for c in unused:
+                fields = dict(vars(p))
+                shift = Mat.zeros(m.field, w.rows, c).hstack(
+                    w, Mat.zeros(m.field, w.rows, p.iota_base.cols - c - 1)
+                )
+                fields["iota_base"] = p.iota_base + shift
+                fields["j_base"] = p.kappa.mul(fields["iota_base"])
+                out[f"_verify_pullback/{name}/base_kernel_{c}"] = _outcome(
                     lambda: _verify_pullback(PullbackStructure(**fields)) or "ok"
                 )
         # Corrupt iota and j together, so the triangle holds and a later step fails.

@@ -121,6 +121,17 @@ class TestCorruptionLocalization:
         assert "(e,e)" in texts or "(e)" in texts
 
 
+class TestOverflowNamesTheCheck:
+    def test_check_hopf_names_the_law_that_overflows(self, monkeypatch):
+        monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
+        h = build_group_algebra(Group.cyclic(9))
+        with pytest.raises(InputError) as err:
+            check_hopf(h)
+        assert str(err.value) == (
+            "comult_multiplicative: tensor dimension 6561 exceeds HOPFGAL_MAX_DIM=4096"
+        )
+
+
 class TestsweedlerAntipode:
     def test_square_is_not_identity(self):
         h = sweedler_h4()

@@ -11,9 +11,10 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfgal.exact_linear import Field, Mat, QQ, permute_legs
+from hopfgal.exact_linear import Field, InputError, Mat, QQ, kron_interleaved, permute_legs
 
 FIELDS = [QQ, Field(2), Field(3), Field(7)]
 
@@ -117,6 +118,29 @@ def test_kron_matches_dense(data):
     b, r2, c2 = data.draw(sparse_grid(field))
     got = to_mat(field, a, r1, c1).kron(to_mat(field, b, r2, c2))
     assert_matches(field, got, Dense(field).kron(a, b), r1 * r2, c1 * c2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kron_interleaved_matches_dense(data):
+    field = data.draw(fields)
+    fx, fxp, gy, gyp = (data.draw(st.integers(1, 3)) for _ in range(4))
+    a, r1, _ = data.draw(sparse_grid(field, cols=fx * fxp))
+    b, r2, _ = data.draw(sparse_grid(field, cols=gy * gyp))
+    full = Dense(field).kron(a, b)
+    # Column (x, y, x', y') of the result is column (x, x', y, y') of kron.
+    order = [
+        (x * fxp + xp) * gy * gyp + y * gyp + yp
+        for x, y, xp, yp in product(range(fx), range(gy), range(fxp), range(gyp))
+    ]
+    expected = [[row[c] for c in order] for row in full]
+    got = kron_interleaved(to_mat(field, a, r1, fx * fxp), to_mat(field, b, r2, gy * gyp), fxp, gyp)
+    assert_matches(field, got, expected, r1 * r2, len(order))
+
+
+def test_kron_interleaved_rejects_legs_that_do_not_split():
+    with pytest.raises(InputError, match="do not split"):
+        kron_interleaved(Mat.identity(QQ, 3), Mat.identity(QQ, 2), 2, 1)
 
 
 @settings(max_examples=80, deadline=None)
