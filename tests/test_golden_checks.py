@@ -234,43 +234,38 @@ def _morphism_cases(out: dict):
 
 
 def _pullback_cases(out: dict):
+    morphisms = dict(_morphisms())
     for name in ["identity_q_sqrt2", "cyclic_4_2", "to_trivial_q_sqrt2", "self_galois_QZ2"]:
-        m = dict(_morphisms())[name]
+        m = morphisms[name]
         out[f"pullback_structure/{name}"] = _outcome(lambda: pullback_structure(m) and "ok")
         p = pullback_structure(m, verify=False)
+
+        def verify(**changes):
+            changed = PullbackStructure(**{**vars(p), **changes})
+            return _outcome(lambda: _verify_pullback(changed) or "ok")
+
         for attr in ["kappa", "iota_base", "iota_fiber", "j_base", "j_fiber"]:
             mat = getattr(p, attr)
             for where, i, j in _corners(mat):
-                fields = dict(vars(p))
-                fields[attr] = _bump(mat, i, j)
-                out[f"_verify_pullback/{name}/{attr}_{where}"] = _outcome(
-                    lambda: _verify_pullback(PullbackStructure(**fields)) or "ok"
-                )
-        # Move iota_base by a vector that the counit strip and beta both miss,
-        # so that every step before the base maps holds.
-        h = m.source.hopf
-        strip = Mat.identity(m.field, m.target.dim).kron(h.counit).mul(p.cotensor.embed)
-        unused = [c for c in range(m.beta.rows) if not any(m.beta.row_list(c))]
-        for w in kernel(strip.mul(p.kappa)).basis_columns()[:1]:
-            for c in unused:
-                fields = dict(vars(p))
-                shift = Mat.zeros(m.field, w.rows, c).hstack(
-                    w, Mat.zeros(m.field, w.rows, p.iota_base.cols - c - 1)
-                )
-                fields["iota_base"] = p.iota_base + shift
-                fields["j_base"] = p.kappa.mul(fields["iota_base"])
-                out[f"_verify_pullback/{name}/base_kernel_{c}"] = _outcome(
-                    lambda: _verify_pullback(PullbackStructure(**fields)) or "ok"
-                )
+                out[f"_verify_pullback/{name}/{attr}_{where}"] = verify(**{attr: _bump(mat, i, j)})
         # Corrupt iota and j together, so the triangle holds and a later step fails.
         for leg in ["base", "fiber"]:
             iota = getattr(p, f"iota_{leg}")
             for where, i, j in _corners(iota):
-                fields = dict(vars(p))
-                fields[f"iota_{leg}"] = _bump(iota, i, j)
-                fields[f"j_{leg}"] = p.kappa.mul(fields[f"iota_{leg}"])
-                out[f"_verify_pullback/{name}/{leg}_leg_{where}"] = _outcome(
-                    lambda: _verify_pullback(PullbackStructure(**fields)) or "ok"
+                bumped = _bump(iota, i, j)
+                out[f"_verify_pullback/{name}/{leg}_leg_{where}"] = verify(
+                    **{f"iota_{leg}": bumped, f"j_{leg}": p.kappa.mul(bumped)}
+                )
+        # Move iota_base by a vector that the counit strip and beta both miss,
+        # so that every step before the base maps holds.
+        strip = Mat.identity(m.field, m.target.dim).kron(m.source.hopf.counit)
+        unused = [c for c in range(m.beta.rows) if not any(m.beta.row_list(c))]
+        for w in kernel(strip.mul(p.cotensor.embed).mul(p.kappa)).basis_columns()[:1]:
+            for c in unused:
+                after = Mat.zeros(m.field, w.rows, p.iota_base.cols - c - 1)
+                moved = p.iota_base + Mat.zeros(m.field, w.rows, c).hstack(w, after)
+                out[f"_verify_pullback/{name}/base_kernel_{c}"] = verify(
+                    iota_base=moved, j_base=p.kappa.mul(moved)
                 )
         c = p.comodule_algebra
         alg = c.algebra
@@ -286,16 +281,13 @@ def _pullback_cases(out: dict):
                 new_c = ComoduleAlgebra(
                     new_alg, c.hopf, coaction=bumped if part == "coaction" else c.coaction
                 )
-                fields = dict(vars(p))
-                fields["comodule_algebra"] = new_c
-                out[f"_verify_pullback/{name}/{part}_{where}"] = _outcome(
-                    lambda: _verify_pullback(PullbackStructure(**fields)) or "ok"
-                )
+                out[f"_verify_pullback/{name}/{part}_{where}"] = verify(comodule_algebra=new_c)
 
 
 def _functor_cases(out: dict):
+    morphisms = dict(_morphisms())
     for name in ["identity_q_sqrt2", "cyclic_4_2"]:
-        m = dict(_morphisms())[name]
+        m = morphisms[name]
         for kind, make in [("self", zoo.module_self), ("diagonal", zoo.module_diagonal)]:
             mod_src = make(m.source.comodule_algebra)
             mod_tgt = make(m.target.comodule_algebra)
@@ -310,6 +302,7 @@ def _functor_cases(out: dict):
 def _left_comodule_cases(out: dict):
     sw = sweedler_h4()
     dual_z2 = build_dual_group_algebra(Group.cyclic(2))
+    graded_z4 = GradedHopfShortcut(AbelianGroup(torsion=(4,)))
     comods = [
         ("regular_QZ2", left_regular_comodule(build_group_algebra(Group.cyclic(2)))),
         ("regular_QZ4", left_regular_comodule(build_group_algebra(Group.cyclic(4)))),
@@ -317,7 +310,7 @@ def _left_comodule_cases(out: dict):
         ("trivial_sweedler_3", trivial_left_comodule(sw, 3)),
         ("grouplike_g_sweedler", grouplike_character(sw, Mat.basis_vector(QQ, 4, 1))),
         ("sign_QdualZ2", grouplike_character(dual_z2, Mat.column(QQ, [1, -1]))),
-        ("graded_Z4", LeftComodule(GradedHopfShortcut(AbelianGroup(torsion=(4,))), 1, degrees=[(1,)])),
+        ("graded_Z4", LeftComodule(graded_z4, 1, degrees=[(1,)])),
     ]
     for name, v in comods:
         out[f"check_left_comodule/{name}"] = _report(check_left_comodule(v))
@@ -339,10 +332,12 @@ def _bundle_cases(out: dict):
         kz2,
     )
     two_point = Extension(two_point.comodule_algebra)
+    sign = grouplike_character(dual_z2, Mat.column(QQ, [1, -1]))
+    regular_sw = zoo.regular_extension(sw)
     bundles = [
-        ("q_sqrt2_sign", cotensor_bundle(q2, grouplike_character(dual_z2, Mat.column(QQ, [1, -1])))),
+        ("q_sqrt2_sign", cotensor_bundle(q2, sign)),
         ("q_sqrt2_trivial", cotensor_bundle(q2, trivial_left_comodule(dual_z2))),
-        ("regular_sweedler_regular", cotensor_bundle(zoo.regular_extension(sw), left_regular_comodule(sw))),
+        ("regular_sweedler_regular", cotensor_bundle(regular_sw, left_regular_comodule(sw))),
         ("two_point_regular", cotensor_bundle(two_point, left_regular_comodule(kz2))),
     ]
     for name, b in bundles:
