@@ -27,10 +27,10 @@ from .exact_linear import (
     InvariantViolation,
     Mat,
     Subspace,
+    bilinear_compose,
     inverse,
     is_bijective,
     kernel,
-    kron_interleaved,
     linear_solutions,
     quotient,
     solve,
@@ -368,9 +368,10 @@ def canonical_map(e: Extension) -> tuple[Mat, BalancedTensor]:
     a, h, rho = e.algebra, e.hopf, e.comodule_algebra.coaction
     field = e.field
     bt = balanced_self_tensor(e)
-    raw = a.mult.kron(Mat.identity(field, h.dim)).mul(
-        Mat.identity(field, a.dim).kron(rho)
-    )
+    # raw(e_i (x) e_j) = (e_i (x) 1) rho(e_j): the product of A on the first
+    # leg; on the second, scalars times H, whose table is the identity.
+    factors = [(a.mult, a.dim), (Mat.identity(field, h.dim), h.dim)]
+    raw = bilinear_compose(factors, Mat.identity(field, a.dim), rho)
     return bt.descend(raw), bt
 
 
@@ -512,7 +513,7 @@ def check_relative_hopf_module(m: RelativeHopfModule) -> list[AxiomCheck]:
         _check_eq(
             "hopf_compatibility",
             m.coaction.mul(m.action),
-            kron_interleaved(m.action, h.mult, a.dim, h.dim).mul(m.coaction.kron(rho)),
+            bilinear_compose([(m.action, a.dim), (h.mult, h.dim)], m.coaction, rho),
             tensor_names(m.names, a.basis_names),
             tensor_names(m.names, h.basis_names),
         ),

@@ -390,24 +390,7 @@ class Mat:
             raise InputError(
                 f"shape mismatch in product: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        orows = other._rows
-        out = []
-        for srow in self._rows:
-            if len(srow) == 1:
-                # One term: a nonzero multiple of one row of other, no sums to cancel.
-                ((k, a),) = srow.items()
-                brow = orows[k]
-                out.append(brow if a == 1 else {j: a * b for j, b in brow.items()})
-                continue
-            acc = {}
-            for k, a in srow.items():
-                a_one = a == 1
-                for j, b in orows[k].items():
-                    ab = b if a_one else a * b
-                    v = acc.get(j)
-                    acc[j] = ab if v is None else v + ab
-            out.append({j: v for j, v in acc.items() if v})
-        return Mat._make(self.field, self.rows, other.cols, out)
+        return Mat._make(self.field, self.rows, other.cols, _mul_rows(self._rows, other._rows))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return self.mul(other)
@@ -495,12 +478,40 @@ class Mat:
     def rank(self) -> int:
         return len(self.rref()[1])
 
+    def first_difference(self, other: "Mat") -> tuple[int, int] | None:
+        """The first cell, in row-major order, where self and other differ."""
+        for i, (a, b) in enumerate(zip(self._rows, other._rows)):
+            if a != b:
+                return i, min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j))
+        return None
+
     def __repr__(self):
         fmt = self.field.format
         body = "; ".join(
             " ".join(fmt(x) for x in self.row_list(i)) for i in range(self.rows)
         )
         return f"Mat({self.field}, {self.rows}x{self.cols}: {body})"
+
+
+def _mul_rows(srows: list, orows: list) -> list:
+    """The rows of a matrix product, from the rows of the two factors."""
+    out = []
+    for srow in srows:
+        if len(srow) == 1:
+            # One term: a nonzero multiple of one row of the second factor.
+            ((k, a),) = srow.items()
+            brow = orows[k]
+            out.append(brow if a == 1 else {j: a * b for j, b in brow.items()})
+            continue
+        acc = {}
+        for k, a in srow.items():
+            a_one = a == 1
+            for j, b in orows[k].items():
+                ab = b if a_one else a * b
+                v = acc.get(j)
+                acc[j] = ab if v is None else v + ab
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def kron_interleaved(f: Mat, g: Mat, f_right: int, g_right: int) -> Mat:
@@ -543,6 +554,97 @@ def kron_interleaved(f: Mat, g: Mat, f_right: int, g_right: int) -> Mat:
                 for k2, b, b_one in items
             })
     return Mat._make(f.field, R, C, out)
+
+
+def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
+    """The matrix of B (f (x) g) for a bilinear map B, without building f (x) g.
+
+    Each factor is ``(table, right_dim)``: the matrix of a bilinear map
+    X_t (x) Y_t -> Z_t with dim Y_t = right_dim, whose column x*right_dim + y
+    holds the image of e_x (x) e_y. B is their tensor product taken leg by leg,
+    from X = X_1 (x) X_2 ... and Y = Y_1 (x) ... to Z = Z_1 (x) ...: the
+    multiplication tables of A and H give the product of A (x) H, which is
+    never built as one table. f maps into X and g into Y, and column
+    i*g.cols + j of the result is B(f e_i, g e_j); with one factor the result
+    is ``table.mul(f.kron(g))``.
+
+    The map with fewer columns is taken one column v at a time: the matrix
+    of B(v, -), or of B(-, v), is summed from the nonzeros of v and the
+    slices of the tables they meet, and the other map is multiplied by it.
+    The work is per nonzero, and no operator on a tensor product is built.
+    """
+    f._check_same_field(g)
+    dims = []
+    dx = dy = dz = 1
+    for table, right in factors:
+        f._check_same_field(table)
+        if right < 1 or table.cols % right:
+            raise InputError(f"right leg of size {right} does not split {table.cols} columns")
+        dims.append((table.cols // right, right, table.rows))
+        dx, dy, dz = dx * (table.cols // right), dy * right, dz * table.rows
+    if (f.rows, g.rows) != (dx, dy):
+        raise InputError(f"maps into dimensions {f.rows} and {g.rows}, tables take {dx} and {dy}")
+    # Fix a column of g when g has fewer columns.
+    right = g.cols < f.cols
+    fixed, other = (g, f) if right else (f, g)
+    # slices[t][v] = {z: {u: coefficient}}: factor t's table with its fixed leg at v.
+    slices = []
+    for (table, fy), (fx, _, _) in zip(factors, dims):
+        sl = [{} for _ in range(fy if right else fx)]
+        for z, row in enumerate(table._rows):
+            for col, t in row.items():
+                x, y = divmod(col, fy)
+                v, u = (y, x) if right else (x, y)
+                sl[v].setdefault(z, {})[u] = t
+        slices.append(sl)
+    cache = {}
+
+    def slice_at(v):
+        digits = []
+        for fx, fy, _ in reversed(dims):
+            v, d = divmod(v, fy if right else fx)
+            digits.append(d)
+        digits.reverse()
+        acc = slices[0][digits[0]]
+        for sl, d, (fx, fy, fz) in zip(slices[1:], digits[1:], dims[1:]):
+            fu = fx if right else fy
+            # Skip products with a unit factor: most structure constants are 1.
+            rows2 = [(z2, [(u2, b, b == 1) for u2, b in r2.items()]) for z2, r2 in sl[d].items()]
+            acc = {
+                z * fz + z2: {u * fu + u2: a if b_one else a * b for u, a in r.items() for u2, b, b_one in r2}
+                for z, r in acc.items()
+                for z2, r2 in rows2
+            }
+        return acc
+
+    n = g.cols
+    out = [{} for _ in range(dz)]
+    for i, vec in enumerate(fixed.transpose()._rows):
+        for v in vec:
+            if v not in cache:
+                cache[v] = slice_at(v)
+        if len(vec) == 1:
+            # One term: the slice itself, scaled; no sums to cancel.
+            ((v, c),) = vec.items()
+            part = cache[v]
+            if c != 1:
+                part = {z: {u: c * a for u, a in r.items()} for z, r in part.items()}
+        else:
+            part = {}
+            for v, c in vec.items():
+                c_one = c == 1
+                for z, r in cache[v].items():
+                    row = part.setdefault(z, {})
+                    for u, a in r.items():
+                        if not c_one:
+                            a = c * a
+                        w = row.get(u)
+                        row[u] = a if w is None else w + a
+            part = {z: {u: a for u, a in r.items() if a} for z, r in part.items()}
+        for z, row in zip(part, _mul_rows(list(part.values()), other._rows)):
+            if row:
+                out[z].update({(k * n + i if right else i * n + k): a for k, a in row.items()})
+    return Mat._make(f.field, dz, f.cols * g.cols, out)
 
 
 def flip(field: Field, dim_left: int, dim_right: int) -> Mat:

@@ -24,6 +24,7 @@ from .exact_linear import (
     InvariantViolation,
     Mat,
     QQ,
+    bilinear_compose,
     flip,
     inverse,
     kron_interleaved,
@@ -49,49 +50,35 @@ def tensor_names(*name_lists) -> list[str]:
     ]
 
 
-def _diff_witness(name, lhs: Mat, rhs: Mat, domain_names, codomain_names):
-    """First entry where lhs and rhs differ, phrased in basis labels."""
-    for j in range(lhs.cols):
-        for i in range(lhs.rows):
-            a, b = lhs.entry(i, j), rhs.entry(i, j)
-            if a != b:
-                fmt = lhs.field.format
-                return (
-                    f"{name} fails at basis {domain_names[j]}: "
-                    f"coefficient of {codomain_names[i]} is {fmt(a)} on the left, {fmt(b)} on the right"
-                )
-    return None
+def _check_law(name, lhs: Mat, rhs: Mat, labels, transposed=False) -> AxiomCheck:
+    """Compare the two sides of a law, two maps; on a mismatch, name the first.
 
-
-def _check_eq(name, lhs, rhs, domain_names, codomain_names) -> AxiomCheck:
-    if lhs == rhs:
-        return AxiomCheck(name, True)
-    return AxiomCheck(name, False, _diff_witness(name, lhs, rhs, domain_names, codomain_names))
-
-
-def _check_law(name, lhs, rhs, labels) -> AxiomCheck:
-    """_check_eq, with the witness's basis labels built by labels() only on failure."""
-    if lhs == rhs:
-        return AxiomCheck(name, True)
-    return _check_eq(name, lhs, rhs, *labels())
-
-
-class _named:
-    """Raise an error met while evaluating a check again, the check's name in front.
-
-    The error that matters is a tensor over HOPFGAL_MAX_DIM: the law helpers
-    below build their tensor operators inside this context.
+    Column j of each side holds the image of domain basis tuple j; with
+    transposed, the sides are given transposed and row j holds it. labels()
+    gives the domain and codomain basis names and is called only on a
+    mismatch. The witness is the first domain tuple where the sides differ
+    and, there, the first codomain coefficient that differs.
     """
+    if lhs == rhs:
+        return AxiomCheck(name, True)
+    if not transposed:
+        lhs, rhs = lhs.transpose(), rhs.transpose()
+    where = lhs.first_difference(rhs)
+    if where is None:
+        return AxiomCheck(name, False)
+    (j, i), (domain_names, codomain_names) = where, labels()
+    fmt = lhs.field.format
+    return AxiomCheck(
+        name,
+        False,
+        f"{name} fails at basis {domain_names[j]}: coefficient of {codomain_names[i]} "
+        f"is {fmt(lhs.entry(j, i))} on the left, {fmt(rhs.entry(j, i))} on the right",
+    )
 
-    def __init__(self, name: str):
-        self.name = name
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, err, trace):
-        if isinstance(err, InputError):
-            raise InputError(f"{self.name}: {err}") from None
+def _check_eq(name, lhs: Mat, rhs: Mat, domain_names, codomain_names) -> AxiomCheck:
+    """_check_law with the basis names given directly."""
+    return _check_law(name, lhs, rhs, lambda: (domain_names, codomain_names))
 
 
 class AlgebraData:
@@ -154,6 +141,32 @@ def ground_algebra(field: Field) -> AlgebraData:
 # The law helpers. Each states one identity once, for every structure that
 # must satisfy it; the caller names the check. A module or comodule M is
 # given by its structure matrix and the labels of its basis.
+#
+# Each side is evaluated from the sparse structure matrices by
+# exact_linear.bilinear_compose, one fixed basis vector of a leg at a time, so
+# no operator on a tensor product such as act (x) id or f (x) f is built.
+# A coaction co is the transposed matrix of an action of the dual algebra,
+# whose product is the comultiplication transposed and whose unit is the
+# counit transposed; the coaction laws are that action's laws, transposed.
+
+
+def _associativity_sides(act: Mat, mult: Mat, side: str):
+    """act(act (x) id) and act(id (x) mult) for a right action M (x) A -> M;
+    for a left one, act(id (x) act) and act(mult (x) id)."""
+    eye_a, eye_m = Mat.identity(act.field, mult.rows), Mat.identity(act.field, act.rows)
+    if side == "right":
+        table = [(act, mult.rows)]
+        return bilinear_compose(table, act, eye_a), bilinear_compose(table, eye_m, mult)
+    table = [(act, act.rows)]
+    return bilinear_compose(table, eye_a, act), bilinear_compose(table, mult, eye_m)
+
+
+def _unital_side(act: Mat, unit: Mat, side: str) -> Mat:
+    """act(id (x) unit) for a right action, act(unit (x) id) for a left one."""
+    eye_m = Mat.identity(act.field, act.rows)
+    if side == "right":
+        return bilinear_compose([(act, unit.rows)], eye_m, unit)
+    return bilinear_compose([(act, act.rows)], unit, eye_m)
 
 
 def associative_law(name, action: Mat, alg: AlgebraData, names, side="right", labels=None):
@@ -163,22 +176,17 @@ def associative_law(name, action: Mat, alg: AlgebraData, names, side="right", la
     Left action A (x) M -> M: act(id (x) act) = act(mult (x) id).
     Witnesses label M's basis by labels, by default the names in parentheses.
     """
-    eye_a, eye_m = Mat.identity(alg.field, alg.dim), Mat.identity(alg.field, action.rows)
+    lhs, rhs = _associativity_sides(action, alg.mult, side)
     legs = [names, alg.basis_names, alg.basis_names]
-    with _named(name):
-        if side == "right":
-            lhs, rhs = action.mul(action.kron(eye_a)), action.mul(eye_m.kron(alg.mult))
-        else:
-            lhs, rhs = action.mul(eye_a.kron(action)), action.mul(alg.mult.kron(eye_m))
-            legs.reverse()
+    if side != "right":
+        legs.reverse()
     return _check_law(name, lhs, rhs, lambda: (tensor_names(*legs), labels or tensor_names(names)))
 
 
 def unital_law(name, action: Mat, alg: AlgebraData, names, side="right", labels=None):
     """The unit acts as the identity: act(id (x) unit) = id; on the left act(unit (x) id) = id."""
+    lhs = _unital_side(action, alg.unit, side)
     eye_m = Mat.identity(alg.field, action.rows)
-    with _named(name):
-        lhs = action.mul(eye_m.kron(alg.unit) if side == "right" else alg.unit.kron(eye_m))
     return _check_law(name, lhs, eye_m, lambda: (labels or tensor_names(names),) * 2)
 
 
@@ -188,44 +196,42 @@ def coassociative_law(name, coaction: Mat, h: HopfData, names, side="right"):
     Right coaction M -> M (x) H: (co (x) id) co = (id (x) Delta) co.
     Left coaction M -> H (x) M: (Delta (x) id) co = (id (x) co) co.
     """
-    eye_h, eye_m = Mat.identity(h.field, h.dim), Mat.identity(h.field, coaction.cols)
+    lhs, rhs = _associativity_sides(coaction.transpose(), h.comult.transpose(), side)
     legs = [names, h.basis_names, h.basis_names]
-    with _named(name):
-        if side == "right":
-            lhs, rhs = coaction.kron(eye_h).mul(coaction), eye_m.kron(h.comult).mul(coaction)
-        else:
-            lhs, rhs = h.comult.kron(eye_m).mul(coaction), eye_h.kron(coaction).mul(coaction)
-            legs.reverse()
-    return _check_law(name, lhs, rhs, lambda: (tensor_names(names), tensor_names(*legs)))
+    if side != "right":
+        lhs, rhs = rhs, lhs
+        legs.reverse()
+    labels = lambda: (tensor_names(names), tensor_names(*legs))
+    return _check_law(name, lhs, rhs, labels, transposed=True)
 
 
 def counital_law(name, coaction: Mat, h: HopfData, names, side="right"):
     """The counit undoes the coaction: (id (x) eps) co = id; on the left (eps (x) id) co = id."""
+    lhs = _unital_side(coaction.transpose(), h.counit.transpose(), side)
     eye_m = Mat.identity(h.field, coaction.cols)
-    with _named(name):
-        strip = eye_m.kron(h.counit) if side == "right" else h.counit.kron(eye_m)
-    return _check_law(name, strip.mul(coaction), eye_m, lambda: (tensor_names(names),) * 2)
+    return _check_law(name, lhs, eye_m, lambda: (tensor_names(names),) * 2, transposed=True)
 
 
 def algebra_map_law(prefix, f: Mat, src: AlgebraData, *tgt: AlgebraData) -> list[AxiomCheck]:
     """f: src -> tgt is multiplicative (f mult = mult' (f (x) f)) and unital (f unit = unit').
 
-    tgt is the target algebra, or two factors (A, H) for the target A (x) H;
-    ground_algebra stands for k. The checks are named <prefix>_multiplicative
-    and <prefix>_unital.
+    tgt is the target algebra, or two factors (A, H) for the target A (x) H,
+    whose product is taken from the two tables; ground_algebra stands for k.
+    The checks are named <prefix>_multiplicative and <prefix>_unital.
     """
-    mult_name = f"{prefix}_multiplicative"
-    with _named(mult_name):
-        target = tgt[0] if len(tgt) == 1 else tensor_algebra(*tgt)
-        ff = f.kron(f)
-        # The product of k is the identity, so there mult' (f (x) f) is f (x) f.
-        on_k = target.dim == 1 and target.mult.entry(0, 0) == 1
-        lhs, rhs = f.mul(src.mult), ff if on_k else target.mult.mul(ff)
+    lhs = f.mul(src.mult)
+    rhs = bilinear_compose([(t.mult, t.dim) for t in tgt], f, f)
+    unit = tgt[0].unit
+    if len(tgt) == 2:
+        # The unit of A (x) H is unit_A (x) unit_H.
+        ua, uh = (t.unit.entries() for t in tgt)
+        units = {(i * len(uh) + j, 0): x * y for i, x in enumerate(ua) if x for j, y in enumerate(uh) if y}
+        unit = Mat.from_entries(src.field, len(ua) * len(uh), 1, units)
     codomain = lambda: tensor_names(*(t.basis_names for t in tgt))
     pairs = lambda: tensor_names(src.basis_names, src.basis_names)
     return [
-        _check_law(mult_name, lhs, rhs, lambda: (pairs(), codomain())),
-        _check_law(f"{prefix}_unital", f.mul(src.unit), target.unit, lambda: (["(1)"], codomain())),
+        _check_law(f"{prefix}_multiplicative", lhs, rhs, lambda: (pairs(), codomain())),
+        _check_law(f"{prefix}_unital", f.mul(src.unit), unit, lambda: (["(1)"], codomain())),
     ]
 
 
