@@ -568,10 +568,12 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     i*g.cols + j of the result is B(f e_i, g e_j); with one factor the result
     is ``table.mul(f.kron(g))``.
 
-    The map with fewer columns is taken one column v at a time: the matrix
-    of B(v, -), or of B(-, v), is summed from the nonzeros of v and the
-    slices of the tables they meet, and the other map is multiplied by it.
-    The work is per nonzero, and no operator on a tensor product is built.
+    The map with fewer columns is the fixed one: each basis vector e_v that
+    it meets picks a slice of the tables, the matrix of B(e_v, -) (or of
+    B(-, e_v)); the other map is multiplied by the stacked slices in one
+    product, and row v of the fixed map spreads the result over the columns
+    of the answer. The work is per nonzero, and no operator on a tensor
+    product is built.
     """
     f._check_same_field(g)
     dims = []
@@ -584,7 +586,7 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
         dx, dy, dz = dx * (table.cols // right), dy * right, dz * table.rows
     if (f.rows, g.rows) != (dx, dy):
         raise InputError(f"maps into dimensions {f.rows} and {g.rows}, tables take {dx} and {dy}")
-    # Fix a column of g when g has fewer columns.
+    # g is the fixed map when it has fewer columns.
     right = g.cols < f.cols
     fixed, other = (g, f) if right else (f, g)
     # slices[t][v] = {z: {u: coefficient}}: factor t's table with its fixed leg at v.
@@ -597,7 +599,6 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
                 v, u = (y, x) if right else (x, y)
                 sl[v].setdefault(z, {})[u] = t
         slices.append(sl)
-    cache = {}
 
     def slice_at(v):
         digits = []
@@ -617,33 +618,28 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
             }
         return acc
 
+    # Row (v, z) of stacked is row z of the slice that row v of the fixed map picks.
+    stacked, keys = [], []
+    for v, frow in enumerate(fixed._rows):
+        if frow:
+            for z, r in slice_at(v).items():
+                stacked.append(r)
+                keys.append((z, frow))
     n = g.cols
     out = [{} for _ in range(dz)]
-    for i, vec in enumerate(fixed.transpose()._rows):
-        for v in vec:
-            if v not in cache:
-                cache[v] = slice_at(v)
-        if len(vec) == 1:
-            # One term: the slice itself, scaled; no sums to cancel.
-            ((v, c),) = vec.items()
-            part = cache[v]
-            if c != 1:
-                part = {z: {u: c * a for u, a in r.items()} for z, r in part.items()}
-        else:
-            part = {}
-            for v, c in vec.items():
-                c_one = c == 1
-                for z, r in cache[v].items():
-                    row = part.setdefault(z, {})
-                    for u, a in r.items():
-                        if not c_one:
-                            a = c * a
-                        w = row.get(u)
-                        row[u] = a if w is None else w + a
-            part = {z: {u: a for u, a in r.items() if a} for z, r in part.items()}
-        for z, row in zip(part, _mul_rows(list(part.values()), other._rows)):
-            if row:
-                out[z].update({(k * n + i if right else i * n + k): a for k, a in row.items()})
+    for (z, frow), row in zip(keys, _mul_rows(stacked, other._rows)):
+        if not row:
+            continue
+        acc = out[z]
+        for i, c in frow.items():
+            c_one = c == 1
+            for k, a in row.items():
+                key = k * n + i if right else i * n + k
+                if not c_one:
+                    a = c * a
+                w = acc.get(key)
+                acc[key] = a if w is None else w + a
+    out = [r if all(r.values()) else {k: a for k, a in r.items() if a} for r in out]
     return Mat._make(f.field, dz, f.cols * g.cols, out)
 
 
