@@ -291,7 +291,7 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
 def check_associated_bundle(b: AssociatedBundle) -> list[AxiomCheck]:
     e = b.extension
     field = e.field
-    base = e.base_algebra()
+    base = e.base_algebra
     db, dim = base.dim, b.dim
     eye_b = Mat.identity(field, db)
     x = [f"x{i}" for i in range(dim)]
@@ -374,9 +374,7 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
     when some generator fails to split over the field.
     """
     field = base.field
-    subspaces = [Subspace.from_spanning_columns(
-        field, base.dim, [Mat.basis_vector(field, base.dim, i) for i in range(base.dim)]
-    )]
+    subspaces = [Subspace.full(field, base.dim)]
     for j in range(base.dim):
         op = base.right_mult(Mat.basis_vector(field, base.dim, j))
         refined = []
@@ -392,8 +390,7 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
             for r in roots:
                 eig = kernel(t - Mat.identity(field, s.dim).scale(r))
                 if eig.dim:
-                    cols = [s.mat.mul(c) for c in eig.basis_columns()]
-                    pieces.append(Subspace.from_spanning_columns(field, base.dim, cols))
+                    pieces.append(Subspace.from_spanning_columns(s.mat.mul(eig.mat)))
             if sum(p.dim for p in pieces) != s.dim:
                 return None
             refined.extend(pieces)
@@ -420,7 +417,7 @@ def certify_fgp(b: AssociatedBundle) -> FgpReport:
     the rank of the action of its idempotent. Anything else is reported as
     assumed rather than silently trusted.
     """
-    base = b.extension.base_algebra()
+    base = b.extension.base_algebra
     field = base.field
     if base.dim == 1:
         return FgpReport(

@@ -41,7 +41,6 @@ from .extension import (
     ExtensionMorphism,
     check_extension_morphism,
     is_cartesian,
-    kappa_tilde,
     pullback_structure,
 )
 from .bundle import (
@@ -215,8 +214,8 @@ def _parse_base_columns(obj, field: Field, dim: int, path: str):
         cpath = f"{path}.base_columns[{idx}]"
         if not isinstance(col, list) or len(col) != dim:
             raise SchemaError(cpath, f"expected a column of {dim} scalars")
-        out.append(Mat.column(field, [_parse_scalar(field, x, f"{cpath}[{i}]") for i, x in enumerate(col)]))
-    return Subspace.from_spanning_columns(field, dim, out)
+        out.append([_parse_scalar(field, x, f"{cpath}[{i}]") for i, x in enumerate(col)])
+    return Subspace.from_spanning_columns(Mat.from_rows(field, out).transpose())
 
 
 def _parse_extension_parts(hopf_obj, ca_obj, ext_obj, field: Field, path: str) -> Extension:
@@ -616,13 +615,12 @@ def cmd_phi(file, fmt, timings):
                     _echo(f"  {reason}")
             raise SystemExit(1)
         p = pullback_structure(m, verify=True)
-        mirror_ok = p.kappa.mul(p.phi) == kappa_tilde(m)
-        comodule_checks = check_comodule_algebra(p.comodule_algebra)
+        mirror_ok = p.kappa.mul(p.phi) == m.mirror.kappa
         verdicts = [
             _verdict_from_tristate("cartesian", verdict),
             ("kappa_after_phi_is_mirror", "pass" if mirror_ok else "fail", None),
         ]
-        verdicts += _verdicts_from_checks(comodule_checks)
+        verdicts += _verdicts_from_checks(p.comodule_checks)
         verdicts.append(("pullback_identities", "pass", None))
         dims = {
             "source": m.source.dim,

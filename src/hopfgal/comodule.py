@@ -19,6 +19,7 @@ group algebra (finite grading groups only).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import itertools
 
 from .exact_linear import (
@@ -178,12 +179,10 @@ def coinvariants(c: ComoduleAlgebra) -> Subspace:
     field, da = c.field, c.dim
     if c.is_graded:
         zero = c.hopf.grading_group.zero()
-        cols = [
-            Mat.basis_vector(field, da, i)
-            for i in range(da)
-            if c.degrees[i] == zero
-        ]
-        sub = Subspace.from_spanning_columns(field, da, cols)
+        picked = [i for i in range(da) if c.degrees[i] == zero]
+        sub = Subspace.from_spanning_columns(
+            Mat.from_entries(field, da, len(picked), {(i, k): 1 for k, i in enumerate(picked)})
+        )
     else:
         sub = kernel(c.coaction - Mat.identity(field, da).kron(c.hopf.unit))
     _assert_unital_subalgebra(c.algebra, sub)
@@ -193,18 +192,21 @@ def coinvariants(c: ComoduleAlgebra) -> Subspace:
 def _assert_unital_subalgebra(a: AlgebraData, sub: Subspace):
     if not sub.contains(a.unit):
         raise InvariantViolation("coinvariants do not contain the unit")
-    basis = sub.basis_columns()
-    for u in basis:
-        for v in basis:
-            if not sub.contains(a.multiply(u, v)):
-                raise InvariantViolation("coinvariants are not closed under multiplication")
+    if sub.coordinates(_products(a, sub.mat)) is None:
+        raise InvariantViolation("coinvariants are not closed under multiplication")
+
+
+def _products(a: AlgebraData, cols: Mat) -> Mat:
+    """Column i*n + j holds the product of columns i and j of the n columns."""
+    return bilinear_compose([(a.mult, a.dim)], cols, cols)
 
 
 class Extension:
     """A comodule algebra with a declared base B inside the coinvariants.
 
     B is a subspace of A carrying the induced multiplication; the inclusion
-    matrix just lists its basis columns.
+    matrix just lists its basis columns. The coinvariants and the base
+    algebra are derived lazily, at most once per extension.
     """
 
     def __init__(
@@ -215,12 +217,10 @@ class Extension:
     ):
         self.comodule_algebra = comodule_algebra
         if invariant_subalgebra is None:
-            invariant_subalgebra = coinvariants(comodule_algebra)
+            invariant_subalgebra = self.coinvariants
         self.invariant_subalgebra = invariant_subalgebra
         if inclusion is None:
-            inclusion = Mat.zeros(comodule_algebra.field, comodule_algebra.dim, 0).hstack(
-                *invariant_subalgebra.basis_columns()
-            )
+            inclusion = invariant_subalgebra.mat
         if (inclusion.rows, inclusion.cols) != (
             comodule_algebra.dim,
             invariant_subalgebra.dim,
@@ -251,29 +251,31 @@ class Extension:
     def base_basis_columns(self) -> list[Mat]:
         return [self.inclusion.col_vector(j) for j in range(self.inclusion.cols)]
 
-    def base_mult(self) -> Mat:
-        """Multiplication of B in the basis given by the inclusion columns."""
-        a = self.algebra
-        field, db = self.field, self.base_dim
-        cols = self.base_basis_columns()
-        products = []
-        for u in cols:
-            for v in cols:
-                coords = solve(self.inclusion, a.multiply(u, v))
-                if coords is None:
-                    raise InvariantViolation("base is not closed under multiplication")
-                products.append(coords)
-        return Mat.zeros(field, db, 0).hstack(*products)
+    @cached_property
+    def coinvariants(self) -> Subspace:
+        """A^{co H}."""
+        return coinvariants(self.comodule_algebra)
 
-    def base_unit(self) -> Mat:
-        coords = solve(self.inclusion, self.algebra.unit)
+    def base_mult(self) -> Mat:
+        """Multiplication of B in the basis given by the inclusion columns.
+
+        Every product of two inclusion columns comes from one product, and
+        one solve expresses them all in the inclusion basis.
+        """
+        coords = solve(self.inclusion, _products(self.algebra, self.inclusion))
         if coords is None:
-            raise InvariantViolation("base does not contain the unit")
+            raise InvariantViolation("base is not closed under multiplication")
         return coords
 
+    @cached_property
     def base_algebra(self) -> AlgebraData:
+        """B with the multiplication it inherits from A."""
+        mult = self.base_mult()
+        unit = solve(self.inclusion, self.algebra.unit)
+        if unit is None:
+            raise InvariantViolation("base does not contain the unit")
         names = [f"b{j}" for j in range(self.base_dim)]
-        return AlgebraData(self.field, self.base_dim, names, self.base_mult(), self.base_unit())
+        return AlgebraData(self.field, self.base_dim, names, mult, unit)
 
     def materialize(self) -> "Extension":
         if not self.comodule_algebra.is_graded:
@@ -285,12 +287,12 @@ class Extension:
 
 def check_extension(e: Extension) -> list[AxiomCheck]:
     out = []
-    coinv = coinvariants(e.comodule_algebra)
+    coinv = e.coinvariants
     bad = None
-    for j, col in enumerate(e.base_basis_columns()):
-        if not coinv.contains(col):
-            bad = f"inclusion column {j} is not coinvariant"
-            break
+    if coinv.coordinates(e.inclusion) is None:
+        cols = e.base_basis_columns()
+        j = next(j for j, col in enumerate(cols) if not coinv.contains(col))
+        bad = f"inclusion column {j} is not coinvariant"
     out.append(AxiomCheck("base_in_coinvariants", bad is None, bad))
     a = e.algebra
     unit_ok = e.invariant_subalgebra.contains(a.unit)
@@ -302,14 +304,16 @@ def check_extension(e: Extension) -> list[AxiomCheck]:
         )
     )
     bad = None
-    cols = e.base_basis_columns()
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            if not e.invariant_subalgebra.contains(a.multiply(u, v)):
-                bad = f"product of base columns {i} and {j} leaves the base"
-                break
-        if bad:
-            break
+    base = e.invariant_subalgebra
+    if base.coordinates(_products(a, e.inclusion)) is None:
+        cols = e.base_basis_columns()
+        i, j = next(
+            (i, j)
+            for i, u in enumerate(cols)
+            for j, v in enumerate(cols)
+            if not base.contains(a.multiply(u, v))
+        )
+        bad = f"product of base columns {i} and {j} leaves the base"
     out.append(AxiomCheck("base_closed_under_mult", bad is None, bad))
     return out
 
@@ -337,11 +341,10 @@ class BalancedTensor:
         self.ambient_dim = dim_x * dim_y
         eye_x = Mat.identity(field, dim_x)
         eye_y = Mat.identity(field, dim_y)
-        spans = []
-        for r, l in zip(right_ops, left_ops):
-            diff = r.kron(eye_y) - eye_x.kron(l)
-            spans.extend(diff.col_vector(j) for j in range(diff.cols))
-        self.relations = Subspace.from_spanning_columns(field, self.ambient_dim, spans)
+        spans = Mat.zeros(field, self.ambient_dim, 0).hstack(
+            *(r.kron(eye_y) - eye_x.kron(l) for r, l in zip(right_ops, left_ops))
+        )
+        self.relations = Subspace.from_spanning_columns(spans)
         self.dim, self.projector, self.section = quotient(self.ambient_dim, self.relations)
 
     def descend(self, raw: Mat) -> Mat:
@@ -381,7 +384,7 @@ def is_hopf_galois(e: Extension) -> Verdict:
     bad = [c for c in axioms if not c.ok]
     if bad:
         return Verdict(False, tuple(c.witness or c.name for c in bad))
-    coinv = coinvariants(e.comodule_algebra)
+    coinv = e.coinvariants
     reasons = []
     if coinv != e.invariant_subalgebra:
         reasons.append(
@@ -393,7 +396,7 @@ def is_hopf_galois(e: Extension) -> Verdict:
     reasons.append(f"coinvariants match the declared base (dimension {coinv.dim})")
     can, bt = canonical_map(e)
     rank = can.rank()
-    if is_bijective(can):
+    if can.rows == can.cols == rank:
         reasons.append(f"canonical map is bijective ({can.rows}x{can.cols}, rank {rank})")
         return Verdict(True, tuple(reasons))
     reasons.append(
@@ -410,7 +413,7 @@ def _intertwiner_space(e: Extension) -> list[Mat]:
     dh, db = h.dim, e.base_dim
     eye_h = Mat.identity(field, dh)
     eye_b = Mat.identity(field, db)
-    base_alg = e.base_algebra()
+    base_alg = e.base_algebra
     base_cols = e.base_basis_columns()
     module_pairs = []
     for j in range(db):
@@ -533,7 +536,5 @@ def change_basis(e: Extension, p: Mat) -> Extension:
     names2 = [f"v{i}" for i in range(da)]
     alg2 = AlgebraData(field, da, names2, mult2, unit2)
     rho2 = p.kron(Mat.identity(field, c.hopf.dim)).mul(c.coaction).mul(p_inv)
-    base2 = Subspace.from_spanning_columns(
-        field, da, [p.mul(col) for col in e.base_basis_columns()]
-    )
+    base2 = Subspace.from_spanning_columns(p.mul(e.inclusion))
     return Extension(ComoduleAlgebra(alg2, c.hopf, coaction=rho2), base2)

@@ -704,18 +704,10 @@ class Subspace:
         self.mat = mat
 
     @staticmethod
-    def from_spanning_columns(field: Field, ambient_dim: int, columns) -> "Subspace":
-        """Canonicalize a spanning set (list of column Mats, or a Mat)."""
-        if isinstance(columns, Mat):
-            cols = [columns.col_vector(j) for j in range(columns.cols)]
-        else:
-            cols = list(columns)
-        for v in cols:
-            if v.rows != ambient_dim or v.cols != 1:
-                raise InputError("spanning vector has wrong shape")
-        if not cols:
-            return Subspace.zero(field, ambient_dim)
-        red, pivots = Mat.zeros(field, ambient_dim, 0).hstack(*cols).transpose().rref()
+    def from_spanning_columns(columns: Mat) -> "Subspace":
+        """Canonicalize the span of the columns of a Mat."""
+        field, ambient_dim = columns.field, columns.rows
+        red, pivots = columns.transpose().rref()
         basis = Mat._make(field, len(pivots), ambient_dim, red._rows[: len(pivots)])
         return Subspace(field, ambient_dim, basis.transpose())
 
@@ -730,9 +722,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.mat.cols
-
-    def basis_columns(self) -> list[Mat]:
-        return [self.mat.col_vector(j) for j in range(self.mat.cols)]
 
     def contains(self, v: Mat) -> bool:
         if v.rows != self.ambient_dim or v.cols != 1:
@@ -759,18 +748,12 @@ def kernel(m: Mat) -> Subspace:
     """Reduced-echelon basis of the null space of m."""
     red, pivots = m.rref()
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    field = m.field
-    vectors = []
-    for fc in free_cols:
-        rows = [{} for _ in range(m.cols)]
-        rows[fc] = {0: field.one()}
-        for r, pc in enumerate(pivots):
-            x = red._rows[r].get(fc)
-            if x is not None:
-                rows[pc] = {0: -x}
-        vectors.append(Mat._make(field, m.cols, 1, rows))
-    return Subspace.from_spanning_columns(field, m.cols, vectors)
+    free = {fc: k for k, fc in enumerate(c for c in range(m.cols) if c not in pivot_set)}
+    # Column k is the null vector with a one at the k-th free column.
+    rows = [{free[c]: m.field.one()} if c in free else {} for c in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        rows[pc] = {free[fc]: -x for fc, x in red._rows[r].items() if fc in free}
+    return Subspace.from_spanning_columns(Mat._make(m.field, m.cols, len(free), rows))
 
 
 def linear_solutions(field: Field, rows: int, cols: int, defects) -> list[Mat]:
@@ -780,15 +763,15 @@ def linear_solutions(field: Field, rows: int, cols: int, defects) -> list[Mat]:
     gives the columns of one homogeneous system; its kernel basis, reshaped,
     is the answer.
     """
-    columns = []
+    flats = []
     for i in range(rows):
         for c in range(cols):
             flat = []
             for d in defects(Mat.from_entries(field, rows, cols, {(i, c): 1})):
                 flat.extend(d.entries())
-            columns.append(Mat.column(field, flat))
-    big = columns[0].hstack(*columns[1:])
-    return [Mat(field, rows, cols, v.entries()) for v in kernel(big).basis_columns()]
+            flats.append(flat)
+    basis = kernel(Mat.from_rows(field, flats).transpose()).mat.transpose()
+    return [Mat(field, rows, cols, basis.row_list(j)) for j in range(basis.rows)]
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:

@@ -20,6 +20,7 @@ a matrix identity that is either checked or reported with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_linear import (
     InputError,
@@ -140,7 +141,8 @@ class ExtensionMorphism:
 
     beta is expressed in the base coordinates fixed by the two inclusions;
     it exists exactly when alpha maps the declared source base into the
-    declared target base.
+    declared target base. The cotensor, the canonical map and the mirror map
+    are derived lazily, at most once per morphism.
     """
 
     def __init__(self, chi: HopfMap, alpha: Mat, source: Extension, target: Extension):
@@ -164,6 +166,19 @@ class ExtensionMorphism:
     @property
     def field(self):
         return self.source.field
+
+    @cached_property
+    def cotensor(self) -> CotensorSpace:
+        """A' box^{H'} H, the codomain of kappa and of the mirror map."""
+        return CotensorSpace(self.target.dim, self.target.comodule_algebra.coaction, self.chi)
+
+    @cached_property
+    def canonical(self) -> "CanonicalMapData":
+        return canonical_map_data(self)
+
+    @cached_property
+    def mirror(self) -> "CanonicalMapData":
+        return mirror_map_data(self)
 
     @staticmethod
     def identity(e: Extension) -> "ExtensionMorphism":
@@ -207,11 +222,22 @@ class CanonicalMapData:
     cotensor: CotensorSpace
     domain: BalancedTensor
 
+    @cached_property
+    def rank(self) -> int:
+        return self.kappa.rank()
+
+    @property
+    def bijective(self) -> bool:
+        return self.kappa.rows == self.kappa.cols == self.rank
+
+    def shape_and_rank(self) -> str:
+        return f"{self.kappa.rows}x{self.kappa.cols}, rank {self.rank}"
+
 
 def _pullback_tensor(m: ExtensionMorphism) -> BalancedTensor:
     """B' (x)_B A, with B acting on B' through beta and on A by inclusion."""
     src, tgt = m.source, m.target
-    base_p = tgt.base_algebra()
+    base_p = tgt.base_algebra
     a = src.algebra
     right_ops = [base_p.right_mult(m.beta.col_vector(j)) for j in range(src.base_dim)]
     left_ops = [a.left_mult(col) for col in src.base_basis_columns()]
@@ -221,7 +247,7 @@ def _pullback_tensor(m: ExtensionMorphism) -> BalancedTensor:
 def _mirror_tensor(m: ExtensionMorphism) -> BalancedTensor:
     """A (x)_B B', the domain of the mirror map."""
     src, tgt = m.source, m.target
-    base_p = tgt.base_algebra()
+    base_p = tgt.base_algebra
     a = src.algebra
     right_ops = [a.right_mult(col) for col in src.base_basis_columns()]
     left_ops = [base_p.left_mult(m.beta.col_vector(j)) for j in range(src.base_dim)]
@@ -235,7 +261,7 @@ def canonical_map_data(m: ExtensionMorphism) -> CanonicalMapData:
     rho = src.comodule_algebra.coaction
     eye_h = Mat.identity(field, h.dim)
     bt = _pullback_tensor(m)
-    cot = CotensorSpace(ap.dim, tgt.comodule_algebra.coaction, m.chi)
+    cot = m.cotensor
     raw = (
         ap.mult.kron(eye_h)
         .mul(tgt.inclusion.kron(m.alpha.kron(eye_h)))
@@ -246,11 +272,6 @@ def canonical_map_data(m: ExtensionMorphism) -> CanonicalMapData:
     if kappa is None:
         raise InvariantViolation("generalized canonical map leaves the cotensor subspace")
     return CanonicalMapData(kappa, cot, bt)
-
-
-def generalized_canonical_map(m: ExtensionMorphism) -> Mat:
-    """kappa in the basis of the cotensor, on the quotient model of B' (x)_B A."""
-    return canonical_map_data(m).kappa
 
 
 def mirror_map_data(m: ExtensionMorphism) -> CanonicalMapData:
@@ -270,7 +291,7 @@ def mirror_map_data(m: ExtensionMorphism) -> CanonicalMapData:
     dh, dap = h.dim, ap.dim
     eye_h = Mat.identity(field, dh)
     bt = _mirror_tensor(m)
-    cot = CotensorSpace(dap, tgt.comodule_algebra.coaction, m.chi)
+    cot = m.cotensor
     raw = rho.kron(tgt.inclusion)  # (a0, a1, iota'(b'))
     raw = m.alpha.kron(Mat.identity(field, dh * dap)).mul(raw)
     raw = permute_legs(raw, [dap, dh, dap], [0, 2, 1])  # (alpha(a0), iota'(b'), a1)
@@ -282,41 +303,28 @@ def mirror_map_data(m: ExtensionMorphism) -> CanonicalMapData:
     return CanonicalMapData(kappa_t, cot, bt)
 
 
-def kappa_tilde(m: ExtensionMorphism) -> Mat:
-    return mirror_map_data(m).kappa
-
-
 def is_cartesian(m: ExtensionMorphism) -> Verdict:
     """Morphism axioms plus bijectivity of the generalized canonical map."""
     checks = check_extension_morphism(m)
     bad = [c for c in checks if not c.ok]
     if bad:
         return Verdict(False, tuple(c.witness or c.name for c in bad))
-    data = canonical_map_data(m)
-    rank = data.kappa.rank()
-    shape = f"{data.kappa.rows}x{data.kappa.cols}"
-    if is_bijective(data.kappa):
-        return Verdict(
-            True,
-            (f"generalized canonical map is bijective ({shape}, rank {rank})",),
-        )
-    return Verdict(
-        False,
-        (f"generalized canonical map is not bijective ({shape}, rank {rank})",),
-    )
+    data = m.canonical
+    word = "is" if data.bijective else "is not"
+    reason = f"generalized canonical map {word} bijective ({data.shape_and_rank()})"
+    return Verdict(data.bijective, (reason,))
 
 
 def distributive_law_data(
     m: ExtensionMorphism,
 ) -> tuple[Mat, CanonicalMapData, CanonicalMapData]:
-    data = canonical_map_data(m)
-    if not is_bijective(data.kappa):
-        rank = data.kappa.rank()
+    data = m.canonical
+    if not data.bijective:
         raise PreconditionError(
             "distributive law needs a Cartesian morphism: kappa not bijective "
-            f"({data.kappa.rows}x{data.kappa.cols}, rank {rank})"
+            f"({data.shape_and_rank()})"
         )
-    mirror = mirror_map_data(m)
+    mirror = m.mirror
     phi = solve(data.kappa, mirror.kappa)
     if phi is None or data.kappa.mul(phi) != mirror.kappa:
         raise InvariantViolation("kappa does not factor the mirror map")
@@ -351,6 +359,10 @@ class PullbackStructure:
     j_base: Mat  # B' -> C, b' |-> iota'(b') (x) 1
     j_fiber: Mat  # A -> C, a |-> alpha(a_(0)) (x) a_(1)
 
+    @cached_property
+    def comodule_checks(self) -> list[AxiomCheck]:
+        return check_comodule_algebra(self.comodule_algebra)
+
 
 def pullback_structure(m: ExtensionMorphism, verify: bool = True) -> PullbackStructure:
     """Transport the cotensor algebra through kappa onto B' (x)_B A.
@@ -363,7 +375,7 @@ def pullback_structure(m: ExtensionMorphism, verify: bool = True) -> PullbackStr
     src, tgt = m.source, m.target
     field = m.field
     a, ap, h = src.algebra, tgt.algebra, src.hopf
-    base_p = tgt.base_algebra()
+    base_p = tgt.base_algebra
     rho = src.comodule_algebra.coaction
     dbp, da, dh = tgt.base_dim, a.dim, h.dim
     q = data.domain
@@ -417,7 +429,7 @@ def _verify_pullback(p: PullbackStructure):
             if not check.ok:
                 fail(check.name)
 
-    for check in check_comodule_algebra(p.comodule_algebra):
+    for check in p.comodule_checks:
         if not check.ok:
             fail(check.name, check.witness or "")
 
@@ -440,9 +452,9 @@ def _verify_pullback(p: PullbackStructure):
         fail("base_square")
 
     # The step for the target base map covers products only.
-    require(algebra_map_law("target_base_map", p.iota_base, tgt.base_algebra(), alg_q)[:1])
+    require(algebra_map_law("target_base_map", p.iota_base, tgt.base_algebra, alg_q)[:1])
     ib = p.iota_base.mul(m.beta)
-    require(algebra_map_law("base_map", ib, src.base_algebra(), alg_q))
+    require(algebra_map_law("base_map", ib, src.base_algebra, alg_q))
     if p.comodule_algebra.coaction.mul(ib) != ib.kron(h.unit):
         fail("base_map_coinvariant")
 
@@ -473,16 +485,14 @@ def compose_morphisms(
 
 def _verify_composition(m2: ExtensionMorphism, m1: ExtensionMorphism, comp: ExtensionMorphism):
     field = comp.field
-    d1 = canonical_map_data(m1)
-    d2 = canonical_map_data(m2)
-    dc = canonical_map_data(comp)
+    d1, d2, dc = m1.canonical, m2.canonical, comp.canonical
     src, mid, tgt = m1.source, m1.target, m2.target
     a, ap, app = src.algebra, mid.algebra, tgt.algebra
     h, hp = src.hopf, mid.hopf
     dh, dhp = h.dim, hp.dim
     dbp, dbpp = mid.base_dim, tgt.base_dim
-    base_p = mid.base_algebra()
-    base_pp = tgt.base_algebra()
+    base_p = mid.base_algebra
+    base_pp = tgt.base_algebra
     eye = lambda n: Mat.identity(field, n)
 
     # every middle tensor is balanced over B' through beta_2 on the left factor
@@ -727,23 +737,13 @@ def coinvariant_cotensor_checks(
     s1 = kernel(mod.coaction - Mat.identity(field, dmp).kron(hp.unit))
     s2 = kernel(coact_c - Mat.identity(field, cot.dim).kron(h.unit))
 
-    u_parts = []
-    for v in s1.basis_columns():
-        in_cot = cot.coordinates(v.kron(h.unit))
-        coords = solve(s2.mat, in_cot)
-        if coords is None:
-            raise InvariantViolation("coinvariant image is not coinvariant in the cotensor")
-        u_parts.append(coords)
-    u_cols = Mat.zeros(field, s2.dim, 0).hstack(*u_parts)
-    d_parts = []
+    u_cols = solve(s2.mat, cot.coordinates(s1.mat.kron(h.unit)))
+    if u_cols is None:
+        raise InvariantViolation("coinvariant image is not coinvariant in the cotensor")
     strip = Mat.identity(field, dmp).kron(h.counit)
-    for w in s2.basis_columns():
-        back = strip.mul(cot.embed.mul(w))
-        coords = solve(s1.mat, back)
-        if coords is None:
-            raise InvariantViolation("cotensor coinvariant does not land in the module coinvariants")
-        d_parts.append(coords)
-    d_cols = Mat.zeros(field, s1.dim, 0).hstack(*d_parts)
+    d_cols = solve(s1.mat, strip.mul(cot.embed).mul(s2.mat))
+    if d_cols is None:
+        raise InvariantViolation("cotensor coinvariant does not land in the module coinvariants")
 
     names1 = [f"w{i}" for i in range(s1.dim)]
     names2 = [f"w{i}" for i in range(s2.dim)]
@@ -787,7 +787,7 @@ class KTopology:
         found_identity = False
         for cov in covers:
             cov = cov.materialize()
-            if not _bases_match(cov.base_algebra(), base):
+            if not _bases_match(cov.base_algebra, base):
                 raise InputError("cover base does not match the topology base")
             if require_galois:
                 verdict = is_hopf_galois(cov)

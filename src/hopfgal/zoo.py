@@ -45,7 +45,7 @@ def q_sqrt2_extension() -> Extension:
     # rho(1) = 1 (x) (d_e + d_g), rho(s) = s (x) (d_e - d_g)
     rho = Mat.from_entries(QQ, 4, 2, {(0, 0): 1, (1, 0): 1, (2, 1): 1, (3, 1): -1})
     c = ComoduleAlgebra(a, h, coaction=rho)
-    base = Subspace.from_spanning_columns(QQ, 2, [Mat.basis_vector(QQ, 2, 0)])
+    base = Subspace.from_spanning_columns(Mat.basis_vector(QQ, 2, 0))
     return Extension(c, base)
 
 
@@ -78,7 +78,7 @@ def q_cbrt2_extension() -> Extension:
     h = build_dual_group_algebra(Group.cyclic(3))
     rho = Mat.identity(QQ, 3).kron(h.unit)
     c = ComoduleAlgebra(a, h, coaction=rho)
-    base = Subspace.from_spanning_columns(QQ, 3, [Mat.basis_vector(QQ, 3, 0)])
+    base = Subspace.from_spanning_columns(Mat.basis_vector(QQ, 3, 0))
     return Extension(c, base)
 
 
@@ -90,16 +90,14 @@ def trivial_coaction_extension(algebra: AlgebraData | None = None, hopf: HopfDat
         hopf = build_dual_group_algebra(Group.cyclic(2), algebra.field)
     rho = Mat.identity(algebra.field, algebra.dim).kron(hopf.unit)
     c = ComoduleAlgebra(algebra, hopf, coaction=rho)
-    base = Subspace.from_spanning_columns(
-        algebra.field, algebra.dim, [algebra.unit]
-    )
+    base = Subspace.from_spanning_columns(algebra.unit)
     return Extension(c, base)
 
 
 def regular_extension(h: HopfData) -> Extension:
     """A = H with the regular coaction Delta; base is the scalars."""
     c = ComoduleAlgebra(h.algebra, h, coaction=h.comult)
-    base = Subspace.from_spanning_columns(h.field, h.dim, [h.unit])
+    base = Subspace.from_spanning_columns(h.unit)
     return Extension(c, base)
 
 
@@ -149,10 +147,7 @@ def self_galois_morphism(h: HopfData) -> ExtensionMorphism:
     alg2 = tensor_square_algebra(h)
     rho2 = Mat.identity(field, d).kron(h.comult)
     c2 = ComoduleAlgebra(alg2, h, coaction=rho2)
-    base_cols = [
-        Mat.basis_vector(field, d, j).kron(h.unit) for j in range(d)
-    ]
-    base2 = Subspace.from_spanning_columns(field, d * d, base_cols)
+    base2 = Subspace.from_spanning_columns(Mat.identity(field, d).kron(h.unit))
     tgt = Extension(c2, base2)
     return ExtensionMorphism(HopfMap.identity(h), h.comult, src, tgt)
 
@@ -202,7 +197,7 @@ def base_to_cover_morphism(e: Extension) -> ExtensionMorphism:
     Cartesian exactly when B exhausts the coinvariants of A.
     """
     e = e.materialize()
-    src = identity_cover(e.base_algebra())
+    src = identity_cover(e.base_algebra)
     return ExtensionMorphism(unit_map(e.hopf), e.inclusion, src, e)
 
 

@@ -34,7 +34,7 @@ from hopfgal.extension import (
     coinvariant_cotensor_checks,
     compose_morphisms,
     is_cartesian,
-    kappa_tilde,
+    mirror_map_data,
     pullback_structure,
 )
 from hopfgal.bundle import (
@@ -169,7 +169,7 @@ def test_criterion_05_distributive_law_instances():
         # verify=True replays the algebra axioms on B' (x)_B A and the
         # unital-isomorphism identities for kappa, raising on any failure
         p = pullback_structure(m, verify=True)
-        assert p.kappa.mul(p.phi) == kappa_tilde(m), name
+        assert p.kappa.mul(p.phi) == mirror_map_data(m).kappa, name
         assert is_bijective(p.kappa), name
 
     m = zoo.self_galois_morphism(sweedler_h4())

@@ -209,7 +209,7 @@ class TestCotensorBundle:
     def test_unit_comodule_recovers_base(self):
         e = zoo.q_sqrt2_extension().materialize()
         b = cotensor_bundle(e, trivial_left_comodule(e.hopf))
-        base_space = Subspace.from_spanning_columns(QQ, e.dim, e.base_basis_columns())
+        base_space = Subspace.from_spanning_columns(e.inclusion)
         assert b.space == base_space
 
     def test_sign_character_bundle_is_spanned_by_the_root(self):

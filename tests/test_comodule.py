@@ -203,7 +203,7 @@ class TestGaloisVerdicts:
 
     def test_extension_checks_flag_bad_base(self):
         e = zoo.q_sqrt2_extension()
-        bad_base = Subspace.from_spanning_columns(QQ, 2, [Mat.basis_vector(QQ, 2, 1)])
+        bad_base = Subspace.from_spanning_columns(Mat.basis_vector(QQ, 2, 1))
         bad = Extension(e.comodule_algebra, bad_base)
         report = check_extension(bad)
         names = {x.name: x for x in report}

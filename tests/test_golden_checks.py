@@ -260,7 +260,8 @@ def _pullback_cases(out: dict):
         # so that every step before the base maps holds.
         strip = Mat.identity(m.field, m.target.dim).kron(m.source.hopf.counit)
         unused = [c for c in range(m.beta.rows) if not any(m.beta.row_list(c))]
-        for w in kernel(strip.mul(p.cotensor.embed).mul(p.kappa)).basis_columns()[:1]:
+        null = kernel(strip.mul(p.cotensor.embed).mul(p.kappa)).mat
+        for w in [null.col_vector(0)] if null.cols else []:
             for c in unused:
                 after = Mat.zeros(m.field, w.rows, p.iota_base.cols - c - 1)
                 moved = p.iota_base + Mat.zeros(m.field, w.rows, c).hstack(w, after)

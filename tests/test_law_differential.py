@@ -7,17 +7,35 @@ index inner. The library evaluates the same identities from the sparse
 structure matrices without those operators; on random structure data over Q
 and F_p, and on valid structures with one entry changed, both must give the
 same verdict and the same witness string. The same holds for the raw
-canonical map and for ``bilinear_compose`` itself.
+canonical map, for ``bilinear_compose`` itself and for the multiplication
+of a base algebra, against one solve per pair of base vectors.
 """
 
 from fractions import Fraction
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfgal import zoo
-from hopfgal.comodule import balanced_self_tensor, canonical_map
-from hopfgal.exact_linear import Field, InputError, Mat, QQ, bilinear_compose, kron_interleaved
+from hopfgal import cli, zoo
+from hopfgal.comodule import (
+    ComoduleAlgebra,
+    Extension,
+    balanced_self_tensor,
+    canonical_map,
+    change_basis,
+)
+from hopfgal.exact_linear import (
+    Field,
+    InputError,
+    InvariantViolation,
+    Mat,
+    QQ,
+    Subspace,
+    bilinear_compose,
+    kron_interleaved,
+    solve,
+)
 from hopfgal.hopf_core import (
     AlgebraData,
     AxiomCheck,
@@ -30,6 +48,7 @@ from hopfgal.hopf_core import (
     coassociative_law,
     counital_law,
     ground_algebra,
+    group_algebra_map,
     sweedler_h4,
     tensor_algebra,
     tensor_names,
@@ -297,3 +316,82 @@ EXTENSIONS = [
 def test_canonical_map_matches_reference(e):
     can, bt = canonical_map(e)
     assert can == balanced_self_tensor(e.materialize()).descend(ref_raw(e))
+
+
+# ---------------------------------------------------------------------------
+# the multiplication of a base algebra
+
+
+def ref_base_mult(e):
+    """The multiplication of B, one solve per pair of inclusion columns."""
+    cols = e.base_basis_columns()
+    products = []
+    for u in cols:
+        for v in cols:
+            coords = solve(e.inclusion, e.algebra.multiply(u, v))
+            if coords is None:
+                raise InvariantViolation("base is not closed under multiplication")
+            products.append(coords)
+    return Mat.zeros(e.field, e.base_dim, 0).hstack(*products)
+
+
+def fixture_extensions():
+    """Every extension in the committed fixtures, both ends of a morphism included."""
+    out = []
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(fixtures.glob("*.json")):
+        field, sections = cli._load_document(str(path))
+        if "extension_morphism" in sections:
+            m = cli._parse_morphism(sections, field)
+            out += [(f"{path.stem}-source", m.source), (f"{path.stem}-target", m.target)]
+        elif "comodule_algebra" in sections:
+            parts = (sections["hopf"], sections["comodule_algebra"], sections.get("extension"))
+            out.append((path.stem, cli._parse_extension_parts(*parts, field, "sections")))
+    return out
+
+
+FIXTURE_EXTENSIONS = fixture_extensions()
+
+
+@pytest.mark.parametrize(
+    "e", [e for _, e in FIXTURE_EXTENSIONS], ids=[n for n, _ in FIXTURE_EXTENSIONS]
+)
+def test_base_mult_matches_reference_on_fixtures(e):
+    assert e.base_mult() == ref_base_mult(e)
+
+
+@st.composite
+def regular_extensions(draw):
+    """k[Z_n] coacted on through k[Z_n] -> k[Z_d] (the regular extension when
+    d = n), or the regular extension of k^{Z_n}; then a random change of basis.
+    Over the coinvariants the base has dimension n/d."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 6))
+    g = Group.cyclic(n)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        h = build_group_algebra(g, field)
+        chi = group_algebra_map(g, Group.cyclic(d), [k % d for k in range(n)], field)
+        rho = Mat.identity(field, n).kron(chi.matrix).mul(h.comult)
+        e = Extension(ComoduleAlgebra(h.algebra, chi.target, coaction=rho))
+    else:
+        e = zoo.regular_extension(build_dual_group_algebra(g, field))
+    # A unitriangular matrix is invertible over every field.
+    entries = {(i, j): draw(scalars(field)) for i in range(n) for j in range(i + 1, n)}
+    p = Mat.from_entries(field, n, n, {**entries, **{(i, i): 1 for i in range(n)}})
+    return change_basis(e, p) if draw(st.booleans()) else e
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_extensions())
+def test_base_mult_matches_reference_on_regular_extensions(e):
+    assert e.base_mult() == ref_base_mult(e)
+
+
+def test_base_mult_rejects_a_base_not_closed_under_multiplication():
+    # span{s} in Q(sqrt 2): s * s = 2 leaves it
+    root = Subspace.from_spanning_columns(Mat.basis_vector(QQ, 2, 1))
+    e = Extension(zoo.q_sqrt2_extension().comodule_algebra, root)
+    for build in (ref_base_mult, Extension.base_mult):
+        with pytest.raises(InvariantViolation, match="^base is not closed under multiplication$"):
+            build(e)
