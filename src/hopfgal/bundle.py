@@ -26,12 +26,13 @@ from .exact_linear import (
     Mat,
     PreconditionError,
     Subspace,
+    bilinear_compose,
+    flip,
     is_bijective,
     inverse,
     kernel,
     kron_interleaved,
     linear_solutions,
-    permute_legs,
     solve,
 )
 from .hopf_core import (
@@ -135,9 +136,9 @@ def comodule_tensor(v: LeftComodule, w: LeftComodule) -> LeftComodule:
         raise InputError("comodules over different Hopf algebras")
     h = v.hopf
     dv, dw = v.dim, w.dim
-    # (h, v, h', w) -> (h h', v, w)
-    merge = kron_interleaved(h.mult, Mat.identity(h.field, dv * dw), h.dim, dw)
-    lam = merge.mul(v.coaction.kron(w.coaction))
+    # (h (x) v, h' (x) w) |-> h h' (x) v (x) w
+    factors = [(h.mult, h.dim), (Mat.identity(h.field, dv), 1), (Mat.identity(h.field, dw), dw)]
+    lam = bilinear_compose(factors, v.coaction, w.coaction)
     names = tensor_names(v.names, w.names)
     return LeftComodule(h, dv * dw, coaction=lam, names=names)
 
@@ -178,18 +179,15 @@ def triangle_action(m: RelativeHopfModule, v: LeftComodule) -> RelativeHopfModul
     if s_inv is None:
         raise PreconditionError("the action twist needs an invertible antipode")
     field = c.field
-    dm, dv, dh, da = m.dim, v.dim, h.dim, c.dim
+    dm, dv, dh = m.dim, v.dim, h.dim
     eye_v = Mat.identity(field, dv)
-
-    swap = permute_legs(
-        Mat.identity(field, dm * dv * da), [dm, dv, da], [0, 2, 1]
-    )
-    action = m.action.kron(eye_v).mul(swap)
-
-    spread = m.coaction.kron(v.coaction)  # (m0, m1, v-1, v0)
-    spread = Mat.identity(field, dm * dh).kron(s_inv).kron(eye_v).mul(spread)
-    spread = permute_legs(spread, [dm, dh, dh, dv], [0, 3, 2, 1])
-    coaction = Mat.identity(field, dm * dv).kron(h.mult).mul(spread)
+    # (m (x) v) a = m a (x) v
+    action = kron_interleaved(m.action, eye_v, c.dim, 1)
+    # (m_(0) (x) m_(1), v_(0) (x) S^{-1}(v_(-1))) |-> m_(0) (x) v_(0) (x) S^{-1}(v_(-1)) m_(1),
+    # whose last leg is the product of H in the opposite order.
+    opposite = h.algebra.left_mult(s_inv).mul(flip(field, dh, dh))
+    factors = [(Mat.identity(field, dm), 1), (eye_v, dv), (opposite, dh)]
+    coaction = bilinear_compose(factors, m.coaction, flip(field, dh, dv).mul(v.coaction))
 
     names = [f"({mn},{vn})" for mn in m.names for vn in v.names]
     return RelativeHopfModule(c, dm * dv, action, coaction, names=names)
@@ -224,16 +222,6 @@ class AssociatedBundle:
     def base_dim(self) -> int:
         return self.extension.base_dim
 
-    def right_op(self, j: int) -> Mat:
-        field = self.extension.field
-        sel = Mat.identity(field, self.dim).kron(Mat.basis_vector(field, self.base_dim, j))
-        return self.right_action.mul(sel)
-
-    def left_op(self, j: int) -> Mat:
-        field = self.extension.field
-        sel = Mat.basis_vector(field, self.base_dim, j).kron(Mat.identity(field, self.dim))
-        return self.left_action.mul(sel)
-
 
 def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
     """Compute A box^H V twice and install the B-bimodule structure.
@@ -261,30 +249,15 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
             "cotensor and coinvariant computations of the bundle disagree"
         )
 
-    db = e.base_dim
-    dim = space.dim
-    right_ops = []
-    left_ops = []
-    for j, col in enumerate(e.base_basis_columns()):
-        amb_r = a.right_mult(col).kron(eye_v)
-        rop = solve(space.mat, amb_r.mul(space.mat))
-        if rop is None:
-            raise InvariantViolation("bundle is not closed under the right base action")
-        right_ops.append(rop)
-        amb_l = a.left_mult(col).kron(eye_v)
-        lop = solve(space.mat, amb_l.mul(space.mat))
-        if lop is None:
-            raise InvariantViolation("bundle is not closed under the left base action")
-        left_ops.append(lop)
-
-    right, left = {}, {}
-    for j in range(db):
-        for x in range(dim):
-            for r in range(dim):
-                right[(r, x * db + j)] = right_ops[j].entry(r, x)
-                left[(r, j * dim + x)] = left_ops[j].entry(r, x)
-    right_action = Mat.from_entries(field, dim, dim * db, right)
-    left_action = Mat.from_entries(field, dim, db * dim, left)
+    # (a (x) v) b = a iota(b) (x) v and b (a (x) v) = iota(b) a (x) v, in bundle coordinates
+    right = bilinear_compose([(a.mult, da), (eye_v, 1)], space.mat, e.inclusion)
+    right_action = solve(space.mat, right)
+    if right_action is None:
+        raise InvariantViolation("bundle is not closed under the right base action")
+    left = bilinear_compose([(a.mult, da), (eye_v, dv)], e.inclusion, space.mat)
+    left_action = solve(space.mat, left)
+    if left_action is None:
+        raise InvariantViolation("bundle is not closed under the left base action")
     return AssociatedBundle(e, v, space, left_action, right_action)
 
 
@@ -450,10 +423,8 @@ def certify_fgp(b: AssociatedBundle) -> FgpReport:
     )
 
 
-def _search_iso(dom_ops, cod_ops, dim: int, field, budget: int) -> Mat | None:
-    mats = linear_solutions(
-        field, dim, dim, lambda f: [f.mul(d) - c.mul(f) for d, c in zip(dom_ops, cod_ops)]
-    )
+def _search_iso(defects, dim: int, field, budget: int) -> Mat | None:
+    mats = linear_solutions(field, dim, dim, defects)
     if not mats:
         return None
     for f in mats:
@@ -473,6 +444,28 @@ def _search_iso(dom_ops, cod_ops, dim: int, field, budget: int) -> Mat | None:
         if is_bijective(f):
             return f
     return None
+
+
+def _bimodule_map_defects(
+    qt: BalancedTensor, b1: AssociatedBundle, b2: AssociatedBundle, b12: AssociatedBundle
+):
+    """The defects of f: X1 (x)_B X2 -> X12 being right and left B-linear, one per side.
+
+    B acts on the balanced tensor by (x1 (x) x2) b = x1 (x) x2 b and
+    b (x1 (x) x2) = b x1 (x) x2.
+    """
+    field, db = qt.field, b12.base_dim
+    eye = lambda n: Mat.identity(field, n)
+    right = qt.projector.mul(
+        bilinear_compose([(eye(b1.dim), 1), (b2.right_action, db)], qt.section, eye(db))
+    )
+    left = qt.projector.mul(
+        bilinear_compose([(b1.left_action, b1.dim), (eye(b2.dim), b2.dim)], eye(db), qt.section)
+    )
+    return lambda f: [
+        f.mul(right) - bilinear_compose([(b12.right_action, db)], f, eye(db)),
+        f.mul(left) - bilinear_compose([(b12.left_action, b12.dim)], eye(db), f),
+    ]
 
 
 @dataclass
@@ -501,36 +494,23 @@ def bundle_tensor_data(
     v12 = comodule_tensor(b1.rep, b2.rep)
     b12 = cotensor_bundle(e, v12)
 
-    right_ops = [b1.right_op(j) for j in range(e.base_dim)]
-    left_ops = [b2.left_op(j) for j in range(e.base_dim)]
-    qt = BalancedTensor(field, b1.dim, b2.dim, right_ops, left_ops)
+    qt = BalancedTensor(b1.right_action, b2.left_action)
     if qt.dim != b12.dim:
         raise InvariantViolation(
             f"balanced tensor has dimension {qt.dim}, cotensor bundle {b12.dim}"
         )
 
-    # (a, v1, a', v2) -> (a a', v1, v2)
+    # (a (x) v1, a' (x) v2) |-> a a' (x) v1 (x) v2
     dv1, dv2 = b1.rep.dim, b2.rep.dim
-    merge = kron_interleaved(a.mult, Mat.identity(field, dv1 * dv2), a.dim, dv2)
-    raw = merge.mul(b1.embed.kron(b2.embed))
+    factors = [(a.mult, a.dim), (Mat.identity(field, dv1), 1), (Mat.identity(field, dv2), dv2)]
+    raw = bilinear_compose(factors, b1.embed, b2.embed)
     cand = solve(b12.embed, qt.descend(raw))
     if cand is None:
         raise InvariantViolation("product of bundle sections leaves the cotensor bundle")
     if is_bijective(cand):
         return BundleTensorData(b12, qt, cand)
 
-    dom_ops = []
-    cod_ops = []
-    for j in range(e.base_dim):
-        dom_ops.append(qt.descend(qt.projector.mul(
-            Mat.identity(field, b1.dim).kron(b2.right_op(j))
-        )))
-        cod_ops.append(b12.right_op(j))
-        dom_ops.append(qt.descend(qt.projector.mul(
-            b1.left_op(j).kron(Mat.identity(field, b2.dim))
-        )))
-        cod_ops.append(b12.left_op(j))
-    iso = _search_iso(dom_ops, cod_ops, qt.dim, field, budget)
+    iso = _search_iso(_bimodule_map_defects(qt, b1, b2, b12), qt.dim, field, budget)
     if iso is None:
         raise InvariantViolation(
             "no bimodule isomorphism between the balanced tensor and the "

@@ -33,13 +33,11 @@ from .comodule import (
     Extension,
     RelativeHopfModule,
     check_comodule_algebra,
-    check_extension,
     check_relative_hopf_module,
     is_hopf_galois,
 )
 from .extension import (
     ExtensionMorphism,
-    check_extension_morphism,
     is_cartesian,
     pullback_structure,
 )
@@ -455,7 +453,7 @@ def cmd_check(kind, file, fmt, timings):
                 canonical_domain=e.dim * e.dim,
                 canonical_codomain=e.dim * e.hopf.dim,
             )
-            verdicts = _verdicts_from_checks(check_extension(e))
+            verdicts = _verdicts_from_checks(e.checks)
             verdicts.append(_verdict_from_tristate("hopf_galois", is_hopf_galois(e)))
             dims = {"algebra": e.dim, "base": e.base_dim, "hopf": e.hopf.dim}
         elif kind == "cartesian":
@@ -465,7 +463,7 @@ def cmd_check(kind, file, fmt, timings):
                 pullback=m.target.base_dim * m.source.dim,
                 cotensor_ambient=m.target.dim * m.source.hopf.dim,
             )
-            verdicts = _verdicts_from_checks(check_extension_morphism(m))
+            verdicts = _verdicts_from_checks(m.checks)
             verdicts.append(_verdict_from_tristate("cartesian", is_cartesian(m)))
             dims = {
                 "source": m.source.dim,
@@ -614,7 +612,7 @@ def cmd_phi(file, fmt, timings):
                 for reason in verdict.reasons:
                     _echo(f"  {reason}")
             raise SystemExit(1)
-        p = pullback_structure(m, verify=True)
+        p = pullback_structure(m)
         mirror_ok = p.kappa.mul(p.phi) == m.mirror.kappa
         verdicts = [
             _verdict_from_tristate("cartesian", verdict),

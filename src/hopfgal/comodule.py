@@ -58,9 +58,6 @@ class Verdict:
     value: bool | None
     reasons: tuple[str, ...] = ()
 
-    def with_reason(self, reason: str) -> "Verdict":
-        return Verdict(self.value, self.reasons + (reason,))
-
     def __repr__(self):
         tag = {True: "true", False: "false", None: "undecided"}[self.value]
         return f"Verdict({tag}; {'; '.join(self.reasons)})"
@@ -175,25 +172,20 @@ def _check_grading(c: ComoduleAlgebra) -> list[AxiomCheck]:
 
 
 def coinvariants(c: ComoduleAlgebra) -> Subspace:
-    """A^{co H} = {a : rho(a) = a (x) 1}, certified to be a unital subalgebra."""
+    """A^{co H} = {a : rho(a) = a (x) 1}.
+
+    For a comodule algebra this is a unital subalgebra; check_extension tests
+    the declared base for the unit and for closure, so a broken coaction is
+    reported there and by check_comodule_algebra, not raised here.
+    """
     field, da = c.field, c.dim
     if c.is_graded:
         zero = c.hopf.grading_group.zero()
         picked = [i for i in range(da) if c.degrees[i] == zero]
-        sub = Subspace.from_spanning_columns(
+        return Subspace.from_spanning_columns(
             Mat.from_entries(field, da, len(picked), {(i, k): 1 for k, i in enumerate(picked)})
         )
-    else:
-        sub = kernel(c.coaction - Mat.identity(field, da).kron(c.hopf.unit))
-    _assert_unital_subalgebra(c.algebra, sub)
-    return sub
-
-
-def _assert_unital_subalgebra(a: AlgebraData, sub: Subspace):
-    if not sub.contains(a.unit):
-        raise InvariantViolation("coinvariants do not contain the unit")
-    if sub.coordinates(_products(a, sub.mat)) is None:
-        raise InvariantViolation("coinvariants are not closed under multiplication")
+    return kernel(c.coaction - Mat.identity(field, da).kron(c.hopf.unit))
 
 
 def _products(a: AlgebraData, cols: Mat) -> Mat:
@@ -255,6 +247,11 @@ class Extension:
     def coinvariants(self) -> Subspace:
         """A^{co H}."""
         return coinvariants(self.comodule_algebra)
+
+    @cached_property
+    def checks(self) -> list[AxiomCheck]:
+        """The report of check_extension, which the Galois verdict reuses."""
+        return check_extension(self)
 
     def base_mult(self) -> Mat:
         """Multiplication of B in the basis given by the inclusion columns.
@@ -321,29 +318,26 @@ def check_extension(e: Extension) -> list[AxiomCheck]:
 class BalancedTensor:
     """X (x)_B Y as an explicit quotient of X (x) Y.
 
-    right_ops[k] is the action of the k-th base vector on X from the right,
-    left_ops[k] its action on Y from the left; the balancing relations are
-    the columns of kron(R_b, id) - kron(id, L_b).
+    right is the table of the right action X (x) B -> X, left that of the
+    left action B (x) Y -> Y. The balancing relations are the vectors
+    (x b) (x) y - x (x) (b y) over basis vectors x, b, y; each side is one
+    bilinear_compose of an action table with an identity table.
     """
 
-    def __init__(self, field: Field, dim_x: int, dim_y: int, right_ops, left_ops):
-        if len(right_ops) != len(left_ops):
-            raise InputError("one right and one left operator per base vector")
-        for r in right_ops:
-            if (r.rows, r.cols) != (dim_x, dim_x):
-                raise InputError("right operator shape mismatch")
-        for l in left_ops:
-            if (l.rows, l.cols) != (dim_y, dim_y):
-                raise InputError("left operator shape mismatch")
-        self.field = field
-        self.dim_x = dim_x
-        self.dim_y = dim_y
-        self.ambient_dim = dim_x * dim_y
-        eye_x = Mat.identity(field, dim_x)
-        eye_y = Mat.identity(field, dim_y)
-        spans = Mat.zeros(field, self.ambient_dim, 0).hstack(
-            *(r.kron(eye_y) - eye_x.kron(l) for r, l in zip(right_ops, left_ops))
-        )
+    def __init__(self, right: Mat, left: Mat):
+        dx, dy = right.rows, left.rows
+        db = right.cols // dx if dx else left.cols // dy if dy else 1
+        if (right.cols, left.cols) != (dx * db, db * dy):
+            raise InputError("the two action tables are not over one base")
+        field = self.field = right.field
+        self.ambient_dim = dx * dy
+        spans = Mat.zeros(field, 0, 0)
+        if self.ambient_dim:
+            eye_x, eye_y = Mat.identity(field, dx), Mat.identity(field, dy)
+            # Column (i, b, j) of both: (e_i b) (x) e_j and e_i (x) (b e_j).
+            spans = bilinear_compose(
+                [(right, db), (eye_y, dy)], eye_x, Mat.identity(field, db * dy)
+            ) - bilinear_compose([(eye_x, 1), (left, dy)], Mat.identity(field, dx * db), eye_y)
         self.relations = Subspace.from_spanning_columns(spans)
         self.dim, self.projector, self.section = quotient(self.ambient_dim, self.relations)
 
@@ -359,10 +353,7 @@ class BalancedTensor:
 def balanced_self_tensor(e: Extension) -> BalancedTensor:
     """A (x)_B A over the declared base."""
     a = e.algebra
-    cols = e.base_basis_columns()
-    right_ops = [a.right_mult(b) for b in cols]
-    left_ops = [a.left_mult(b) for b in cols]
-    return BalancedTensor(e.field, a.dim, a.dim, right_ops, left_ops)
+    return BalancedTensor(a.right_mult(e.inclusion), a.left_mult(e.inclusion))
 
 
 def canonical_map(e: Extension) -> tuple[Mat, BalancedTensor]:
@@ -380,7 +371,7 @@ def canonical_map(e: Extension) -> tuple[Mat, BalancedTensor]:
 
 def is_hopf_galois(e: Extension) -> Verdict:
     """Coinvariants equal the declared base and the canonical map is bijective."""
-    axioms = check_comodule_algebra(e.comodule_algebra) + check_extension(e)
+    axioms = check_comodule_algebra(e.comodule_algebra) + e.checks
     bad = [c for c in axioms if not c.ok]
     if bad:
         return Verdict(False, tuple(c.witness or c.name for c in bad))
@@ -413,19 +404,18 @@ def _intertwiner_space(e: Extension) -> list[Mat]:
     dh, db = h.dim, e.base_dim
     eye_h = Mat.identity(field, dh)
     eye_b = Mat.identity(field, db)
-    base_alg = e.base_algebra
-    base_cols = e.base_basis_columns()
-    module_pairs = []
-    for j in range(db):
-        r_on_b = base_alg.right_mult(Mat.basis_vector(field, db, j))
-        r_on_a = a.right_mult(base_cols[j])
-        module_pairs.append((r_on_b.kron(eye_h), r_on_a))
+    # The right actions of B: (b (x) h) b2 = b b2 (x) h and a b2 = a iota(b2).
+    on_domain = bilinear_compose(
+        [(e.base_algebra.mult, db), (eye_h, 1)], Mat.identity(field, db * dh), eye_b
+    )
+    on_a = a.right_mult(e.inclusion)
 
     def defects(f: Mat) -> list[Mat]:
-        out = [rho.mul(f) - f.kron(eye_h).mul(eye_b.kron(h.comult))]
-        for dom_op, cod_op in module_pairs:
-            out.append(f.mul(dom_op) - cod_op.mul(f))
-        return out
+        # Colinear: rho f = (f (x) id)(id (x) Delta), b (x) h |-> f(b (x) h_(1)) (x) h_(2).
+        return [
+            rho.mul(f) - bilinear_compose([(f, dh), (eye_h, dh)], eye_b, h.comult),
+            f.mul(on_domain) - bilinear_compose([(on_a, db)], f, eye_b),
+        ]
 
     return linear_solutions(field, a.dim, db * dh, defects)
 

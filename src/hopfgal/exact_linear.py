@@ -392,9 +392,6 @@ class Mat:
             )
         return Mat._make(self.field, self.rows, other.cols, _mul_rows(self._rows, other._rows))
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return self.mul(other)
-
     def transpose(self) -> "Mat":
         out = [{} for _ in range(self.cols)]
         for i, r in enumerate(self._rows):

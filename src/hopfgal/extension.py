@@ -27,10 +27,9 @@ from .exact_linear import (
     InvariantViolation,
     Mat,
     PreconditionError,
+    bilinear_compose,
     is_bijective,
     kernel,
-    kron_interleaved,
-    permute_legs,
     solve,
 )
 from .hopf_core import (
@@ -44,7 +43,6 @@ from .hopf_core import (
     hopf_equal,
     is_cosemisimple_certified,
     report_ok,
-    tensor_algebra,
     tensor_names,
     trivial_hopf,
     _check_eq,
@@ -168,6 +166,17 @@ class ExtensionMorphism:
         return self.source.field
 
     @cached_property
+    def checks(self) -> list[AxiomCheck]:
+        """The report of check_extension_morphism, which is_cartesian reuses."""
+        return check_extension_morphism(self)
+
+    @cached_property
+    def alpha_coaction(self) -> Mat:
+        """(alpha (x) id) rho: A -> A' (x) H, a |-> alpha(a_(0)) (x) a_(1)."""
+        eye_h = Mat.identity(self.field, self.source.hopf.dim)
+        return self.alpha.kron(eye_h).mul(self.source.comodule_algebra.coaction)
+
+    @cached_property
     def cotensor(self) -> CotensorSpace:
         """A' box^{H'} H, the codomain of kappa and of the mirror map."""
         return CotensorSpace(self.target.dim, self.target.comodule_algebra.coaction, self.chi)
@@ -236,77 +245,56 @@ class CanonicalMapData:
 
 def _pullback_tensor(m: ExtensionMorphism) -> BalancedTensor:
     """B' (x)_B A, with B acting on B' through beta and on A by inclusion."""
-    src, tgt = m.source, m.target
-    base_p = tgt.base_algebra
-    a = src.algebra
-    right_ops = [base_p.right_mult(m.beta.col_vector(j)) for j in range(src.base_dim)]
-    left_ops = [a.left_mult(col) for col in src.base_basis_columns()]
-    return BalancedTensor(m.field, tgt.base_dim, a.dim, right_ops, left_ops)
+    base_p, a = m.target.base_algebra, m.source.algebra
+    return BalancedTensor(base_p.right_mult(m.beta), a.left_mult(m.source.inclusion))
 
 
 def _mirror_tensor(m: ExtensionMorphism) -> BalancedTensor:
     """A (x)_B B', the domain of the mirror map."""
-    src, tgt = m.source, m.target
-    base_p = tgt.base_algebra
-    a = src.algebra
-    right_ops = [a.right_mult(col) for col in src.base_basis_columns()]
-    left_ops = [base_p.left_mult(m.beta.col_vector(j)) for j in range(src.base_dim)]
-    return BalancedTensor(m.field, a.dim, tgt.base_dim, right_ops, left_ops)
+    base_p, a = m.target.base_algebra, m.source.algebra
+    return BalancedTensor(a.right_mult(m.source.inclusion), base_p.left_mult(m.beta))
 
 
 def canonical_map_data(m: ExtensionMorphism) -> CanonicalMapData:
-    src, tgt = m.source, m.target
-    field = m.field
-    a, ap, h = src.algebra, tgt.algebra, src.hopf
-    rho = src.comodule_algebra.coaction
-    eye_h = Mat.identity(field, h.dim)
+    """kappa: B' (x)_B A -> A' box^{H'} H, b' (x) a |-> (iota'(b') (x) 1) alpha(a_(0)) (x) a_(1).
+
+    The product is that of A' on the first leg; on the second, scalars times
+    H, whose table is the identity.
+    """
+    ap, dh = m.target.algebra, m.source.hopf.dim
     bt = _pullback_tensor(m)
-    cot = m.cotensor
-    raw = (
-        ap.mult.kron(eye_h)
-        .mul(tgt.inclusion.kron(m.alpha.kron(eye_h)))
-        .mul(Mat.identity(field, tgt.base_dim).kron(rho))
-    )
-    desc = bt.descend(raw)
-    kappa = solve(cot.embed, desc)
+    factors = [(ap.mult, ap.dim), (Mat.identity(m.field, dh), dh)]
+    raw = bilinear_compose(factors, m.target.inclusion, m.alpha_coaction)
+    kappa = solve(m.cotensor.embed, bt.descend(raw))
     if kappa is None:
         raise InvariantViolation("generalized canonical map leaves the cotensor subspace")
-    return CanonicalMapData(kappa, cot, bt)
+    return CanonicalMapData(kappa, m.cotensor, bt)
 
 
 def mirror_map_data(m: ExtensionMorphism) -> CanonicalMapData:
     """kappa~ : A (x)_B B' -> A' box^{H'} H, a (x) b' |-> alpha(a_(0)) iota'(b') (x) a_(1).
 
-    Defined when the source antipode is invertible.
+    Defined when the source antipode is invertible. The product is that of
+    A' on the first leg; on the second, H times scalars.
     """
-    src, tgt = m.source, m.target
-    h = src.hopf
+    h = m.source.hopf
     if h.antipode_inv is None and antipode_inverse(h) is None:
         raise PreconditionError(
             "mirror canonical map needs an invertible antipode on the source Hopf algebra"
         )
-    field = m.field
-    a, ap = src.algebra, tgt.algebra
-    rho = src.comodule_algebra.coaction
-    dh, dap = h.dim, ap.dim
-    eye_h = Mat.identity(field, dh)
+    ap = m.target.algebra
     bt = _mirror_tensor(m)
-    cot = m.cotensor
-    raw = rho.kron(tgt.inclusion)  # (a0, a1, iota'(b'))
-    raw = m.alpha.kron(Mat.identity(field, dh * dap)).mul(raw)
-    raw = permute_legs(raw, [dap, dh, dap], [0, 2, 1])  # (alpha(a0), iota'(b'), a1)
-    raw = ap.mult.kron(eye_h).mul(raw)
-    desc = bt.descend(raw)
-    kappa_t = solve(cot.embed, desc)
+    factors = [(ap.mult, ap.dim), (Mat.identity(m.field, h.dim), 1)]
+    raw = bilinear_compose(factors, m.alpha_coaction, m.target.inclusion)
+    kappa_t = solve(m.cotensor.embed, bt.descend(raw))
     if kappa_t is None:
         raise InvariantViolation("mirror canonical map leaves the cotensor subspace")
-    return CanonicalMapData(kappa_t, cot, bt)
+    return CanonicalMapData(kappa_t, m.cotensor, bt)
 
 
 def is_cartesian(m: ExtensionMorphism) -> Verdict:
     """Morphism axioms plus bijectivity of the generalized canonical map."""
-    checks = check_extension_morphism(m)
-    bad = [c for c in checks if not c.ok]
+    bad = [c for c in m.checks if not c.ok]
     if bad:
         return Verdict(False, tuple(c.witness or c.name for c in bad))
     data = m.canonical
@@ -338,10 +326,10 @@ def distributive_law(m: ExtensionMorphism) -> Mat:
 
 def _cotensor_algebra(cot: CotensorSpace, ap: AlgebraData, h: HopfData) -> AlgebraData:
     """A' box^{H'} H as a subalgebra of A' (x) H, in the cotensor basis."""
-    ambient = tensor_algebra(ap, h.algebra)
-    mult = cot.coordinates(ambient.mult.mul(cot.embed.kron(cot.embed)))
+    products = bilinear_compose([(ap.mult, ap.dim), (h.mult, h.dim)], cot.embed, cot.embed)
     names = [f"c{i}" for i in range(cot.dim)]
-    return AlgebraData(ap.field, cot.dim, names, mult, cot.coordinates(ambient.unit))
+    unit = cot.coordinates(ap.unit.kron(h.unit))
+    return AlgebraData(ap.field, cot.dim, names, cot.coordinates(products), unit)
 
 
 @dataclass
@@ -364,7 +352,7 @@ class PullbackStructure:
         return check_comodule_algebra(self.comodule_algebra)
 
 
-def pullback_structure(m: ExtensionMorphism, verify: bool = True) -> PullbackStructure:
+def pullback_structure(m: ExtensionMorphism) -> PullbackStructure:
     """Transport the cotensor algebra through kappa onto B' (x)_B A.
 
     Multiplication uses phi to move the A factor past the incoming B'
@@ -400,14 +388,13 @@ def pullback_structure(m: ExtensionMorphism, verify: bool = True) -> PullbackStr
     iota_base = q.projector.mul(eye_bp.kron(a.unit))
     iota_fiber = q.projector.mul(base_p.unit.kron(eye_a))
     j_base = data.cotensor.coordinates(tgt.inclusion.kron(h.unit))
-    j_fiber = data.cotensor.coordinates(m.alpha.kron(eye_h).mul(rho))
+    j_fiber = data.cotensor.coordinates(m.alpha_coaction)
 
     out = PullbackStructure(
         m, induced, data.kappa, data.cotensor, q, phi,
         iota_base, iota_fiber, j_base, j_fiber,
     )
-    if verify:
-        _verify_pullback(out)
+    _verify_pullback(out)
     return out
 
 
@@ -459,13 +446,7 @@ def _verify_pullback(p: PullbackStructure):
         fail("base_map_coinvariant")
 
 
-def induced_algebra_on_pullback(m: ExtensionMorphism) -> ComoduleAlgebra:
-    return pullback_structure(m).comodule_algebra
-
-
-def compose_morphisms(
-    m2: ExtensionMorphism, m1: ExtensionMorphism, verify: bool = True
-) -> ExtensionMorphism:
+def compose_morphisms(m2: ExtensionMorphism, m1: ExtensionMorphism) -> ExtensionMorphism:
     """m2 after m1; verifies the canonical map of the composite factors.
 
     The factorization runs the composite kappa against the chain built from
@@ -478,8 +459,7 @@ def compose_morphisms(
         m1.chi.source, m2.chi.target, m2.chi.matrix.mul(m1.chi.matrix)
     )
     comp = ExtensionMorphism(chi, m2.alpha.mul(m1.alpha), m1.source, m2.target)
-    if verify:
-        _verify_composition(m2, m1, comp)
+    _verify_composition(m2, m1, comp)
     return comp
 
 
@@ -496,29 +476,18 @@ def _verify_composition(m2: ExtensionMorphism, m1: ExtensionMorphism, comp: Exte
     eye = lambda n: Mat.identity(field, n)
 
     # every middle tensor is balanced over B' through beta_2 on the left factor
-    right_ops = [base_pp.right_mult(m2.beta.col_vector(j)) for j in range(dbp)]
+    right = base_pp.right_mult(m2.beta)
 
-    # T0 = B'' (x)_{B'} (B' (x)_B A)
-    q1_left = [
-        d1.domain.descend(
-            d1.domain.projector.mul(
-                base_p.left_mult(Mat.basis_vector(field, dbp, j)).kron(eye(a.dim))
-            )
-        )
-        for j in range(dbp)
-    ]
-    t0 = BalancedTensor(field, dbpp, d1.domain.dim, right_ops, q1_left)
-    embed_a_q1 = d1.domain.projector.mul(base_p.unit.kron(eye(a.dim)))
+    # T0 = B'' (x)_{B'} (B' (x)_B A), B' acting on B' (x)_B A by its product
+    q1 = d1.domain
+    q1_left = bilinear_compose([(base_p.mult, dbp), (eye(a.dim), a.dim)], eye(dbp), q1.section)
+    t0 = BalancedTensor(right, q1.projector.mul(q1_left))
+    embed_a_q1 = q1.projector.mul(base_p.unit.kron(eye(a.dim)))
     iota = dc.domain.descend(t0.projector.mul(eye(dbpp).kron(embed_a_q1)))
 
-    # T1 = B'' (x)_{B'} (A' box^{H'} H)
-    c1_left = [
-        d1.cotensor.coordinates(
-            ap.left_mult(mid.inclusion.col_vector(j)).kron(eye(dh)).mul(d1.cotensor.embed)
-        )
-        for j in range(dbp)
-    ]
-    t1 = BalancedTensor(field, dbpp, d1.cotensor.dim, right_ops, c1_left)
+    # T1 = B'' (x)_{B'} (A' box^{H'} H), B' acting through iota' on the A' leg
+    c1_left = bilinear_compose([(ap.mult, ap.dim), (eye(dh), dh)], mid.inclusion, d1.cotensor.embed)
+    t1 = BalancedTensor(right, d1.cotensor.coordinates(c1_left))
     map01 = t0.descend(t1.projector.mul(eye(dbpp).kron(d1.kappa)))
 
     # Q2 inherits a right H'-coaction from A'
@@ -578,29 +547,24 @@ class PulledModule:
 def f_upper_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PushedModule:
     """Extend scalars along alpha: M |-> M (x)_A A'."""
     _require_module_over(m.source.comodule_algebra, mod, "source")
-    src, tgt = m.source, m.target
+    tgt = m.target
     field = m.field
-    a, ap = src.algebra, tgt.algebra
-    hp = tgt.hopf
-    da, dap, dhp, dm = a.dim, ap.dim, hp.dim, mod.dim
-    eye_m = Mat.identity(field, dm)
+    ap, hp = tgt.algebra, tgt.hopf
+    dap, dhp = ap.dim, hp.dim
+    eye_m = Mat.identity(field, mod.dim)
     eye_ap = Mat.identity(field, dap)
 
-    right_ops = [
-        mod.action.mul(eye_m.kron(Mat.basis_vector(field, da, i))) for i in range(da)
-    ]
-    left_ops = [ap.left_mult(m.alpha.col_vector(i)) for i in range(da)]
-    bt = BalancedTensor(field, dm, dap, right_ops, left_ops)
+    bt = BalancedTensor(mod.action, ap.left_mult(m.alpha))
 
-    act_raw = bt.projector.mul(eye_m.kron(ap.mult))
-    if bt.relations.dim and not act_raw.mul(bt.relations.mat.kron(eye_ap)).is_zero():
+    # (m (x) a') a'' = m (x) a' a'', which must kill the balancing relations
+    acting = [(eye_m, 1), (ap.mult, dap)]
+    if not bt.projector.mul(bilinear_compose(acting, bt.relations.mat, eye_ap)).is_zero():
         raise InvariantViolation("induced action is not balanced over A")
-    act = act_raw.mul(bt.section.kron(eye_ap))
+    act = bt.projector.mul(bilinear_compose(acting, bt.section, eye_ap))
 
-    spread = mod.coaction.kron(tgt.comodule_algebra.coaction)
-    spread = eye_m.kron(m.chi.matrix).kron(Mat.identity(field, dap * dhp)).mul(spread)
-    # (m, h, a', h') -> (m, a', h h')
-    spread = kron_interleaved(Mat.identity(field, dm * dap), hp.mult, dap, dhp).mul(spread)
+    # (m (x) a') |-> (m_(0) (x) a'_(0)) (x) chi(m_(1)) a'_(1)
+    factors = [(eye_m, 1), (eye_ap, dap), (hp.algebra.left_mult(m.chi.matrix), dhp)]
+    spread = bilinear_compose(factors, mod.coaction, tgt.comodule_algebra.coaction)
     coact = bt.descend(bt.projector.kron(Mat.identity(field, dhp)).mul(spread))
 
     module = RelativeHopfModule(tgt.comodule_algebra, bt.dim, act, coact)
@@ -610,22 +574,12 @@ def f_upper_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PushedModule:
 def f_lower_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PulledModule:
     """Cotensor along chi: M' |-> M' box^{H'} H."""
     _require_module_over(m.target.comodule_algebra, mod, "target")
-    src = m.source
-    field = m.field
-    a, h = src.algebra, src.hopf
-    da, dh, dmp = a.dim, h.dim, mod.dim
-    dap = m.target.dim
-    cot = CotensorSpace(dmp, mod.coaction, m.chi)
-    rho = src.comodule_algebra.coaction
-
+    h = m.source.hopf
+    cot = CotensorSpace(mod.dim, mod.coaction, m.chi)
     # (m' (x) h) . a = m' . alpha(a_(0)) (x) h a_(1)
-    step = Mat.identity(field, dmp * dh).kron(rho)
-    step = Mat.identity(field, dmp * dh).kron(m.alpha).kron(Mat.identity(field, dh)).mul(step)
-    # (m', h, a', h') -> (m' a', h h')
-    step = kron_interleaved(mod.action, h.mult, dap, dh).mul(step)
-    act = cot.coordinates(step.mul(cot.embed.kron(Mat.identity(field, da))))
-
-    module = RelativeHopfModule(src.comodule_algebra, cot.dim, act, cot.h_coaction())
+    factors = [(mod.action, m.target.dim), (h.mult, h.dim)]
+    act = cot.coordinates(bilinear_compose(factors, cot.embed, m.alpha_coaction))
+    module = RelativeHopfModule(m.source.comodule_algebra, cot.dim, act, cot.h_coaction())
     return PulledModule(module, cot)
 
 
@@ -780,7 +734,7 @@ class KTopology:
     always present.
     """
 
-    def __init__(self, base: AlgebraData, covers=(), require_galois: bool = True):
+    def __init__(self, base: AlgebraData, covers=()):
         self.base = base
         self.covers: list[Extension] = []
         ident = identity_cover(base)
@@ -789,12 +743,9 @@ class KTopology:
             cov = cov.materialize()
             if not _bases_match(cov.base_algebra, base):
                 raise InputError("cover base does not match the topology base")
-            if require_galois:
-                verdict = is_hopf_galois(cov)
-                if verdict.value is not True:
-                    raise InputError(
-                        "cover is not Hopf-Galois: " + "; ".join(verdict.reasons)
-                    )
+            verdict = is_hopf_galois(cov)
+            if verdict.value is not True:
+                raise InputError("cover is not Hopf-Galois: " + "; ".join(verdict.reasons))
             if extension_equal(cov, ident):
                 found_identity = True
             self.covers.append(cov)

@@ -107,12 +107,18 @@ class AlgebraData:
         return self.mult.mul(v.kron(w))
 
     def left_mult(self, v: Mat) -> Mat:
-        """Matrix of a |-> v*a."""
-        return self.mult.mul(v.kron(Mat.identity(self.field, self.dim)))
+        """Table of the left action B (x) A -> A, b (x) a |-> v(b)*a, for v: B -> A.
+
+        For one column v it is the matrix of a |-> v*a.
+        """
+        return bilinear_compose([(self.mult, self.dim)], v, Mat.identity(self.field, self.dim))
 
     def right_mult(self, v: Mat) -> Mat:
-        """Matrix of a |-> a*v."""
-        return self.mult.mul(Mat.identity(self.field, self.dim).kron(v))
+        """Table of the right action A (x) B -> A, a (x) b |-> a*v(b), for v: B -> A.
+
+        For one column v it is the matrix of a |-> a*v.
+        """
+        return bilinear_compose([(self.mult, self.dim)], Mat.identity(self.field, self.dim), v)
 
     def is_commutative(self) -> bool:
         return self.mult == self.mult.mul(flip(self.field, self.dim, self.dim))

@@ -58,10 +58,6 @@ class LaurentPoly:
                 return c
         return 0
 
-    @property
-    def support(self):
-        return [e for e, _ in self.terms]
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self.terms)
         for e, c in other.terms:

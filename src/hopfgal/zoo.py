@@ -8,7 +8,7 @@ compatibility checks.
 
 from __future__ import annotations
 
-from .exact_linear import Field, Mat, QQ, Subspace, kron_interleaved, permute_legs
+from .exact_linear import Field, Mat, QQ, Subspace, kron_interleaved
 from .hopf_core import (
     AlgebraData,
     Group,
@@ -150,19 +150,6 @@ def self_galois_morphism(h: HopfData) -> ExtensionMorphism:
     base2 = Subspace.from_spanning_columns(Mat.identity(field, d).kron(h.unit))
     tgt = Extension(c2, base2)
     return ExtensionMorphism(HopfMap.identity(h), h.comult, src, tgt)
-
-
-def yd_phi_expected(h: HopfData) -> Mat:
-    """a (x) b' |-> a_(1) b' S(a_(2)) (x) a_(3) on H (x) H, as one matrix."""
-    d = h.dim
-    field = h.field
-    eye = Mat.identity
-    triple = h.comult.kron(eye(field, d)).mul(h.comult)  # (a1, a2, a3)
-    chain = triple.kron(eye(field, d))  # (a1, a2, a3, b')
-    chain = permute_legs(chain, [d, d, d, d], [0, 3, 1, 2])  # (a1, b', a2, a3)
-    chain = eye(field, d * d).kron(h.antipode).kron(eye(field, d)).mul(chain)
-    chain = h.mult.kron(eye(field, d * d)).mul(chain)  # (a1 b', S(a2), a3)
-    return h.mult.kron(eye(field, d)).mul(chain)
 
 
 def cyclic_group_change(n: int, d: int) -> ExtensionMorphism:

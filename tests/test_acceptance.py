@@ -59,6 +59,8 @@ from hopfgal.kring import (
     secondary_identity,
 )
 
+from test_law_differential import yd_phi_expected
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -166,22 +168,22 @@ def test_criterion_05_distributive_law_instances():
     for name, build in CARTESIAN_FIXTURES:
         m = build()
         assert is_cartesian(m).value is True, name
-        # verify=True replays the algebra axioms on B' (x)_B A and the
+        # pullback_structure replays the algebra axioms on B' (x)_B A and the
         # unital-isomorphism identities for kappa, raising on any failure
-        p = pullback_structure(m, verify=True)
+        p = pullback_structure(m)
         assert p.kappa.mul(p.phi) == mirror_map_data(m).kappa, name
         assert is_bijective(p.kappa), name
 
     m = zoo.self_galois_morphism(sweedler_h4())
-    p = pullback_structure(m, verify=False)
-    expected = zoo.yd_phi_expected(with_antipode_inverse(sweedler_h4()))
+    p = pullback_structure(m)
+    expected = yd_phi_expected(with_antipode_inverse(sweedler_h4()))
     assert p.phi == expected, "Sweedler braiding differs from the closed form"
 
     for name, build in CARTESIAN_FIXTURES:
         m = build()
         if not m.target.algebra.is_commutative():
             continue
-        p = pullback_structure(m, verify=False)
+        p = pullback_structure(m)
         da, dbp = m.source.dim, m.target.base_dim
         assert p.phi == flip(QQ, da, dbp), f"{name}: phi is not the flip"
     _report(5, "kappa, phi, Yetter-Drinfeld form, commutative flips")
@@ -295,9 +297,9 @@ def test_criterion_08_composition_factorization():
     for name, m1, m2 in chains:
         if m2 is None:
             m2 = zoo.to_trivial_morphism(m1.target)
-        # verify=True recomputes kappa'' against (kappa' box H) after (B'' (x) kappa)
-        # through the middle identifications and raises on any mismatch
-        comp = compose_morphisms(m2, m1, verify=True)
+        # compose_morphisms recomputes kappa'' against (kappa' box H) after
+        # (B'' (x) kappa) through the middle identifications and raises on any mismatch
+        comp = compose_morphisms(m2, m1)
         assert comp.source is m1.source and comp.target is m2.target, name
     _report(8, "composite canonical maps factor exactly")
 

@@ -27,6 +27,8 @@ from hopfgal.comodule import Verdict
 from hopfgal.exact_linear import QQ
 from hopfgal.hopf_core import sweedler_h4
 
+from test_law_differential import yd_phi_expected
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
 
@@ -343,7 +345,7 @@ class TestPhi:
         r = invoke(["phi", fx("sweedler_self.json"), "--format", "json"])
         assert r.exit_code == 0
         doc = json.loads(r.stdout)
-        expected = zoo.yd_phi_expected(zoo.with_antipode_inverse(sweedler_h4()))
+        expected = yd_phi_expected(zoo.with_antipode_inverse(sweedler_h4()))
         triples = [
             [i, j, QQ.format(expected.entry(i, j))]
             for i in range(expected.rows)

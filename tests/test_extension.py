@@ -20,7 +20,7 @@ from hopfgal.hopf_core import (
     sweedler_h4,
     unit_map,
 )
-from hopfgal.comodule import change_basis, check_comodule_algebra
+from hopfgal.comodule import change_basis, check_comodule_algebra, is_hopf_galois
 from hopfgal.extension import (
     CotensorSpace,
     ExtensionMorphism,
@@ -40,6 +40,7 @@ from hopfgal.extension import (
     pullback_structure,
 )
 from hopfgal import zoo
+from test_law_differential import yd_phi_expected
 
 
 def scalar_algebra():
@@ -152,7 +153,7 @@ class TestDistributiveLaw:
     def test_sweedler_braiding_closed_form(self):
         m = sweedler_self()
         phi = distributive_law(m)
-        assert phi == zoo.yd_phi_expected(m.source.hopf)
+        assert phi == yd_phi_expected(m.source.hopf)
         # and it is genuinely not the flip
         _, data, mirror = distributive_law_data(m)
         swap = flip(QQ, m.source.dim, m.target.base_dim)
@@ -191,6 +192,34 @@ class TestPullbackStructure:
         bad = zoo.base_to_cover_morphism(zoo.trivial_coaction_extension())
         with pytest.raises(PreconditionError):
             pullback_structure(bad)
+
+
+class TestScaledGroupChanges:
+    """Coarsenings of k[Z/32] and k[Z/16] at the default HOPFGAL_MAX_DIM.
+
+    The canonical map, the mirror map and the cotensor algebra are evaluated
+    from the structure tables, so none of these builds an operator past the cap.
+    """
+
+    @pytest.fixture(autouse=True)
+    def default_cap(self, monkeypatch):
+        monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
+
+    @pytest.mark.parametrize("n,d", [(32, 4), (32, 2)])
+    def test_is_cartesian(self, n, d):
+        verdict = is_cartesian(zoo.cyclic_group_change(n, d))
+        assert verdict.value is True, verdict
+
+    @pytest.mark.parametrize("n,d", [(16, 8), (16, 4)])
+    def test_pullback_structure(self, n, d):
+        p = pullback_structure(zoo.cyclic_group_change(n, d))
+        assert p.domain.dim == n * n // d
+        assert is_bijective(p.kappa)
+
+    def test_target_is_galois_over_its_base(self):
+        tgt = zoo.cyclic_group_change(32, 4).target
+        assert tgt.base_dim == 8
+        assert is_hopf_galois(tgt).value is True
 
 
 class TestComposition:

@@ -15,6 +15,7 @@ Re-record only when a report is meant to change:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import sys
@@ -45,7 +46,6 @@ from hopfgal.exact_linear import InputError, InvariantViolation, Mat, QQ, kernel
 from hopfgal.extension import (
     ExtensionMorphism,
     KTopology,
-    PullbackStructure,
     adjunction_triangle_checks,
     check_extension_morphism,
     coinvariant_cotensor_checks,
@@ -238,10 +238,10 @@ def _pullback_cases(out: dict):
     for name in ["identity_q_sqrt2", "cyclic_4_2", "to_trivial_q_sqrt2", "self_galois_QZ2"]:
         m = morphisms[name]
         out[f"pullback_structure/{name}"] = _outcome(lambda: pullback_structure(m) and "ok")
-        p = pullback_structure(m, verify=False)
+        p = pullback_structure(m)
 
         def verify(**changes):
-            changed = PullbackStructure(**{**vars(p), **changes})
+            changed = dataclasses.replace(p, **changes)
             return _outcome(lambda: _verify_pullback(changed) or "ok")
 
         for attr in ["kappa", "iota_base", "iota_fiber", "j_base", "j_fiber"]:

@@ -5,13 +5,16 @@
 instance ``Extension.base_basis_columns``). A change that removes one of
 them passes the rest of the suite and only breaks the benchmark, so this
 test resolves every traced name, installs the tracer once, and builds every
-workload's deck. It only reads ``perfbench/``.
+workload's deck. The catalogue workload counts a report whose bytes differ
+from ``perfbench/golden_catalogue.json`` as a failed op, so every catalogue
+report is checked against its digest here too. It only reads ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -55,3 +58,17 @@ def test_tracer_installs_and_uninstalls():
 def test_workload_deck_builds(workload, tmp_path):
     ops, record = workloads.build(workload, 1, ROOT, tmp_path)
     assert ops
+
+
+def test_catalogue_reports_match_golden_digests(monkeypatch):
+    # worker.py imports its neighbours by their plain names.
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    worker = _load("worker")
+    golden = json.loads(workloads.GOLDEN.read_text())
+    got = {
+        key: workloads.digest(*worker.invoke(hopfgal.cli.main, args))
+        for key, args in workloads.catalogue_commands(ROOT)
+    }
+    assert len(got) == 38
+    assert got == golden

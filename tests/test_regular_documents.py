@@ -1,10 +1,10 @@
 """Generated regular k[G] and k^G documents through the command line.
 
 * The size contract: every Kronecker product that ``check hopf``,
-  ``check comodule-algebra`` and ``check galois`` build is bounded by the
-  largest product the CLI guard checked before any work started, so a
-  document the guard admits cannot overflow later. Wall-clock free: the test
-  records shapes, not times.
+  ``check comodule-algebra``, ``check galois`` and ``bundle`` (with the left
+  regular comodule of H) build is bounded by the largest product the CLI
+  guard checked before any work started, so a document the guard admits
+  cannot overflow later. Wall-clock free: the test records shapes, not times.
 * Planted corruptions: a regular document over F_p with one structure
   constant changed exits 1 and names a witness.
 """
@@ -59,10 +59,18 @@ def regular_document(h, field) -> dict:
 
 
 def invoke(path, command, env=None):
-    return CliRunner().invoke(cli.main, ["check", command, str(path), "--format", "json"], env=env)
+    args = [command] if command == "bundle" else ["check", command]
+    return CliRunner().invoke(cli.main, [*args, str(path), "--format", "json"], env=env)
 
 
 DOCUMENTS = [(kind, n) for n in (4, 8, 9, 16) for kind in BUILDERS] + [("kG", 32)]
+# The guard refuses bundle on k[Z_32]: its cotensor ambient has dimension 32^3.
+SIZE_CASES = [
+    (kind, n, command)
+    for kind, n in DOCUMENTS
+    for command in (*COMMANDS, "bundle")
+    if (n, command) != (32, "bundle")
+]
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +78,17 @@ def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("regular")
     paths = {}
     for kind, n in DOCUMENTS:
+        h = BUILDERS[kind](Group.cyclic(n))
+        doc = regular_document(h, QQ)
+        doc["sections"]["comodule"] = {"dim": n, "coaction": mat_doc(h.comult, QQ)}
+        doc["sections"]["bundle_request"] = {}
         path = root / f"{kind}_{n}.json"
-        path.write_text(json.dumps(regular_document(BUILDERS[kind](Group.cyclic(n)), QQ)))
+        path.write_text(json.dumps(doc))
         paths[kind, n] = path
     return paths
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("kind,n", DOCUMENTS, ids=[f"{k}-{n}" for k, n in DOCUMENTS])
+@pytest.mark.parametrize("kind,n,command", SIZE_CASES, ids=[f"{k}-{n}-{c}" for k, n, c in SIZE_CASES])
 def test_guard_bounds_every_kronecker_product(documents, monkeypatch, kind, n, command):
     monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
     guarded, built = [], []
@@ -106,12 +117,10 @@ def test_guard_bounds_every_kronecker_product(documents, monkeypatch, kind, n, c
     assert max(built, default=0) <= max(guarded), (max(built), max(guarded))
 
 
-# A corrupt coaction makes check galois stop before its report ("coinvariants
-# do not contain the unit"), so galois documents are corrupted in H instead.
 CORRUPTIBLE = {
     "hopf": [("hopf", "mult"), ("hopf", "comult")],
     "comodule-algebra": [("comodule_algebra", "mult"), ("comodule_algebra", "coaction")],
-    "galois": [("hopf", "mult"), ("hopf", "comult")],
+    "galois": [("hopf", "mult"), ("hopf", "comult"), ("comodule_algebra", "coaction")],
 }
 
 
