@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import math
 
 from .exact_linear import (
@@ -49,7 +48,13 @@ from .hopf_core import (
     unital_law,
     _check_eq,
 )
-from .comodule import BalancedTensor, Extension, RelativeHopfModule
+from .comodule import (
+    GRID_BUDGET,
+    BalancedTensor,
+    Extension,
+    RelativeHopfModule,
+    invertible_in_span,
+)
 from .extension import extension_equal
 
 
@@ -304,7 +309,7 @@ def _min_poly(t: Mat) -> list:
         if cols.cols:
             sol = solve(cols, v)
             if sol is not None:
-                return [-sol.entry(i, 0) for i in range(cols.cols)] + [field.one()]
+                return [field.of(-sol.entry(i, 0)) for i in range(cols.cols)] + [field.one()]
         cols = cols.hstack(v)
         power = power.mul(t)
 
@@ -315,7 +320,7 @@ def _poly_roots(coeffs, field) -> list:
     def value_at(r):
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
-            acc = acc * r + c
+            acc = field.of(acc * r + c)
         return acc
 
     if field.is_rational:
@@ -377,7 +382,7 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
         row = []
         for j in range(base.dim):
             image = base.right_mult(Mat.basis_vector(field, base.dim, j)).mul(w)
-            row.append(image.entry(lead, 0) / w.entry(lead, 0))
+            row.append(image.entry(lead, 0) * field.inv(w.entry(lead, 0)))
         chars.append(Mat(field, 1, base.dim, row))
     return chars
 
@@ -423,27 +428,17 @@ def certify_fgp(b: AssociatedBundle) -> FgpReport:
     )
 
 
-def _search_iso(defects, dim: int, field, budget: int) -> Mat | None:
+def _search_iso(defects, dim: int, field) -> Mat | None:
     mats = linear_solutions(field, dim, dim, defects)
     if not mats:
         return None
-    for f in mats:
-        if is_bijective(f):
-            return f
-    values = list(range(dim + 1)) if field.is_rational else list(range(field.p))
-    if len(values) ** len(mats) > budget:
+    f, _, points = invertible_in_span(mats, GRID_BUDGET)
+    if f is None and points > GRID_BUDGET:
         raise PreconditionError(
-            f"bimodule isomorphism search needs {len(values) ** len(mats)} "
-            f"grid evaluations, budget is {budget}"
+            f"bimodule isomorphism search needs {points} "
+            f"grid evaluations, budget is {GRID_BUDGET}"
         )
-    for coeffs in itertools.product(values, repeat=len(mats)):
-        f = Mat.zeros(field, dim, dim)
-        for cf, mbasis in zip(coeffs, mats):
-            if cf:
-                f = f + mbasis.scale(cf)
-        if is_bijective(f):
-            return f
-    return None
+    return f
 
 
 def _bimodule_map_defects(
@@ -475,9 +470,7 @@ class BundleTensorData:
     iso: Mat  # quotient -> bundle coordinates
 
 
-def bundle_tensor_data(
-    b1: AssociatedBundle, b2: AssociatedBundle, budget: int = 200000
-) -> BundleTensorData:
+def bundle_tensor_data(b1: AssociatedBundle, b2: AssociatedBundle) -> BundleTensorData:
     """(A box V1) (x)_B (A box V2) compared with A box (V1 (x) V2).
 
     The multiplication map is the canonical candidate isomorphism; when it is
@@ -510,7 +503,7 @@ def bundle_tensor_data(
     if is_bijective(cand):
         return BundleTensorData(b12, qt, cand)
 
-    iso = _search_iso(_bimodule_map_defects(qt, b1, b2, b12), qt.dim, field, budget)
+    iso = _search_iso(_bimodule_map_defects(qt, b1, b2, b12), qt.dim, field)
     if iso is None:
         raise InvariantViolation(
             "no bimodule isomorphism between the balanced tensor and the "
@@ -519,7 +512,5 @@ def bundle_tensor_data(
     return BundleTensorData(b12, qt, iso)
 
 
-def bundle_tensor(
-    b1: AssociatedBundle, b2: AssociatedBundle, budget: int = 200000
-) -> AssociatedBundle:
-    return bundle_tensor_data(b1, b2, budget).bundle
+def bundle_tensor(b1: AssociatedBundle, b2: AssociatedBundle) -> AssociatedBundle:
+    return bundle_tensor_data(b1, b2).bundle

@@ -304,6 +304,20 @@ def _max_dim() -> int:
         raise SchemaError("HOPFGAL_MAX_DIM", str(e))
 
 
+def _cotensor_products(m) -> dict:
+    """The products ``check cartesian`` builds for a morphism (chi, alpha).
+
+    The cotensor A' box^{H'} H is the equalizer of two maps A' (x) H ->
+    A' (x) H' (x) H.
+    """
+    dap, dh = m.target.dim, m.source.hopf.dim
+    return {
+        "pullback": m.target.base_dim * m.source.dim,
+        "cotensor_ambient": dap * dh,
+        "cotensor_equalizer": dap * m.target.hopf.dim * dh,
+    }
+
+
 def _guard_dims(path: str, **products: int):
     cap = _max_dim()
     for name, p in sorted(products.items()):
@@ -458,11 +472,7 @@ def cmd_check(kind, file, fmt, timings):
             dims = {"algebra": e.dim, "base": e.base_dim, "hopf": e.hopf.dim}
         elif kind == "cartesian":
             m = _parse_morphism(sections, field)
-            _guard_dims(
-                "sections.extension_morphism",
-                pullback=m.target.base_dim * m.source.dim,
-                cotensor_ambient=m.target.dim * m.source.hopf.dim,
-            )
+            _guard_dims("sections.extension_morphism", **_cotensor_products(m))
             verdicts = _verdicts_from_checks(m.checks)
             verdicts.append(_verdict_from_tristate("cartesian", is_cartesian(m)))
             dims = {
@@ -597,10 +607,15 @@ def cmd_phi(file, fmt, timings):
         started = time.perf_counter()
         field, sections = _load_document(file)
         m = _parse_morphism(sections, field)
+        products = _cotensor_products(m)
         _guard_dims(
             "sections.extension_morphism",
-            pullback=m.target.base_dim * m.source.dim,
-            cotensor_ambient=m.target.dim * m.source.hopf.dim,
+            **products,
+            # The multiplication of the pullback B' (x)_B A is built on
+            # (B' (x) A) (x) (B' (x) A), and the H-coaction of the cotensor
+            # solves against embed (x) id_H, on A' (x) H (x) H.
+            pullback_product=products["pullback"] ** 2,
+            cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
         )
         verdict = is_cartesian(m)
         if verdict.value is not True:
@@ -664,6 +679,9 @@ def cmd_bundle(file, fmt, timings):
             _get(obj, "coaction", path, dict, "a matrix"), field, f"{path}.coaction", e.hopf.dim * dim, dim
         )
         _guard_dims(path, cotensor=e.dim * e.hopf.dim * dim)
+        broken = next((c for c in check_comodule_algebra(e.comodule_algebra) if not c.ok), None)
+        if broken is not None:
+            raise InvariantViolation(f"{broken.name}: {broken.witness}")
         rep = LeftComodule(e.hopf, dim, coaction=coaction, names=names)
         verdicts = _verdicts_from_checks(check_left_comodule(rep))
         bundle = cotensor_bundle(e, rep)

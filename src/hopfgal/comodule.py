@@ -420,15 +420,43 @@ def _intertwiner_space(e: Extension) -> list[Mat]:
     return linear_solutions(field, a.dim, db * dh, defects)
 
 
-def has_normal_basis(e: Extension, budget: int = 200000) -> Verdict:
+# Grid points a search for an invertible combination may evaluate.
+GRID_BUDGET = 200000
+
+
+def invertible_in_span(mats: list[Mat], budget: int) -> tuple[Mat | None, tuple | None, int]:
+    """Search the span of nonempty square matrices for an invertible one.
+
+    Each basis matrix is tried first, then, unless the grid has more than
+    budget points, every combination sum(c_k m_k) with c_k in {0..n} over Q
+    (n the size of the matrices) or in all of F_p. The determinant of a
+    combination has degree at most n in each c_k, so it vanishes on that grid
+    only if it vanishes everywhere. Returns the matrix found (None if none),
+    its grid coefficients (None for a basis matrix) and the grid size.
+    """
+    field, n = mats[0].field, mats[0].rows
+    values = range(n + 1) if field.is_rational else range(field.p)
+    points = len(values) ** len(mats)
+    for f in mats:
+        if is_bijective(f):
+            return f, None, points
+    if points <= budget:
+        for coeffs in itertools.product(values, repeat=len(mats)):
+            f = Mat.zeros(field, n, n)
+            for c, m in zip(coeffs, mats):
+                if c:
+                    f = f + m.scale(c)
+            if is_bijective(f):
+                return f, coeffs, points
+    return None, None, points
+
+
+def has_normal_basis(e: Extension, budget: int = GRID_BUDGET) -> Verdict:
     """Search for an invertible right-B-linear H-comodule map B (x) H -> A.
 
-    The solution space of the linear constraints is computed exactly; on it,
-    invertibility of a combination sum(c_k f_k) is a determinant polynomial of
-    per-variable degree at most dim A, so evaluating on the integer grid
-    {0..dim A}^s decides nonvanishing (over F_p the grid is all of F_p^s, every
-    map in the space). If the grid exceeds the budget the verdict is undecided
-    rather than guessed.
+    The solution space of the linear constraints is computed exactly and
+    searched with ``invertible_in_span``. If its grid exceeds the budget the
+    verdict is undecided rather than guessed.
     """
     e_mat = e.materialize()
     da = e_mat.dim
@@ -442,32 +470,24 @@ def has_normal_basis(e: Extension, budget: int = 200000) -> Verdict:
     s = len(mats)
     if s == 0:
         return Verdict(False, ("only the zero intertwiner exists",))
-    for f in mats:
-        if is_bijective(f):
-            return Verdict(True, (f"invertible intertwiner found (solution space dimension {s})",))
-    field = e_mat.field
-    values = list(range(da + 1)) if field.is_rational else list(range(field.p))
-    total = len(values) ** s
-    if total > budget:
+    f, coeffs, points = invertible_in_span(mats, budget)
+    if f is not None and coeffs is None:
+        return Verdict(True, (f"invertible intertwiner found (solution space dimension {s})",))
+    if f is not None:
+        return Verdict(True, (f"invertible combination at coefficients {coeffs}",))
+    if points > budget:
         return Verdict(
             None,
             (
-                f"solution space dimension {s} needs {total} grid evaluations, "
+                f"solution space dimension {s} needs {points} grid evaluations, "
                 f"budget is {budget}",
             ),
         )
-    for coeffs in itertools.product(values, repeat=s):
-        f = Mat.zeros(field, da, dom)
-        for c, m in zip(coeffs, mats):
-            if c:
-                f = f + m.scale(c)
-        if is_bijective(f):
-            return Verdict(True, (f"invertible combination at coefficients {coeffs}",))
     return Verdict(
         False,
         (
             f"determinant vanishes on the full certificate grid "
-            f"({total} points, solution space dimension {s})",
+            f"({points} points, solution space dimension {s})",
         ),
     )
 

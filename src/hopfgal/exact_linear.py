@@ -15,6 +15,10 @@ Conventions used by the whole package:
   ``kron`` realizes maps between tensor products in this indexing.
 * Subspaces are stored via their reduced-echelon basis, so two subspaces are
   equal iff their stored matrices are equal.
+* A scalar of Q is a ``Fraction`` and a scalar of F_p a plain int in
+  ``[0, p)``. The kernels compute with the native operators whatever the
+  field, and ``Mat._make`` reduces the F_p entries of every result, so a
+  stored entry is always canonical and nonzero.
 
 No floating point is used anywhere.
 """
@@ -58,74 +62,6 @@ def max_tensor_dim() -> int:
     return val
 
 
-class FpScalar:
-    """An element of F_p. Arithmetic stays inside one fixed modulus."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise InputError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpScalar(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpScalar(self.p, self.v - o.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpScalar(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpScalar(self.p, self.v * pow(o.v, -1, self.p))
-
-    def __neg__(self):
-        return FpScalar(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -140,19 +76,16 @@ def _is_prime(n: int) -> bool:
 class Field:
     """The ground field: the rationals or a prime field F_p.
 
-    ``of`` coerces ints, Fractions and field elements; ``parse``/``format``
-    handle the "num/den" wire representation used by the JSON schema.
+    ``of`` coerces ints and Fractions into field elements (see the module
+    docstring); ``parse``/``format`` handle the "num/den" wire representation
+    used by the JSON schema.
     """
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise InputError(f"modulus {p} is not prime")
         self.p = p
-        # Scalars are never mutated, so one zero and one one serve every caller.
-        if p is None:
-            self._zero, self._one = Fraction(0), Fraction(1)
-        else:
-            self._zero, self._one = FpScalar(p, 0), FpScalar(p, 1)
+        self._zero, self._one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
 
     @property
     def is_rational(self) -> bool:
@@ -165,27 +98,36 @@ class Field:
         return self._one
 
     def of(self, x):
-        if self.p is None:
+        p = self.p
+        if p is None:
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, int):
                 return Fraction(x)
-            if isinstance(x, FpScalar):
-                raise InputError("prime-field scalar in a rational matrix")
             raise InputError(f"cannot coerce {x!r} into Q")
-        if isinstance(x, FpScalar):
-            if x.p != self.p:
-                raise InputError(f"wrong modulus: {x.p} vs {self.p}")
-            return x
         if isinstance(x, int):
-            return FpScalar(self.p, x)
+            return x % p
         if isinstance(x, Fraction):
-            num = x.numerator % self.p
-            den = x.denominator % self.p
+            den = x.denominator % p
             if den == 0:
-                raise InputError(f"denominator of {x} vanishes mod {self.p}")
-            return FpScalar(self.p, num * pow(den, -1, self.p))
-        raise InputError(f"cannot coerce {x!r} into F_{self.p}")
+                raise InputError(f"denominator of {x} vanishes mod {p}")
+            return x.numerator * pow(den, -1, p) % p
+        raise InputError(f"cannot coerce {x!r} into F_{p}")
+
+    def inv(self, x):
+        """The inverse of a nonzero element."""
+        return self._one / x if self.p is None else pow(x, -1, self.p)
+
+    def canonical_rows(self, rows: list) -> list:
+        """Sparse rows with every entry reduced into the field and zeros dropped.
+
+        Over Q the rows are returned as they are: a ``Fraction`` is already
+        canonical, and the kernels drop the zeros they make.
+        """
+        p = self.p
+        if p is None:
+            return rows
+        return [{j: y for j, x in r.items() if (y := x % p)} for r in rows]
 
     def parse(self, s: str):
         """Parse "num" or "num/den" into a field element."""
@@ -205,12 +147,7 @@ class Field:
         raise InputError(f"unparsable scalar {s!r}")
 
     def format(self, x) -> str:
-        x = self.of(x)
-        if self.p is None:
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
-        return str(x.v)
+        return str(self.of(x))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -261,8 +198,9 @@ class Mat:
 
     @staticmethod
     def _make(field: Field, rows: int, cols: int, row_dicts: list) -> "Mat":
+        """The constructor every kernel ends in; it canonicalizes the rows."""
         m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols, m._rows = field, rows, cols, row_dicts
+        m.field, m.rows, m.cols, m._rows = field, rows, cols, field.canonical_rows(row_dicts)
         return m
 
     @staticmethod
@@ -440,7 +378,8 @@ class Mat:
         """
         rows = list(self._rows)
         nr, nc = self.rows, self.cols
-        one = self.field.one()
+        field = self.field
+        p = field.p
         pivots = []
         r = 0
         for c in range(nc):
@@ -450,9 +389,9 @@ class Mat:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             prow = rows[r]
             pv = prow[c]
-            if pv != one:
-                inv = one / pv
-                prow = rows[r] = {j: inv * x for j, x in prow.items()}
+            if pv != 1:
+                inv = field.inv(pv)
+                prow = rows[r] = field.canonical_rows([{j: inv * x for j, x in prow.items()}])[0]
             for i in range(nr):
                 f = rows[i].get(c) if i != r else None
                 if f is None:
@@ -461,6 +400,9 @@ class Mat:
                 for j, y in prow.items():
                     v = row.get(j)
                     v = -(f * y) if v is None else v - f * y
+                    if p:
+                        # The pivot search tests membership, so no entry may be 0 mod p.
+                        v %= p
                     if v:
                         row[j] = v
                     else:
@@ -819,16 +761,18 @@ def quotient(ambient_dim: int, relations: Subspace) -> tuple[int, Mat, Mat]:
             f"relations live in dimension {relations.ambient_dim}, expected {ambient_dim}"
         )
     field = relations.field
-    rel_rows = relations.mat.transpose()  # rows are the echelon basis vectors
-    red, pivots = rel_rows.rref()
+    # Transposed, the basis of a Subspace is the nonzero rows of a reduced row
+    # echelon form, so the first column of each row is its pivot.
+    echelon = relations.mat.transpose()._rows
+    pivots = [min(row) for row in echelon]
     pivot_set = set(pivots)
     free = {c: qi for qi, c in enumerate(c for c in range(ambient_dim) if c not in pivot_set)}
     qdim = len(free)
     one = field.one()
     # Reduce e_c modulo the relation rows, then read off free coordinates.
     proj_rows = [{c: one} for c in free]
-    for r, c in enumerate(pivots):
-        for fc, x in red._rows[r].items():
+    for row, c in zip(echelon, pivots):
+        for fc, x in row.items():
             if fc in free:
                 proj_rows[free[fc]][c] = -x
     section_rows = [{free[c]: one} if c in free else {} for c in range(ambient_dim)]

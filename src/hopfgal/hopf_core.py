@@ -490,11 +490,15 @@ class Group:
         return Group(labels, table)
 
 
-def build_group_algebra(g: Group, field: Field = QQ, max_order: int = 512) -> HopfData:
+# The largest group the two group-algebra builders accept.
+MAX_GROUP_ORDER = 512
+
+
+def build_group_algebra(g: Group, field: Field = QQ) -> HopfData:
     """The group algebra kG: basis g, grouplike comultiplication, S(g)=g^{-1}."""
     n = g.order
-    if n > max_order:
-        raise InputError(f"group order {n} exceeds bound {max_order}")
+    if n > MAX_GROUP_ORDER:
+        raise InputError(f"group order {n} exceeds bound {MAX_GROUP_ORDER}")
     one = field.one()
     mult = Mat.from_entries(
         field, n, n * n, {(g.table[i][j], i * n + j): one for i in range(n) for j in range(n)}
@@ -509,11 +513,11 @@ def build_group_algebra(g: Group, field: Field = QQ, max_order: int = 512) -> Ho
     )
 
 
-def build_dual_group_algebra(g: Group, field: Field = QQ, max_order: int = 512) -> HopfData:
+def build_dual_group_algebra(g: Group, field: Field = QQ) -> HopfData:
     """The function algebra k^G: delta-function basis, convolution comult."""
     n = g.order
-    if n > max_order:
-        raise InputError(f"group order {n} exceeds bound {max_order}")
+    if n > MAX_GROUP_ORDER:
+        raise InputError(f"group order {n} exceeds bound {MAX_GROUP_ORDER}")
     labels = [f"d_{lbl}" for lbl in g.labels]
     one = field.one()
     mult = Mat.from_entries(field, n, n * n, {(i, i * n + i): one for i in range(n)})

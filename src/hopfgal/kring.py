@@ -424,16 +424,12 @@ class AugmentationCertificate:
     note: str
 
 
-def augmentation_surjective(
-    n: int, bound: int | None = None, generators=None
-) -> AugmentationCertificate:
+def augmentation_surjective(n: int, generators=None) -> AugmentationCertificate:
     """Does the ring action on the distinguished element hit the whole lattice?
 
     By default the generators are the images of t^0..t^n acting on [L_0];
     a custom generator list replaces them (used for negative controls).
-    The bound parameter is reserved for non-free module models.
     """
-    del bound
     if n < 0:
         raise InputError("degree must be nonnegative")
     if generators is None:

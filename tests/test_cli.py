@@ -24,10 +24,11 @@ from click.testing import CliRunner
 from hopfgal import zoo
 from hopfgal.cli import _exit_code, _format_shifted, _verdict_from_tristate, main
 from hopfgal.comodule import Verdict
-from hopfgal.exact_linear import QQ
-from hopfgal.hopf_core import sweedler_h4
+from hopfgal.exact_linear import QQ, Field
+from hopfgal.hopf_core import Group, build_group_algebra, sweedler_h4
 
 from test_law_differential import yd_phi_expected
+from test_regular_documents import mat_doc, regular_document
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -394,6 +395,24 @@ class TestBundle:
         r = invoke(["bundle", fx("bundle_sign_qsqrt2.json")])
         assert r.exit_code == 0
         assert "fgp: kind=field rank=1" in r.stdout
+
+    def test_refuses_a_comodule_algebra_that_breaks_a_law(self, tmp_path):
+        # Regular k[Z_2] over F_2 with its declared base; the coaction loses e -> e (x) e.
+        field = Field(2)
+        h = build_group_algebra(Group.cyclic(2), field)
+        doc = regular_document(h, field)
+        doc["sections"]["comodule"] = {"dim": 2, "coaction": mat_doc(h.comult, field)}
+        doc["sections"]["bundle_request"] = {}
+        doc["sections"]["comodule_algebra"]["coaction"]["triples"].remove([0, 0, "1"])
+        p = tmp_path / "corrupt.json"
+        p.write_text(json.dumps(doc))
+        r = invoke(["bundle", str(p)])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == (
+            "failed: coaction_counital: coaction_counital fails at basis (e): "
+            "coefficient of (e) is 0 on the left, 1 on the right\n"
+        )
 
     def test_requires_marker_section(self, tmp_path):
         doc = json.load(open(fx("bundle_sign_qsqrt2.json")))

@@ -803,7 +803,7 @@ def ref_bundle_iso(b1, b2, b12):
     cand = solve(b12.embed, qt.descend(raw))
     if is_bijective(cand):
         return cand
-    iso = _search_iso(ref_bimodule_map_defects(qt, b1, b2, b12), qt.dim, b12.extension.field, 200000)
+    iso = _search_iso(ref_bimodule_map_defects(qt, b1, b2, b12), qt.dim, b12.extension.field)
     if iso is None:
         raise InvariantViolation(
             "no bimodule isomorphism between the balanced tensor and the cotensor bundle was found"

@@ -7,7 +7,8 @@ them passes the rest of the suite and only breaks the benchmark, so this
 test resolves every traced name, installs the tracer once, and builds every
 workload's deck. The catalogue workload counts a report whose bytes differ
 from ``perfbench/golden_catalogue.json`` as a failed op, so every catalogue
-report is checked against its digest here too. It only reads ``perfbench/``.
+report is checked against its digest here too, and every op of the seed 1
+``regular_scaled`` deck against its check. It only reads ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -72,3 +73,13 @@ def test_catalogue_reports_match_golden_digests(monkeypatch):
     }
     assert len(got) == 38
     assert got == golden
+
+
+def test_regular_scaled_deck_passes_every_check(monkeypatch, tmp_path):
+    # The deck's F_p documents and planted corruptions are checked nowhere else.
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    worker = _load("worker")
+    ops, _ = workloads.build("regular_scaled", 1, ROOT, tmp_path)
+    results = [worker.invoke(hopfgal.cli.main, op.args) for op in ops]
+    assert worker.failed_checks(ops, results) == []

@@ -4,14 +4,19 @@
   ``check comodule-algebra``, ``check galois`` and ``bundle`` (with the left
   regular comodule of H) build is bounded by the largest product the CLI
   guard checked before any work started, so a document the guard admits
-  cannot overflow later. Wall-clock free: the test records shapes, not times.
+  cannot overflow later. ``check cartesian`` and ``phi`` on the coarsenings
+  ``cyclic_group_change(n, d)`` either stop at the guard, naming the
+  morphism's path, or keep to the same bound. Wall-clock free: the test
+  records shapes, not times.
 * Planted corruptions: a regular document over F_p with one structure
   constant changed exits 1 and names a witness.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
 import sys
 
 import pytest
@@ -59,7 +64,7 @@ def regular_document(h, field) -> dict:
 
 
 def invoke(path, command, env=None):
-    args = [command] if command == "bundle" else ["check", command]
+    args = [command] if command in ("bundle", "phi") else ["check", command]
     return CliRunner().invoke(cli.main, [*args, str(path), "--format", "json"], env=env)
 
 
@@ -88,8 +93,9 @@ def documents(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("kind,n,command", SIZE_CASES, ids=[f"{k}-{n}-{c}" for k, n, c in SIZE_CASES])
-def test_guard_bounds_every_kronecker_product(documents, monkeypatch, kind, n, command):
+def invoke_recording_sizes(monkeypatch, path, command):
+    """Run a command; returns its result, the products the guard checked and
+    the width of every Kronecker product built."""
     monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
     guarded, built = [], []
     guard = cli._guard_dims
@@ -110,10 +116,52 @@ def test_guard_bounds_every_kronecker_product(documents, monkeypatch, kind, n, c
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("hopfgal") and hasattr(module, "kron_interleaved"):
             monkeypatch.setattr(module, "kron_interleaved", recording_kron)
-    r = invoke(documents[kind, n], command)
+    return invoke(path, command), guarded, built
+
+
+@pytest.mark.parametrize("kind,n,command", SIZE_CASES, ids=[f"{k}-{n}-{c}" for k, n, c in SIZE_CASES])
+def test_guard_bounds_every_kronecker_product(documents, monkeypatch, kind, n, command):
+    r, guarded, built = invoke_recording_sizes(monkeypatch, documents[kind, n], command)
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
     assert guarded
+    assert max(built, default=0) <= max(guarded), (max(built), max(guarded))
+
+
+COARSENINGS = [(n, d) for n in (8, 16, 32) for d in range(2, n) if n % d == 0]
+MORPHISM_CASES = [(n, d, command) for n, d in COARSENINGS for command in ("cartesian", "phi")]
+# The cases the guard refuses at the default cap; every other one passes.
+REFUSED = {(16, 2, "phi"), (32, 2, "phi"), (32, 4, "phi")} | {
+    (32, d, command) for d in (8, 16) for command in ("cartesian", "phi")
+}
+
+
+@pytest.fixture(scope="module")
+def coarsenings(tmp_path_factory):
+    """cyclic_group_change(n, d) documents, serialized as the fixtures are."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("generate_fixtures", root / "scripts" / "generate_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = tmp_path_factory.mktemp("coarsenings")
+    paths = {}
+    for n, d in COARSENINGS:
+        paths[n, d] = out / f"cyclic_{n}_{d}.json"
+        paths[n, d].write_text(json.dumps(gen.document(gen.morphism_sections(zoo.cyclic_group_change(n, d)))))
+    return paths
+
+
+@pytest.mark.parametrize("n,d,command", MORPHISM_CASES, ids=[f"{n}-{d}-{c}" for n, d, c in MORPHISM_CASES])
+def test_guard_refuses_or_bounds_morphism_commands(coarsenings, monkeypatch, n, d, command):
+    r, guarded, built = invoke_recording_sizes(monkeypatch, coarsenings[n, d], command)
+    assert guarded
+    assert (r.exit_code == 2) == ((n, d, command) in REFUSED), r.output
+    if r.exit_code == 2:
+        assert r.stderr.startswith("error at sections.extension_morphism: "), r.stderr
+        assert not built, max(built)
+        return
+    assert r.exit_code == 0, r.output
+    assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
     assert max(built, default=0) <= max(guarded), (max(built), max(guarded))
 
 

@@ -14,9 +14,21 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfgal.exact_linear import Field, InputError, Mat, QQ, kron_interleaved, permute_legs
+from hopfgal.exact_linear import (
+    Field,
+    InputError,
+    Mat,
+    QQ,
+    bilinear_compose,
+    kernel,
+    kron_interleaved,
+    permute_legs,
+    quotient,
+    solve,
+)
 
-FIELDS = [QQ, Field(2), Field(3), Field(7)]
+# 40009 lies in the range the benchmark draws its primes from.
+FIELDS = [QQ, Field(2), Field(3), Field(7), Field(40009)]
 
 
 class Dense:
@@ -228,3 +240,38 @@ def test_explicit_zeros_do_not_change_equality_or_hash(data):
     for cancelled in (m3 + m3.scale(-1), m3.hstack(-m3).mul(eye.vstack(eye))):
         assert cancelled == zero
         assert hash(cancelled) == hash(zero)
+
+
+def assert_canonical(m: Mat):
+    p = m.field.p
+    for row in m._rows:
+        assert all(type(x) is int and 0 < x < p for x in row.values()), row
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prime_field_kernels_store_ints_reduced_mod_p(data):
+    field = data.draw(st.sampled_from([Field(2), Field(7), Field(40009)]))
+    a, r, k = data.draw(sparse_grid(field))
+    b, _, c = data.draw(sparse_grid(field, rows=k))
+    e, _, _ = data.draw(sparse_grid(field, rows=r, cols=k))
+    ma, mb, me = to_mat(field, a, r, k), to_mat(field, b, k, c), to_mat(field, e, r, k)
+    dx, dy = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    table, dz, _ = data.draw(sparse_grid(field, cols=dx * dy))
+    f, _, n1 = data.draw(sparse_grid(field, rows=dx))
+    g, _, n2 = data.draw(sparse_grid(field, rows=dy))
+    mf, mg = to_mat(field, f, dx, n1), to_mat(field, g, dy, n2)
+    results = [
+        ma.mul(mb),
+        kron_interleaved(ma, mf, 1, max(n1, 1)),
+        bilinear_compose([(to_mat(field, table, dz, dx * dy), dy)], mf, mg),
+        ma + me,
+        ma - me,
+        ma.scale(data.draw(st.integers(-3, 3))),
+        ma.rref()[0],
+        kernel(ma).mat,
+        solve(ma, ma.mul(mb)),
+        *quotient(k, kernel(ma))[1:],
+    ]
+    for m in results:
+        assert_canonical(m)
