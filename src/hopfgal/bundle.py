@@ -42,6 +42,7 @@ from .hopf_core import (
     antipode_inverse,
     associative_law,
     coassociative_law,
+    comodule_map_law,
     counital_law,
     hopf_equal,
     tensor_names,
@@ -122,7 +123,10 @@ def grouplike_character(h: HopfData, g: Mat) -> LeftComodule:
     """The one-dimensional comodule v |-> g (x) v of a grouplike element."""
     if (g.rows, g.cols) != (h.dim, 1):
         raise InputError("grouplike must be a column of H")
-    if h.comult.mul(g) != g.kron(g) or h.counit.mul(g) != Mat.identity(h.field, 1):
+    # Delta(g) = g (x) g says that g: k -> H is a comodule map, k coacting on itself.
+    one = Mat.identity(h.field, 1)
+    comultiplicative = comodule_map_law("grouplike", h.comult, g, g, one, ["1"], (h.basis_names,) * 2)
+    if not comultiplicative.ok or h.counit.mul(g) != one:
         raise InputError("element is not grouplike")
     return LeftComodule(h, 1, coaction=g)
 
@@ -270,9 +274,8 @@ def check_associated_bundle(b: AssociatedBundle) -> list[AxiomCheck]:
     e = b.extension
     field = e.field
     base = e.base_algebra
-    db, dim = base.dim, b.dim
-    eye_b = Mat.identity(field, db)
-    x = [f"x{i}" for i in range(dim)]
+    eye_b = Mat.identity(field, base.dim)
+    x = [f"x{i}" for i in range(b.dim)]
     right, left = b.right_action, b.left_action
     return [
         unital_law("right_unital", right, base, x, labels=x),
@@ -281,8 +284,8 @@ def check_associated_bundle(b: AssociatedBundle) -> list[AxiomCheck]:
         associative_law("left_associative", left, base, x, side="left", labels=x),
         _check_eq(
             "bimodule_compatible",
-            left.mul(eye_b.kron(right)),
-            right.mul(left.kron(eye_b)),
+            bilinear_compose([(left, b.dim)], eye_b, right),
+            bilinear_compose([(right, base.dim)], left, eye_b),
             tensor_names(base.basis_names, x, base.basis_names),
             x,
         ),

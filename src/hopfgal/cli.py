@@ -225,7 +225,10 @@ def _parse_extension_parts(hopf_obj, ca_obj, ext_obj, field: Field, path: str) -
             raise SchemaError(f"{path}.extension", "expected an object")
         _warn_unknown(ext_obj, {"base_columns"}, f"{path}.extension")
         base = _parse_base_columns(ext_obj, field, c.algebra.dim, f"{path}.extension")
-    return Extension(c, base) if base is not None else Extension(c)
+    if base is None:
+        # Extension then computes the coinvariants, a kernel on A (x) H, before any guard runs.
+        _guard_dims(f"{path}.comodule_algebra", coaction=c.algebra.dim * hopf.dim)
+    return Extension(c, base)
 
 
 def _parse_extension_object(obj, field: Field, path: str) -> Extension:
@@ -681,7 +684,7 @@ def cmd_bundle(file, fmt, timings):
         _guard_dims(path, cotensor=e.dim * e.hopf.dim * dim)
         broken = next((c for c in check_comodule_algebra(e.comodule_algebra) if not c.ok), None)
         if broken is not None:
-            raise InvariantViolation(f"{broken.name}: {broken.witness}")
+            raise InvariantViolation(broken.witness or broken.name)
         rep = LeftComodule(e.hopf, dim, coaction=coaction, names=names)
         verdicts = _verdicts_from_checks(check_left_comodule(rep))
         bundle = cotensor_bundle(e, rep)

@@ -1,46 +1,41 @@
-"""Each derived structure is computed once per command.
+"""Each derived structure is computed once per command, and no law check
+builds a Kronecker product.
 
 The count of calls into the expensive steps is deterministic, so these pins
 are wall-clock free. Each wrapped function is replaced in every hopfgal
-module that binds it, because the modules import one another's functions by
-name; a method or a class is wrapped on the class. The same wrapping records
-the widest Kronecker product a command builds, max(rows, cols), as in
-``tests/test_regular_documents.py``.
+module that binds it (the ``rebind`` fixture of ``tests/conftest.py``); a
+method or a class is wrapped on the class. The ``kron_recorder`` fixture
+counts the Kronecker products a command builds and records the widest,
+max(rows, cols).
 """
 
 from __future__ import annotations
 
 import pathlib
-import sys
 from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from hopfgal import cli, comodule, exact_linear, extension, hopf_core
+from hopfgal import bundle, cli, comodule, exact_linear, extension, hopf_core
+from hopfgal.exact_linear import Field, InputError, Mat
+from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra, sweedler_h4
+from test_cli import APPLICABLE
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture
-def calls(monkeypatch):
+def calls(monkeypatch, rebind):
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    kron = exact_linear.kron_interleaved
-
-    def widest(f, g, f_right, g_right):
-        out = kron(f, g, f_right, g_right)
-        counts["widest_kron"] = max(counts["widest_kron"], out.rows, out.cols)
-        return out
-
-    modules = [m for n, m in sys.modules.items() if n.startswith("hopfgal.")]
     for home, name in (
         (exact_linear, "kernel"),
         (comodule, "check_comodule_algebra"),
@@ -48,19 +43,13 @@ def calls(monkeypatch):
         (hopf_core, "check_hopf_map"),
     ):
         fn = getattr(home, name)
-        for module in modules:
-            if vars(module).get(name) is fn:
-                monkeypatch.setattr(module, name, counting(name, fn))
-    # Every module that calls kron_interleaved by name, Mat.kron included.
-    for module in modules:
-        if vars(module).get("kron_interleaved") is kron:
-            monkeypatch.setattr(module, "kron_interleaved", widest)
+        rebind(fn, counting(counts, name, fn))
     for owner, attr, name in (
         (exact_linear.Mat, "rank", "rank"),
         (comodule.Extension, "base_mult", "base_mult"),
         (extension.CotensorSpace, "__init__", "CotensorSpace"),
     ):
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+        monkeypatch.setattr(owner, attr, counting(counts, name, getattr(owner, attr)))
     return counts
 
 
@@ -84,6 +73,17 @@ WIDEST_KRON = {
 }
 
 
+# Every law is evaluated from the structure tables too (2, 6, 22 and 6
+# products before); what is left are the cotensor equalizer, the pullback
+# and maps that mix legs.
+KRON_CALLS = {
+    "check hopf hopf_sweedler.json": 0,
+    "check cartesian sweedler_self.json": 4,
+    "phi sweedler_self.json": 18,
+    "bundle bundle_regular_sweedler.json": 4,
+}
+
+
 def invoke(line):
     *command, name = line.split()
     result = CliRunner().invoke(cli.main, [*command, str(FIXTURES / name)])
@@ -97,6 +97,58 @@ def test_each_structure_is_derived_once(calls, line):
 
 
 @pytest.mark.parametrize("line", WIDEST_KRON)
-def test_widest_kronecker_product(calls, line):
+def test_widest_kronecker_product(kron_recorder, line):
     invoke(line)
-    assert 0 < calls["widest_kron"] <= WIDEST_KRON[line]
+    assert 0 < kron_recorder.widest <= WIDEST_KRON[line]
+
+
+@pytest.mark.parametrize("line", KRON_CALLS)
+def test_kronecker_products_per_command(kron_recorder, line):
+    invoke(line)
+    assert kron_recorder.calls == KRON_CALLS[line]
+
+
+LAW_CHECKS = (
+    (hopf_core, "check_hopf"),
+    (hopf_core, "check_hopf_map"),
+    (comodule, "check_comodule_algebra"),
+    (comodule, "check_relative_hopf_module"),
+    (extension, "check_extension_morphism"),
+    (bundle, "check_associated_bundle"),
+    (hopf_core, "antipode_inverse"),
+    (bundle, "grouplike_character"),
+)
+
+
+def test_no_law_check_builds_a_kronecker_product(rebind, kron_recorder):
+    runs, building = Counter(), Counter()
+
+    def watching(name, fn):
+        def wrapper(*args, **kwargs):
+            before = kron_recorder.calls
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                runs[name] += 1
+                building[name] += kron_recorder.calls != before
+
+        return wrapper
+
+    for home, name in LAW_CHECKS:
+        fn = getattr(home, name)
+        rebind(fn, watching(name, fn))
+    for fixture, commands in sorted(APPLICABLE.items()):
+        for command in commands:
+            CliRunner().invoke(cli.main, [*command, str(FIXTURES / fixture)])
+    # No command reaches grouplike_character, and antipode_inverse only where
+    # a document gives no inverse; call both on the zoo.
+    zoo = (sweedler_h4(), build_group_algebra(Group.symmetric(3)), build_dual_group_algebra(Group.cyclic(3), Field(5)))
+    for h in zoo:
+        bundle.antipode_inverse(h)
+        for i in range(h.dim):
+            try:
+                bundle.grouplike_character(h, Mat.basis_vector(h.field, h.dim, i))
+            except InputError:
+                pass
+    assert set(runs) == {name for _, name in LAW_CHECKS}
+    assert not +building, building

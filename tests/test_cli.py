@@ -410,7 +410,7 @@ class TestBundle:
         assert r.exit_code == 1
         assert r.stdout == ""
         assert r.stderr == (
-            "failed: coaction_counital: coaction_counital fails at basis (e): "
+            "failed: coaction_counital fails at basis (e): "
             "coefficient of (e) is 0 on the left, 1 on the right\n"
         )
 

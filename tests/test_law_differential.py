@@ -14,9 +14,18 @@ The maps of extension morphisms, modules and bundles are checked the same
 way: each against its Kronecker and ``permute_legs`` formulation, with every
 balanced tensor built from one relation block per base vector and every
 bundle action from one solve per base vector.
+
+So are the laws of one shape, co' f = (f (x) g) co, and the antipode
+convolutions: the Hopf and comodule-algebra reports, the flipped antipode
+identities, Hopf maps, the coactions of extension morphisms, the pullback
+verification, the bimodule law of bundles and the grouplike test, each
+against its formulation with S (x) id, f (x) f, alpha (x) chi, kappa (x) id
+or id_B (x) right materialized.
 """
 
+import dataclasses
 from fractions import Fraction
+import functools
 import pathlib
 
 import pytest
@@ -24,9 +33,11 @@ from hypothesis import given, settings, strategies as st
 
 from hopfgal import cli, zoo
 from hopfgal.bundle import (
+    AssociatedBundle,
     _bimodule_map_defects,
     _search_iso,
     bundle_tensor_data,
+    check_associated_bundle,
     comodule_tensor,
     cotensor_bundle,
     grouplike_character,
@@ -53,7 +64,10 @@ from hopfgal.exact_linear import (
     QQ,
     Subspace,
     bilinear_compose,
+    flip,
+    inverse,
     is_bijective,
+    kernel,
     kron_interleaved,
     linear_solutions,
     permute_legs,
@@ -66,26 +80,37 @@ from hopfgal.extension import (
     _cotensor_algebra,
     _mirror_tensor,
     _pullback_tensor,
+    _verify_pullback,
+    check_extension_morphism,
     f_lower_star,
     f_upper_star,
+    is_cartesian,
+    pullback_structure,
 )
 from hopfgal.hopf_core import (
     AlgebraData,
     AxiomCheck,
     Group,
     HopfData,
+    HopfMap,
     algebra_map_law,
     antipode_inverse,
     associative_law,
     build_dual_group_algebra,
     build_group_algebra,
+    check_hopf,
+    check_hopf_map,
     coassociative_law,
+    comodule_map_law,
+    counit_map,
     counital_law,
+    fourier_iso,
     ground_algebra,
     group_algebra_map,
     sweedler_h4,
     tensor_algebra,
     tensor_names,
+    unit_map,
     unital_law,
 )
 
@@ -157,6 +182,149 @@ def ref_algebra_map(prefix, f, src, *tgt):
         ref_check(f"{prefix}_multiplicative", lhs, rhs, tensor_names(src.basis_names, src.basis_names), codomain),
         ref_check(f"{prefix}_unital", f.mul(src.unit), target.unit, ["(1)"], codomain),
     ]
+
+
+def ref_check_algebra(a):
+    names = a.basis_names
+    return [
+        ref_associative("associativity", a.mult, a, names),
+        ref_unital("left_unit", a.mult, a, names, side="left"),
+        ref_unital("right_unit", a.mult, a, names),
+    ]
+
+
+def ref_check_hopf(h):
+    a, names = h.algebra, h.basis_names
+    eye, names1 = Mat.identity(h.field, h.dim), tensor_names(names)
+    ue = h.unit.mul(h.counit)
+    out = ref_check_algebra(a) + [
+        ref_coassociative("coassociativity", h.comult, h, names),
+        ref_counital("left_counit", h.comult, h, names, side="left"),
+        ref_counital("right_counit", h.comult, h, names),
+    ]
+    out += ref_algebra_map("comult", h.comult, a, a, a)
+    out += ref_algebra_map("counit", h.counit, a, ground_algebra(h.field))
+    out += [
+        ref_check("antipode_left", h.mult.mul(h.antipode.kron(eye)).mul(h.comult), ue, names1, names1),
+        ref_check("antipode_right", h.mult.mul(eye.kron(h.antipode)).mul(h.comult), ue, names1, names1),
+    ]
+    if h.antipode_inv is not None:
+        out.append(ref_check("antipode_inverse", h.antipode_inv.mul(h.antipode), eye, names1, names1))
+    return out
+
+
+def ref_antipode_inverse(h):
+    s_inv = inverse(h.antipode)
+    if s_inv is None:
+        return None
+    eye = Mat.identity(h.field, h.dim)
+    cop = flip(h.field, h.dim, h.dim).mul(h.comult)
+    ue = h.unit.mul(h.counit)
+    if h.mult.mul(s_inv.kron(eye)).mul(cop) != ue or h.mult.mul(eye.kron(s_inv)).mul(cop) != ue:
+        raise InvariantViolation("antipode inverse exists but flipped antipode identities fail")
+    return s_inv
+
+
+def ref_check_comodule_algebra(c):
+    a, h, rho = c.algebra, c.hopf, c.coaction
+    return ref_check_algebra(a) + [
+        ref_coassociative("coaction_coassociative", rho, h, a.basis_names),
+        ref_counital("coaction_counital", rho, h, a.basis_names),
+    ] + ref_algebra_map("coaction", rho, a, a, h.algebra)
+
+
+def ref_comodule_map(name, co_tgt, f, g, co, names, codomain_legs):
+    return ref_check(name, co_tgt.mul(f), f.kron(g).mul(co), tensor_names(names), tensor_names(*codomain_legs))
+
+
+def ref_check_hopf_map(f):
+    src, tgt, m = f.source, f.target, f.matrix
+    names1, tgt_names = tensor_names(src.basis_names), tensor_names(tgt.basis_names)
+    pairs = tensor_names(tgt.basis_names, tgt.basis_names)
+    return ref_algebra_map("map", m, src.algebra, tgt.algebra) + [
+        ref_check("map_comultiplicative", tgt.comult.mul(m), m.kron(m).mul(src.comult), names1, pairs),
+        ref_check("map_counital", tgt.counit.mul(m), src.counit, names1, ["(1)"]),
+        ref_check("map_antipode", m.mul(src.antipode), tgt.antipode.mul(m), names1, tgt_names),
+    ]
+
+
+def ref_check_extension_morphism(m):
+    """Every law of check_extension_morphism; base_restriction is not one."""
+    src, tgt = m.source, m.target
+    a, ap = src.algebra, tgt.algebra
+    rho, rho_p = src.comodule_algebra.coaction, tgt.comodule_algebra.coaction
+    intertwined = ref_check(
+        "coaction_intertwined",
+        rho_p.mul(m.alpha),
+        m.alpha.kron(m.chi.matrix).mul(rho),
+        tensor_names(a.basis_names),
+        tensor_names(ap.basis_names, tgt.hopf.basis_names),
+    )
+    return ref_check_hopf_map(m.chi) + ref_algebra_map("alpha", m.alpha, a, ap) + [intertwined]
+
+
+def ref_verify_pullback(p):
+    """The pullback verification, each law with its Kronecker operators; raises on the first failure."""
+    m = p.morphism
+    src, tgt, field = m.source, m.target, m.field
+    ap, h = tgt.algebra, src.hopf
+    alg_q, coact_q = p.comodule_algebra.algebra, p.comodule_algebra.coaction
+    eye_h = Mat.identity(field, h.dim)
+
+    def fail(name, detail=""):
+        raise InvariantViolation(f"pullback verification failed: {name}" + (f" ({detail})" if detail else ""))
+
+    # The comodule-algebra laws have their own references above; on Q their
+    # Kronecker form would exceed the size cap.
+    for check in p.comodule_checks:
+        if not check.ok:
+            fail(check.name, check.witness or "")
+    mult_c, unit_c = ref_cotensor_algebra(p.cotensor, ap, h)
+    cot_alg = AlgebraData(field, p.cotensor.dim, [f"c{i}" for i in range(p.cotensor.dim)], mult_c, unit_c)
+    ib = p.iota_base.mul(m.beta)
+    counit_strip = Mat.identity(field, ap.dim).kron(h.counit).mul(p.cotensor.embed)
+    steps = [
+        *ref_algebra_map("kappa", p.kappa, alg_q, cot_alg),
+        AxiomCheck("kappa_comodule_map", p.cotensor.h_coaction().mul(p.kappa) == p.kappa.kron(eye_h).mul(coact_q)),
+        AxiomCheck("fiber_triangle", p.kappa.mul(p.iota_fiber) == p.j_fiber),
+        AxiomCheck("base_triangle", p.kappa.mul(p.iota_base) == p.j_base),
+        AxiomCheck("fiber_counit", counit_strip.mul(p.j_fiber) == m.alpha),
+        AxiomCheck("base_counit", counit_strip.mul(p.j_base) == tgt.inclusion),
+        AxiomCheck("base_square", ib == p.iota_fiber.mul(src.inclusion)),
+        *ref_algebra_map("target_base_map", p.iota_base, tgt.base_algebra, alg_q),
+        *ref_algebra_map("base_map", ib, src.base_algebra, alg_q),
+        AxiomCheck("base_map_coinvariant", coact_q.mul(ib) == ib.kron(h.unit)),
+    ]
+    for check in steps:
+        if not check.ok:
+            fail(check.name)
+
+
+def ref_check_associated_bundle(b):
+    base, x = b.extension.base_algebra, [f"x{i}" for i in range(b.dim)]
+    eye_b = Mat.identity(b.extension.field, base.dim)
+    right, left = b.right_action, b.left_action
+    return [
+        ref_unital("right_unital", right, base, x, labels=x),
+        ref_associative("right_associative", right, base, x, labels=x),
+        ref_unital("left_unital", left, base, x, side="left", labels=x),
+        ref_associative("left_associative", left, base, x, side="left", labels=x),
+        ref_check(
+            "bimodule_compatible",
+            left.mul(eye_b.kron(right)),
+            right.mul(left.kron(eye_b)),
+            tensor_names(base.basis_names, x, base.basis_names),
+            x,
+        ),
+    ]
+
+
+def ref_is_grouplike(h, g):
+    return h.comult.mul(g) == g.kron(g) and h.counit.mul(g) == Mat.identity(h.field, 1)
+
+
+def ref_coinvariants(c):
+    return kernel(c.coaction - Mat.identity(c.field, c.dim).kron(c.hopf.unit))
 
 
 def ref_raw(e):
@@ -791,7 +959,7 @@ BUNDLE_PAIRS = [
 def outcome(build):
     try:
         return build()
-    except (InvariantViolation, PreconditionError) as exc:
+    except (InputError, InvariantViolation, PreconditionError) as exc:
         return type(exc), str(exc)
 
 
@@ -842,3 +1010,129 @@ def test_regular_extension_maps_match_reference(e):
     assert _intertwiner_space(e) == ref_intertwiner_space(e)
     b = cotensor_bundle(e, left_regular_comodule(e.hopf))
     assert (b.left_action, b.right_action) == ref_bundle_actions(b)
+
+
+# ---------------------------------------------------------------------------
+# laws of one shape, co' f = (f (x) g) co, and the antipode convolutions
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_comodule_map_law_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    dm, dn, dh, dhp = (data.draw(st.integers(1, 3)) for _ in range(4))
+    co = data.draw(sparse_mat(field, dm * dh, dm))
+    co_tgt = data.draw(sparse_mat(field, dn * dhp, dn))
+    f = data.draw(sparse_mat(field, dn, dm))
+    g = data.draw(sparse_mat(field, dhp, dh))
+    args = ("law", co_tgt, f, g, co, names_of(dm), ([f"n{i}" for i in range(dn)], [f"h{i}" for i in range(dhp)]))
+    assert comodule_map_law(*args) == ref_comodule_map(*args)
+
+
+def hopf_maps():
+    """The Hopf maps of the zoo: identities, group homomorphisms, (co)units, Fourier transforms."""
+    out = [HopfMap.identity(h) for h in HOPF_EXAMPLES]
+    out += [counit_map(h) for h in HOPF_EXAMPLES[:4]] + [unit_map(h) for h in HOPF_EXAMPLES[:4]]
+    out += [
+        group_algebra_map(Group.cyclic(4), Group.cyclic(2), [0, 1, 0, 1]),
+        group_algebra_map(Group.symmetric(3), Group.cyclic(2), [0, 1, 1, 0, 0, 1], Field(7)),
+        fourier_iso(5),
+        fourier_iso(7),
+    ]
+    return out
+
+
+HOPF_MAPS = hopf_maps()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hopf_reports_match_reference_on_corrupted_structures(data):
+    h = data.draw(st.sampled_from(HOPF_EXAMPLES))
+    a = h.algebra
+    alg = AlgebraData(a.field, a.dim, a.basis_names, data.draw(corrupted(a.mult)), data.draw(corrupted(a.unit)))
+    parts = (data.draw(corrupted(m)) for m in (h.comult, h.counit, h.antipode))
+    hc = HopfData(alg, *parts, antipode_inv=data.draw(st.sampled_from([None, h.antipode_inv])))
+    assert check_hopf(hc) == ref_check_hopf(hc)
+    assert outcome(lambda: antipode_inverse(hc)) == outcome(lambda: ref_antipode_inverse(hc))
+    # The grouplike test, on a basis vector or a sum of two, possibly changed.
+    i, j = (data.draw(st.integers(0, h.dim - 1)) for _ in range(2))
+    g = Mat.basis_vector(h.field, h.dim, i)
+    if data.draw(st.booleans()):
+        g = g + Mat.basis_vector(h.field, h.dim, j)
+    g = data.draw(corrupted(g))
+    grouplike = outcome(lambda: grouplike_character(h, g).coaction)
+    assert grouplike == (g if ref_is_grouplike(h, g) else (InputError, "element is not grouplike"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_hopf_map_reports_match_reference(data):
+    f = data.draw(st.sampled_from(HOPF_MAPS))
+    fc = HopfMap(f.source, f.target, data.draw(corrupted(f.matrix)))
+    assert check_hopf_map(fc) == ref_check_hopf_map(fc)
+
+
+@pytest.mark.parametrize("m", [m for _, m in MORPHISMS], ids=[n for n, _ in MORPHISMS])
+def test_extension_morphism_report_matches_reference(m):
+    report = check_extension_morphism(m)
+    assert [c.name for c in report[-1:]] == ["base_restriction"]
+    assert report[:-1] == ref_check_extension_morphism(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_morphism_report_matches_reference_on_corruptions(data):
+    m = data.draw(st.sampled_from([m for _, m in MORPHISMS]))
+    chi = HopfMap(m.chi.source, m.chi.target, data.draw(corrupted(m.chi.matrix)))
+    try:
+        mc = ExtensionMorphism(chi, data.draw(corrupted(m.alpha)), m.source, m.target)
+    except InputError:
+        # The changed alpha leaves the base; keep alpha.
+        mc = ExtensionMorphism(chi, m.alpha, m.source, m.target)
+    assert check_extension_morphism(mc)[:-1] == ref_check_extension_morphism(mc)
+
+
+@functools.cache
+def pullbacks():
+    """The pullback structure of every Cartesian morphism of the zoo and the fixtures."""
+    return [(name, pullback_structure(m)) for name, m in MORPHISMS if is_cartesian(m).value]
+
+
+def test_pullback_verification_passes_the_reference():
+    assert len(pullbacks()) >= 8
+    for _, p in pullbacks():
+        ref_verify_pullback(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pullback_verification_matches_reference_on_corruptions(data):
+    _, p = data.draw(st.sampled_from(pullbacks()))
+    key = data.draw(st.sampled_from(["kappa", "iota_base", "iota_fiber", "j_base", "j_fiber", "coaction"]))
+    if key == "coaction":
+        c = p.comodule_algebra
+        changed = {"comodule_algebra": ComoduleAlgebra(c.algebra, c.hopf, coaction=data.draw(corrupted(c.coaction)))}
+    else:
+        changed = {key: data.draw(corrupted(getattr(p, key)))}
+    pc = dataclasses.replace(p, **changed)
+    assert outcome(lambda: _verify_pullback(pc)) == outcome(lambda: ref_verify_pullback(pc))
+
+
+# bilinear_compose cannot split an action table with a zero-dimensional leg,
+# so check_associated_bundle refuses a zero-dimensional bundle.
+NONZERO_BUNDLES = [b for b in BUNDLES if b.dim]
+
+
+@pytest.mark.parametrize("b", NONZERO_BUNDLES, ids=range(len(NONZERO_BUNDLES)))
+def test_bundle_report_matches_reference(b):
+    assert check_associated_bundle(b) == ref_check_associated_bundle(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bundle_report_matches_reference_on_corruptions(data):
+    b = data.draw(st.sampled_from(NONZERO_BUNDLES))
+    left, right = data.draw(corrupted(b.left_action)), data.draw(corrupted(b.right_action))
+    bc = AssociatedBundle(b.extension, b.rep, b.space, left, right)
+    assert check_associated_bundle(bc) == ref_check_associated_bundle(bc)

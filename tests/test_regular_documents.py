@@ -8,24 +8,38 @@
   ``cyclic_group_change(n, d)`` either stop at the guard, naming the
   morphism's path, or keep to the same bound. Wall-clock free: the test
   records shapes, not times.
+* Oversized documents: under a cap below the largest product the guard
+  checks, every command exits 2 naming the section path and the product,
+  before it builds anything wider than a product already checked.
 * Planted corruptions: a regular document over F_p with one structure
-  constant changed exits 1 and names a witness.
+  constant changed gets the verdict of an independent oracle, the Kronecker
+  reference of every law (and for ``check galois`` the reference
+  coinvariants and canonical map): exit 0 when that finds the document
+  valid, otherwise exit 1 with a witness on every failed verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import pathlib
-import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hopfgal import cli, exact_linear, zoo
-from hopfgal.exact_linear import Field, QQ
-from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra
+from hopfgal import cli, zoo
+from hopfgal.exact_linear import Field, InvariantViolation, QQ, is_bijective
+from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra, report_ok
+from test_law_differential import (
+    ref_base_mult,
+    ref_check_comodule_algebra,
+    ref_check_hopf,
+    ref_coinvariants,
+    ref_raw,
+    ref_self_tensor,
+)
 
 BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
 COMMANDS = ("hopf", "comodule-algebra", "galois")
@@ -78,54 +92,48 @@ SIZE_CASES = [
 ]
 
 
+@functools.cache
+def bundle_document(kind, n) -> str:
+    """The regular document of k[Z_n] or k^{Z_n}, with the left regular comodule of H for bundle."""
+    h = BUILDERS[kind](Group.cyclic(n))
+    doc = regular_document(h, QQ)
+    doc["sections"]["comodule"] = {"dim": n, "coaction": mat_doc(h.comult, QQ)}
+    doc["sections"]["bundle_request"] = {}
+    return json.dumps(doc)
+
+
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("regular")
     paths = {}
     for kind, n in DOCUMENTS:
-        h = BUILDERS[kind](Group.cyclic(n))
-        doc = regular_document(h, QQ)
-        doc["sections"]["comodule"] = {"dim": n, "coaction": mat_doc(h.comult, QQ)}
-        doc["sections"]["bundle_request"] = {}
-        path = root / f"{kind}_{n}.json"
-        path.write_text(json.dumps(doc))
-        paths[kind, n] = path
+        paths[kind, n] = root / f"{kind}_{n}.json"
+        paths[kind, n].write_text(bundle_document(kind, n))
     return paths
 
 
-def invoke_recording_sizes(monkeypatch, path, command):
-    """Run a command; returns its result, the products the guard checked and
-    the width of every Kronecker product built."""
+@pytest.fixture
+def guarded(monkeypatch):
+    """The products the CLI guard checks, at the default cap."""
     monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
-    guarded, built = [], []
+    products = []
     guard = cli._guard_dims
 
-    def recording_guard(path, **products):
-        guarded.extend(products.values())
-        return guard(path, **products)
-
-    kron = exact_linear.kron_interleaved
-
-    def recording_kron(f, g, f_right, g_right):
-        out = kron(f, g, f_right, g_right)
-        built.append(max(out.rows, out.cols))
-        return out
+    def recording_guard(path, **sizes):
+        products.extend(sizes.values())
+        return guard(path, **sizes)
 
     monkeypatch.setattr(cli, "_guard_dims", recording_guard)
-    # Every module that calls kron_interleaved by name, Mat.kron included.
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("hopfgal") and hasattr(module, "kron_interleaved"):
-            monkeypatch.setattr(module, "kron_interleaved", recording_kron)
-    return invoke(path, command), guarded, built
+    return products
 
 
 @pytest.mark.parametrize("kind,n,command", SIZE_CASES, ids=[f"{k}-{n}-{c}" for k, n, c in SIZE_CASES])
-def test_guard_bounds_every_kronecker_product(documents, monkeypatch, kind, n, command):
-    r, guarded, built = invoke_recording_sizes(monkeypatch, documents[kind, n], command)
+def test_guard_bounds_every_kronecker_product(documents, guarded, kron_recorder, kind, n, command):
+    r = invoke(documents[kind, n], command)
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
     assert guarded
-    assert max(built, default=0) <= max(guarded), (max(built), max(guarded))
+    assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
 
 
 COARSENINGS = [(n, d) for n in (8, 16, 32) for d in range(2, n) if n % d == 0]
@@ -136,33 +144,114 @@ REFUSED = {(16, 2, "phi"), (32, 2, "phi"), (32, 4, "phi")} | {
 }
 
 
-@pytest.fixture(scope="module")
-def coarsenings(tmp_path_factory):
-    """cyclic_group_change(n, d) documents, serialized as the fixtures are."""
+@functools.cache
+def morphism_document(n, d) -> str:
+    """cyclic_group_change(n, d), serialized as the fixtures are."""
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("generate_fixtures", root / "scripts" / "generate_fixtures.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return json.dumps(gen.document(gen.morphism_sections(zoo.cyclic_group_change(n, d))))
+
+
+@pytest.fixture(scope="module")
+def coarsenings(tmp_path_factory):
     out = tmp_path_factory.mktemp("coarsenings")
     paths = {}
     for n, d in COARSENINGS:
         paths[n, d] = out / f"cyclic_{n}_{d}.json"
-        paths[n, d].write_text(json.dumps(gen.document(gen.morphism_sections(zoo.cyclic_group_change(n, d)))))
+        paths[n, d].write_text(morphism_document(n, d))
     return paths
 
 
 @pytest.mark.parametrize("n,d,command", MORPHISM_CASES, ids=[f"{n}-{d}-{c}" for n, d, c in MORPHISM_CASES])
-def test_guard_refuses_or_bounds_morphism_commands(coarsenings, monkeypatch, n, d, command):
-    r, guarded, built = invoke_recording_sizes(monkeypatch, coarsenings[n, d], command)
+def test_guard_refuses_or_bounds_morphism_commands(coarsenings, guarded, kron_recorder, n, d, command):
+    r = invoke(coarsenings[n, d], command)
     assert guarded
     assert (r.exit_code == 2) == ((n, d, command) in REFUSED), r.output
     if r.exit_code == 2:
         assert r.stderr.startswith("error at sections.extension_morphism: "), r.stderr
-        assert not built, max(built)
+        assert kron_recorder.calls == 0, kron_recorder.widest
         return
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
-    assert max(built, default=0) <= max(guarded), (max(built), max(guarded))
+    assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
+
+
+def guard_calls(command, n, d, base):
+    """The guard checks a command makes, in order: (section path, {product: size}).
+
+    A regular document has dim A = dim H = n (and, for bundle, the comodule
+    H); cyclic_group_change(n, d) maps k[Z_n] over k to k[Z_n] over k[Z_d],
+    whose base has dimension n / d. Without a declared base, each coaction
+    is bounded as it is parsed, before its coinvariants are computed.
+    """
+    if command in ("cartesian", "phi"):
+        path = "sections.extension_morphism"
+        parsed = [] if base else [
+            (f"{path}.source.comodule_algebra", {"coaction": n * n}),
+            (f"{path}.target.comodule_algebra", {"coaction": n * d}),
+        ]
+        pullback = n // d * n
+        products = {"pullback": pullback, "cotensor_ambient": n * n, "cotensor_equalizer": n * d * n}
+        if command == "phi":
+            products.update(pullback_product=pullback**2, cotensor_h_coaction=n**3)
+        return parsed + [(path, products)]
+    if command == "hopf":
+        return [("sections.hopf", {"hopf_square": n * n})]
+    if command == "comodule-algebra":
+        return [("sections.comodule_algebra", {"algebra_square": n * n, "coaction": n * n})]
+    parsed = [] if base else [("sections.comodule_algebra", {"coaction": n * n})]
+    if command == "galois":
+        return parsed + [("sections", {"canonical_domain": n * n, "canonical_codomain": n * n})]
+    return parsed + [("sections.comodule", {"cotensor": n**3})]
+
+
+@st.composite
+def oversized(draw):
+    """A document, a command, and a cap below the largest product its guard checks."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        d = draw(st.sampled_from([d for d in range(2, n) if n % d == 0] or [n]))
+        command, doc = draw(st.sampled_from(["cartesian", "phi"])), json.loads(morphism_document(n, d))
+        ends = [doc["sections"]["extension_morphism"][end] for end in ("source", "target")]
+    else:
+        n, d = draw(st.integers(2, 8)), None
+        command = draw(st.sampled_from((*COMMANDS, "bundle")))
+        doc = json.loads(bundle_document(draw(st.sampled_from(sorted(BUILDERS))), n))
+        ends = [doc["sections"]["extension"]]
+    base = draw(st.booleans())
+    if not base:
+        for end in ends:
+            del end["base_columns"]
+    calls = guard_calls(command, n, d, base)
+    cap = draw(st.integers(1, max(p for _, products in calls for p in products.values()) - 1))
+    return doc, command, calls, cap
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(oversized())
+def test_oversized_document_exits_two_naming_its_path(tmp_path, kron_recorder, case):
+    doc, command, calls, cap = case
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc))
+    # The first product over the cap, in the order the guard checks them; no
+    # Kronecker product is wider than a product checked before it.
+    passed = []
+    for section, products in calls:
+        over = [(name, p) for name, p in sorted(products.items()) if p > cap]
+        if over:
+            (name, p), *_ = over
+            break
+        passed += products.values()
+    kron_recorder.calls = kron_recorder.widest = 0
+    r = invoke(path, command, env={"HOPFGAL_MAX_DIM": str(cap)})
+    error = f"error at {section}: {name} tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}\n"
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", error)
+    if passed:
+        assert kron_recorder.widest <= max(passed)
+    else:
+        assert kron_recorder.calls == 0
 
 
 CORRUPTIBLE = {
@@ -172,9 +261,38 @@ CORRUPTIBLE = {
 }
 
 
+def oracle(path, command):
+    """The Kronecker reference report of a document (hopf, comodule-algebra), or
+    whether it is a Hopf-Galois extension (galois), from the reference laws,
+    coinvariants and canonical map."""
+    field, sections = cli._load_document(str(path))
+    h = cli._parse_hopf(sections["hopf"], field, "sections.hopf")
+    if command == "hopf":
+        return ref_check_hopf(h)
+    e = cli._parse_extension_parts(sections["hopf"], sections["comodule_algebra"], sections["extension"], field, "sections")
+    if command == "comodule-algebra":
+        return ref_check_comodule_algebra(e.comodule_algebra)
+    if not report_ok(ref_check_comodule_algebra(e.comodule_algebra)):
+        return False
+    if ref_coinvariants(e.comodule_algebra) != e.invariant_subalgebra:
+        return False
+    if not e.invariant_subalgebra.contains(e.algebra.unit):
+        return False
+    try:
+        ref_base_mult(e)
+    except InvariantViolation:
+        return False
+    return is_bijective(ref_self_tensor(e).descend(ref_raw(e)))
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_planted_corruption_exits_one_with_a_witness(tmp_path, data):
+def test_planted_corruption_matches_the_reference(tmp_path, data):
+    """One structure constant changed: the verdict is the reference's.
+
+    A change need not break a law: over F_2, g*g = 0 in place of g*g = e
+    turns k[Z_2] into k[x]/(x^2), a comodule algebra under the same coaction.
+    """
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
     field = Field(p)
     group = data.draw(
@@ -196,6 +314,25 @@ def test_planted_corruption_exits_one_with_a_witness(tmp_path, data):
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
     r = invoke(path, command)
-    assert r.exit_code == 1, r.output
-    failed = [v for v in json.loads(r.stdout)["verdicts"] if v["status"] == "fail"]
-    assert failed and all(v["witness"] for v in failed)
+    verdicts = json.loads(r.stdout)["verdicts"]
+    expected = oracle(path, command)
+    if command != "galois":
+        assert [(v["name"], v["status"] == "pass", v["witness"]) for v in verdicts] == [
+            (check.name, check.ok, check.witness) for check in expected
+        ]
+        expected = report_ok(expected)
+    assert r.exit_code == (0 if expected else 1), r.output
+    failed = [v for v in verdicts if v["status"] == "fail"]
+    assert bool(failed) != expected and all(v["witness"] for v in failed)
+
+
+def test_a_change_that_keeps_every_law_exits_zero(tmp_path):
+    # Regular k[Z_2] over F_2 with g*g = 0: k[x]/(x^2) under the same coaction.
+    field = Field(2)
+    doc = regular_document(build_group_algebra(Group.cyclic(2), field), field)
+    doc["sections"]["comodule_algebra"]["mult"]["triples"].remove([0, 3, "1"])
+    path = tmp_path / "dual_numbers.json"
+    path.write_text(json.dumps(doc))
+    r = invoke(path, "comodule-algebra")
+    assert r.exit_code == 0, r.output
+    assert report_ok(oracle(path, "comodule-algebra"))
