@@ -15,10 +15,15 @@ Conventions used by the whole package:
   ``kron`` realizes maps between tensor products in this indexing.
 * Subspaces are stored via their reduced-echelon basis, so two subspaces are
   equal iff their stored matrices are equal.
-* A scalar of Q is a ``Fraction`` and a scalar of F_p a plain int in
+* A scalar of Q is a Python rational: an ``int`` when ``Field.of`` sees an
+  integer (most structure constants are 0, 1 or -1), otherwise a
+  ``Fraction``. Arithmetic may leave a ``Fraction`` with denominator 1;
+  since ``2 == Fraction(2)`` and both hash alike, equality, hashing and
+  formatting do not see the difference. A scalar of F_p is a plain int in
   ``[0, p)``. The kernels compute with the native operators whatever the
-  field, and ``Mat._make`` reduces the F_p entries of every result, so a
-  stored entry is always canonical and nonzero.
+  field; ``Mat._make`` reduces the F_p entries of every arithmetic result,
+  and the kernels that only move entries wrap their rows with ``Mat._wrap``,
+  so a stored entry is always canonical and nonzero.
 
 No floating point is used anywhere.
 """
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import prod
 
 
 class InputError(ValueError):
@@ -81,11 +87,12 @@ class Field:
     used by the JSON schema.
     """
 
+    _zero, _one = 0, 1
+
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise InputError(f"modulus {p} is not prime")
         self.p = p
-        self._zero, self._one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
 
     @property
     def is_rational(self) -> bool:
@@ -101,9 +108,10 @@ class Field:
         p = self.p
         if p is None:
             if isinstance(x, Fraction):
-                return x
+                return x.numerator if x.denominator == 1 else x
             if isinstance(x, int):
-                return Fraction(x)
+                # int() turns a bool into 0 or 1.
+                return int(x)
             raise InputError(f"cannot coerce {x!r} into Q")
         if isinstance(x, int):
             return x % p
@@ -116,13 +124,14 @@ class Field:
 
     def inv(self, x):
         """The inverse of a nonzero element."""
-        return self._one / x if self.p is None else pow(x, -1, self.p)
+        # Fraction(1, x), not 1 / x: the quotient of two ints is a float.
+        return self.of(Fraction(1, x)) if self.p is None else pow(x, -1, self.p)
 
     def canonical_rows(self, rows: list) -> list:
         """Sparse rows with every entry reduced into the field and zeros dropped.
 
-        Over Q the rows are returned as they are: a ``Fraction`` is already
-        canonical, and the kernels drop the zeros they make.
+        Over Q the rows are returned as they are: every int or ``Fraction``
+        is canonical, and the kernels drop the zeros they make.
         """
         p = self.p
         if p is None:
@@ -197,11 +206,16 @@ class Mat:
         ]
 
     @staticmethod
-    def _make(field: Field, rows: int, cols: int, row_dicts: list) -> "Mat":
-        """The constructor every kernel ends in; it canonicalizes the rows."""
+    def _wrap(field: Field, rows: int, cols: int, row_dicts: list) -> "Mat":
+        """The constructor of the kernels that only move entries, which must be canonical."""
         m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols, m._rows = field, rows, cols, field.canonical_rows(row_dicts)
+        m.field, m.rows, m.cols, m._rows = field, rows, cols, row_dicts
         return m
+
+    @staticmethod
+    def _make(field: Field, rows: int, cols: int, row_dicts: list) -> "Mat":
+        """The constructor every arithmetic kernel ends in; it canonicalizes the rows."""
+        return Mat._wrap(field, rows, cols, field.canonical_rows(row_dicts))
 
     @staticmethod
     def from_entries(field: Field, rows: int, cols: int, entries) -> "Mat":
@@ -216,7 +230,7 @@ class Mat:
             x = of(x)
             if x:
                 out[i][j] = x
-        return Mat._make(field, rows, cols, out)
+        return Mat._wrap(field, rows, cols, out)
 
     @staticmethod
     def from_rows(field: Field, row_lists) -> "Mat":
@@ -231,11 +245,11 @@ class Mat:
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         one = field.one()
-        return Mat._make(field, n, n, [{i: one} for i in range(n)])
+        return Mat._wrap(field, n, n, [{i: one} for i in range(n)])
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        return Mat._make(field, rows, cols, [{} for _ in range(rows)])
+        return Mat._wrap(field, rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def column(field: Field, entries) -> "Mat":
@@ -254,7 +268,7 @@ class Mat:
         return [row.get(j, zero) for j in range(self.cols)]
 
     def col_vector(self, j: int) -> "Mat":
-        return Mat._make(
+        return Mat._wrap(
             self.field, self.rows, 1, [{0: r[j]} if j in r else {} for r in self._rows]
         )
 
@@ -335,7 +349,7 @@ class Mat:
         for i, r in enumerate(self._rows):
             for j, x in r.items():
                 out[j][i] = x
-        return Mat._make(self.field, self.cols, self.rows, out)
+        return Mat._wrap(self.field, self.cols, self.rows, out)
 
     def hstack(self, *others: "Mat") -> "Mat":
         """Columns of self followed by those of each matrix in others."""
@@ -349,7 +363,7 @@ class Mat:
                 for j, x in r.items():
                     row[offset + j] = x
             offset += m.cols
-        return Mat._make(self.field, self.rows, offset, out)
+        return Mat._wrap(self.field, self.rows, offset, out)
 
     def vstack(self, *others: "Mat") -> "Mat":
         """Rows of self followed by those of each matrix in others."""
@@ -359,7 +373,7 @@ class Mat:
             if m.cols != self.cols:
                 raise InputError("column mismatch in vstack")
             out.extend(m._rows)
-        return Mat._make(self.field, len(out), self.cols, out)
+        return Mat._wrap(self.field, len(out), self.cols, out)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product, the matrix of ``f (x) g`` in tensor indexing.
@@ -372,47 +386,67 @@ class Mat:
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
 
-        Gauss-Jordan elimination on the sparse rows: for each column in turn
-        the pivot is the first remaining row with a nonzero there, and every
-        other row holding that column is reduced by it.
+        The rows are inserted one at a time against pivot rows kept mutually
+        reduced: each holds a 1 at its pivot column and no other pivot
+        column. A new row is cleared at each pivot column it holds, which
+        adds no other pivot column. If anything is left, its first column
+        becomes a pivot, the row is normalized, and the column is cleared
+        from the pivot rows that hold it, found through a column -> pivot
+        rows index. No row is scanned for a column it does not hold. The
+        reduced row echelon form of a matrix is unique, so the result does
+        not depend on the order in which the rows arrive.
         """
-        rows = list(self._rows)
-        nr, nc = self.rows, self.cols
-        field = self.field
-        p = field.p
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pivot_row = next((i for i in range(r, nr) if c in rows[i]), None)
-            if pivot_row is None:
+        field, p = self.field, self.field.p
+        prows = {}  # pivot column -> its row
+        holders = {}  # non-pivot column -> the pivot columns whose rows hold it
+        for row in self._rows:
+            hits = [c for c in row if c in prows]
+            if hits:
+                row = dict(row)
+                for c in hits:
+                    f = row[c]
+                    for j, y in prows[c].items():
+                        v = row.get(j)
+                        v = -(f * y) if v is None else v - f * y
+                        if p:
+                            # Membership is tested, so no entry may be 0 mod p.
+                            v %= p
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+            if not row:
                 continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            prow = rows[r]
-            pv = prow[c]
+            c = min(row)
+            pv = row[c]
             if pv != 1:
                 inv = field.inv(pv)
-                prow = rows[r] = field.canonical_rows([{j: inv * x for j, x in prow.items()}])[0]
-            for i in range(nr):
-                f = rows[i].get(c) if i != r else None
-                if f is None:
-                    continue
-                row = dict(rows[i])
-                for j, y in prow.items():
-                    v = row.get(j)
+                row = {j: inv * x % p for j, x in row.items()} if p else {j: inv * x for j, x in row.items()}
+            elif not hits:
+                row = dict(row)
+            stale = holders.pop(c, ())
+            for j in row:
+                if j != c:
+                    holders.setdefault(j, set()).add(c)
+            for k in stale:
+                krow = prows[k]
+                f = krow[c]
+                for j, y in row.items():
+                    v = krow.get(j)
                     v = -(f * y) if v is None else v - f * y
                     if p:
-                        # The pivot search tests membership, so no entry may be 0 mod p.
                         v %= p
                     if v:
-                        row[j] = v
+                        krow[j] = v
+                        holders[j].add(k)
                     else:
-                        del row[j]
-                rows[i] = row
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Mat._make(self.field, nr, nc, rows), tuple(pivots)
+                        del krow[j]
+                        if j != c:
+                            holders[j].discard(k)
+            prows[c] = row
+        pivots = sorted(prows)
+        rows = [prows[c] for c in pivots] + [{} for _ in range(self.rows - len(pivots))]
+        return Mat._make(field, self.rows, self.cols, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -515,10 +549,17 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     product is built.
     """
     f._check_same_field(g)
+    for table, _ in factors:
+        f._check_same_field(table)
+    if any(right == table.cols == 0 for table, right in factors):
+        # A zero-dimensional leg Y_t makes B the zero map; its table has no
+        # column to tell the dimension of X_t, so f is not checked against it.
+        if g.rows:
+            raise InputError(f"maps into dimension {g.rows}, tables take 0")
+        return Mat.zeros(f.field, prod(table.rows for table, _ in factors), f.cols * g.cols)
     dims = []
     dx = dy = dz = 1
     for table, right in factors:
-        f._check_same_field(table)
         if right < 1 or table.cols % right:
             raise InputError(f"right leg of size {right} does not split {table.cols} columns")
         dims.append((table.cols // right, right, table.rows))
@@ -590,7 +631,7 @@ def flip(field: Field, dim_left: int, dim_right: int) -> Mat:
     for i in range(dim_left):
         for j in range(dim_right):
             out[j * dim_left + i] = {i * dim_right + j: one}
-    return Mat._make(field, n, n, out)
+    return Mat._wrap(field, n, n, out)
 
 
 def permute_legs(m: Mat, dims: list[int], perm: list[int]) -> Mat:
@@ -624,7 +665,7 @@ def permute_legs(m: Mat, dims: list[int], perm: list[int]) -> Mat:
     new_rows: list = [None] * total
     for idx, row in zip(target, m._rows):
         new_rows[idx] = row
-    return Mat._make(m.field, total, m.cols, new_rows)
+    return Mat._wrap(m.field, total, m.cols, new_rows)
 
 
 class Subspace:
@@ -647,7 +688,7 @@ class Subspace:
         """Canonicalize the span of the columns of a Mat."""
         field, ambient_dim = columns.field, columns.rows
         red, pivots = columns.transpose().rref()
-        basis = Mat._make(field, len(pivots), ambient_dim, red._rows[: len(pivots)])
+        basis = Mat._wrap(field, len(pivots), ambient_dim, red._rows[: len(pivots)])
         return Subspace(field, ambient_dim, basis.transpose())
 
     @staticmethod
@@ -729,7 +770,7 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     rows = [{} for _ in range(n)]
     for r, pc in enumerate(pivots):
         rows[pc] = {j - n: x for j, x in red._rows[r].items() if j >= n}
-    return Mat._make(m.field, n, b.cols, rows)
+    return Mat._wrap(m.field, n, b.cols, rows)
 
 
 def is_bijective(m: Mat) -> bool:

@@ -396,6 +396,22 @@ class TestBundle:
         assert r.exit_code == 0
         assert "fgp: kind=field rank=1" in r.stdout
 
+    def test_zero_dimensional_bundle(self, tmp_path):
+        # Q(sqrt 2) with the trivial coaction: the sign comodule has no
+        # coinvariant partner, so the associated bundle is zero.
+        doc = json.load(open(fx("bundle_sign_qsqrt2.json")))
+        sections = doc["sections"]
+        sections["comodule_algebra"]["coaction"]["triples"] = [[0, 0, "1"], [1, 0, "1"], [2, 1, "1"], [3, 1, "1"]]
+        sections["extension"]["base_columns"] = [["1", "0"], ["0", "1"]]
+        p = tmp_path / "zero_bundle.json"
+        p.write_text(json.dumps(doc))
+        r = invoke(["bundle", str(p), "--format", "json"])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(r.stdout)
+        assert len(doc["verdicts"]) == 7
+        assert all(v["status"] == "pass" for v in doc["verdicts"])
+        assert doc["dims"] == {"bundle": 0, "base": 2, "ambient": 2, "fiber": 1}
+
     def test_refuses_a_comodule_algebra_that_breaks_a_law(self, tmp_path):
         # Regular k[Z_2] over F_2 with its declared base; the coaction loses e -> e (x) e.
         field = Field(2)

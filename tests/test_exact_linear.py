@@ -261,6 +261,33 @@ class TestTensorIndexing:
             a.kron(a)
 
 
+class TestRationalScalars:
+    def test_integral_values_become_ints(self):
+        for x in (Fraction(4, 2), 2, Fraction(2)):
+            assert type(QQ.of(x)) is int and QQ.of(x) == 2
+        assert type(QQ.parse("6/3")) is int
+        assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
+
+    def test_bool_is_not_kept(self):
+        assert type(QQ.of(True)) is int and QQ.of(True) == 1
+        assert type(QQ.of(False)) is int
+
+    def test_inverse_is_exact(self):
+        for x, inv in ((1, 1), (-1, -1), (2, Fraction(1, 2)), (Fraction(-2, 3), Fraction(-3, 2))):
+            got = QQ.inv(QQ.of(x))
+            assert got == inv and type(got) is type(inv)
+
+    def test_fraction_and_int_entries_compare_and_hash_equal(self):
+        a = Mat.from_rows(QQ, [[2, 0], [-1, 1]])
+        b = Mat(QQ, 2, 2, [Fraction(2), Fraction(0), Fraction(-1), Fraction(1)])
+        c = Mat.from_entries(QQ, 2, 2, {(0, 0): Fraction(2), (1, 0): -1, (1, 1): Fraction(3, 3)})
+        # a Fraction with denominator 1 left by arithmetic, as a kernel may store it
+        d = a.scale(Fraction(1, 2)).scale(2)
+        assert a == b == c == d
+        assert hash(a) == hash(b) == hash(c) == hash(d)
+        assert repr(a) == repr(b) == repr(d) == "Mat(Q, 2x2: 2 0; -1 1)"
+
+
 class TestPrimeField:
     def test_mixed_field_rejected(self):
         m = Mat.identity(QQ, 2)

@@ -1119,12 +1119,7 @@ def test_pullback_verification_matches_reference_on_corruptions(data):
     assert outcome(lambda: _verify_pullback(pc)) == outcome(lambda: ref_verify_pullback(pc))
 
 
-# bilinear_compose cannot split an action table with a zero-dimensional leg,
-# so check_associated_bundle refuses a zero-dimensional bundle.
-NONZERO_BUNDLES = [b for b in BUNDLES if b.dim]
-
-
-@pytest.mark.parametrize("b", NONZERO_BUNDLES, ids=range(len(NONZERO_BUNDLES)))
+@pytest.mark.parametrize("b", BUNDLES, ids=range(len(BUNDLES)))
 def test_bundle_report_matches_reference(b):
     assert check_associated_bundle(b) == ref_check_associated_bundle(b)
 
@@ -1132,7 +1127,7 @@ def test_bundle_report_matches_reference(b):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_bundle_report_matches_reference_on_corruptions(data):
-    b = data.draw(st.sampled_from(NONZERO_BUNDLES))
+    b = data.draw(st.sampled_from(BUNDLES))
     left, right = data.draw(corrupted(b.left_action)), data.draw(corrupted(b.right_action))
     bc = AssociatedBundle(b.extension, b.rep, b.space, left, right)
     assert check_associated_bundle(bc) == ref_check_associated_bundle(bc)

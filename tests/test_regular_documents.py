@@ -4,7 +4,8 @@
   ``check comodule-algebra``, ``check galois`` and ``bundle`` (with the left
   regular comodule of H) build is bounded by the largest product the CLI
   guard checked before any work started, so a document the guard admits
-  cannot overflow later. ``check cartesian`` and ``phi`` on the coarsenings
+  cannot overflow later; at that cap ``check galois`` decides regular
+  k[Z_64] and k^{Z_64}. ``check cartesian`` and ``phi`` on the coarsenings
   ``cyclic_group_change(n, d)`` either stop at the guard, naming the
   morphism's path, or keep to the same bound. Wall-clock free: the test
   records shapes, not times.
@@ -133,6 +134,19 @@ def test_guard_bounds_every_kronecker_product(documents, guarded, kron_recorder,
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
     assert guarded
+    assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_galois_at_dimension_64(tmp_path, guarded, kron_recorder, kind):
+    """The default cap admits n = 64, and check galois decides it."""
+    path = tmp_path / f"{kind}_64.json"
+    path.write_text(json.dumps(regular_document(BUILDERS[kind](Group.cyclic(64)), QQ)))
+    r = invoke(path, "galois")
+    assert r.exit_code == 0, r.output
+    verdicts = json.loads(r.stdout)["verdicts"]
+    assert all(v["status"] == "pass" for v in verdicts)
+    assert "canonical map is bijective (4096x4096, rank 4096)" in verdicts[-1]["witness"]
     assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
 
 

@@ -5,10 +5,15 @@ arithmetic on plain ``Fraction`` (over Q) or on ints reduced mod p (over
 F_p). It shares no code with ``exact_linear`` beyond the dense ``Mat``
 constructor used to read its results back, so agreement on random sparse
 shapes checks the sparse kernels cell by cell.
+
+``rref`` has a second reference: sparse Gauss-Jordan elimination that takes
+as pivot the first remaining row holding the column, as the library did
+before it inserted rows one at a time. A matrix has one reduced row echelon
+form, so both must agree on every input and every order of its rows.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -20,6 +25,7 @@ from hopfgal.exact_linear import (
     Mat,
     QQ,
     bilinear_compose,
+    flip,
     kernel,
     kron_interleaved,
     permute_legs,
@@ -191,6 +197,76 @@ def test_hstack_vstack_match_dense(data):
     assert_matches(field, mt.vstack(ma, mbot), top + a + bottom, len(top) + r + r3, c1)
 
 
+def gauss_jordan(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Sparse Gauss-Jordan elimination, pivoting on the first remaining row."""
+    rows = list(m._rows)
+    nr, nc = m.rows, m.cols
+    field = m.field
+    p = field.p
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pivot_row = next((i for i in range(r, nr) if c in rows[i]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            inv = field.inv(pv)
+            prow = rows[r] = field.canonical_rows([{j: inv * x for j, x in prow.items()}])[0]
+        for i in range(nr):
+            f = rows[i].get(c) if i != r else None
+            if f is None:
+                continue
+            row = dict(rows[i])
+            for j, y in prow.items():
+                v = row.get(j)
+                v = -(f * y) if v is None else v - f * y
+                if p:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat._make(field, nr, nc, rows), tuple(pivots)
+
+
+@st.composite
+def echelon_grid(draw, field, max_rows=12, max_cols=12):
+    """A grid up to max_rows x max_cols, often rank-deficient.
+
+    Each row is zero, a copy of an earlier row, a combination of a few
+    generating rows, or a fresh sparse row, so draws include duplicate and
+    zero rows and wide and tall matrices of every rank.
+    """
+    d = Dense(field)
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    gens, _, _ = draw(sparse_grid(field, rows=draw(st.integers(1, 4)), cols=cols))
+    coeff = st.sampled_from([0, 1, -1, 2] + ([Fraction(1, 3)] if field.is_rational else []))
+    grid = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["zero", "copy", "combination", "fresh"]))
+        if kind == "zero" or (kind == "copy" and not grid):
+            row = [d.canon(0)] * cols
+        elif kind == "copy":
+            row = list(draw(st.sampled_from(grid)))
+        elif kind == "combination":
+            row = [d.canon(0)] * cols
+            for g in gens:
+                k = d.canon(draw(coeff))
+                row = [d.add(x, d.mul(k, y)) for x, y in zip(row, g)]
+        else:
+            row = draw(sparse_grid(field, rows=1, cols=cols))[0][0]
+        grid.append(row)
+    return grid, rows, cols
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_rref_rows_and_pivots_match_dense(data):
@@ -200,6 +276,55 @@ def test_rref_rows_and_pivots_match_dense(data):
     ref_rows, ref_pivots = Dense(field).rref(a, c)
     assert pivots == ref_pivots
     assert_matches(field, red, ref_rows, r, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_matches_gauss_jordan(data):
+    field = data.draw(fields)
+    a, r, c = data.draw(echelon_grid(field))
+    m = to_mat(field, a, r, c)
+    red, pivots = m.rref()
+    ref, ref_pivots = gauss_jordan(m)
+    assert pivots == ref_pivots
+    assert red == ref
+    assert_matches(field, red, Dense(field).rref(a, c)[0], r, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_does_not_depend_on_row_order(data):
+    field = data.draw(fields)
+    a, r, c = data.draw(echelon_grid(field, max_rows=5, max_cols=6))
+    expected = to_mat(field, a, r, c).rref()
+    for order in permutations(a):
+        assert to_mat(field, list(order), r, c).rref() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_solve_quotient_on_echelon_draws(data):
+    field = data.draw(fields)
+    a, r, c = data.draw(echelon_grid(field))
+    m = to_mat(field, a, r, c)
+    rank = len(gauss_jordan(m)[1])
+    null = kernel(m)
+    assert null.dim == c - rank
+    assert m.mul(null.mat).is_zero()
+    # The kernel basis is reduced: transposed, it is its own rref.
+    basis = null.mat.transpose()
+    assert basis.rref() == (basis, tuple(min(row) for row in basis._rows))
+    x, _, k = data.draw(sparse_grid(field, rows=c))
+    b = m.mul(to_mat(field, x, c, k))
+    sol = solve(m, b)
+    assert sol is not None and m.mul(sol) == b
+    # The basis vectors of k^r all lie in the image iff m has full row rank.
+    outside = [i for i in range(r) if solve(m, Mat.basis_vector(field, r, i)) is None]
+    assert bool(outside) == (rank < r)
+    qdim, projector, section = quotient(c, null)
+    assert qdim == rank
+    assert projector.mul(section) == Mat.identity(field, qdim)
+    assert projector.mul(null.mat).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,16 +367,8 @@ def test_explicit_zeros_do_not_change_equality_or_hash(data):
         assert hash(cancelled) == hash(zero)
 
 
-def assert_canonical(m: Mat):
-    p = m.field.p
-    for row in m._rows:
-        assert all(type(x) is int and 0 < x < p for x in row.values()), row
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_prime_field_kernels_store_ints_reduced_mod_p(data):
-    field = data.draw(st.sampled_from([Field(2), Field(7), Field(40009)]))
+def kernel_results(data, field) -> list[Mat]:
+    """The result of every kernel on drawn inputs: arithmetic, elimination and moving."""
     a, r, k = data.draw(sparse_grid(field))
     b, _, c = data.draw(sparse_grid(field, rows=k))
     e, _, _ = data.draw(sparse_grid(field, rows=r, cols=k))
@@ -261,7 +378,11 @@ def test_prime_field_kernels_store_ints_reduced_mod_p(data):
     f, _, n1 = data.draw(sparse_grid(field, rows=dx))
     g, _, n2 = data.draw(sparse_grid(field, rows=dy))
     mf, mg = to_mat(field, f, dx, n1), to_mat(field, g, dy, n2)
-    results = [
+    values = [1, -1, 2, 3, Fraction(4, 2), Fraction(-6, 3), Fraction(1, 2), True]
+    drawn = {(i, j): data.draw(st.sampled_from(values)) for i in range(r) for j in range(k)}
+    if not field.is_rational:
+        drawn = {key: x for key, x in drawn.items() if Fraction(x).denominator % field.p}
+    return [
         ma.mul(mb),
         kron_interleaved(ma, mf, 1, max(n1, 1)),
         bilinear_compose([(to_mat(field, table, dz, dx * dy), dy)], mf, mg),
@@ -272,6 +393,30 @@ def test_prime_field_kernels_store_ints_reduced_mod_p(data):
         kernel(ma).mat,
         solve(ma, ma.mul(mb)),
         *quotient(k, kernel(ma))[1:],
+        ma.transpose(),
+        ma.hstack(me),
+        ma.vstack(me),
+        permute_legs(mf.kron(mg), [dx, dy], [1, 0]),
+        flip(field, dx, dy),
+        *(ma.col_vector(j) for j in range(k)),
+        Mat.identity(field, k),
+        Mat.zeros(field, r, k),
+        Mat.from_entries(field, r, k, drawn),
     ]
-    for m in results:
-        assert_canonical(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prime_field_kernels_store_ints_reduced_mod_p(data):
+    field = data.draw(st.sampled_from([Field(2), Field(7), Field(40009)]))
+    for m in kernel_results(data, field):
+        for row in m._rows:
+            assert all(type(x) is int and 0 < x < field.p for x in row.values()), row
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rational_kernels_store_nonzero_ints_or_fractions(data):
+    for m in kernel_results(data, QQ):
+        for row in m._rows:
+            assert all(type(x) in (int, Fraction) and x for x in row.values()), row
