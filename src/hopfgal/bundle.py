@@ -30,8 +30,8 @@ from .exact_linear import (
     is_bijective,
     inverse,
     kernel,
-    kron_interleaved,
     linear_solutions,
+    on_legs,
     solve,
 )
 from .hopf_core import (
@@ -56,7 +56,7 @@ from .comodule import (
     RelativeHopfModule,
     invertible_in_span,
 )
-from .extension import extension_equal
+from .extension import cotensor_space, extension_equal
 
 
 class LeftComodule:
@@ -163,18 +163,11 @@ def comodule_direct_sum(v: LeftComodule, w: LeftComodule) -> LeftComodule:
         raise InputError("comodules over different Hopf algebras")
     h = v.hopf
     field = h.field
-    total = v.dim + w.dim
-    entries = {}
-    for r in range(h.dim * v.dim):
-        hh, x = divmod(r, v.dim)
-        for c in range(v.dim):
-            entries[(hh * total + x, c)] = v.coaction.entry(r, c)
-    for r in range(h.dim * w.dim):
-        hh, x = divmod(r, w.dim)
-        for c in range(w.dim):
-            entries[(hh * total + v.dim + x, v.dim + c)] = w.coaction.entry(r, c)
-    lam = Mat.from_entries(field, h.dim * total, total, entries)
-    return LeftComodule(h, total, coaction=lam, names=v.names + w.names)
+    # the inclusions of V and W into V (+) W, applied to the comodule leg
+    into_v = Mat.identity(field, v.dim).vstack(Mat.zeros(field, w.dim, v.dim))
+    into_w = Mat.zeros(field, v.dim, w.dim).vstack(Mat.identity(field, w.dim))
+    lam = on_legs(into_v, v.coaction, h.dim, 1).hstack(on_legs(into_w, w.coaction, h.dim, 1))
+    return LeftComodule(h, v.dim + w.dim, coaction=lam, names=v.names + w.names)
 
 
 def triangle_action(m: RelativeHopfModule, v: LeftComodule) -> RelativeHopfModule:
@@ -191,7 +184,8 @@ def triangle_action(m: RelativeHopfModule, v: LeftComodule) -> RelativeHopfModul
     dm, dv, dh = m.dim, v.dim, h.dim
     eye_v = Mat.identity(field, dv)
     # (m (x) v) a = m a (x) v
-    action = kron_interleaved(m.action, eye_v, c.dim, 1)
+    eye_mv, eye_a = Mat.identity(field, dm * dv), Mat.identity(field, c.dim)
+    action = bilinear_compose([(m.action, c.dim), (eye_v, 1)], eye_mv, eye_a)
     # (m_(0) (x) m_(1), v_(0) (x) S^{-1}(v_(-1))) |-> m_(0) (x) v_(0) (x) S^{-1}(v_(-1)) m_(1),
     # whose last leg is the product of H in the opposite order.
     opposite = h.algebra.left_mult(s_inv).mul(flip(field, dh, dh))
@@ -246,10 +240,9 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
     a, h = e.algebra, c.hopf
     field = e.field
     da, dv = a.dim, v.dim
-    eye_a = Mat.identity(field, da)
     eye_v = Mat.identity(field, dv)
 
-    space = kernel(c.coaction.kron(eye_v) - eye_a.kron(v.coaction))
+    space = cotensor_space(c.coaction, v.coaction)
     self_module = RelativeHopfModule(c, da, a.mult, c.coaction, names=a.basis_names)
     twisted = triangle_action(self_module, v)
     coinv = kernel(twisted.coaction - Mat.identity(field, twisted.dim).kron(h.unit))
@@ -317,14 +310,32 @@ def _min_poly(t: Mat) -> list:
         power = power.mul(t)
 
 
+# The most divisions and candidate evaluations one root search may take.
+ROOT_BUDGET = 100000
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, by trial division up to its square root."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
 def _poly_roots(coeffs, field) -> list:
-    """All roots in the field of an exactly-represented polynomial."""
+    """All roots in the field of an exactly-represented polynomial.
+
+    A search that would take more than ROOT_BUDGET steps, over all of F_p or
+    the divisors of two coefficients over Q, raises PreconditionError first.
+    """
 
     def value_at(r):
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = field.of(acc * r + c)
         return acc
+
+    def within_budget(steps, what):
+        if steps > ROOT_BUDGET:
+            raise PreconditionError(f"root search needs {steps} {what}, budget is {ROOT_BUDGET}")
 
     if field.is_rational:
         denom = 1
@@ -333,18 +344,16 @@ def _poly_roots(coeffs, field) -> list:
         ints = [int(Fraction(c) * denom) for c in coeffs]
         while ints and ints[-1] == 0:
             ints.pop()
-        candidates = set()
-        if ints and ints[0] == 0:
-            candidates.add(Fraction(0))
         lead = abs(ints[-1])
         const = abs(ints[0]) if ints[0] else abs(next((c for c in ints if c), 1))
-        p_divs = [d for d in range(1, const + 1) if const % d == 0]
-        q_divs = [d for d in range(1, lead + 1) if lead % d == 0]
-        for p in p_divs:
-            for q in q_divs:
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
+        within_budget(math.isqrt(const) + math.isqrt(lead), "trial divisions")
+        p_divs, q_divs = _divisors(const), _divisors(lead)
+        within_budget(2 * len(p_divs) * len(q_divs), "candidates")
+        candidates = {Fraction(s * p, q) for p in p_divs for q in q_divs for s in (1, -1)}
+        if ints[0] == 0:
+            candidates.add(Fraction(0))
         return [field.of(r) for r in sorted(candidates) if value_at(field.of(r)) == field.zero()]
+    within_budget(field.p, "candidates")
     return [field.of(i) for i in range(field.p) if value_at(field.of(i)) == field.zero()]
 
 
@@ -352,7 +361,8 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
     """Joint eigen-decomposition of a commutative algebra into characters.
 
     Returns one row functional per one-dimensional joint eigenspace, or None
-    when some generator fails to split over the field.
+    when some generator fails to split over the field. A root search past
+    its budget raises PreconditionError.
     """
     field = base.field
     subspaces = [Subspace.full(field, base.dim)]
@@ -396,39 +406,25 @@ def certify_fgp(b: AssociatedBundle) -> FgpReport:
     Over the ground field the rank is the dimension; over a commutative base
     that splits into characters the multiplicity of each simple summand is
     the rank of the action of its idempotent. Anything else is reported as
-    assumed rather than silently trusted.
+    assumed rather than silently trusted, and so is a base whose eigenvalue
+    search would pass its budget.
     """
     base = b.extension.base_algebra
-    field = base.field
+    assumed = "projectivity assumed from the Galois structure; "
     if base.dim == 1:
-        return FgpReport(
-            "field", b.dim, None, "base is the ground field; the bundle is free"
-        )
+        return FgpReport("field", b.dim, None, "base is the ground field; the bundle is free")
     if base.is_commutative():
-        chars = _split_characters(base)
-        if chars is not None:
-            lam = chars[0].vstack(*chars[1:])
-            idem = inverse(lam)
-            if idem is not None:
-                mults = []
-                for i in range(base.dim):
-                    op = b.right_action.mul(
-                        Mat.identity(field, b.dim).kron(idem.col_vector(i))
-                    )
-                    mults.append(op.rank())
-                return FgpReport(
-                    "semisimple",
-                    None,
-                    tuple(mults),
-                    "split semisimple base; multiplicities of the simple summands",
-                )
-    return FgpReport(
-        "assumed",
-        None,
-        None,
-        "projectivity assumed from the Galois structure; base not recognized "
-        "as split semisimple",
-    )
+        try:
+            chars = _split_characters(base)
+        except PreconditionError as e:
+            return FgpReport("assumed", None, None, f"{assumed}{e}")
+        idem = None if chars is None else inverse(chars[0].vstack(*chars[1:]))
+        if idem is not None:
+            eye = Mat.identity(base.field, b.dim)
+            mults = tuple(b.right_action.mul(eye.kron(idem.col_vector(i))).rank() for i in range(base.dim))
+            note = "split semisimple base; multiplicities of the simple summands"
+            return FgpReport("semisimple", None, mults, note)
+    return FgpReport("assumed", None, None, f"{assumed}base not recognized as split semisimple")
 
 
 def _search_iso(defects, dim: int, field) -> Mat | None:

@@ -33,6 +33,7 @@ from .exact_linear import (
     is_bijective,
     kernel,
     linear_solutions,
+    on_legs,
     quotient,
     solve,
 )
@@ -541,10 +542,10 @@ def change_basis(e: Extension, p: Mat) -> Extension:
     p_inv = inverse(p)
     if p_inv is None or (p.rows, p.cols) != (da, da):
         raise InputError("change of basis must be an invertible dim A square matrix")
-    mult2 = p.mul(a.mult).mul(p_inv.kron(p_inv))
+    mult2 = p.mul(bilinear_compose([(a.mult, da)], p_inv, p_inv))
     unit2 = p.mul(a.unit)
     names2 = [f"v{i}" for i in range(da)]
     alg2 = AlgebraData(field, da, names2, mult2, unit2)
-    rho2 = p.kron(Mat.identity(field, c.hopf.dim)).mul(c.coaction).mul(p_inv)
+    rho2 = on_legs(p, c.coaction.mul(p_inv), 1, c.hopf.dim)
     base2 = Subspace.from_spanning_columns(p.mul(e.inclusion))
     return Extension(ComoduleAlgebra(alg2, c.hopf, coaction=rho2), base2)

@@ -12,7 +12,12 @@ Conventions used by the whole package:
   composition is matrix multiplication, vectors are column matrices.
 * Tensor products are indexed lexicographically with the LEFT factor slowest:
   the basis vector ``e_i (x) e_j`` of ``U (x) V`` has index ``i*dim(V) + j``.
-  ``kron`` realizes maps between tensor products in this indexing.
+  Maps between tensor products are applied leg by leg in this indexing,
+  never built as operators when avoidable: ``on_legs(op, m, before, after)``
+  is (id (x) op (x) id) m, computed per nonzero of m, and
+  ``bilinear_compose`` evaluates a bilinear map given by structure tables,
+  one table per leg. ``kron`` is two ``on_legs`` calls on an identity.
+  ``on_legs`` checks every matrix it builds against HOPFGAL_MAX_DIM.
 * Subspaces are stored via their reduced-echelon basis, so two subspaces are
   equal iff their stored matrices are equal.
 * A scalar of Q is a Python rational: an ``int`` when ``Field.of`` sees an
@@ -68,14 +73,32 @@ def max_tensor_dim() -> int:
     return val
 
 
+# Miller-Rabin with the 13 primes up to 41 as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the primes up to 37 alone are exact only
+# below 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; exact for n < PRIMALITY_BOUND."""
+    if n < 2 or n in _PRIME_BASES:
+        return n >= 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n = d * 2^s + 1 passes for base a when a^d = 1 or a^(d * 2^i) = -1 for some i < s.
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -90,6 +113,8 @@ class Field:
     _zero, _one = 0, 1
 
     def __init__(self, p: int | None = None):
+        if p is not None and p >= PRIMALITY_BOUND:
+            raise InputError(f"modulus {p} is too large: primality is decided below {PRIMALITY_BOUND}")
         if p is not None and not _is_prime(p):
             raise InputError(f"modulus {p} is not prime")
         self.p = p
@@ -381,7 +406,12 @@ class Mat:
         Basis order: left factor slowest, so ``(f (x) g)(e_i (x) e_j)`` sits in
         column ``i*cols(g) + j``.
         """
-        return kron_interleaved(self, other, 1, max(other.cols, 1))
+        # Two applications to one identity, the factor that leaves the
+        # narrower intermediate first; it is never wider than the result.
+        eye = Mat.identity(self.field, self.cols * other.cols)
+        if self.cols * other.rows <= self.rows * other.cols:
+            return on_legs(self, on_legs(other, eye, self.cols, 1), 1, other.rows)
+        return on_legs(other, on_legs(self, eye, 1, other.cols), self.rows, 1)
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
@@ -487,46 +517,47 @@ def _mul_rows(srows: list, orows: list) -> list:
     return out
 
 
-def kron_interleaved(f: Mat, g: Mat, f_right: int, g_right: int) -> Mat:
-    """``f (x) g`` with its input legs taken in the order (x, y, x', y').
+def on_legs(op: Mat, m: Mat, before: int, after: int) -> Mat:
+    """(id_before (x) op (x) id_after) m: op applied to a block of tensor legs.
 
-    f maps X (x) X' and g maps Y (x) Y', where X' and Y' have dimensions
-    f_right and g_right. The result maps X (x) Y (x) X' (x) Y' to the target
-    of f (x) g: it is ``kron(f, g)`` composed with the leg permutation
-    (x, y, x', y') -> (x, x', y, y'), built in one pass over the nonzeros of
-    f and g, at the cost of ``kron``. For two multiplication tables it is the
-    multiplication of the tensor product algebra. ``kron`` is the case
-    f_right = 1, g_right = cols(g).
+    The rows of m are indexed by (b, y, a) with b < before, y < op.cols and
+    a < after, left slowest; row (b, z, a) of the result is the sum of
+    op[z, y] times row (b, y, a) of m. Each nonzero of m meets the nonzeros
+    of one column of op, and the operator id (x) op (x) id is never built.
+    Any of the dimensions may be 0.
     """
-    f._check_same_field(g)
-    if f_right < 1 or g_right < 1 or f.cols % f_right or g.cols % g_right:
+    op._check_same_field(m)
+    if before < 0 or after < 0 or m.rows != before * op.cols * after:
         raise InputError(
-            f"legs of size {f_right} and {g_right} do not split {f.cols} and {g.cols} columns"
+            f"legs of size {before} and {after} around {op.cols} do not split {m.rows} rows"
         )
     cap = max_tensor_dim()
-    R, C = f.rows * g.rows, f.cols * g.cols
-    if R > cap or C > cap:
-        raise InputError(f"tensor dimension {max(R, C)} exceeds HOPFGAL_MAX_DIM={cap}")
-    # Output column of (x, y, x', y'): each factor's nonzero adds its own offset.
-    x_stride, y_stride = f_right * g.cols, f_right * g_right
-    # Skip products with a unit factor: most structure entries are 1.
-    g_rows = [
-        [((k // g_right) * y_stride + k % g_right, b, b == 1) for k, b in r.items()]
-        for r in g._rows
-    ]
-    out = []
-    for frow in f._rows:
-        terms = [
-            ((k // f_right) * x_stride + (k % f_right) * g_right, a, a == 1)
-            for k, a in frow.items()
-        ]
-        for items in g_rows:
-            out.append({
-                base + k2: b if a_one else (a if b_one else a * b)
-                for base, a, a_one in terms
-                for k2, b, b_one in items
-            })
-    return Mat._make(f.field, R, C, out)
+    rows = before * op.rows * after
+    if rows > cap or m.cols > cap:
+        raise InputError(f"tensor dimension {max(rows, m.cols)} exceeds HOPFGAL_MAX_DIM={cap}")
+    # Row y of the transpose holds the coefficients op[z, y] that input leg y feeds.
+    op_cols = op.transpose()._rows
+    block_in, block_out = op.cols * after, op.rows * after
+    out = [{} for _ in range(rows)]
+    for i, mrow in enumerate(m._rows):
+        if not mrow:
+            continue
+        b, ya = divmod(i, block_in)
+        y, a = divmod(ya, after)
+        base = b * block_out + a
+        for z, c in op_cols[y].items():
+            k = base + z * after
+            if not out[k]:
+                # Most structure constants are 1, and most rows get one term.
+                out[k] = dict(mrow) if c == 1 else {j: c * x for j, x in mrow.items()}
+                continue
+            acc = out[k]
+            for j, x in mrow.items():
+                x = x if c == 1 else c * x
+                w = acc.get(j)
+                acc[j] = x if w is None else w + x
+    out = [r if all(r.values()) else {j: x for j, x in r.items() if x} for r in out]
+    return Mat._make(m.field, rows, m.cols, out)
 
 
 def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
@@ -539,7 +570,8 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     multiplication tables of A and H give the product of A (x) H, which is
     never built as one table. f maps into X and g into Y, and column
     i*g.cols + j of the result is B(f e_i, g e_j); with one factor the result
-    is ``table.mul(f.kron(g))``.
+    is ``table.mul(f.kron(g))``, and with identity tables it is ``f.kron(g)``
+    with its legs interleaved.
 
     The map with fewer columns is the fixed one: each basis vector e_v that
     it meets picks a slice of the tables, the matrix of B(e_v, -) (or of

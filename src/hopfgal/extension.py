@@ -27,9 +27,11 @@ from .exact_linear import (
     InvariantViolation,
     Mat,
     PreconditionError,
+    Subspace,
     bilinear_compose,
     is_bijective,
     kernel,
+    on_legs,
     solve,
 )
 from .hopf_core import (
@@ -81,31 +83,34 @@ def extension_equal(e1: Extension, e2: Extension) -> bool:
     )
 
 
+def cotensor_space(right_coaction: Mat, left_coaction: Mat) -> Subspace:
+    """X box^C Y inside X (x) Y, for coactions X -> X (x) C and Y -> C (x) Y.
+
+    It is the equalizer of rho (x) id and id (x) lambda, two maps into
+    X (x) C (x) Y.
+    """
+    dx, dy = right_coaction.cols, left_coaction.cols
+    eye = Mat.identity(right_coaction.field, dx * dy)
+    return kernel(on_legs(right_coaction, eye, 1, dy) - on_legs(left_coaction, eye, dx, 1))
+
+
 class CotensorSpace:
     """left box^{H'} H inside left (x) H, for a Hopf map chi: H -> H'.
 
     The left factor carries a right H'-coaction; H is a left H'-comodule
-    through chi applied to the first comultiplication leg. The cotensor is
-    the exact equalizer of the two induced maps into left (x) H' (x) H.
+    through chi applied to the first comultiplication leg.
     """
 
     def __init__(self, left_dim: int, left_coaction: Mat, chi: HopfMap):
         h, hp = chi.source, chi.target
-        field = h.field
-        dh, dhp = h.dim, hp.dim
-        if (left_coaction.rows, left_coaction.cols) != (left_dim * dhp, left_dim):
+        if (left_coaction.rows, left_coaction.cols) != (left_dim * hp.dim, left_dim):
             raise InputError(
-                f"left coaction must be {left_dim * dhp}x{left_dim} for the cotensor"
+                f"left coaction must be {left_dim * hp.dim}x{left_dim} for the cotensor"
             )
-        self.field = field
+        self.field = h.field
         self.left_dim = left_dim
-        self.left_coaction = left_coaction
         self.chi = chi
-        eye_left = Mat.identity(field, left_dim)
-        eye_h = Mat.identity(field, dh)
-        lhs = left_coaction.kron(eye_h)
-        rhs = eye_left.kron(chi.matrix.kron(eye_h).mul(h.comult))
-        self.space = kernel(lhs - rhs)
+        self.space = cotensor_space(left_coaction, on_legs(chi.matrix, h.comult, 1, h.dim))
         self.embed = self.space.mat  # (left_dim * dh) x dim
 
     @property
@@ -125,10 +130,9 @@ class CotensorSpace:
 
     def h_coaction(self) -> Mat:
         """id (x) Delta_H restricted to the cotensor, as a map C -> C (x) H."""
-        h = self.chi.source
-        eye_left = Mat.identity(self.field, self.left_dim)
-        raw = eye_left.kron(h.comult).mul(self.embed)
-        sol = solve(self.embed.kron(Mat.identity(self.field, h.dim)), raw)
+        dh = self.chi.source.dim
+        raw = on_legs(self.chi.source.comult, self.embed, self.left_dim, 1)
+        sol = solve(on_legs(self.embed, Mat.identity(self.field, self.dim * dh), 1, dh), raw)
         if sol is None:
             raise InvariantViolation("cotensor is not stable under id (x) Delta")
         return sol
@@ -173,8 +177,7 @@ class ExtensionMorphism:
     @cached_property
     def alpha_coaction(self) -> Mat:
         """(alpha (x) id) rho: A -> A' (x) H, a |-> alpha(a_(0)) (x) a_(1)."""
-        eye_h = Mat.identity(self.field, self.source.hopf.dim)
-        return self.alpha.kron(eye_h).mul(self.source.comodule_algebra.coaction)
+        return on_legs(self.alpha, self.source.comodule_algebra.coaction, 1, self.source.hopf.dim)
 
     @cached_property
     def cotensor(self) -> CotensorSpace:
@@ -205,16 +208,8 @@ def check_extension_morphism(m: ExtensionMorphism) -> list[AxiomCheck]:
     legs = (ap.basis_names, tgt.hopf.basis_names)
     out.append(comodule_map_law("coaction_intertwined", rho_p, m.alpha, m.chi.matrix, rho, a.basis_names, legs))
     ok = tgt.inclusion.mul(m.beta) == m.alpha.mul(src.inclusion)
-    out.append(
-        AxiomCheck(
-            "base_restriction",
-            ok,
-            None
-            if ok
-            else "beta followed by the target inclusion differs from alpha on the base",
-        )
-    )
-    return out
+    witness = None if ok else "beta followed by the target inclusion differs from alpha on the base"
+    return out + [AxiomCheck("base_restriction", ok, witness)]
 
 
 @dataclass
@@ -346,6 +341,13 @@ class PullbackStructure:
         return check_comodule_algebra(self.comodule_algebra)
 
 
+def _balanced_coaction(q: BalancedTensor, dx: int, rho: Mat, dh: int) -> Mat:
+    """(P (x) id) (id (x) rho), descended: the coaction of X (x)_B Y, with
+    dim X = dx, from a coaction rho: Y -> Y (x) H."""
+    spread = on_legs(rho, Mat.identity(rho.field, q.ambient_dim), dx, 1)
+    return q.descend(on_legs(q.projector, spread, 1, dh))
+
+
 def pullback_structure(m: ExtensionMorphism) -> PullbackStructure:
     """Transport the cotensor algebra through kappa onto B' (x)_B A.
 
@@ -361,26 +363,23 @@ def pullback_structure(m: ExtensionMorphism) -> PullbackStructure:
     rho = src.comodule_algebra.coaction
     dbp, da, dh = tgt.base_dim, a.dim, h.dim
     q = data.domain
-    eye_bp = Mat.identity(field, dbp)
-    eye_a = Mat.identity(field, da)
-    eye_h = Mat.identity(field, dh)
 
     # (b'1, a1, b'2, a2) -> (b'1, b'2', a1', a2) -> multiply pairwise
     op_mid = q.section.mul(phi).mul(mirror.domain.projector)
-    mult_q = (
-        q.projector.mul(base_p.mult.kron(a.mult))
-        .mul(eye_bp.kron(op_mid).kron(eye_a))
-        .mul(q.section.kron(q.section))
-    )
+    pairs = on_legs(q.section, Mat.identity(field, q.dim * q.dim), q.dim, 1)
+    pairs = on_legs(q.section, pairs, 1, dbp * da)  # S (x) S
+    pairs = on_legs(op_mid, pairs, dbp, da)
+    pairs = on_legs(base_p.mult, pairs, 1, da * da)
+    mult_q = q.projector.mul(on_legs(a.mult, pairs, dbp, 1))
     unit_q = q.projector.mul(base_p.unit.kron(a.unit))
-    coact_q = q.descend(q.projector.kron(eye_h).mul(eye_bp.kron(rho)))
+    coact_q = _balanced_coaction(q, dbp, rho, dh)
 
     names = [f"q{i}" for i in range(q.dim)]
     alg_q = AlgebraData(field, q.dim, names, mult_q, unit_q)
     induced = ComoduleAlgebra(alg_q, h, coaction=coact_q)
 
-    iota_base = q.projector.mul(eye_bp.kron(a.unit))
-    iota_fiber = q.projector.mul(base_p.unit.kron(eye_a))
+    iota_base = q.projector.mul(Mat.identity(field, dbp).kron(a.unit))
+    iota_fiber = q.projector.mul(base_p.unit.kron(Mat.identity(field, da)))
     j_base = data.cotensor.coordinates(tgt.inclusion.kron(h.unit))
     j_fiber = data.cotensor.coordinates(m.alpha_coaction)
 
@@ -424,7 +423,7 @@ def _verify_pullback(p: PullbackStructure):
         fail("fiber_triangle")
     if p.kappa.mul(p.iota_base) != p.j_base:
         fail("base_triangle")
-    counit_strip = Mat.identity(field, ap.dim).kron(h.counit).mul(p.cotensor.embed)
+    counit_strip = on_legs(h.counit, p.cotensor.embed, ap.dim, 1)
     if counit_strip.mul(p.j_fiber) != m.alpha:
         fail("fiber_counit")
     if counit_strip.mul(p.j_base) != tgt.inclusion:
@@ -477,25 +476,18 @@ def _verify_composition(m2: ExtensionMorphism, m1: ExtensionMorphism, comp: Exte
     q1_left = bilinear_compose([(base_p.mult, dbp), (eye(a.dim), a.dim)], eye(dbp), q1.section)
     t0 = BalancedTensor(right, q1.projector.mul(q1_left))
     embed_a_q1 = q1.projector.mul(base_p.unit.kron(eye(a.dim)))
-    iota = dc.domain.descend(t0.projector.mul(eye(dbpp).kron(embed_a_q1)))
+    iota = dc.domain.descend(t0.projector.mul(on_legs(embed_a_q1, eye(dbpp * a.dim), dbpp, 1)))
 
     # T1 = B'' (x)_{B'} (A' box^{H'} H), B' acting through iota' on the A' leg
     c1_left = bilinear_compose([(ap.mult, ap.dim), (eye(dh), dh)], mid.inclusion, d1.cotensor.embed)
     t1 = BalancedTensor(right, d1.cotensor.coordinates(c1_left))
-    map01 = t0.descend(t1.projector.mul(eye(dbpp).kron(d1.kappa)))
+    map01 = t0.descend(t1.projector.mul(on_legs(d1.kappa, eye(t0.ambient_dim), dbpp, 1)))
 
     # Q2 inherits a right H'-coaction from A'
-    coact_q2 = d2.domain.descend(
-        d2.domain.projector.kron(eye(dhp)).mul(
-            eye(dbpp).kron(mid.comodule_algebra.coaction)
-        )
-    )
+    coact_q2 = _balanced_coaction(d2.domain, dbpp, mid.comodule_algebra.coaction, dhp)
     c1p = CotensorSpace(d2.domain.dim, coact_q2, m1.chi)
-    nu = c1p.coordinates(
-        t1.descend(
-            d2.domain.projector.kron(eye(dh)).mul(eye(dbpp).kron(d1.cotensor.embed))
-        )
-    )
+    spread = on_legs(d1.cotensor.embed, eye(t1.ambient_dim), dbpp, 1)
+    nu = c1p.coordinates(t1.descend(on_legs(d2.domain.projector, spread, 1, dh)))
     if not is_bijective(nu):
         raise InvariantViolation(
             "composition verification: middle cotensor identification is not bijective"
@@ -503,11 +495,9 @@ def _verify_composition(m2: ExtensionMorphism, m1: ExtensionMorphism, comp: Exte
 
     # (kappa_2 box id) and the counit collapse back to the composite cotensor
     c2p = CotensorSpace(d2.cotensor.dim, d2.cotensor.h_coaction(), m1.chi)
-    k2_box = c2p.coordinates(d2.kappa.kron(eye(dh)).mul(c1p.embed))
+    k2_box = c2p.coordinates(on_legs(d2.kappa, c1p.embed, 1, dh))
     mu = dc.cotensor.coordinates(
-        eye(app.dim).kron(hp.counit).kron(eye(dh))
-        .mul(d2.cotensor.embed.kron(eye(dh)))
-        .mul(c2p.embed)
+        on_legs(hp.counit, on_legs(d2.cotensor.embed, c2p.embed, 1, dh), app.dim, dh)
     )
 
     chain = mu.mul(k2_box).mul(nu).mul(map01).mul(iota)
@@ -559,7 +549,7 @@ def f_upper_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PushedModule:
     # (m (x) a') |-> (m_(0) (x) a'_(0)) (x) chi(m_(1)) a'_(1)
     factors = [(eye_m, 1), (eye_ap, dap), (hp.algebra.left_mult(m.chi.matrix), dhp)]
     spread = bilinear_compose(factors, mod.coaction, tgt.comodule_algebra.coaction)
-    coact = bt.descend(bt.projector.kron(Mat.identity(field, dhp)).mul(spread))
+    coact = bt.descend(on_legs(bt.projector, spread, 1, dhp))
 
     module = RelativeHopfModule(tgt.comodule_algebra, bt.dim, act, coact)
     return PushedModule(module, bt)
@@ -581,19 +571,18 @@ def f_upper_star_map(
     m: ExtensionMorphism, g: Mat, dom: PushedModule, cod: PushedModule
 ) -> Mat:
     """Apply extension of scalars to an A-linear map g between source modules."""
-    dap = m.target.dim
-    eye_ap = Mat.identity(m.field, dap)
-    raw = cod.domain.projector.mul(g.kron(eye_ap))
-    return dom.domain.descend(raw)
+    dap, projector = m.target.dim, cod.domain.projector
+    # g (x) id on the balancing relations of the domain, then on its section
+    if not projector.mul(on_legs(g, dom.domain.relations.mat, 1, dap)).is_zero():
+        raise InvariantViolation("map does not vanish on the balancing relations")
+    return projector.mul(on_legs(g, dom.domain.section, 1, dap))
 
 
 def f_lower_star_map(
     m: ExtensionMorphism, g: Mat, dom: PulledModule, cod: PulledModule
 ) -> Mat:
     """Apply the cotensor functor to an H'-colinear map g between target modules."""
-    dh = m.source.hopf.dim
-    eye_h = Mat.identity(m.field, dh)
-    return cod.cotensor.coordinates(g.kron(eye_h).mul(dom.cotensor.embed))
+    return cod.cotensor.coordinates(on_legs(g, dom.cotensor.embed, 1, m.source.hopf.dim))
 
 
 def adjunction_unit(
@@ -602,11 +591,8 @@ def adjunction_unit(
     """eta_M : M -> (M (x)_A A') box^{H'} H, m |-> (m_(0) (x) 1) (x) m_(1)."""
     up = f_upper_star(m, mod)
     low = f_lower_star(m, up.module)
-    field = m.field
-    ap = m.target.algebra
-    lift = up.domain.projector.mul(Mat.identity(field, mod.dim).kron(ap.unit))
-    eta_raw = lift.kron(Mat.identity(field, m.source.hopf.dim)).mul(mod.coaction)
-    eta = low.cotensor.coordinates(eta_raw)
+    lift = up.domain.projector.mul(Mat.identity(m.field, mod.dim).kron(m.target.algebra.unit))
+    eta = low.cotensor.coordinates(on_legs(lift, mod.coaction, 1, m.source.hopf.dim))
     return eta, up, low
 
 
@@ -616,15 +602,10 @@ def adjunction_counit(
     """eps_{M'} : (M' box^{H'} H) (x)_A A' -> M', (m' (x) h) (x) a' |-> eps(h) m'. a'."""
     low = f_lower_star(m, mod)
     up = f_upper_star(m, low.module)
-    field = m.field
-    h = m.source.hopf
     dap = m.target.dim
-    eps_raw = (
-        mod.action
-        .mul(Mat.identity(field, mod.dim).kron(h.counit).kron(Mat.identity(field, dap)))
-        .mul(low.cotensor.embed.kron(Mat.identity(field, dap)))
-    )
-    eps = eps_raw.mul(up.domain.section)
+    # (m' (x) h) (x) a' on the section, then eps(h), then the action
+    lifted = on_legs(low.cotensor.embed, up.domain.section, 1, dap)
+    eps = mod.action.mul(on_legs(m.source.hopf.counit, lifted, mod.dim, dap))
     return eps, low, up
 
 
@@ -635,37 +616,22 @@ def adjunction_triangle_checks(
 
     mod lives over the source, mod_target over the target.
     """
-    field = m.field
-    out = []
-
     eta, up, low = adjunction_unit(m, mod)
     eps_u, low_u, up_u = adjunction_counit(m, up.module)
     f_eta = f_upper_star_map(m, eta, up, up_u)
-    dim_u = up.domain.dim
-    out.append(
-        _check_eq(
-            "pushforward_triangle",
-            eps_u.mul(f_eta),
-            Mat.identity(field, dim_u),
-            [f"u{i}" for i in range(dim_u)],
-            [f"u{i}" for i in range(dim_u)],
-        )
-    )
-
     eps, low_m, up_m = adjunction_counit(m, mod_target)
     eta2, up2, low2 = adjunction_unit(m, low_m.module)
     f_eps = f_lower_star_map(m, eps, low2, low_m)
-    dim_c = low_m.cotensor.dim
-    out.append(
-        _check_eq(
-            "pullback_triangle",
-            f_eps.mul(eta2),
-            Mat.identity(field, dim_c),
-            [f"c{i}" for i in range(dim_c)],
-            [f"c{i}" for i in range(dim_c)],
-        )
-    )
-    return out
+    return [
+        _identity_law("pushforward_triangle", eps_u.mul(f_eta), up.domain.dim, "u"),
+        _identity_law("pullback_triangle", f_eps.mul(eta2), low_m.cotensor.dim, "c"),
+    ]
+
+
+def _identity_law(name: str, m: Mat, dim: int, prefix: str) -> AxiomCheck:
+    """m is the identity of k^dim, whose basis is named prefix0, prefix1, ..."""
+    names = [f"{prefix}{i}" for i in range(dim)]
+    return _check_eq(name, m, Mat.identity(m.field, dim), names, names)
 
 
 def coinvariant_cotensor_checks(
@@ -688,28 +654,13 @@ def coinvariant_cotensor_checks(
     u_cols = solve(s2.mat, cot.coordinates(s1.mat.kron(h.unit)))
     if u_cols is None:
         raise InvariantViolation("coinvariant image is not coinvariant in the cotensor")
-    strip = Mat.identity(field, dmp).kron(h.counit)
-    d_cols = solve(s1.mat, strip.mul(cot.embed).mul(s2.mat))
+    d_cols = solve(s1.mat, on_legs(h.counit, cot.embed.mul(s2.mat), dmp, 1))
     if d_cols is None:
         raise InvariantViolation("cotensor coinvariant does not land in the module coinvariants")
 
-    names1 = [f"w{i}" for i in range(s1.dim)]
-    names2 = [f"w{i}" for i in range(s2.dim)]
     return [
-        _check_eq(
-            "coinvariants_round_trip",
-            d_cols.mul(u_cols),
-            Mat.identity(field, s1.dim),
-            names1,
-            names1,
-        ),
-        _check_eq(
-            "cotensor_round_trip",
-            u_cols.mul(d_cols),
-            Mat.identity(field, s2.dim),
-            names2,
-            names2,
-        ),
+        _identity_law("coinvariants_round_trip", d_cols.mul(u_cols), s1.dim, "w"),
+        _identity_law("cotensor_round_trip", u_cols.mul(d_cols), s2.dim, "w"),
     ]
 
 

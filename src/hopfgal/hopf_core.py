@@ -27,7 +27,6 @@ from .exact_linear import (
     bilinear_compose,
     flip,
     inverse,
-    kron_interleaved,
 )
 
 
@@ -129,11 +128,12 @@ class AlgebraData:
 
 def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:
     """A (x) B with the componentwise product; basis labels (a,b)."""
+    eye = Mat.identity(a.field, a.dim * b.dim)
     return AlgebraData(
         a.field,
         a.dim * b.dim,
         tensor_names(a.basis_names, b.basis_names),
-        kron_interleaved(a.mult, b.mult, a.dim, b.dim),
+        bilinear_compose([(a.mult, a.dim), (b.mult, b.dim)], eye, eye),
         a.unit.kron(b.unit),
     )
 

@@ -8,7 +8,7 @@ compatibility checks.
 
 from __future__ import annotations
 
-from .exact_linear import Field, Mat, QQ, Subspace, kron_interleaved
+from .exact_linear import Field, Mat, QQ, Subspace, bilinear_compose, on_legs
 from .hopf_core import (
     AlgebraData,
     Group,
@@ -112,18 +112,17 @@ def module_self(c: ComoduleAlgebra) -> RelativeHopfModule:
 def module_diagonal(c: ComoduleAlgebra) -> RelativeHopfModule:
     """M = H (x) A: action on the A leg, diagonal coaction.
 
-    delta(h (x) a) = (h_(1) (x) a_(0)) (x) h_(2) a_(1), realized as
-    Delta (x) rho, a middle flip, then multiplication of the two H legs.
+    delta(h (x) a) = (h_(1) (x) a_(0)) (x) h_(2) a_(1): the pair (Delta h, rho a)
+    goes to (h1, a0, h2 a1), leg by leg.
     """
     c = c.materialize()
     h, a = c.hopf, c.algebra
     field = c.field
     dh, da = h.dim, a.dim
     dm = dh * da
-    action = Mat.identity(field, dh).kron(a.mult)
-    spread = h.comult.kron(c.coaction)  # legs (h1, h2, a0, a1)
-    # (h1, h2, a0, a1) -> (h1, a0, h2 a1)
-    coaction = kron_interleaved(Mat.identity(field, dm), h.mult, da, dh).mul(spread)
+    action = on_legs(a.mult, Mat.identity(field, dm * da), dh, 1)
+    factors = [(Mat.identity(field, dh), 1), (Mat.identity(field, da), da), (h.mult, dh)]
+    coaction = bilinear_compose(factors, h.comult, c.coaction)
     names = [f"({hn},{an})" for hn in h.basis_names for an in a.basis_names]
     return RelativeHopfModule(c, dm, action, coaction, names=names)
 
@@ -160,7 +159,7 @@ def cyclic_group_change(n: int, d: int) -> ExtensionMorphism:
     hn = build_group_algebra(gn)
     chi = group_algebra_map(gn, gd, [k % d for k in range(n)])
     src = regular_extension(hn)
-    rho2 = Mat.identity(QQ, n).kron(chi.matrix).mul(hn.comult)
+    rho2 = on_legs(chi.matrix, hn.comult, n, 1)
     c2 = ComoduleAlgebra(hn.algebra, chi.target, coaction=rho2)
     tgt = Extension(c2)  # base defaults to the coinvariants span{g^k : d | k}
     return ExtensionMorphism(chi, Mat.identity(QQ, n), src, tgt)

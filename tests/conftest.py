@@ -1,9 +1,12 @@
 """Shared fixtures: rebinding a hopfgal function everywhere, and a Kronecker recorder.
 
 The hopfgal modules import one another's functions by name, so a wrapper
-must replace a function in every module that binds it. ``Mat.kron`` calls
-``kron_interleaved`` through ``exact_linear``, so rebinding that name there
-records it too.
+must replace a function in every module that binds it. The recorder wraps
+``exact_linear.on_legs``, the kernel that applies a map to a block of tensor
+legs: every operator on a tensor product that the library builds comes out
+of it, ``Mat.kron`` included (two calls through ``exact_linear``, so
+rebinding that name there records them too), and its result is the widest
+matrix such a step builds.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def rebind(monkeypatch):
 
 @dataclass
 class KronRecorder:
-    """Kronecker products built so far: how many, and the widest, max(rows, cols)."""
+    """``on_legs`` results built so far: how many, and the widest, max(rows, cols)."""
 
     calls: int = 0
     widest: int = 0
@@ -39,13 +42,13 @@ class KronRecorder:
 @pytest.fixture
 def kron_recorder(rebind):
     recorder = KronRecorder()
-    kron = exact_linear.kron_interleaved
+    on_legs = exact_linear.on_legs
 
-    def recording(f, g, f_right, g_right):
-        out = kron(f, g, f_right, g_right)
+    def recording(op, m, before, after):
+        out = on_legs(op, m, before, after)
         recorder.calls += 1
         recorder.widest = max(recorder.widest, out.rows, out.cols)
         return out
 
-    rebind(kron, recording)
+    rebind(on_legs, recording)
     return recorder

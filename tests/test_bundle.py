@@ -45,6 +45,7 @@ from hopfgal.bundle import (
     triangle_action,
     trivial_left_comodule,
     _search_iso,
+    _divisors,
     _split_characters,
 )
 from hopfgal import zoo
@@ -296,6 +297,10 @@ class TestCertifyFgp:
         cov = identity_cover(zoo.quadratic_field_algebra(2))
         report = certify_fgp(cotensor_bundle(cov, trivial_left_comodule(cov.hopf)))
         assert report.kind == "assumed"
+
+    def test_divisors_match_the_full_scan(self):
+        for n in range(1, 2000):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
     def test_split_characters_helper(self):
         chars = _split_characters(two_point_algebra())

@@ -5,8 +5,8 @@ The count of calls into the expensive steps is deterministic, so these pins
 are wall-clock free. Each wrapped function is replaced in every hopfgal
 module that binds it (the ``rebind`` fixture of ``tests/conftest.py``); a
 method or a class is wrapped on the class. The ``kron_recorder`` fixture
-counts the Kronecker products a command builds and records the widest,
-max(rows, cols).
+counts the calls of ``exact_linear.on_legs`` a command makes (``Mat.kron``
+is two) and records the widest result, max(rows, cols).
 """
 
 from __future__ import annotations
@@ -75,11 +75,13 @@ WIDEST_KRON = {
 
 # Every law is evaluated from the structure tables too (2, 6, 22 and 6
 # products before); what is left are the cotensor equalizer, the pullback
-# and maps that mix legs.
+# and maps that mix legs, each applied to its legs by on_legs. For phi the
+# pullback product takes five calls in place of four Kronecker products, and
+# each of the five Kronecker products with a unit takes two: 18 -> 24.
 KRON_CALLS = {
     "check hopf hopf_sweedler.json": 0,
     "check cartesian sweedler_self.json": 4,
-    "phi sweedler_self.json": 18,
+    "phi sweedler_self.json": 24,
     "bundle bundle_regular_sweedler.json": 4,
 }
 

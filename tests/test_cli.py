@@ -412,6 +412,54 @@ class TestBundle:
         assert all(v["status"] == "pass" for v in doc["verdicts"])
         assert doc["dims"] == {"bundle": 0, "base": 2, "ambient": 2, "fiber": 1}
 
+    @staticmethod
+    def split_base_document(field: str, n: int) -> dict:
+        """k[y]/(y^2 - n^2) over itself, the trivial Hopf algebra and a one-dimensional comodule."""
+        one = {"rows": 1, "cols": 1, "triples": [[0, 0, "1"]]}
+        hopf = {"dim": 1, "basis_names": ["1"], "mult": one, "unit": one, "comult": one, "counit": one, "antipode": one}
+        mult = {"rows": 2, "cols": 4, "triples": [[0, 0, "1"], [1, 1, "1"], [1, 2, "1"], [0, 3, str(n * n)]]}
+        algebra = {
+            "dim": 2,
+            "basis_names": ["1", "y"],
+            "mult": mult,
+            "unit": {"rows": 2, "cols": 1, "triples": [[0, 0, "1"]]},
+            "coaction": {"rows": 2, "cols": 2, "triples": [[0, 0, "1"], [1, 1, "1"]]},
+        }
+        sections = {
+            "hopf": hopf,
+            "comodule_algebra": algebra,
+            "extension": {"base_columns": [["1", "0"], ["0", "1"]]},
+            "comodule": {"dim": 1, "coaction": one},
+            "bundle_request": {},
+        }
+        return {"schema_version": "1", "field": field, "sections": sections}
+
+    @pytest.mark.parametrize(
+        "field, n, fgp",
+        [
+            # the roots +-n: all of F_p, or the divisors of n^2 up to its square root
+            ("Fp:7", 3, {"kind": "semisimple", "rank": "-", "multiplicities": "1,1"}),
+            ("Q", 10**4, {"kind": "semisimple", "rank": "-", "multiplicities": "1,1"}),
+            ("Fp:2147483647", 3, {"kind": "assumed", "rank": "-", "multiplicities": "-"}),
+            ("Q", 10**12, {"kind": "assumed", "rank": "-", "multiplicities": "-"}),
+        ],
+    )
+    def test_root_search_of_a_split_base_is_bounded(self, tmp_path, field, n, fgp):
+        p = tmp_path / "split.json"
+        p.write_text(json.dumps(self.split_base_document(field, n)))
+        started = time.perf_counter()
+        r = invoke(["bundle", str(p), "--format", "json"])
+        assert time.perf_counter() - started < 1
+        assert r.exit_code == 0, r.output
+        report = json.loads(r.stdout)["fgp"]
+        note = report.pop("note")
+        assert report == fgp
+        if fgp["kind"] == "assumed":
+            steps = "2147483647 candidates" if field != "Q" else "1000000000001 trial divisions"
+            assert note == (
+                f"projectivity assumed from the Galois structure; root search needs {steps}, budget is 100000"
+            )
+
     def test_refuses_a_comodule_algebra_that_breaks_a_law(self, tmp_path):
         # Regular k[Z_2] over F_2 with its declared base; the coaction loses e -> e (x) e.
         field = Field(2)
@@ -480,6 +528,38 @@ class TestSchemaErrors:
         r = invoke(["check", "hopf", str(p)])
         assert r.exit_code == 2
         assert "error at field" in r.stderr
+
+    def test_large_prime_modulus_is_accepted_quickly(self, tmp_path):
+        doc = json.load(open(fx("hopf_sweedler.json")))
+        doc["field"] = "Fp:2305843009213693951"  # 2^61 - 1
+        p = tmp_path / "mersenne.json"
+        p.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        r = invoke(["check", "hopf", str(p)])
+        assert time.perf_counter() - started < 5
+        assert r.exit_code == 0, r.output
+
+    @pytest.mark.parametrize(
+        "modulus, message",
+        [
+            (561, "modulus 561 is not prime"),
+            (3215031751, "modulus 3215031751 is not prime"),
+            (
+                3317044064679887385961981,
+                "modulus 3317044064679887385961981 is too large: "
+                "primality is decided below 3317044064679887385961981",
+            ),
+        ],
+    )
+    def test_bad_modulus_is_named(self, tmp_path, modulus, message):
+        doc = json.load(open(fx("hopf_sweedler.json")))
+        doc["field"] = f"Fp:{modulus}"
+        p = tmp_path / "modulus.json"
+        p.write_text(json.dumps(doc))
+        r = invoke(["check", "hopf", str(p)])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error at field: {message}\n"
 
     def test_unparsable_scalar_names_the_triple(self, tmp_path):
         doc = json.load(open(fx("hopf_sweedler.json")))

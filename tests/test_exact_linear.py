@@ -5,6 +5,7 @@ fraction-free Gauss-Bareiss elimination over the integers, implemented here
 from scratch so the two code paths share nothing.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfgal.exact_linear import (
+    PRIMALITY_BOUND,
     Field,
     InputError,
     Mat,
@@ -24,6 +26,7 @@ from hopfgal.exact_linear import (
     permute_legs,
     quotient,
     solve,
+    _is_prime,
 )
 
 
@@ -319,6 +322,38 @@ class TestPrimeField:
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(InputError):
             Field(6)
+
+    def test_primality_matches_trial_division_below_100000(self):
+        def trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(100000) if _is_prime(n)] == [n for n in range(100000) if trial_division(n)]
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (2**61 - 1, True),
+            (2**31 - 1, True),
+            (561, False),  # a Carmichael number
+            (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+            (3825123056546413051, False),  # a strong pseudoprime to the bases up to 31
+            (318665857834031151167461, False),  # a strong pseudoprime to the bases up to 37
+            ((2**31 - 1) ** 2, False),
+        ],
+    )
+    def test_primality_of_large_moduli(self, n, prime):
+        assert _is_prime(n) is prime
+        if prime:
+            assert Field(n).p == n
+        else:
+            with pytest.raises(InputError, match=f"^modulus {n} is not prime$"):
+                Field(n)
+
+    def test_modulus_beyond_the_primality_bound_rejected(self):
+        assert PRIMALITY_BOUND == 3317044064679887385961981
+        for n in (PRIMALITY_BOUND, 2**127 - 1):
+            with pytest.raises(InputError, match=f"^modulus {n} is too large"):
+                Field(n)
 
 
 scalar_st = st.integers(min_value=-6, max_value=6)

@@ -13,7 +13,14 @@ of a base algebra, against one solve per pair of base vectors.
 The maps of extension morphisms, modules and bundles are checked the same
 way: each against its Kronecker and ``permute_legs`` formulation, with every
 balanced tensor built from one relation block per base vector and every
-bundle action from one solve per base vector.
+bundle action from one solve per base vector. That covers the maps the
+library applies leg by leg with ``on_legs`` or ``bilinear_compose``: the
+cotensor's H-coaction, the product and coaction of the pullback,
+``change_basis``, ``triangle_action``, ``tensor_algebra``,
+``comodule_direct_sum``, ``zoo.module_diagonal`` and
+``zoo.cyclic_group_change``. A Kronecker product with interleaved legs, such
+as the product table of A (x) H, is built entry by entry by ``interleaved``
+below.
 
 So are the laws of one shape, co' f = (f (x) g) co, and the antipode
 convolutions: the Hopf and comodule-algebra reports, the flipped antipode
@@ -39,6 +46,7 @@ from hopfgal.bundle import (
     bundle_tensor_data,
     check_associated_bundle,
     comodule_tensor,
+    comodule_direct_sum,
     cotensor_bundle,
     grouplike_character,
     left_regular_comodule,
@@ -68,7 +76,6 @@ from hopfgal.exact_linear import (
     inverse,
     is_bijective,
     kernel,
-    kron_interleaved,
     linear_solutions,
     permute_legs,
     quotient,
@@ -138,6 +145,25 @@ def ref_check(name, lhs, rhs, domain_names, codomain_names):
     if lhs == rhs:
         return AxiomCheck(name, True)
     return AxiomCheck(name, False, ref_witness(name, lhs, rhs, domain_names, codomain_names))
+
+
+def interleaved(f, g, f_right, g_right):
+    """f (x) g with its input legs taken in the order (x, y, x', y'), entry by entry.
+
+    f maps X (x) X' and g maps Y (x) Y', with dim X' = f_right and
+    dim Y' = g_right. For two multiplication tables it is the multiplication
+    of the tensor product algebra.
+    """
+    gy = g.cols // g_right
+    entries = {}
+    for i, frow in enumerate(f._rows):
+        for k, grow in enumerate(g._rows):
+            for c1, a in frow.items():
+                x, xp = divmod(c1, f_right)
+                for c2, b in grow.items():
+                    y, yp = divmod(c2, g_right)
+                    entries[(i * g.rows + k, ((x * gy + y) * f_right + xp) * g_right + yp)] = a * b
+    return Mat.from_entries(f.field, f.rows * g.rows, f.cols * g.cols, entries)
 
 
 def ref_associative(name, action, alg, names, side="right", labels=None):
@@ -486,7 +512,7 @@ def test_bilinear_compose_matches_kronecker_product(data):
     for _ in range(data.draw(st.sampled_from([1, 2]))):
         dx, dy, dz = (data.draw(st.integers(1, 3)) for _ in range(3))
         t = data.draw(sparse_mat(field, dz, dx * dy))
-        table = t if table is None else kron_interleaved(table, t, factors[-1][1], dy)
+        table = t if table is None else interleaved(table, t, factors[-1][1], dy)
         factors.append((t, dy))
     dx = dy = 1
     for t, right in factors:
@@ -696,9 +722,46 @@ def ref_mirror_kappa(m):
 
 
 def ref_cotensor_algebra(cot, ap, h):
-    ambient = tensor_algebra(ap, h.algebra)
-    mult = cot.coordinates(ambient.mult.mul(cot.embed.kron(cot.embed)))
-    return mult, cot.coordinates(ambient.unit)
+    mult = interleaved(ap.mult, h.mult, ap.dim, h.dim)  # the product of A' (x) H
+    return cot.coordinates(mult.mul(cot.embed.kron(cot.embed))), cot.coordinates(ap.unit.kron(h.unit))
+
+
+def ref_h_coaction(cot):
+    """id (x) Delta on the cotensor, solved against embed (x) id."""
+    h, field = cot.chi.source, cot.field
+    raw = Mat.identity(field, cot.left_dim).kron(h.comult).mul(cot.embed)
+    return solve(cot.embed.kron(Mat.identity(field, h.dim)), raw)
+
+
+def ref_pullback_algebra(p):
+    """The product and the coaction of B' (x)_B A, from Kronecker operators."""
+    m, q = p.morphism, p.domain
+    field, a, h, base_p = m.field, m.source.algebra, m.source.hopf, m.target.base_algebra
+    eye_bp, eye_a = Mat.identity(field, m.target.base_dim), Mat.identity(field, a.dim)
+    op_mid = q.section.mul(p.phi).mul(m.mirror.domain.projector)
+    mult = (
+        q.projector.mul(base_p.mult.kron(a.mult))
+        .mul(eye_bp.kron(op_mid).kron(eye_a))
+        .mul(q.section.kron(q.section))
+    )
+    spread = eye_bp.kron(m.source.comodule_algebra.coaction)
+    return mult, q.descend(q.projector.kron(Mat.identity(field, h.dim)).mul(spread))
+
+
+def ref_module_diagonal(c):
+    """The action and the coaction of H (x) A: Delta (x) rho, then (h1, h2, a0, a1) -> (h1, a0, h2 a1)."""
+    h, a, field = c.hopf, c.algebra, c.field
+    action = Mat.identity(field, h.dim).kron(a.mult)
+    merge = interleaved(Mat.identity(field, h.dim * a.dim), h.mult, a.dim, h.dim)
+    return action, merge.mul(h.comult.kron(c.coaction))
+
+
+def ref_change_basis(e, p):
+    """The product and the coaction of A in the basis p, from p^-1 (x) p^-1 and p (x) id."""
+    c = e.comodule_algebra.materialize()
+    p_inv = inverse(p)
+    mult = p.mul(c.algebra.mult).mul(p_inv.kron(p_inv))
+    return mult, p.kron(Mat.identity(c.field, c.hopf.dim)).mul(c.coaction).mul(p_inv)
 
 
 def ref_f_upper_star(m, mod):
@@ -714,7 +777,7 @@ def ref_f_upper_star(m, mod):
     spread = mod.coaction.kron(tgt.comodule_algebra.coaction)
     spread = eye_m.kron(m.chi.matrix).kron(Mat.identity(field, dap * dhp)).mul(spread)
     # (m, h, a', h') -> (m, a', h h')
-    spread = kron_interleaved(Mat.identity(field, dm * dap), hp.mult, dap, dhp).mul(spread)
+    spread = interleaved(Mat.identity(field, dm * dap), hp.mult, dap, dhp).mul(spread)
     coact = bt.descend(bt.projector.kron(Mat.identity(field, dhp)).mul(spread))
     return act, coact
 
@@ -727,7 +790,7 @@ def ref_f_lower_star_action(m, mod):
     step = Mat.identity(field, dmp * dh).kron(m.source.comodule_algebra.coaction)
     step = Mat.identity(field, dmp * dh).kron(m.alpha).kron(Mat.identity(field, dh)).mul(step)
     # (m', h, a', h') -> (m' a', h h')
-    step = kron_interleaved(mod.action, h.mult, dap, dh).mul(step)
+    step = interleaved(mod.action, h.mult, dap, dh).mul(step)
     return cot.coordinates(step.mul(cot.embed.kron(Mat.identity(field, da))))
 
 
@@ -749,8 +812,20 @@ def ref_triangle_action(m, v):
 def ref_comodule_tensor_coaction(v, w):
     h = v.hopf
     # (h, v, h', w) -> (h h', v, w)
-    merge = kron_interleaved(h.mult, Mat.identity(h.field, v.dim * w.dim), h.dim, w.dim)
+    merge = interleaved(h.mult, Mat.identity(h.field, v.dim * w.dim), h.dim, w.dim)
     return merge.mul(v.coaction.kron(w.coaction))
+
+
+def ref_comodule_direct_sum_coaction(v, w):
+    """The coaction of V (+) W, entry by entry."""
+    h, total = v.hopf, v.dim + w.dim
+    entries = {}
+    for lam, offset, dim in ((v.coaction, 0, v.dim), (w.coaction, v.dim, w.dim)):
+        for r in range(h.dim * dim):
+            hh, x = divmod(r, dim)
+            for c in range(dim):
+                entries[(hh * total + offset + x, offset + c)] = lam.entry(r, c)
+    return Mat.from_entries(h.field, h.dim * total, total, entries)
 
 
 def ref_bundle_actions(b):
@@ -790,7 +865,7 @@ def ref_bundle_tensor(b1, b2):
     qt = RefBalancedTensor(field, b1.dim, b2.dim, rights, lefts)
     dv1, dv2 = b1.rep.dim, b2.rep.dim
     # (a, v1, a', v2) -> (a a', v1, v2)
-    merge = kron_interleaved(a.mult, Mat.identity(field, dv1 * dv2), a.dim, dv2)
+    merge = interleaved(a.mult, Mat.identity(field, dv1 * dv2), a.dim, dv2)
     return qt, merge.mul(b1.embed.kron(b2.embed))
 
 
@@ -871,13 +946,23 @@ def check_morphism_maps(m):
     assert_same_quotient(_mirror_tensor(m), ref_mirror_tensor(m))
     assert m.canonical.kappa == ref_kappa(m)
     assert m.mirror.kappa == ref_mirror_kappa(m)
-    cot_alg = _cotensor_algebra(m.cotensor, m.target.algebra, m.source.hopf)
-    assert (cot_alg.mult, cot_alg.unit) == ref_cotensor_algebra(m.cotensor, m.target.algebra, m.source.hopf)
+    ap, h = m.target.algebra, m.source.hopf
+    cot_alg = _cotensor_algebra(m.cotensor, ap, h)
+    assert (cot_alg.mult, cot_alg.unit) == ref_cotensor_algebra(m.cotensor, ap, h)
+    assert tensor_algebra(ap, h.algebra).mult == interleaved(ap.mult, h.mult, ap.dim, h.dim)
+    assert m.cotensor.h_coaction() == ref_h_coaction(m.cotensor)
+    for c in (m.source.comodule_algebra, m.target.comodule_algebra):
+        if c.dim * c.hopf.dim <= 16:
+            diagonal = zoo.module_diagonal(c)
+            assert (diagonal.action, diagonal.coaction) == ref_module_diagonal(c)
     for mod in modules_over(m.source.comodule_algebra):
         up = f_upper_star(m, mod).module
         assert (up.action, up.coaction) == ref_f_upper_star(m, mod)
     for mod in modules_over(m.target.comodule_algebra):
         assert f_lower_star(m, mod).module.action == ref_f_lower_star_action(m, mod)
+    if is_cartesian(m).value:
+        p = pullback_structure(m)
+        assert (p.comodule_algebra.algebra.mult, p.comodule_algebra.coaction) == ref_pullback_algebra(p)
 
 
 @pytest.mark.parametrize("m", [m for _, m in MORPHISMS], ids=[n for n, _ in MORPHISMS])
@@ -910,6 +995,22 @@ def cyclic_morphisms(draw):
 @given(cyclic_morphisms())
 def test_morphism_maps_match_reference_on_cyclic_group_changes(m):
     check_morphism_maps(m)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (4, 2), (6, 3), (6, 2), (8, 4)])
+def test_cyclic_group_change_coaction_matches_reference(n, d):
+    m = zoo.cyclic_group_change(n, d)
+    rho = Mat.identity(QQ, n).kron(m.chi.matrix).mul(m.source.hopf.comult)
+    assert m.target.comodule_algebra.coaction == rho
+
+
+def upper_unitriangular(field, n):
+    return Mat.from_entries(field, n, n, {(i, j): 1 for i in range(n) for j in range(i, n)})
+
+
+def check_change_basis(e, p):
+    changed = change_basis(e, p)
+    assert (changed.algebra.mult, changed.comodule_algebra.coaction) == ref_change_basis(e, p)
 
 
 def zoo_bundles():
@@ -949,6 +1050,8 @@ def test_bundle_maps_match_reference(b):
     assert (twisted.action, twisted.coaction) == ref_triangle_action(module, b.rep)
     v12 = comodule_tensor(b.rep, b.rep)
     assert v12.coaction == ref_comodule_tensor_coaction(b.rep, b.rep)
+    regular = left_regular_comodule(b.rep.hopf)
+    assert comodule_direct_sum(b.rep, regular).coaction == ref_comodule_direct_sum_coaction(b.rep, regular)
 
 
 BUNDLE_PAIRS = [
@@ -1010,6 +1113,22 @@ def test_regular_extension_maps_match_reference(e):
     assert _intertwiner_space(e) == ref_intertwiner_space(e)
     b = cotensor_bundle(e, left_regular_comodule(e.hopf))
     assert (b.left_action, b.right_action) == ref_bundle_actions(b)
+    module = RelativeHopfModule(e.comodule_algebra, e.dim, e.algebra.mult, e.comodule_algebra.coaction)
+    twisted = triangle_action(module, b.rep)
+    assert (twisted.action, twisted.coaction) == ref_triangle_action(module, b.rep)
+
+
+@pytest.mark.parametrize("e", [e for _, e in SELF_TENSOR_CASES], ids=[n for n, _ in SELF_TENSOR_CASES])
+def test_change_basis_matches_reference(e):
+    e = e.materialize()
+    check_change_basis(e, upper_unitriangular(e.field, e.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_change_basis_matches_reference_on_regular_extensions(data):
+    e = data.draw(regular_extensions())
+    check_change_basis(e, data.draw(unitriangular(e.field, e.dim)))
 
 
 # ---------------------------------------------------------------------------

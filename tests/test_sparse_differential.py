@@ -27,7 +27,7 @@ from hopfgal.exact_linear import (
     bilinear_compose,
     flip,
     kernel,
-    kron_interleaved,
+    on_legs,
     permute_legs,
     quotient,
     solve,
@@ -138,27 +138,40 @@ def test_kron_matches_dense(data):
     assert_matches(field, got, Dense(field).kron(a, b), r1 * r2, c1 * c2)
 
 
-@settings(max_examples=80, deadline=None)
+def dense_identity(d: Dense, n: int):
+    return [[d.canon(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_kron_interleaved_matches_dense(data):
+def test_on_legs_matches_dense(data):
+    """(id_before (x) op (x) id_after) m, with the operator built densely; any leg may be 0."""
     field = data.draw(fields)
-    fx, fxp, gy, gyp = (data.draw(st.integers(1, 3)) for _ in range(4))
-    a, r1, _ = data.draw(sparse_grid(field, cols=fx * fxp))
-    b, r2, _ = data.draw(sparse_grid(field, cols=gy * gyp))
-    full = Dense(field).kron(a, b)
-    # Column (x, y, x', y') of the result is column (x, x', y, y') of kron.
-    order = [
-        (x * fxp + xp) * gy * gyp + y * gyp + yp
-        for x, y, xp, yp in product(range(fx), range(gy), range(fxp), range(gyp))
-    ]
-    expected = [[row[c] for c in order] for row in full]
-    got = kron_interleaved(to_mat(field, a, r1, fx * fxp), to_mat(field, b, r2, gy * gyp), fxp, gyp)
-    assert_matches(field, got, expected, r1 * r2, len(order))
+    d = Dense(field)
+    before, after = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    op, r, c = data.draw(sparse_grid(field))
+    m, _, n = data.draw(sparse_grid(field, rows=before * c * after))
+    operator = d.kron(d.kron(dense_identity(d, before), op), dense_identity(d, after))
+    expected = d.matmul(operator, m, before * c * after, n)
+    got = on_legs(to_mat(field, op, r, c), to_mat(field, m, before * c * after, n), before, after)
+    assert_matches(field, got, expected, before * r * after, n)
 
 
-def test_kron_interleaved_rejects_legs_that_do_not_split():
-    with pytest.raises(InputError, match="do not split"):
-        kron_interleaved(Mat.identity(QQ, 3), Mat.identity(QQ, 2), 2, 1)
+def test_on_legs_rejects_legs_that_do_not_split():
+    for before, after in ((2, 1), (1, 2), (0, 1), (-1, -3)):
+        with pytest.raises(InputError, match="do not split 3 rows"):
+            on_legs(Mat.identity(QQ, 3), Mat.identity(QQ, 3), before, after)
+    with pytest.raises(InputError, match="do not split 0 rows"):
+        on_legs(Mat.identity(QQ, 2), Mat.zeros(QQ, 0, 2), 1, 1)
+
+
+def test_on_legs_checks_the_size_cap(monkeypatch):
+    monkeypatch.setenv("HOPFGAL_MAX_DIM", "8")
+    assert on_legs(Mat.identity(QQ, 2), Mat.identity(QQ, 8), 4, 1) == Mat.identity(QQ, 8)
+    with pytest.raises(InputError, match="^tensor dimension 9 exceeds HOPFGAL_MAX_DIM=8$"):
+        on_legs(Mat.zeros(QQ, 3, 1), Mat.identity(QQ, 3), 3, 1)
+    with pytest.raises(InputError, match="^tensor dimension 9 exceeds HOPFGAL_MAX_DIM=8$"):
+        on_legs(Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 9), 1, 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -384,7 +397,8 @@ def kernel_results(data, field) -> list[Mat]:
         drawn = {key: x for key, x in drawn.items() if Fraction(x).denominator % field.p}
     return [
         ma.mul(mb),
-        kron_interleaved(ma, mf, 1, max(n1, 1)),
+        ma.kron(mf),
+        on_legs(mf, mb.kron(mf.transpose()), k, 1),
         bilinear_compose([(to_mat(field, table, dz, dx * dy), dy)], mf, mg),
         ma + me,
         ma - me,
