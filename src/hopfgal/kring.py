@@ -7,6 +7,14 @@ collapse onto that basis through two binomial identities. Everything here is
 exact integer arithmetic; binomial coefficients at n = 64 overflow machine
 words, so all matrix work stays in arbitrary precision.
 
+The three integer kernels, the product in Z[x]/(x^{n+1}), the Taylor shift
+between the monomial and the shifted basis, and the integer matrix product,
+use Kronecker substitution: a vector of integers becomes one big integer
+with one fixed-width slot per entry, so the Python-level loops over pairs of
+entries become a few big-integer operations done in C (Harvey, J. Symb.
+Comput. 2009). Each slot width comes from a bound on the result's entries,
+so every result is exact.
+
 An augmented ring is a triple (R, M, 1_M): a unital ring, an R-module, and a
 distinguished element. Rings embed by R |-> (R, R, 1_R); the coreflector
 returns the ring. Module actions on free Z-models are stored as certified
@@ -23,6 +31,43 @@ from .exact_linear import InputError, InvariantViolation, Mat
 from .hopf_core import AxiomCheck, Group
 from .extension import KTopology
 from .bundle import cotensor_bundle, grouplike_character, certify_fgp
+
+
+# ---------------------------------------------------------------------------
+# packed integers
+#
+# Integers c_0..c_{m-1}, each below 2^(w-1) in absolute value, pack into the
+# one integer sum c_i X^i at X = 2^w. Sums and products of packed vectors
+# are packed vectors, as long as every entry of the result stays inside its
+# slot. Reading a slot adds 2^(w-1), which turns it into a nonnegative w-bit
+# field. Widths are whole bytes, so packing and unpacking are one bytes
+# join and one int conversion each.
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for entries of absolute value at most bound, sign bit included."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(count: int, width: int) -> int:
+    """2^(w-1) in each of count slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs, width: int) -> int:
+    """sum c_i X^i at X = 2^(8 width); each |c_i| must be below 2^(8 width - 1)."""
+    half = 1 << (8 * width - 1)
+    biased = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(biased, "little") - _bias(len(coeffs), width)
+
+
+def _unpack(value: int, count: int, width: int) -> list:
+    """The signed entries of value's lowest count slots, each below 2^(8 width - 1) in absolute value."""
+    half = 1 << (8 * width - 1)
+    size = count * width
+    # higher slots may hold anything; the mask drops them
+    data = ((value + _bias(count, width)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +179,15 @@ class TruncatedPoly:
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._match(other)
-        out = [0] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.n:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return TruncatedPoly(self.n, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        top_a = max(map(abs, a), default=0)
+        top_b = max(map(abs, b), default=0)
+        # every product coefficient is a sum of at most n+1 terms a_i b_j
+        width = _slot_bytes(max((self.n + 1) * top_a * top_b, top_a, top_b))
+        packed = _pack(a, width)
+        # a square multiplies an integer by itself, which CPython does faster
+        product = packed * (packed if other is self else _pack(b, width))
+        return TruncatedPoly(self.n, tuple(_unpack(product, self.n + 1, width)))
 
     def times_one_plus_x(self) -> "TruncatedPoly":
         """This element times 1+x: coefficient i becomes c_i + c_{i-1}, one shift-add."""
@@ -158,8 +202,10 @@ class TruncatedPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                # the last square would go unused, and it is the widest
+                base = base * base
         return out
 
 
@@ -202,18 +248,24 @@ def int_identity(m: int):
 
 
 def int_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
+    """Product of integer matrices given as lists of rows.
+
+    Each row of b is packed once, so row i of the product is the packed sum
+    of a[i][k] times row k of b: rows * inner big-integer products in place
+    of rows * inner * cols scalar ones.
+    """
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    if any(len(row) != cols for row in b):
+        raise InputError("right factor has rows of different lengths")
+    if any(len(row) != inner for row in a):
+        raise InputError(f"left factor needs {inner} entries in every row, one per row of the right factor")
+    top_a = max((abs(x) for row in a for x in row), default=0)
+    top_b = max((abs(x) for row in b for x in row), default=0)
+    # every product entry is a sum of inner terms a[i][k] b[k][j]
+    width = _slot_bytes(max(inner * top_a * top_b, top_b))
+    packed = [_pack(row, width) for row in b]
+    return [_unpack(sum(v * p for v, p in zip(row, packed) if v), cols, width) for row in a]
 
 
 def int_mat_vec(a, v):
@@ -310,15 +362,21 @@ class KClassVector:
 def _taylor_shift(coeffs, step: int) -> tuple:
     """Coefficients of f(y + step), step = +1 or -1, from those of f(y).
 
-    Horner's rule in the shifted variable, done in place: O(n^2) additions
-    and no base-change matrix (von zur Gathen & Gerhard, ISSAC 1997).
+    Horner's rule on one packed integer: at y = X, acc -> acc (X + step) + a_i
+    runs from a_n down to a_0 and leaves f(X + step), whose slots are the
+    shifted coefficients (von zur Gathen & Gerhard, ISSAC 1997). Coefficient
+    j of the result is sum_i a_i C(i, j) step^(i-j), so no entry exceeds
+    C(n, n // 2) sum |a_i|, which sets the slot width.
     """
-    a = list(coeffs)
-    n = len(a) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            a[j] += step * a[j + 1]
-    return tuple(a)
+    if not coeffs:
+        return ()
+    n = len(coeffs) - 1
+    width = _slot_bytes(math.comb(n, n // 2) * sum(map(abs, coeffs)))
+    shift = 8 * width
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << shift) + step * acc + c
+    return tuple(_unpack(acc, n + 1, width))
 
 
 def to_monomials(v: KClassVector) -> TruncatedPoly:

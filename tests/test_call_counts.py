@@ -1,5 +1,6 @@
-"""Each derived structure is computed once per command, and no law check
-builds a Kronecker product.
+"""Each derived structure is computed once per command, no law check
+builds a Kronecker product, and `at` does a fixed number of polynomial
+products and Taylor shifts.
 
 The count of calls into the expensive steps is deterministic, so these pins
 are wall-clock free. Each wrapped function is replaced in every hopfgal
@@ -17,7 +18,7 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from hopfgal import bundle, cli, comodule, exact_linear, extension, hopf_core
+from hopfgal import bundle, cli, comodule, exact_linear, extension, hopf_core, kring
 from hopfgal.exact_linear import Field, InputError, Mat
 from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra, sweedler_h4
 from test_cli import APPLICABLE
@@ -84,6 +85,27 @@ KRON_CALLS = {
     "phi sweedler_self.json": 24,
     "bundle bundle_regular_sweedler.json": 4,
 }
+
+
+# at: the polynomial products and Taylor shifts of one command. Over 0..128
+# --self-check anchors both windows at (1+x)^0 (no product), checks
+# 3 * 129 + 128 = 515 pairs and the first step, and builds [L_129] (9
+# products) and [L_-1] (1 product): 526; and it shifts each of the 129 rows
+# and the two identities. A range of 8 indices checks all 64 pairs and the
+# step, and anchors the windows at (1+x)^32 (6 products) and (1+x)^64 (7).
+AT_CALLS = {
+    "at --n 128 --self-check": {"products": 526, "taylor_shifts": 131},
+    "at --n 64 --k-range 32..39": {"products": 78, "taylor_shifts": 8},
+}
+
+
+@pytest.fixture
+def kring_calls(monkeypatch, rebind):
+    counts = Counter()
+    mul = kring.TruncatedPoly.__mul__
+    monkeypatch.setattr(kring.TruncatedPoly, "__mul__", counting(counts, "products", mul))
+    rebind(kring._taylor_shift, counting(counts, "taylor_shifts", kring._taylor_shift))
+    return counts
 
 
 def invoke(line):
@@ -154,3 +176,10 @@ def test_no_law_check_builds_a_kronecker_product(rebind, kron_recorder):
                 pass
     assert set(runs) == {name for _, name in LAW_CHECKS}
     assert not +building, building
+
+
+@pytest.mark.parametrize("line", AT_CALLS)
+def test_at_work_per_command(kring_calls, line):
+    result = CliRunner().invoke(cli.main, line.split())
+    assert result.exit_code == 0, result.output
+    assert dict(kring_calls) == AT_CALLS[line]

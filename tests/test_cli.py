@@ -307,6 +307,32 @@ class TestAtOracleSweep:
         r = invoke(["at", "--n", n, "--self-check", "--format", fmt])
         assert (r.exit_code, r.stdout) == (0, oracle_at_report(n, list(range(n + 1)), False, fmt, True))
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_wide_degrees(self, n, fmt):
+        for k in [-n - 1, -1, 0, n, n + 1, 3 * n, 1000]:
+            r = invoke(["at", "--n", n, "--k", k, "--format", fmt])
+            assert (r.exit_code, r.stdout) == (0, oracle_at_report(n, [k], True, fmt)), k
+        # 16 indices check all pairs, 21 the structured family
+        for lo, hi in [(n - 3, n + 12), (-n, 20 - n)]:
+            r = invoke(["at", "--n", n, "--k-range", f"{lo}..{hi}", "--format", fmt])
+            expect = oracle_at_report(n, list(range(lo, hi + 1)), False, fmt)
+            assert (r.exit_code, r.stdout) == (0, expect), (lo, hi)
+        r = invoke(["at", "--n", n, "--self-check", "--format", fmt])
+        assert (r.exit_code, r.stdout) == (0, oracle_at_report(n, list(range(n + 1)), False, fmt, True))
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 33])
+    def test_indices_up_to_a_million(self, n, fmt):
+        # the coefficients grow with |k|, and the packed slots with them
+        for k in [10**6, -(10**6), 999_983, -999_983, 2**19 + 1]:
+            r = invoke(["at", "--n", n, "--k", k, "--format", fmt])
+            assert (r.exit_code, r.stdout) == (0, oracle_at_report(n, [k], True, fmt)), k
+        for lo, hi in [(10**6 - 7, 10**6), (-(10**6), 20 - 10**6)]:
+            r = invoke(["at", "--n", n, "--k-range", f"{lo}..{hi}", "--format", fmt])
+            expect = oracle_at_report(n, list(range(lo, hi + 1)), False, fmt)
+            assert (r.exit_code, r.stdout) == (0, expect), (lo, hi)
+
 
 class TestStreams:
     def test_redirected_streams_are_not_retained(self):

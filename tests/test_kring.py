@@ -18,6 +18,7 @@ from hopfgal.kring import (
     RingMorphism,
     TruncatedPoly,
     TruncatedRing,
+    _taylor_shift,
     at_augmented_ring,
     at_base_change,
     at_base_change_inverse,
@@ -356,6 +357,151 @@ class TestLinearKernels:
         # the examples keep a zero under a pivot that differs from the last
         # one, where a row may not be skipped
         assert int_det(a) == fraction_det(a)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernels against schoolbook references
+#
+# The product, the Taylor shift and the matrix product pack integers into
+# fixed-width slots of one big integer. The slot width comes from a bound on
+# the result, rounded up to whole bytes; the "edge" draws make that bound
+# tight and put a result entry on either side of 2^(8m - 1), the first value
+# that needs one more byte, so a width one bit short of the bound loses an
+# entry.
+
+
+def schoolbook_product(a, b) -> tuple:
+    """Coefficients x^0..x^n of a b in Z[x]/(x^{n+1}), one pair of terms at a time."""
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: n + 1 - i]):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def schoolbook_taylor_shift(coeffs, step: int) -> tuple:
+    """f(y + step) by n sweeps of Horner's rule over the coefficient list."""
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += step * a[j + 1]
+    return tuple(a)
+
+
+def schoolbook_mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for row in a]
+
+
+@st.composite
+def edge_factors(draw):
+    """(terms, x, y) with terms * |x| * |y| = 2^(8m - 1) + delta 2^(p + q), terms = 2^p.
+
+    A sum of terms products x y is then one of 2^(8m - 1) - 2^(p+q),
+    2^(8m - 1) and 2^(8m - 1) + 2^(p+q), with either sign.
+    """
+    top = 8 * draw(st.integers(min_value=1, max_value=6)) - 1
+    p = draw(st.integers(min_value=0, max_value=min(4, top)))
+    q = draw(st.integers(min_value=0, max_value=top - p))
+    delta = draw(st.sampled_from([-1, 0, 1]))
+    sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    return 2**p, sx * 2**q, sy * (2 ** (top - p - q) + delta)
+
+
+@st.composite
+def product_pairs(draw):
+    kind = draw(st.sampled_from(["big", "zero", "edge"]))
+    if kind == "edge":
+        # all coefficients equal, so x^n's coefficient meets the bound
+        terms, x, y = draw(edge_factors())
+        return (x,) * terms, (y,) * terms
+    n = draw(st.integers(min_value=0, max_value=24))
+    coeff = big_ints | st.sampled_from([10**40, -(10**40)])
+    a = tuple(draw(st.lists(coeff, min_size=n + 1, max_size=n + 1)))
+    b = tuple(draw(st.lists(coeff, min_size=n + 1, max_size=n + 1)))
+    if kind == "zero":
+        a = (0,) * (n + 1)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
+def shift_inputs(draw):
+    step = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=0, max_value=30))
+        return tuple(draw(st.lists(big_ints, min_size=n + 1, max_size=n + 1))), step
+    # a y^n alone meets the bound C(n, n // 2) |a| at x^(n // 2); a sits next
+    # to the first multiple that needs one more byte
+    n = draw(st.integers(min_value=0, max_value=40))
+    central = math.comb(n, n // 2)
+    edge = 2 ** (8 * draw(st.integers(min_value=1, max_value=8)) - 1)
+    a = -(-edge // central) + draw(st.sampled_from([-1, 0, 1]))
+    sign = draw(st.sampled_from([1, -1]))
+    return (0,) * n + (sign * a,), step
+
+
+@st.composite
+def mat_pairs(draw):
+    kind = draw(st.sampled_from(["big", "zero", "edge"]))
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(st.integers(min_value=0, max_value=5))
+    if kind == "edge":
+        inner, x, y = draw(edge_factors())
+        return [[x] * inner for _ in range(rows)], [[y] * cols for _ in range(inner)]
+    inner = draw(st.integers(min_value=0, max_value=5))
+    zero = draw(st.sampled_from(["a", "b"])) if kind == "zero" else None
+    a = [draw(st.lists(st.just(0) if zero == "a" else big_ints, min_size=inner, max_size=inner)) for _ in range(rows)]
+    b = [draw(st.lists(st.just(0) if zero == "b" else big_ints, min_size=cols, max_size=cols)) for _ in range(inner)]
+    return a, b
+
+
+class TestPackedKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(product_pairs())
+    @example(((8, 8), (8, 8)))  # x's coefficient 2^7 needs a second byte
+    @example(((-8, -8), (8, 8)))
+    @example(((0,), (5,)))
+    @example(((0,), (0,)))
+    def test_product_matches_schoolbook(self, pair):
+        a, b = pair
+        n = len(a) - 1
+        got = TruncatedPoly(n, a) * TruncatedPoly(n, b)
+        assert got.coeffs == schoolbook_product(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shift_inputs())
+    @example(((0, 0, -64), -1))  # 64 C(2, 1) = 128 needs a second byte
+    @example(((0, 0, 0, 0, 22), 1))  # 22 C(4, 2) = 132
+    @example(((0,), 1))
+    def test_taylor_shift_matches_schoolbook(self, case):
+        coeffs, step = case
+        shifted = _taylor_shift(coeffs, step)
+        assert shifted == schoolbook_taylor_shift(coeffs, step)
+        assert _taylor_shift(shifted, -step) == coeffs
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat_pairs())
+    @example(([[8, 8]], [[8], [8]]))  # a single entry 2^7
+    @example(([], []))
+    @example(([[], []], []))
+    @example(([[0, 0]], [[0, 0, 0], [0, 0, 0]]))
+    def test_mat_mul_matches_schoolbook(self, pair):
+        a, b = pair
+        assert int_mat_mul(a, b) == schoolbook_mat_mul(a, b)
+
+    def test_mat_mul_rejects_ragged_rows(self):
+        with pytest.raises(InputError, match="different lengths"):
+            int_mat_mul([[1, 2]], [[1, 2], [3]])
+        with pytest.raises(InputError, match="2 entries in every row"):
+            int_mat_mul([[1, 2], [3]], [[1, 2], [3, 4]])
+
+    def test_mat_mul_rejects_mismatched_inner_dimensions(self):
+        with pytest.raises(InputError, match="3 entries in every row"):
+            int_mat_mul([[1, 2], [3, 4]], [[1], [2], [3]])
+        with pytest.raises(InputError, match="0 entries in every row"):
+            int_mat_mul([[1]], [])
 
 
 # ---------------------------------------------------------------------------
