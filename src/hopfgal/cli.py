@@ -134,6 +134,7 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
         raise SchemaError(f"{path}.rows", f"expected {rows}, got {r}")
     if cols is not None and c != cols:
         raise SchemaError(f"{path}.cols", f"expected {cols}, got {c}")
+    _guard_dims(path, r, c)
     triples = obj.get("triples", [])
     if not isinstance(triples, list):
         raise SchemaError(f"{path}.triples", "expected a list of [row, col, scalar]")
@@ -225,9 +226,6 @@ def _parse_extension_parts(hopf_obj, ca_obj, ext_obj, field: Field, path: str) -
             raise SchemaError(f"{path}.extension", "expected an object")
         _warn_unknown(ext_obj, {"base_columns"}, f"{path}.extension")
         base = _parse_base_columns(ext_obj, field, c.algebra.dim, f"{path}.extension")
-    if base is None:
-        # Extension then computes the coinvariants, a kernel on A (x) H, before any guard runs.
-        _guard_dims(f"{path}.comodule_algebra", coaction=c.algebra.dim * hopf.dim)
     return Extension(c, base)
 
 
@@ -321,11 +319,19 @@ def _cotensor_products(m) -> dict:
     }
 
 
-def _guard_dims(path: str, **products: int):
+def _guard_dims(path: str, *sizes: int, **products: int):
+    """Refuse, at path, the first size over HOPFGAL_MAX_DIM.
+
+    The unnamed sizes are the declared rows and columns of a matrix, checked
+    as it is parsed, so that no matrix wider than the cap is built. The named
+    products, checked in name order, are the spaces a command builds beyond
+    the parsed shapes.
+    """
     cap = _max_dim()
-    for name, p in sorted(products.items()):
+    for name, p in [("", max(sizes, default=0)), *sorted(products.items())]:
         if p > cap:
-            raise SchemaError(path, f"{name} tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}")
+            label = f"{name} " if name else ""
+            raise SchemaError(path, f"{label}tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +448,12 @@ def cmd_check(kind, file, fmt, timings):
         field, sections = _load_document(file)
         if kind == "hopf":
             h = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
-            _guard_dims("sections.hopf", hopf_square=h.dim * h.dim)
             verdicts = _verdicts_from_checks(check_hopf(h))
             dims = {"hopf": h.dim}
         elif kind == "comodule-algebra":
             h = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
             c = _parse_comodule_algebra(
                 _section(sections, "comodule_algebra"), h, field, "sections.comodule_algebra"
-            )
-            _guard_dims(
-                "sections.comodule_algebra",
-                algebra_square=c.algebra.dim * c.algebra.dim,
-                coaction=c.algebra.dim * h.dim,
             )
             verdicts = _verdicts_from_checks(check_comodule_algebra(c))
             dims = {"algebra": c.algebra.dim, "hopf": h.dim}
@@ -464,11 +464,6 @@ def cmd_check(kind, file, fmt, timings):
                 sections.get("extension"),
                 field,
                 "sections",
-            )
-            _guard_dims(
-                "sections",
-                canonical_domain=e.dim * e.dim,
-                canonical_codomain=e.dim * e.hopf.dim,
             )
             verdicts = _verdicts_from_checks(e.checks)
             verdicts.append(_verdict_from_tristate("hopf_galois", is_hopf_galois(e)))
@@ -504,7 +499,6 @@ def cmd_check(kind, file, fmt, timings):
             coaction = _parse_matrix(
                 _get(obj, "coaction", path, dict, "a matrix"), field, f"{path}.coaction", dim * h.dim, dim
             )
-            _guard_dims(path, action=dim * c.algebra.dim, coaction=dim * h.dim)
             mod = RelativeHopfModule(c, dim, action, coaction, names=names)
             verdicts = _verdicts_from_checks(check_relative_hopf_module(mod))
             dims = {"module": dim, "algebra": c.algebra.dim, "hopf": h.dim}

@@ -36,6 +36,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from math import prod
 
@@ -53,6 +54,8 @@ class InvariantViolation(RuntimeError):
 
 
 DEFAULT_MAX_DIM = 4096
+
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 def max_tensor_dim() -> int:
@@ -164,21 +167,25 @@ class Field:
         return [{j: y for j, x in r.items() if (y := x % p)} for r in rows]
 
     def parse(self, s: str):
-        """Parse "num" or "num/den" into a field element."""
+        """Parse "num" or "num/den" into a field element.
+
+        Each side is an optional sign followed by ASCII digits, nothing else:
+        no blanks, underscores or non-ASCII digits, all of which ``int``
+        would accept.
+        """
         if not isinstance(s, str):
             raise InputError(f"scalar must be a string, got {s!r}")
-        parts = s.split("/")
+        match = _SCALAR.fullmatch(s)
+        if match is None:
+            raise InputError(f"unparsable scalar {s!r}")
         try:
-            if len(parts) == 1:
-                return self.of(int(parts[0]))
-            if len(parts) == 2:
-                num, den = int(parts[0]), int(parts[1])
-                if den == 0:
-                    raise InputError(f"zero denominator in {s!r}")
-                return self.of(Fraction(num, den))
+            num, den = int(match[1]), int(match[2] or 1)
         except ValueError:
-            pass
-        raise InputError(f"unparsable scalar {s!r}")
+            # More digits than sys.get_int_max_str_digits() allows.
+            raise InputError(f"unparsable scalar {s!r}") from None
+        if den == 0:
+            raise InputError(f"zero denominator in {s!r}")
+        return self.of(num if den == 1 else Fraction(num, den))
 
     def format(self, x) -> str:
         return str(self.of(x))

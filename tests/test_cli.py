@@ -24,8 +24,9 @@ from click.testing import CliRunner
 from hopfgal import zoo
 from hopfgal.cli import _exit_code, _format_shifted, _verdict_from_tristate, main
 from hopfgal.comodule import Verdict
-from hopfgal.exact_linear import QQ, Field
+from hopfgal.exact_linear import QQ, Field, Mat
 from hopfgal.hopf_core import Group, build_group_algebra, sweedler_h4
+from hopfgal.kring import at_table
 
 from test_law_differential import yd_phi_expected
 from test_regular_documents import mat_doc, regular_document
@@ -207,10 +208,19 @@ class TestAt:
     def test_rejects_malformed_ranges(self, bad):
         assert invoke(["at", "--n", "2", "--k-range", bad]).exit_code == 2
 
-    def test_huge_degree_is_refused_before_work(self):
-        started = time.perf_counter()
+    def test_huge_degree_is_refused_before_work(self, rebind):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return at_table(*args)
+
+        rebind(at_table, recording)
+        assert invoke(["at", "--n", "4", "--k", "3"]).exit_code == 0
+        assert calls == [(4, 3, 3)]
+        calls.clear()
         r = invoke(["at", "--n", "100000", "--k", "3"])
-        assert time.perf_counter() - started < 1.0
+        assert calls == []
         assert r.exit_code == 2
         assert r.stderr == "error at --n: vector length 100001 exceeds HOPFGAL_MAX_DIM=4096\n"
         assert r.stdout == ""
@@ -518,6 +528,47 @@ class TestBundle:
 # schema errors and warnings
 
 
+def empty_hopf(d: int) -> dict:
+    """A document whose Hopf section declares dimension d and no structure constants."""
+    shapes = {"mult": (d, d * d), "unit": (d, 1), "comult": (d * d, d), "counit": (1, d), "antipode": (d, d)}
+    hopf = {"dim": d, "basis_names": [f"e{i}" for i in range(d)]}
+    hopf.update({key: {"rows": r, "cols": c} for key, (r, c) in shapes.items()})
+    return {"schema_version": "1", "field": "Q", "sections": {"hopf": hopf}}
+
+
+def with_fiber_dim(fixture: str, section: str, dim: int) -> dict:
+    """A fixture whose module or comodule declares dimension dim, with matrices of the matching shapes."""
+    doc = json.load(open(fx(fixture)))
+    sections = doc["sections"]
+    obj = sections[section]
+    del obj["names"]
+    obj["dim"] = dim
+    da, dh = sections["comodule_algebra"]["dim"], sections["hopf"]["dim"]
+    if section == "module":
+        obj["action"].update(rows=dim, cols=dim * da)
+    obj["coaction"].update(rows=dim * dh, cols=dim)
+    return doc
+
+
+# case: (command, document, the path refused, its size). The module fixture
+# has dim A = 2, the bundle fixture dim H = 4.
+HUGE_DIMENSIONS = {
+    "hopf": (["check", "hopf"], lambda: empty_hopf(2000), "sections.hopf.mult", 2000**2),
+    "module": (
+        ["check", "module"],
+        lambda: with_fiber_dim("module_self_qsqrt2.json", "module", 10**5),
+        "sections.module.action",
+        2 * 10**5,
+    ),
+    "bundle": (
+        ["bundle"],
+        lambda: with_fiber_dim("bundle_regular_sweedler.json", "comodule", 10**5),
+        "sections.comodule.coaction",
+        4 * 10**5,
+    ),
+}
+
+
 class TestSchemaErrors:
     def test_malformed_json_names_the_file(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -587,14 +638,16 @@ class TestSchemaErrors:
         assert r.stdout == ""
         assert r.stderr == f"error at field: {message}\n"
 
-    def test_unparsable_scalar_names_the_triple(self, tmp_path):
+    # int() reads all but the first; a scalar is a sign and ASCII digits.
+    @pytest.mark.parametrize("raw", ["one half", "1_000", " 3 ", "1/ 2", "\u0663"])
+    def test_unparsable_scalar_names_the_triple(self, tmp_path, raw):
         doc = json.load(open(fx("hopf_sweedler.json")))
-        doc["sections"]["hopf"]["comult"]["triples"][0][2] = "one half"
+        doc["sections"]["hopf"]["comult"]["triples"][0][2] = raw
         p = tmp_path / "scalar.json"
         p.write_text(json.dumps(doc))
         r = invoke(["check", "hopf", str(p)])
-        assert r.exit_code == 2
-        assert "sections.hopf.comult.triples[0]" in r.stderr
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error at sections.hopf.comult.triples[0]: unparsable scalar {raw!r}\n"
 
     def test_float_scalar_rejected(self, tmp_path):
         doc = json.load(open(fx("hopf_sweedler.json")))
@@ -688,6 +741,29 @@ class TestSchemaErrors:
     def test_empty_max_dim_means_default(self):
         r = invoke(["check", "hopf", fx("hopf_sweedler.json")], env={"HOPFGAL_MAX_DIM": ""})
         assert r.exit_code == 0
+
+    @pytest.fixture
+    def built_rows(self, monkeypatch):
+        """The row count of every matrix built by Mat.from_entries, as parsing builds them."""
+        rows = []
+        from_entries = Mat.from_entries
+
+        def recording(field, r, c, entries):
+            rows.append(r)
+            return from_entries(field, r, c, entries)
+
+        monkeypatch.setattr(Mat, "from_entries", staticmethod(recording))
+        return rows
+
+    @pytest.mark.parametrize("case", sorted(HUGE_DIMENSIONS))
+    def test_huge_dimension_is_refused_as_it_is_parsed(self, tmp_path, built_rows, case):
+        args, document, path, size = HUGE_DIMENSIONS[case]
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(document()))
+        r = invoke([*args, p], env={"HOPFGAL_MAX_DIM": ""})
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error at {path}: tensor dimension {size} exceeds HOPFGAL_MAX_DIM=4096\n"
+        assert max(built_rows, default=0) <= 4096
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,13 @@ def test_scalar_parse_format_roundtrip():
     assert QQ.format(Fraction(-3, 7)) == "-3/7"
     f7 = Field(7)
     assert f7.parse("1/2") == f7.of(4)
-    with pytest.raises(InputError):
-        QQ.parse("1/0")
-    with pytest.raises(InputError):
-        QQ.parse("x")
+    # Each side is a sign and ASCII digits: int() also reads blanks,
+    # underscores and non-ASCII digits.
+    for field in (QQ, f7):
+        assert field.parse("+3") == field.of(3)
+        assert field.parse("007/-2") == field.of(Fraction(-7, 2))
+        for raw in ["x", "1_000", " 3 ", "1/ 2", "\u0663", "3\n", "+", "1/", "2/3/4", "0x10", "--1"]:
+            with pytest.raises(InputError, match="unparsable scalar"):
+                field.parse(raw)
+        with pytest.raises(InputError, match="zero denominator"):
+            field.parse("1/0")

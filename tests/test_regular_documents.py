@@ -1,17 +1,20 @@
 """Generated regular k[G] and k^G documents through the command line.
 
-* The size contract: every Kronecker product that ``check hopf``,
-  ``check comodule-algebra``, ``check galois`` and ``bundle`` (with the left
-  regular comodule of H) build is bounded by the largest product the CLI
-  guard checked before any work started, so a document the guard admits
-  cannot overflow later; at that cap ``check galois`` decides regular
-  k[Z_64] and k^{Z_64}. ``check cartesian`` and ``phi`` on the coarsenings
-  ``cyclic_group_change(n, d)`` either stop at the guard, naming the
-  morphism's path, or keep to the same bound. Wall-clock free: the test
-  records shapes, not times.
-* Oversized documents: under a cap below the largest product the guard
-  checks, every command exits 2 naming the section path and the product,
-  before it builds anything wider than a product already checked.
+* The size contract: the CLI guard checks the declared rows and columns of
+  every matrix as it is parsed, in document order, and then the products
+  that ``check cartesian``, ``phi`` and ``bundle`` build beyond the parsed
+  shapes. Every Kronecker product that ``check hopf``, ``check
+  comodule-algebra``, ``check galois`` and ``bundle`` (with the left regular
+  comodule of H) build is bounded by the largest size the guard checked, so
+  a document the guard admits cannot overflow later; at that cap ``check
+  galois`` decides regular k[Z_64] and k^{Z_64}. ``check cartesian`` and
+  ``phi`` on the coarsenings ``cyclic_group_change(n, d)`` either stop at
+  the guard, naming the morphism's path, or keep to the same bound.
+  Wall-clock free: the test records shapes, not times.
+* Oversized documents: under a cap below the largest size the guard
+  checks, every command exits 2 naming the matrix or section path (and the
+  product, if it is one), before it builds anything wider than a size
+  already checked.
 * Planted corruptions: a regular document over F_p with one structure
   constant changed gets the verdict of an independent oracle, the Kronecker
   reference of every law (and for ``check galois`` the reference
@@ -115,17 +118,21 @@ def documents(tmp_path_factory):
 
 @pytest.fixture
 def guarded(monkeypatch):
-    """The products the CLI guard checks, at the default cap."""
+    """The guard checks a command makes at the default cap, as guard_calls predicts them."""
     monkeypatch.delenv("HOPFGAL_MAX_DIM", raising=False)
-    products = []
+    calls = []
     guard = cli._guard_dims
 
-    def recording_guard(path, **sizes):
-        products.extend(sizes.values())
-        return guard(path, **sizes)
+    def recording_guard(path, *sizes, **products):
+        calls.append((path, {"": max(sizes)} if sizes else products))
+        return guard(path, *sizes, **products)
 
     monkeypatch.setattr(cli, "_guard_dims", recording_guard)
-    return products
+    return calls
+
+
+def largest(calls) -> int:
+    return max(p for _, sizes in calls for p in sizes.values())
 
 
 @pytest.mark.parametrize("kind,n,command", SIZE_CASES, ids=[f"{k}-{n}-{c}" for k, n, c in SIZE_CASES])
@@ -133,8 +140,8 @@ def test_guard_bounds_every_kronecker_product(documents, guarded, kron_recorder,
     r = invoke(documents[kind, n], command)
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
-    assert guarded
-    assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
+    assert guarded == guard_calls(command, n)
+    assert kron_recorder.widest <= largest(guarded), (kron_recorder.widest, largest(guarded))
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -147,7 +154,8 @@ def test_galois_at_dimension_64(tmp_path, guarded, kron_recorder, kind):
     verdicts = json.loads(r.stdout)["verdicts"]
     assert all(v["status"] == "pass" for v in verdicts)
     assert "canonical map is bijective (4096x4096, rank 4096)" in verdicts[-1]["witness"]
-    assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
+    assert guarded == guard_calls("galois", 64)
+    assert kron_recorder.widest <= largest(guarded), (kron_recorder.widest, largest(guarded))
 
 
 COARSENINGS = [(n, d) for n in (8, 16, 32) for d in range(2, n) if n % d == 0]
@@ -181,7 +189,8 @@ def coarsenings(tmp_path_factory):
 @pytest.mark.parametrize("n,d,command", MORPHISM_CASES, ids=[f"{n}-{d}-{c}" for n, d, c in MORPHISM_CASES])
 def test_guard_refuses_or_bounds_morphism_commands(coarsenings, guarded, kron_recorder, n, d, command):
     r = invoke(coarsenings[n, d], command)
-    assert guarded
+    # A refusal comes at the last check, so the checks made are the same.
+    assert guarded == guard_calls(command, n, d)
     assert (r.exit_code == 2) == ((n, d, command) in REFUSED), r.output
     if r.exit_code == 2:
         assert r.stderr.startswith("error at sections.extension_morphism: "), r.stderr
@@ -189,36 +198,58 @@ def test_guard_refuses_or_bounds_morphism_commands(coarsenings, guarded, kron_re
         return
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
-    assert kron_recorder.widest <= max(guarded), (kron_recorder.widest, max(guarded))
+    assert kron_recorder.widest <= largest(guarded), (kron_recorder.widest, largest(guarded))
 
 
-def guard_calls(command, n, d, base):
-    """The guard checks a command makes, in order: (section path, {product: size}).
+def parsed(path, **sizes):
+    """The guard checks of the matrices under path, in parse order: (matrix path, {"": size}).
 
-    A regular document has dim A = dim H = n (and, for bundle, the comodule
-    H); cyclic_group_change(n, d) maps k[Z_n] over k to k[Z_n] over k[Z_d],
-    whose base has dimension n / d. Without a declared base, each coaction
-    is bounded as it is parsed, before its coinvariants are computed.
+    The size of a matrix is the larger of its rows and its columns.
+    """
+    return [(f"{path}.{key}", {"": size}) for key, size in sizes.items()]
+
+
+def hopf_calls(path, d, antipode_inv=False):
+    calls = parsed(path, mult=d * d, unit=d, comult=d * d, counit=d, antipode=d)
+    return calls + parsed(path, antipode_inv=d) if antipode_inv else calls
+
+
+def comodule_algebra_calls(path, a, h):
+    return parsed(path, mult=a * a, unit=a, coaction=a * h)
+
+
+def guard_calls(command, n, d=None):
+    """The guard checks a command makes, in order: (path, {product: size}).
+
+    Each matrix is checked as it is parsed, under the name ""; then
+    ``check cartesian``, ``phi`` and ``bundle`` check the named products
+    they build beyond the parsed shapes. A regular document has dim A =
+    dim H = n (and, for bundle, the comodule H); cyclic_group_change(n, d)
+    maps k[Z_n] over k to k[Z_n] over k[Z_d], whose base has dimension
+    n / d, and its Hopf sections also declare antipode_inv. A declared
+    base adds no check: its columns are no wider than the algebra.
     """
     if command in ("cartesian", "phi"):
         path = "sections.extension_morphism"
-        parsed = [] if base else [
-            (f"{path}.source.comodule_algebra", {"coaction": n * n}),
-            (f"{path}.target.comodule_algebra", {"coaction": n * d}),
+        calls = [
+            *hopf_calls(f"{path}.source.hopf", n, antipode_inv=True),
+            *comodule_algebra_calls(f"{path}.source.comodule_algebra", n, n),
+            *hopf_calls(f"{path}.target.hopf", d, antipode_inv=True),
+            *comodule_algebra_calls(f"{path}.target.comodule_algebra", n, d),
+            *parsed(path, chi=n, alpha=n),
         ]
         pullback = n // d * n
         products = {"pullback": pullback, "cotensor_ambient": n * n, "cotensor_equalizer": n * d * n}
         if command == "phi":
             products.update(pullback_product=pullback**2, cotensor_h_coaction=n**3)
-        return parsed + [(path, products)]
+        return calls + [(path, products)]
+    calls = hopf_calls("sections.hopf", n)
     if command == "hopf":
-        return [("sections.hopf", {"hopf_square": n * n})]
-    if command == "comodule-algebra":
-        return [("sections.comodule_algebra", {"algebra_square": n * n, "coaction": n * n})]
-    parsed = [] if base else [("sections.comodule_algebra", {"coaction": n * n})]
-    if command == "galois":
-        return parsed + [("sections", {"canonical_domain": n * n, "canonical_codomain": n * n})]
-    return parsed + [("sections.comodule", {"cotensor": n**3})]
+        return calls
+    calls += comodule_algebra_calls("sections.comodule_algebra", n, n)
+    if command in ("comodule-algebra", "galois"):
+        return calls
+    return calls + parsed("sections.comodule", coaction=n * n) + [("sections.comodule", {"cotensor": n**3})]
 
 
 @st.composite
@@ -238,8 +269,8 @@ def oversized(draw):
     if not base:
         for end in ends:
             del end["base_columns"]
-    calls = guard_calls(command, n, d, base)
-    cap = draw(st.integers(1, max(p for _, products in calls for p in products.values()) - 1))
+    calls = guard_calls(command, n, d)
+    cap = draw(st.integers(1, largest(calls) - 1))
     return doc, command, calls, cap
 
 
@@ -249,8 +280,8 @@ def test_oversized_document_exits_two_naming_its_path(tmp_path, kron_recorder, c
     doc, command, calls, cap = case
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps(doc))
-    # The first product over the cap, in the order the guard checks them; no
-    # Kronecker product is wider than a product checked before it.
+    # The first size over the cap, in the order the guard checks them; no
+    # Kronecker product is wider than a size checked before it.
     passed = []
     for section, products in calls:
         over = [(name, p) for name, p in sorted(products.items()) if p > cap]
@@ -260,7 +291,8 @@ def test_oversized_document_exits_two_naming_its_path(tmp_path, kron_recorder, c
         passed += products.values()
     kron_recorder.calls = kron_recorder.widest = 0
     r = invoke(path, command, env={"HOPFGAL_MAX_DIM": str(cap)})
-    error = f"error at {section}: {name} tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}\n"
+    label = f"{name} " if name else ""
+    error = f"error at {section}: {label}tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}\n"
     assert (r.exit_code, r.stdout, r.stderr) == (2, "", error)
     if passed:
         assert kron_recorder.widest <= max(passed)
