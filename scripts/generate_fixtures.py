@@ -1,6 +1,7 @@
 """Regenerate the JSON fixture documents under fixtures/.
 
-Every document is serialized from the library's own example objects, so the
+Every document is serialized from the library's own example objects by the
+writers in ``hopfgal.cli``, beside the parsers that read them back, so the
 wire format and the in-memory constructors can never drift apart. Output is
 deterministic: sorted keys, two-space indent, trailing newline.
 """
@@ -12,183 +13,67 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hopfgal import zoo
+from hopfgal.bundle import LeftComodule
+from hopfgal.cli import bundle_sections, document, extension_sections, hopf_doc, module_doc, morphism_sections
 from hopfgal.exact_linear import Mat, QQ
-from hopfgal.hopf_core import (
-    Group,
-    build_dual_group_algebra,
-    build_group_algebra,
-    sweedler_h4,
-    trivial_hopf,
-)
-from hopfgal.extension import identity_cover
-from hopfgal.comodule import Extension
+from hopfgal.extension import ExtensionMorphism, identity_cover
+from hopfgal.hopf_core import AlgebraData, Group, HopfMap, build_group_algebra, sweedler_h4
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def mat_doc(m: Mat) -> dict:
-    field = QQ
-    triples = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.entry(i, j)
-            if v:
-                triples.append([i, j, field.format(v)])
-    return {"rows": m.rows, "cols": m.cols, "triples": triples}
-
-
-def hopf_doc(h) -> dict:
-    a = h.algebra
-    doc = {
-        "dim": a.dim,
-        "basis_names": list(a.basis_names),
-        "mult": mat_doc(a.mult),
-        "unit": mat_doc(a.unit),
-        "comult": mat_doc(h.comult),
-        "counit": mat_doc(h.counit),
-        "antipode": mat_doc(h.antipode),
-    }
-    if h.antipode_inv is not None:
-        doc["antipode_inv"] = mat_doc(h.antipode_inv)
-    return doc
-
-
-def comodule_algebra_doc(c) -> dict:
-    a = c.algebra
-    return {
-        "dim": a.dim,
-        "basis_names": list(a.basis_names),
-        "mult": mat_doc(a.mult),
-        "unit": mat_doc(a.unit),
-        "coaction": mat_doc(c.coaction),
-    }
-
-
-def base_columns_doc(e: Extension) -> list:
-    field = QQ
-    return [
-        [field.format(col.entry(i, 0)) for i in range(col.rows)]
-        for col in e.base_basis_columns()
-    ]
-
-
-def extension_object(e: Extension) -> dict:
-    e = e.materialize()
-    return {
-        "hopf": hopf_doc(e.hopf),
-        "comodule_algebra": comodule_algebra_doc(e.comodule_algebra),
-        "base_columns": base_columns_doc(e),
-    }
-
-
-def document(sections: dict) -> dict:
-    return {"schema_version": "1", "field": "Q", "sections": sections}
-
-
-def extension_sections(e: Extension) -> dict:
-    e = e.materialize()
-    return {
-        "hopf": hopf_doc(e.hopf),
-        "comodule_algebra": comodule_algebra_doc(e.comodule_algebra),
-        "extension": {"base_columns": base_columns_doc(e)},
-    }
-
-
-def morphism_sections(m) -> dict:
-    return {
-        "extension_morphism": {
-            "source": extension_object(m.source),
-            "target": extension_object(m.target),
-            "chi": mat_doc(m.chi.matrix),
-            "alpha": mat_doc(m.alpha),
-        }
-    }
 
 
 def build_all() -> dict:
     docs = {}
 
     # the quadratic field extension: galois / hopf / comodule-algebra checks
-    docs["qsqrt2.json"] = document(extension_sections(zoo.q_sqrt2_extension()))
+    docs["qsqrt2.json"] = extension_sections(zoo.q_sqrt2_extension())
 
     # the four dimensional non-commutative example for the hopf axiom suite
-    docs["hopf_sweedler.json"] = document({"hopf": hopf_doc(sweedler_h4())})
+    docs["hopf_sweedler.json"] = {"hopf": hopf_doc(sweedler_h4())}
 
     # regular extension of the cyclic group algebra: a second galois fixture
     kz4 = build_group_algebra(Group.cyclic(4))
-    docs["regular_z4.json"] = document(extension_sections(zoo.regular_extension(kz4)))
+    docs["regular_z4.json"] = extension_sections(zoo.regular_extension(kz4))
 
     # non-Galois control: trivial coaction with a declared scalar base
-    docs["trivial_coaction.json"] = document(
-        extension_sections(zoo.trivial_coaction_extension())
-    )
+    docs["trivial_coaction.json"] = extension_sections(zoo.trivial_coaction_extension())
 
     # Cartesian morphism fixtures
-    docs["cartesian_z4_z2.json"] = document(morphism_sections(zoo.cyclic_group_change(4, 2)))
-    docs["sweedler_self.json"] = document(
-        morphism_sections(zoo.self_galois_morphism(sweedler_h4()))
-    )
-    from hopfgal.extension import ExtensionMorphism
-
-    docs["commutative_identity.json"] = document(
-        morphism_sections(ExtensionMorphism.identity(zoo.q_sqrt2_extension()))
+    docs["cartesian_z4_z2.json"] = morphism_sections(zoo.cyclic_group_change(4, 2))
+    docs["sweedler_self.json"] = morphism_sections(zoo.self_galois_morphism(sweedler_h4()))
+    docs["commutative_identity.json"] = morphism_sections(
+        ExtensionMorphism.identity(zoo.q_sqrt2_extension())
     )
 
     # commutative self morphism: the braiding collapses to the plain flip
     kz2 = build_group_algebra(Group.cyclic(2))
-    docs["commutative_flip.json"] = document(
-        morphism_sections(zoo.self_galois_morphism(kz2))
-    )
+    docs["commutative_flip.json"] = morphism_sections(zoo.self_galois_morphism(kz2))
 
     # non-Cartesian control: the canonical map has mismatched dimensions
     one = Mat.identity(QQ, 1)
-    from hopfgal.hopf_core import AlgebraData, HopfMap
-
-    scalars = AlgebraData(QQ, 1, ["1"], one, one)
-    source = identity_cover(scalars)
+    source = identity_cover(AlgebraData(QQ, 1, ["1"], one, one))
     target = zoo.trivial_coaction_extension()
-    chi = HopfMap(
-        source.hopf, target.hopf, Mat.from_rows(QQ, [[1], [1]])
-    )
+    chi = HopfMap(source.hopf, target.hopf, Mat.from_rows(QQ, [[1], [1]]))
     alpha = Mat.from_rows(QQ, [[1], [0]])
-    bad = ExtensionMorphism(chi, alpha, source, target)
-    docs["trivial_noncartesian.json"] = document(morphism_sections(bad))
+    docs["trivial_noncartesian.json"] = morphism_sections(ExtensionMorphism(chi, alpha, source, target))
 
     # relative Hopf module over the quadratic field extension
     e = zoo.q_sqrt2_extension()
-    mod = zoo.module_self(e.comodule_algebra)
-    sections = extension_sections(e)
-    sections["module"] = {
-        "dim": mod.dim,
-        "names": list(mod.names),
-        "action": mat_doc(mod.action),
-        "coaction": mat_doc(mod.coaction),
+    docs["module_self_qsqrt2.json"] = {
+        **extension_sections(e),
+        "module": module_doc(zoo.module_self(e.comodule_algebra)),
     }
-    docs["module_self_qsqrt2.json"] = document(sections)
 
     # associated line bundle: the sign character over the quadratic field
-    sign = Mat.from_rows(QQ, [[1], [-1]])
-    sections = extension_sections(zoo.q_sqrt2_extension())
-    sections["comodule"] = {
-        "dim": 1,
-        "names": ["v0"],
-        "coaction": mat_doc(sign),
-    }
-    sections["bundle_request"] = {}
-    docs["bundle_sign_qsqrt2.json"] = document(sections)
+    sign = LeftComodule(e.hopf, 1, coaction=Mat.from_rows(QQ, [[1], [-1]]))
+    docs["bundle_sign_qsqrt2.json"] = bundle_sections(e, sign)
 
     # regular fiber over the Sweedler self extension
     h = sweedler_h4()
-    sections = extension_sections(zoo.regular_extension(h))
-    sections["comodule"] = {
-        "dim": h.dim,
-        "names": list(h.algebra.basis_names),
-        "coaction": mat_doc(h.comult),
-    }
-    sections["bundle_request"] = {}
-    docs["bundle_regular_sweedler.json"] = document(sections)
+    regular = LeftComodule(h, h.dim, coaction=h.comult, names=h.algebra.basis_names)
+    docs["bundle_regular_sweedler.json"] = bundle_sections(zoo.regular_extension(h), regular)
 
-    return docs
+    return {name: document(QQ, sections) for name, sections in docs.items()}
 
 
 def main():

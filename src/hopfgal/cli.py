@@ -2,9 +2,11 @@
 
 Documents are self-contained: a schema_version, a ground field, and named
 sections holding the structures as sparse integer/rational matrices. Scalars
-travel as strings ("3", "-1/2") so no float ever touches the wire. Reports
-are byte-identical across runs for the same input; timings are opt-in
-because they would break that.
+travel as strings ("3", "-1/2") so no float ever touches the wire. This
+module both reads the format (the ``_parse_*`` functions) and writes it
+(``matrix_doc`` through ``document``); no other module does. Reports are
+byte-identical across runs for the same input; timings are opt-in because
+they would break that.
 
 Exit codes: 0 all checks pass, 1 a mathematical verdict is false, 2 the
 input or schema is bad, 3 a verdict is undecided.
@@ -26,6 +28,7 @@ from .exact_linear import (
     QQ,
     Subspace,
     max_tensor_dim,
+    parse_int,
 )
 from .hopf_core import AlgebraData, HopfData, HopfMap, check_hopf
 from .comodule import (
@@ -154,6 +157,10 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
     return Mat.from_entries(field, r, c, entries)
 
 
+def _parse_key_matrix(obj: dict, key: str, field: Field, path: str, rows: int, cols: int) -> Mat:
+    return _parse_matrix(_get(obj, key, path, dict, "a matrix"), field, f"{path}.{key}", rows, cols)
+
+
 def _parse_names(obj, dim: int, path: str, key: str = "basis_names"):
     names = _get(obj, key, path, list, "a list of strings")
     if len(names) != dim or any(not isinstance(x, str) for x in names):
@@ -163,14 +170,19 @@ def _parse_names(obj, dim: int, path: str, key: str = "basis_names"):
     return names
 
 
-def _parse_algebra(obj: dict, field: Field, path: str, extra_keys=()) -> AlgebraData:
-    _warn_unknown(obj, {"dim", "basis_names", "mult", "unit", *extra_keys}, path)
+def _parse_dim(obj: dict, path: str) -> int:
     dim = _get(obj, "dim", path, int, "an integer")
     if dim < 1:
         raise SchemaError(f"{path}.dim", "dimension must be positive")
+    return dim
+
+
+def _parse_algebra(obj: dict, field: Field, path: str, extra_keys=()) -> AlgebraData:
+    _warn_unknown(obj, {"dim", "basis_names", "mult", "unit", *extra_keys}, path)
+    dim = _parse_dim(obj, path)
     names = _parse_names(obj, dim, path)
-    mult = _parse_matrix(_get(obj, "mult", path, dict, "a matrix"), field, f"{path}.mult", dim, dim * dim)
-    unit = _parse_matrix(_get(obj, "unit", path, dict, "a matrix"), field, f"{path}.unit", dim, 1)
+    mult = _parse_key_matrix(obj, "mult", field, path, dim, dim * dim)
+    unit = _parse_key_matrix(obj, "unit", field, path, dim, 1)
     return AlgebraData(field, dim, names, mult, unit)
 
 
@@ -179,9 +191,9 @@ def _parse_hopf(obj, field: Field, path: str) -> HopfData:
         raise SchemaError(path, "expected an object")
     algebra = _parse_algebra(obj, field, path, extra_keys={"comult", "counit", "antipode", "antipode_inv"})
     d = algebra.dim
-    comult = _parse_matrix(_get(obj, "comult", path, dict, "a matrix"), field, f"{path}.comult", d * d, d)
-    counit = _parse_matrix(_get(obj, "counit", path, dict, "a matrix"), field, f"{path}.counit", 1, d)
-    antipode = _parse_matrix(_get(obj, "antipode", path, dict, "a matrix"), field, f"{path}.antipode", d, d)
+    comult = _parse_key_matrix(obj, "comult", field, path, d * d, d)
+    counit = _parse_key_matrix(obj, "counit", field, path, 1, d)
+    antipode = _parse_key_matrix(obj, "antipode", field, path, d, d)
     antipode_inv = None
     if "antipode_inv" in obj:
         antipode_inv = _parse_matrix(obj["antipode_inv"], field, f"{path}.antipode_inv", d, d)
@@ -192,13 +204,7 @@ def _parse_comodule_algebra(obj, hopf: HopfData, field: Field, path: str) -> Com
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     algebra = _parse_algebra(obj, field, path, extra_keys={"coaction"})
-    coaction = _parse_matrix(
-        _get(obj, "coaction", path, dict, "a matrix"),
-        field,
-        f"{path}.coaction",
-        algebra.dim * hopf.dim,
-        algebra.dim,
-    )
+    coaction = _parse_key_matrix(obj, "coaction", field, path, algebra.dim * hopf.dim, algebra.dim)
     return ComoduleAlgebra(algebra, hopf, coaction=coaction)
 
 
@@ -245,13 +251,26 @@ def _parse_morphism(sections: dict, field: Field) -> ExtensionMorphism:
     _warn_unknown(obj, {"source", "target", "chi", "alpha"}, path)
     src = _parse_extension_object(_get(obj, "source", path, dict, "an object"), field, f"{path}.source")
     tgt = _parse_extension_object(_get(obj, "target", path, dict, "an object"), field, f"{path}.target")
-    chi_mat = _parse_matrix(
-        _get(obj, "chi", path, dict, "a matrix"), field, f"{path}.chi", tgt.hopf.dim, src.hopf.dim
-    )
-    alpha = _parse_matrix(
-        _get(obj, "alpha", path, dict, "a matrix"), field, f"{path}.alpha", tgt.dim, src.dim
-    )
+    chi_mat = _parse_key_matrix(obj, "chi", field, path, tgt.hopf.dim, src.hopf.dim)
+    alpha = _parse_key_matrix(obj, "alpha", field, path, tgt.dim, src.dim)
     return ExtensionMorphism(HopfMap(src.hopf, tgt.hopf, chi_mat), alpha, src, tgt)
+
+
+def _parse_module(obj: dict, c: ComoduleAlgebra, field: Field, path: str) -> RelativeHopfModule:
+    _warn_unknown(obj, {"dim", "names", "action", "coaction"}, path)
+    dim = _parse_dim(obj, path)
+    names = _parse_names(obj, dim, path, key="names") if "names" in obj else None
+    action = _parse_key_matrix(obj, "action", field, path, dim, dim * c.dim)
+    coaction = _parse_key_matrix(obj, "coaction", field, path, dim * c.hopf.dim, dim)
+    return RelativeHopfModule(c, dim, action, coaction, names=names)
+
+
+def _parse_comodule(obj: dict, hopf: HopfData, field: Field, path: str) -> LeftComodule:
+    _warn_unknown(obj, {"dim", "names", "coaction"}, path)
+    dim = _parse_dim(obj, path)
+    names = _parse_names(obj, dim, path, key="names") if "names" in obj else None
+    coaction = _parse_key_matrix(obj, "coaction", field, path, hopf.dim * dim, dim)
+    return LeftComodule(hopf, dim, coaction=coaction, names=names)
 
 
 def _section(sections: dict, name: str) -> dict:
@@ -292,8 +311,8 @@ def _parse_field_tag(tag) -> Field:
         return QQ
     if isinstance(tag, str) and tag.startswith("Fp:"):
         try:
-            return Field(int(tag[3:]))
-        except (ValueError, InputError) as e:
+            return Field(parse_int(tag[3:]))
+        except InputError as e:
             raise SchemaError("field", str(e))
     raise SchemaError("field", f"expected \"Q\" or \"Fp:<prime>\", got {tag!r}")
 
@@ -335,6 +354,87 @@ def _guard_dims(path: str, *sizes: int, **products: int):
 
 
 # ---------------------------------------------------------------------------
+# document writing: the inverse of the parsers above
+#
+# Each writer gives the object or sections that its parser reads back into an
+# equal structure; scripts/generate_fixtures.py writes the fixtures with them.
+
+
+def matrix_doc(m: Mat) -> dict:
+    """A matrix as rows, cols and its nonzeros as [row, col, scalar], row-major."""
+    fmt = m.field.format
+    return {"rows": m.rows, "cols": m.cols, "triples": [[i, j, fmt(x)] for i, j, x in m.nonzeros()]}
+
+
+def _algebra_doc(a: AlgebraData) -> dict:
+    return {"dim": a.dim, "basis_names": list(a.basis_names), "mult": matrix_doc(a.mult), "unit": matrix_doc(a.unit)}
+
+
+def hopf_doc(h: HopfData) -> dict:
+    doc = _algebra_doc(h.algebra)
+    for key in ("comult", "counit", "antipode", "antipode_inv"):
+        if (m := getattr(h, key)) is not None:
+            doc[key] = matrix_doc(m)
+    return doc
+
+
+def comodule_algebra_doc(c: ComoduleAlgebra) -> dict:
+    return {**_algebra_doc(c.algebra), "coaction": matrix_doc(c.coaction)}
+
+
+def extension_object(e: Extension) -> dict:
+    """An extension as one object, the layout of a morphism's source and target."""
+    e = e.materialize()
+    fmt = e.field.format
+    return {
+        "hopf": hopf_doc(e.hopf),
+        "comodule_algebra": comodule_algebra_doc(e.comodule_algebra),
+        "base_columns": [[fmt(x) for x in col.entries()] for col in e.base_basis_columns()],
+    }
+
+
+def extension_sections(e: Extension) -> dict:
+    """An extension as the sections hopf, comodule_algebra and extension."""
+    sections = extension_object(e)
+    sections["extension"] = {"base_columns": sections.pop("base_columns")}
+    return sections
+
+
+def morphism_sections(m: ExtensionMorphism) -> dict:
+    return {
+        "extension_morphism": {
+            "source": extension_object(m.source),
+            "target": extension_object(m.target),
+            "chi": matrix_doc(m.chi.matrix),
+            "alpha": matrix_doc(m.alpha),
+        }
+    }
+
+
+def module_doc(mod: RelativeHopfModule) -> dict:
+    return {
+        "dim": mod.dim,
+        "names": list(mod.names),
+        "action": matrix_doc(mod.action),
+        "coaction": matrix_doc(mod.coaction),
+    }
+
+
+def comodule_doc(rep: LeftComodule) -> dict:
+    return {"dim": rep.dim, "names": list(rep.names), "coaction": matrix_doc(rep.coaction)}
+
+
+def bundle_sections(e: Extension, rep: LeftComodule) -> dict:
+    """The sections ``bundle`` reads: an extension, a left comodule and an empty request."""
+    return {**extension_sections(e), "comodule": comodule_doc(rep), "bundle_request": {}}
+
+
+def document(field: Field, sections: dict) -> dict:
+    tag = "Q" if field.is_rational else f"Fp:{field.p}"
+    return {"schema_version": SCHEMA_VERSION, "field": tag, "sections": sections}
+
+
+# ---------------------------------------------------------------------------
 # report assembly
 
 
@@ -355,16 +455,6 @@ def _exit_code(verdicts) -> int:
     if "undecided" in statuses:
         return 3
     return 0
-
-
-def _matrix_payload(m: Mat, field: Field) -> dict:
-    triples = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.entry(i, j)
-            if v:
-                triples.append([i, j, field.format(v)])
-    return {"rows": m.rows, "cols": m.cols, "triples": triples}
 
 
 def _emit_report(command: str, verdicts, dims: dict, fmt: str, timings=None, extra: dict | None = None):
@@ -484,24 +574,9 @@ def cmd_check(kind, file, fmt, timings):
             c = _parse_comodule_algebra(
                 _section(sections, "comodule_algebra"), h, field, "sections.comodule_algebra"
             )
-            obj = _section(sections, "module")
-            path = "sections.module"
-            _warn_unknown(obj, {"dim", "names", "action", "coaction"}, path)
-            dim = _get(obj, "dim", path, int, "an integer")
-            if dim < 1:
-                raise SchemaError(f"{path}.dim", "dimension must be positive")
-            names = None
-            if "names" in obj:
-                names = _parse_names(obj, dim, path, key="names")
-            action = _parse_matrix(
-                _get(obj, "action", path, dict, "a matrix"), field, f"{path}.action", dim, dim * c.algebra.dim
-            )
-            coaction = _parse_matrix(
-                _get(obj, "coaction", path, dict, "a matrix"), field, f"{path}.coaction", dim * h.dim, dim
-            )
-            mod = RelativeHopfModule(c, dim, action, coaction, names=names)
+            mod = _parse_module(_section(sections, "module"), c, field, "sections.module")
             verdicts = _verdicts_from_checks(check_relative_hopf_module(mod))
-            dims = {"module": dim, "algebra": c.algebra.dim, "hopf": h.dim}
+            dims = {"module": mod.dim, "algebra": c.algebra.dim, "hopf": h.dim}
         _finish(f"check {kind}", verdicts, dims, fmt, started, timings)
 
     _handle_errors(run)
@@ -532,9 +607,23 @@ def _run_at_self_check(n: int) -> bool:
     return int_det(m) == 1
 
 
+class _Integer(click.ParamType):
+    """click's integer option type, read in the grammar of ``parse_int``."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):
+            return value
+        try:
+            return parse_int(value)
+        except InputError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
 @main.command("at")
-@click.option("--n", "n", required=True, type=int, help="Truncation degree (ambient index).")
-@click.option("--k", "k", type=int, default=None, help="Single class index.")
+@click.option("--n", "n", required=True, type=_Integer(), help="Truncation degree (ambient index).")
+@click.option("--k", "k", type=_Integer(), default=None, help="Single class index.")
 @click.option("--k-range", "k_range", default=None, help="Inclusive index range A..B.")
 @click.option("--self-check", "self_check", is_flag=True, help="Cross-check the two out-of-range identities and unimodularity.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table", help="Output format.")
@@ -549,12 +638,9 @@ def cmd_at(n, k, k_range, self_check, fmt):
         if k is not None:
             lo = hi = k
         elif k_range is not None:
-            pieces = k_range.split("..")
-            if len(pieces) != 2:
-                raise click.BadParameter("--k-range must look like A..B")
             try:
-                lo, hi = int(pieces[0]), int(pieces[1])
-            except ValueError:
+                lo, hi = map(parse_int, k_range.split(".."))
+            except ValueError:  # not two pieces, or a piece that is not an integer
                 raise click.BadParameter("--k-range must look like A..B")
             if hi < lo:
                 raise click.BadParameter("--k-range must be nondecreasing")
@@ -638,7 +724,7 @@ def cmd_phi(file, fmt, timings):
             "pullback": p.domain.dim,
             "hopf": m.source.hopf.dim,
         }
-        extra = {"phi": _matrix_payload(p.phi, field)}
+        extra = {"phi": matrix_doc(p.phi)}
         _finish("phi", verdicts, dims, fmt, started, timings, extra)
 
     _handle_errors(run)
@@ -663,23 +749,11 @@ def cmd_bundle(file, fmt, timings):
             field,
             "sections",
         )
-        obj = _section(sections, "comodule")
-        path = "sections.comodule"
-        _warn_unknown(obj, {"dim", "names", "coaction"}, path)
-        dim = _get(obj, "dim", path, int, "an integer")
-        if dim < 1:
-            raise SchemaError(f"{path}.dim", "dimension must be positive")
-        names = None
-        if "names" in obj:
-            names = _parse_names(obj, dim, path, key="names")
-        coaction = _parse_matrix(
-            _get(obj, "coaction", path, dict, "a matrix"), field, f"{path}.coaction", e.hopf.dim * dim, dim
-        )
-        _guard_dims(path, cotensor=e.dim * e.hopf.dim * dim)
+        rep = _parse_comodule(_section(sections, "comodule"), e.hopf, field, "sections.comodule")
+        _guard_dims("sections.comodule", cotensor=e.dim * e.hopf.dim * rep.dim)
         broken = next((c for c in check_comodule_algebra(e.comodule_algebra) if not c.ok), None)
         if broken is not None:
             raise InvariantViolation(broken.witness or broken.name)
-        rep = LeftComodule(e.hopf, dim, coaction=coaction, names=names)
         verdicts = _verdicts_from_checks(check_left_comodule(rep))
         bundle = cotensor_bundle(e, rep)
         verdicts += _verdicts_from_checks(check_associated_bundle(bundle))
@@ -688,7 +762,7 @@ def cmd_bundle(file, fmt, timings):
             "bundle": bundle.dim,
             "base": bundle.base_dim,
             "ambient": e.dim,
-            "fiber": dim,
+            "fiber": rep.dim,
         }
         mults = "-" if report.multiplicities is None else ",".join(str(x) for x in report.multiplicities)
         extra = {

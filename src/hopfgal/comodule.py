@@ -142,34 +142,32 @@ def _check_grading(c: ComoduleAlgebra) -> list[AxiomCheck]:
     a = c.algebra
     gg = c.hopf.grading_group
     names = a.basis_names
-    bad = None
-    for i in range(a.dim):
-        for j in range(a.dim):
-            want = gg.add(c.degrees[i], c.degrees[j])
-            col = i * a.dim + j
-            for k in range(a.dim):
-                if a.mult.entry(k, col) and c.degrees[k] != want:
-                    bad = (
-                        f"grading_multiplicative fails at basis ({names[i]},{names[j]}): "
-                        f"component {names[k]} has degree {c.degrees[k]}, expected {want}"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks = [AxiomCheck("grading_multiplicative", bad is None, bad)]
+    deg, dim = c.degrees, a.dim
+    # Column i * dim + j of mult, then row k: the order that picks the reported witness.
+    bad = next(
+        (
+            f"grading_multiplicative fails at basis ({names[i]},{names[j]}): "
+            f"component {names[k]} has degree {deg[k]}, expected {want}"
+            for col, k, _ in a.mult.transpose().nonzeros()
+            for i, j in [divmod(col, dim)]
+            for want in [gg.add(deg[i], deg[j])]
+            if deg[k] != want
+        ),
+        None,
+    )
     zero = gg.zero()
-    bad_unit = None
-    for k in range(a.dim):
-        if a.unit.entry(k, 0) and c.degrees[k] != zero:
-            bad_unit = (
-                f"grading_unital fails at basis (1): component {names[k]} "
-                f"has degree {c.degrees[k]}, expected {zero}"
-            )
-            break
-    checks.append(AxiomCheck("grading_unital", bad_unit is None, bad_unit))
-    return checks
+    bad_unit = next(
+        (
+            f"grading_unital fails at basis (1): component {names[k]} has degree {deg[k]}, expected {zero}"
+            for k, _, _ in a.unit.nonzeros()
+            if deg[k] != zero
+        ),
+        None,
+    )
+    return [
+        AxiomCheck("grading_multiplicative", bad is None, bad),
+        AxiomCheck("grading_unital", bad_unit is None, bad_unit),
+    ]
 
 
 def coinvariants(c: ComoduleAlgebra) -> Subspace:
@@ -202,24 +200,14 @@ class Extension:
     algebra are derived lazily, at most once per extension.
     """
 
-    def __init__(
-        self,
-        comodule_algebra: ComoduleAlgebra,
-        invariant_subalgebra: Subspace | None = None,
-        inclusion: Mat | None = None,
-    ):
+    def __init__(self, comodule_algebra: ComoduleAlgebra, invariant_subalgebra: Subspace | None = None):
         self.comodule_algebra = comodule_algebra
         if invariant_subalgebra is None:
             invariant_subalgebra = self.coinvariants
-        self.invariant_subalgebra = invariant_subalgebra
-        if inclusion is None:
-            inclusion = invariant_subalgebra.mat
-        if (inclusion.rows, inclusion.cols) != (
-            comodule_algebra.dim,
-            invariant_subalgebra.dim,
-        ):
+        if invariant_subalgebra.ambient_dim != comodule_algebra.dim:
             raise InputError("inclusion shape does not match the base subspace")
-        self.inclusion = inclusion
+        self.invariant_subalgebra = invariant_subalgebra
+        self.inclusion = invariant_subalgebra.mat
 
     @property
     def algebra(self) -> AlgebraData:
@@ -278,9 +266,7 @@ class Extension:
     def materialize(self) -> "Extension":
         if not self.comodule_algebra.is_graded:
             return self
-        return Extension(
-            self.comodule_algebra.materialize(), self.invariant_subalgebra, self.inclusion
-        )
+        return Extension(self.comodule_algebra.materialize(), self.invariant_subalgebra)
 
 
 def check_extension(e: Extension) -> list[AxiomCheck]:

@@ -55,22 +55,37 @@ class InvariantViolation(RuntimeError):
 
 DEFAULT_MAX_DIM = 4096
 
-_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(s: str) -> int:
+    """Read an optional sign followed by ASCII digits, and nothing else.
+
+    ``int`` would also accept blanks, underscores and non-ASCII digits.
+    Anything else, or more digits than ``sys.get_int_max_str_digits()``
+    allows, is an InputError.
+    """
+    if isinstance(s, str) and _INTEGER.fullmatch(s):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    raise InputError(f"unparsable integer {s!r}")
 
 
 def max_tensor_dim() -> int:
     """Dimension cap for tensor constructions, from HOPFGAL_MAX_DIM.
 
-    Unset or empty means the default; anything but a positive integer is an
-    InputError.
+    Unset or empty means the default; anything but a positive integer, in
+    the grammar of ``parse_int``, is an InputError.
     """
     raw = os.environ.get("HOPFGAL_MAX_DIM", "")
     if not raw:
         return DEFAULT_MAX_DIM
     try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"HOPFGAL_MAX_DIM must be an integer, got {raw!r}")
+        val = parse_int(raw)
+    except InputError:
+        raise InputError(f"HOPFGAL_MAX_DIM must be an integer, got {raw!r}") from None
     if val <= 0:
         raise InputError(f"HOPFGAL_MAX_DIM must be positive, got {val}")
     return val
@@ -167,21 +182,13 @@ class Field:
         return [{j: y for j, x in r.items() if (y := x % p)} for r in rows]
 
     def parse(self, s: str):
-        """Parse "num" or "num/den" into a field element.
-
-        Each side is an optional sign followed by ASCII digits, nothing else:
-        no blanks, underscores or non-ASCII digits, all of which ``int``
-        would accept.
-        """
+        """Parse "num" or "num/den" into a field element; each side is read by ``parse_int``."""
         if not isinstance(s, str):
             raise InputError(f"scalar must be a string, got {s!r}")
-        match = _SCALAR.fullmatch(s)
-        if match is None:
-            raise InputError(f"unparsable scalar {s!r}")
+        num, slash, den = s.partition("/")
         try:
-            num, den = int(match[1]), int(match[2] or 1)
-        except ValueError:
-            # More digits than sys.get_int_max_str_digits() allows.
+            num, den = parse_int(num), parse_int(den) if slash else 1
+        except InputError:
             raise InputError(f"unparsable scalar {s!r}") from None
         if den == 0:
             raise InputError(f"zero denominator in {s!r}")
@@ -306,6 +313,10 @@ class Mat:
 
     def entries(self):
         return [x for i in range(self.rows) for x in self.row_list(i)]
+
+    def nonzeros(self) -> list:
+        """The stored entries as (row, col, value), in row-major order."""
+        return [(i, j, row[j]) for i, row in enumerate(self._rows) for j in sorted(row)]
 
     def is_zero(self) -> bool:
         return not any(self._rows)

@@ -514,19 +514,14 @@ def augmentation_surjective(n: int, generators=None) -> AugmentationCertificate:
 # ring presentations
 
 
-class LaurentRing:
-    """Z[t, t^-1] with LaurentPoly elements."""
+class _PolynomialRing:
+    """The arithmetic the two polynomial rings share: their elements' operators.
 
-    kind = "laurent"
-
-    def zero(self):
-        return LaurentPoly.zero()
-
-    def one(self):
-        return LaurentPoly.one()
-
-    def from_int(self, c: int):
-        return LaurentPoly.from_dict({0: c})
+    Every ring presentation (these two and ``FiniteZAlgebra``) also gives its
+    generators, checks generator images for a ``RingMorphism`` and evaluates
+    a ring map on an element, so that ``RingMorphism`` never asks which
+    presentation it has.
+    """
 
     def add(self, a, b):
         return a + b
@@ -540,9 +535,43 @@ class LaurentRing:
     def eq(self, a, b) -> bool:
         return a == b
 
+
+class LaurentRing(_PolynomialRing):
+    """Z[t, t^-1] with LaurentPoly elements."""
+
+    def zero(self):
+        return LaurentPoly.zero()
+
+    def one(self):
+        return LaurentPoly.one()
+
+    def from_int(self, c: int):
+        return LaurentPoly.from_dict({0: c})
+
     def validate(self, a):
         if not isinstance(a, LaurentPoly):
             raise InputError("expected a Laurent polynomial")
+
+    def generators(self) -> list:
+        return [("t", LaurentPoly.t(1)), ("t^-1", LaurentPoly.t(-1))]
+
+    def check_images(self, target, images) -> tuple:
+        """(t_image, t_inverse_image), checked to be mutually inverse."""
+        t_img, t_inv = images
+        target.validate(t_img)
+        target.validate(t_inv)
+        one = target.one()
+        if not target.eq(target.mul(t_img, t_inv), one) or not target.eq(target.mul(t_inv, t_img), one):
+            raise InputError("image of t is not invertible with the supplied inverse")
+        return (t_img, t_inv)
+
+    def evaluate(self, target, images, a):
+        t_img, t_inv = images
+        out = target.zero()
+        for e, c in a.terms:
+            power = _ring_pow(target, t_img if e >= 0 else t_inv, abs(e))
+            out = target.add(out, target.mul(target.from_int(c), power))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, LaurentRing)
@@ -551,10 +580,8 @@ class LaurentRing:
         return "Z[t,t^-1]"
 
 
-class TruncatedRing:
+class TruncatedRing(_PolynomialRing):
     """Z[x]/(x^{n+1}) with TruncatedPoly elements."""
-
-    kind = "truncated"
 
     def __init__(self, n: int):
         if n < 0:
@@ -570,21 +597,28 @@ class TruncatedRing:
     def from_int(self, c: int):
         return TruncatedPoly.from_coeffs(self.n, [c])
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def validate(self, a):
         if not isinstance(a, TruncatedPoly) or a.n != self.n:
             raise InputError(f"expected a truncated polynomial of degree {self.n}")
+
+    def generators(self) -> list:
+        return [("x", TruncatedPoly.x(self.n))]
+
+    def check_images(self, target, images) -> tuple:
+        """A single x_image, checked to be nilpotent of order n + 1."""
+        x_img = images
+        target.validate(x_img)
+        if not target.eq(_ring_pow(target, x_img, self.n + 1), target.zero()):
+            raise InputError(f"image of x is not nilpotent of order {self.n + 1}")
+        return (x_img,)
+
+    def evaluate(self, target, images, a):
+        """sum_j c_j x^j by Horner's rule: (...(c_n x + c_{n-1}) x + ...) x + c_0."""
+        (x_img,) = images
+        out = target.zero()
+        for c in reversed(a.coeffs):
+            out = target.add(target.mul(out, x_img), target.from_int(c))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, TruncatedRing) and self.n == other.n
@@ -595,8 +629,6 @@ class TruncatedRing:
 
 class FiniteZAlgebra:
     """Finite free Z-algebra by structure constants; elements are int tuples."""
-
-    kind = "finite"
 
     def __init__(self, dim: int, names, mult, unit):
         self.dim = dim
@@ -644,6 +676,27 @@ class FiniteZAlgebra:
     def validate(self, a):
         if len(tuple(a)) != self.dim or not all(isinstance(x, int) for x in a):
             raise InputError(f"expected an integer vector of length {self.dim}")
+
+    def generators(self) -> list:
+        return [(name, tuple(int(j == i) for j in range(self.dim))) for i, name in enumerate(self.names)]
+
+    def check_images(self, target, images) -> tuple:
+        """One image per basis element, checked to respect the unit and the table."""
+        images = tuple(images)
+        if len(images) != self.dim:
+            raise InputError("one image per basis element required")
+        for im in images:
+            target.validate(im)
+        if not target.eq(_combine(target, images, self.unit), target.one()):
+            raise InputError("map does not send the unit to the unit")
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if not target.eq(target.mul(images[i], images[j]), _combine(target, images, self.mult[i][j])):
+                    raise InputError(f"map is not multiplicative on basis pair ({i}, {j})")
+        return images
+
+    def evaluate(self, target, images, a):
+        return _combine(target, images, a)
 
     def __eq__(self, other):
         return (
@@ -701,99 +754,51 @@ def _ring_pow(ring, a, k: int):
     return out
 
 
+def _combine(ring, images, coords):
+    """sum_i coords[i] images[i] in ring."""
+    out = ring.zero()
+    for c, im in zip(coords, images):
+        if c:
+            out = ring.add(out, ring.mul(ring.from_int(c), im))
+    return out
+
+
 class RingMorphism:
     """Unital ring map defined on generators and certified at construction.
 
     images: (t_image, t_inverse_image) from the Laurent ring, a single
     x_image from a truncated ring, or one image per basis element from a
     finite Z-algebra. Well-definedness (invertibility, nilpotency, or the
-    multiplication table) is checked here, so apply() is total.
+    multiplication table) is checked here by the source ring, so apply() is
+    total. ``images`` keeps one image per generator of the source.
     """
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        if source.kind == "laurent":
-            t_img, t_inv = images
-            target.validate(t_img)
-            target.validate(t_inv)
-            if not target.eq(target.mul(t_img, t_inv), target.one()) or not target.eq(
-                target.mul(t_inv, t_img), target.one()
-            ):
-                raise InputError("image of t is not invertible with the supplied inverse")
-            self.images = (t_img, t_inv)
-        elif source.kind == "truncated":
-            x_img = images
-            target.validate(x_img)
-            if not target.eq(_ring_pow(target, x_img, source.n + 1), target.zero()):
-                raise InputError(f"image of x is not nilpotent of order {source.n + 1}")
-            self.images = (x_img,)
-        elif source.kind == "finite":
-            images = tuple(images)
-            if len(images) != source.dim:
-                raise InputError("one image per basis element required")
-            for im in images:
-                target.validate(im)
-            unit_img = self._combine(images, source.unit)
-            if not target.eq(unit_img, target.one()):
-                raise InputError("map does not send the unit to the unit")
-            for i in range(source.dim):
-                for j in range(source.dim):
-                    lhs = target.mul(images[i], images[j])
-                    rhs = self._combine(images, source.mult[i][j])
-                    if not target.eq(lhs, rhs):
-                        raise InputError(
-                            f"map is not multiplicative on basis pair ({i}, {j})"
-                        )
-            self.images = images
-        else:
-            raise InputError(f"unknown ring presentation kind {source.kind!r}")
-
-    def _combine(self, images, coords):
-        out = self.target.zero()
-        for c, im in zip(coords, images):
-            if c:
-                out = self.target.add(out, self.target.mul(self.target.from_int(c), im))
-        return out
+        self.images = source.check_images(target, images)
 
     def apply(self, a):
         self.source.validate(a)
-        t = self.target
-        if self.source.kind == "laurent":
-            t_img, t_inv = self.images
-            out = t.zero()
-            for e, c in a.terms:
-                power = _ring_pow(t, t_img if e >= 0 else t_inv, abs(e))
-                out = t.add(out, t.mul(t.from_int(c), power))
-            return out
-        if self.source.kind == "truncated":
-            (x_img,) = self.images
-            out = t.zero()
-            for j, c in enumerate(a.coeffs):
-                if c:
-                    out = t.add(out, t.mul(t.from_int(c), _ring_pow(t, x_img, j)))
-            return out
-        return self._combine(self.images, a)
+        return self.source.evaluate(self.target, self.images, a)
+
+    @staticmethod
+    def _on_generators(source, target, images) -> "RingMorphism":
+        """The ring map with one image per generator, already known to be well defined."""
+        m = RingMorphism.__new__(RingMorphism)
+        m.source, m.target, m.images = source, target, tuple(images)
+        return m
 
     @staticmethod
     def identity(ring) -> "RingMorphism":
-        if ring.kind == "laurent":
-            return RingMorphism(ring, ring, (LaurentPoly.t(1), LaurentPoly.t(-1)))
-        if ring.kind == "truncated":
-            return RingMorphism(ring, ring, TruncatedPoly.x(ring.n))
-        return RingMorphism(
-            ring, ring, tuple(tuple(1 if i == j else 0 for j in range(ring.dim)) for i in range(ring.dim))
-        )
+        return RingMorphism._on_generators(ring, ring, (g for _, g in ring.generators()))
 
 
 def compose_ring_maps(g: RingMorphism, f: RingMorphism) -> RingMorphism:
+    """g after f: a ring map sends the relations f's images satisfy to relations."""
     if not ring_equal(f.target, g.source):
         raise InputError("ring maps do not compose")
-    if f.source.kind == "laurent":
-        return RingMorphism(f.source, g.target, (g.apply(f.images[0]), g.apply(f.images[1])))
-    if f.source.kind == "truncated":
-        return RingMorphism(f.source, g.target, g.apply(f.images[0]))
-    return RingMorphism(f.source, g.target, tuple(g.apply(im) for im in f.images))
+    return RingMorphism._on_generators(f.source, g.target, (g.apply(im) for im in f.images))
 
 
 def ring_morphism_equal(f: RingMorphism, g: RingMorphism) -> bool:
@@ -969,7 +974,7 @@ def check_augmented_morphism(m: AugmentedRingMorphism) -> list[AxiomCheck]:
     )
     if m.module_map[0] == "matrix":
         rows = [list(r) for r in m.module_map[1]]
-        gens = _generator_elements(m.source.ring)
+        gens = m.source.ring.generators()
         ok = True
         witness = None
         for label, g in gens:
@@ -983,17 +988,6 @@ def check_augmented_morphism(m: AugmentedRingMorphism) -> list[AxiomCheck]:
     else:
         out.append(AxiomCheck("module_map_linear", True, None))
     return out
-
-
-def _generator_elements(ring):
-    if ring.kind == "laurent":
-        return [("t", LaurentPoly.t(1)), ("t^-1", LaurentPoly.t(-1))]
-    if ring.kind == "truncated":
-        return [("x", TruncatedPoly.x(ring.n))]
-    return [
-        (ring.names[i], tuple(1 if j == i else 0 for j in range(ring.dim)))
-        for i in range(ring.dim)
-    ]
 
 
 def _action_matrix(aug: AugmentedRing, r):

@@ -21,7 +21,8 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from hopfgal import zoo
+from hopfgal import cli, zoo
+from hopfgal.bundle import LeftComodule
 from hopfgal.cli import _exit_code, _format_shifted, _verdict_from_tristate, main
 from hopfgal.comodule import Verdict
 from hopfgal.exact_linear import QQ, Field, Mat
@@ -29,7 +30,6 @@ from hopfgal.hopf_core import Group, build_group_algebra, sweedler_h4
 from hopfgal.kring import at_table
 
 from test_law_differential import yd_phi_expected
-from test_regular_documents import mat_doc, regular_document
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -204,9 +204,19 @@ class TestAt:
         r = invoke(["at", "--n", "2", "--k", "1", "--k-range", "0..1"])
         assert r.exit_code == 2
 
-    @pytest.mark.parametrize("bad", ["1..2..3", "abc..3", "5", "3..1"])
+    # A number is a sign and ASCII digits; int() also reads blanks, underscores and other digits.
+    MALFORMED = {
+        **{bad: ["--n", "2", "--k-range", bad] for bad in ["1..2..3", "abc..3", "5", "3..1"]},
+        "blank_and_arabic_indic_range": ["--n", "4", "--k-range", " 1..\u0663"],
+        "underscore_range": ["--n", "4", "--k-range", "0..1_0"],
+        "arabic_indic_n": ["--n", "\u0663", "--k", "1"],
+        "underscore_k": ["--n", "3", "--k", "1_0"],
+        "blank_n": ["--n", " 3"],
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_rejects_malformed_ranges(self, bad):
-        assert invoke(["at", "--n", "2", "--k-range", bad]).exit_code == 2
+        assert invoke(["at", *self.MALFORMED[bad]]).exit_code == 2
 
     def test_huge_degree_is_refused_before_work(self, rebind):
         calls = []
@@ -500,9 +510,8 @@ class TestBundle:
         # Regular k[Z_2] over F_2 with its declared base; the coaction loses e -> e (x) e.
         field = Field(2)
         h = build_group_algebra(Group.cyclic(2), field)
-        doc = regular_document(h, field)
-        doc["sections"]["comodule"] = {"dim": 2, "coaction": mat_doc(h.comult, field)}
-        doc["sections"]["bundle_request"] = {}
+        sections = cli.bundle_sections(zoo.regular_extension(h), LeftComodule(h, 2, coaction=h.comult))
+        doc = cli.document(field, sections)
         doc["sections"]["comodule_algebra"]["coaction"]["triples"].remove([0, 0, "1"])
         p = tmp_path / "corrupt.json"
         p.write_text(json.dumps(doc))
@@ -626,6 +635,9 @@ class TestSchemaErrors:
                 "modulus 3317044064679887385961981 is too large: "
                 "primality is decided below 3317044064679887385961981",
             ),
+            ("1_1", "unparsable integer '1_1'"),
+            (" 11", "unparsable integer ' 11'"),
+            ("\u0661\u0661", "unparsable integer '\u0661\u0661'"),
         ],
     )
     def test_bad_modulus_is_named(self, tmp_path, modulus, message):
@@ -728,7 +740,7 @@ class TestSchemaErrors:
         assert capped.stderr == ""
         assert capped.stdout == default.stdout
 
-    @pytest.mark.parametrize("raw", ["0", "-5", "abc"])
+    @pytest.mark.parametrize("raw", ["0", "-5", "abc", "4_096", " \u0664\u0660\u0669\u0666 ", "4096 "])
     def test_invalid_max_dim_is_named(self, raw):
         r = invoke(
             ["check", "hopf", fx("hopf_sweedler.json")],

@@ -695,6 +695,24 @@ class TestRingMorphism:
         with pytest.raises(InputError):
             compose_ring_maps(f, f)
 
+    @given(
+        st.integers(1, 6),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.lists(st.integers(-50, 50), min_size=7, max_size=7),
+    )
+    def test_horner_matches_the_sum_of_powers(self, n, a, b, k, coeffs):
+        # k (a, b)^T (-b, a) is a nilpotent 2x2 matrix: its square is zero.
+        ring = matrix_ring(2)
+        x_img = (-k * a * b, k * a * a, -k * b * b, k * a * b)
+        p = TruncatedPoly.from_coeffs(n, coeffs[: n + 1])
+        expected, power = ring.zero(), ring.one()
+        for c in p.coeffs:
+            expected = ring.add(expected, ring.mul(ring.from_int(c), power))
+            power = ring.mul(power, x_img)
+        assert RingMorphism(TruncatedRing(n), ring, x_img).apply(p) == expected
+
 
 RING_ZOO = [
     ("integers", integers_ring),

@@ -25,9 +25,7 @@
 from __future__ import annotations
 
 import functools
-import importlib.util
 import json
-import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -35,6 +33,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfgal import cli, zoo
 from hopfgal.exact_linear import Field, InvariantViolation, QQ, is_bijective
+from hopfgal.bundle import LeftComodule
 from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra, report_ok
 from test_law_differential import (
     ref_base_mult,
@@ -49,36 +48,9 @@ BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
 COMMANDS = ("hopf", "comodule-algebra", "galois")
 
 
-def mat_doc(m, field) -> dict:
-    triples = [
-        [i, j, field.format(m.entry(i, j))]
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if m.entry(i, j)
-    ]
-    return {"rows": m.rows, "cols": m.cols, "triples": triples}
-
-
-def regular_document(h, field) -> dict:
+def regular_document(h) -> dict:
     """The regular extension of h (H coacting on itself by Delta) as a document."""
-    e = zoo.regular_extension(h).materialize()
-    c = e.comodule_algebra
-    hopf = {"dim": h.dim, "basis_names": list(h.basis_names)}
-    for key in ("mult", "unit", "comult", "counit", "antipode"):
-        hopf[key] = mat_doc(getattr(h, key), field)
-    algebra = {
-        "dim": c.dim,
-        "basis_names": list(c.basis_names),
-        "mult": mat_doc(c.algebra.mult, field),
-        "unit": mat_doc(c.algebra.unit, field),
-        "coaction": mat_doc(c.coaction, field),
-    }
-    base = [[field.format(col.entry(i, 0)) for i in range(col.rows)] for col in e.base_basis_columns()]
-    return {
-        "schema_version": "1",
-        "field": "Q" if field.is_rational else f"Fp:{field.p}",
-        "sections": {"hopf": hopf, "comodule_algebra": algebra, "extension": {"base_columns": base}},
-    }
+    return cli.document(h.field, cli.extension_sections(zoo.regular_extension(h)))
 
 
 def invoke(path, command, env=None):
@@ -100,10 +72,8 @@ SIZE_CASES = [
 def bundle_document(kind, n) -> str:
     """The regular document of k[Z_n] or k^{Z_n}, with the left regular comodule of H for bundle."""
     h = BUILDERS[kind](Group.cyclic(n))
-    doc = regular_document(h, QQ)
-    doc["sections"]["comodule"] = {"dim": n, "coaction": mat_doc(h.comult, QQ)}
-    doc["sections"]["bundle_request"] = {}
-    return json.dumps(doc)
+    regular = LeftComodule(h, n, coaction=h.comult)
+    return json.dumps(cli.document(QQ, cli.bundle_sections(zoo.regular_extension(h), regular)))
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +118,7 @@ def test_guard_bounds_every_kronecker_product(documents, guarded, kron_recorder,
 def test_galois_at_dimension_64(tmp_path, guarded, kron_recorder, kind):
     """The default cap admits n = 64, and check galois decides it."""
     path = tmp_path / f"{kind}_64.json"
-    path.write_text(json.dumps(regular_document(BUILDERS[kind](Group.cyclic(64)), QQ)))
+    path.write_text(json.dumps(regular_document(BUILDERS[kind](Group.cyclic(64)))))
     r = invoke(path, "galois")
     assert r.exit_code == 0, r.output
     verdicts = json.loads(r.stdout)["verdicts"]
@@ -169,11 +139,7 @@ REFUSED = {(16, 2, "phi"), (32, 2, "phi"), (32, 4, "phi")} | {
 @functools.cache
 def morphism_document(n, d) -> str:
     """cyclic_group_change(n, d), serialized as the fixtures are."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("generate_fixtures", root / "scripts" / "generate_fixtures.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return json.dumps(gen.document(gen.morphism_sections(zoo.cyclic_group_change(n, d))))
+    return json.dumps(cli.document(QQ, cli.morphism_sections(zoo.cyclic_group_change(n, d))))
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +175,8 @@ def parsed(path, **sizes):
     return [(f"{path}.{key}", {"": size}) for key, size in sizes.items()]
 
 
-def hopf_calls(path, d, antipode_inv=False):
-    calls = parsed(path, mult=d * d, unit=d, comult=d * d, counit=d, antipode=d)
-    return calls + parsed(path, antipode_inv=d) if antipode_inv else calls
+def hopf_calls(path, d):
+    return parsed(path, mult=d * d, unit=d, comult=d * d, counit=d, antipode=d, antipode_inv=d)
 
 
 def comodule_algebra_calls(path, a, h):
@@ -226,15 +191,15 @@ def guard_calls(command, n, d=None):
     they build beyond the parsed shapes. A regular document has dim A =
     dim H = n (and, for bundle, the comodule H); cyclic_group_change(n, d)
     maps k[Z_n] over k to k[Z_n] over k[Z_d], whose base has dimension
-    n / d, and its Hopf sections also declare antipode_inv. A declared
-    base adds no check: its columns are no wider than the algebra.
+    n / d. Every Hopf section of a group algebra declares antipode_inv. A
+    declared base adds no check: its columns are no wider than the algebra.
     """
     if command in ("cartesian", "phi"):
         path = "sections.extension_morphism"
         calls = [
-            *hopf_calls(f"{path}.source.hopf", n, antipode_inv=True),
+            *hopf_calls(f"{path}.source.hopf", n),
             *comodule_algebra_calls(f"{path}.source.comodule_algebra", n, n),
-            *hopf_calls(f"{path}.target.hopf", d, antipode_inv=True),
+            *hopf_calls(f"{path}.target.hopf", d),
             *comodule_algebra_calls(f"{path}.target.comodule_algebra", n, d),
             *parsed(path, chi=n, alpha=n),
         ]
@@ -347,7 +312,7 @@ def test_planted_corruption_matches_the_reference(tmp_path, data):
     h = BUILDERS[data.draw(st.sampled_from(sorted(BUILDERS)), label="kind")](group, field)
     command = data.draw(st.sampled_from(COMMANDS), label="command")
     section, key = data.draw(st.sampled_from(CORRUPTIBLE[command]), label="matrix")
-    doc = regular_document(h, field)
+    doc = regular_document(h)
     m = doc["sections"][section][key]
     i = data.draw(st.integers(0, m["rows"] - 1), label="row")
     j = data.draw(st.integers(0, m["cols"] - 1), label="col")
@@ -375,7 +340,7 @@ def test_planted_corruption_matches_the_reference(tmp_path, data):
 def test_a_change_that_keeps_every_law_exits_zero(tmp_path):
     # Regular k[Z_2] over F_2 with g*g = 0: k[x]/(x^2) under the same coaction.
     field = Field(2)
-    doc = regular_document(build_group_algebra(Group.cyclic(2), field), field)
+    doc = regular_document(build_group_algebra(Group.cyclic(2), field))
     doc["sections"]["comodule_algebra"]["mult"]["triples"].remove([0, 3, "1"])
     path = tmp_path / "dual_numbers.json"
     path.write_text(json.dumps(doc))
