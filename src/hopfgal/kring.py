@@ -15,6 +15,17 @@ entries become a few big-integer operations done in C (Harvey, J. Symb.
 Comput. 2009). Each slot width comes from a bound on the result's entries,
 so every result is exact.
 
+A product in Z[x]/(x^{n+1}) stays packed: it keeps its packed integer mod
+X^{n+1}, at the slot width w it was computed at (X = 2^(8w)), and is unpacked
+only when its coefficients are read. It equals an element e when their
+residues mod X^{n+1} agree, provided every |e_i| < 2^(8w-2). Each product
+coefficient c_i has |c_i| < X/2, so every slot of c - e is below X in
+absolute value, and a sum of such slots that is a multiple of X^{n+1} has
+every slot zero. Past that bound the coefficients are compared: the element
+with +X in slot i and -1 in slot i+1, or with +X in slot n, has the residue
+of c without being c. The matrix product packs each row of its right factor
+from the row's first nonzero entry, so leading zeros cost nothing.
+
 An augmented ring is a triple (R, M, 1_M): a unital ring, an R-module, and a
 distinguished element. Rings embed by R |-> (R, R, 1_R); the coreflector
 returns the ring. Module actions on free Z-models are stored as certified
@@ -61,12 +72,17 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(biased, "little") - _bias(len(coeffs), width)
 
 
+def _slots_mask(count: int, width: int) -> int:
+    """X^count - 1 at X = 2^(8 width): reduces a packed integer mod X^count."""
+    return (1 << (8 * width * count)) - 1
+
+
 def _unpack(value: int, count: int, width: int) -> list:
     """The signed entries of value's lowest count slots, each below 2^(8 width - 1) in absolute value."""
     half = 1 << (8 * width - 1)
     size = count * width
     # higher slots may hold anything; the mask drops them
-    data = ((value + _bias(count, width)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    data = ((value + _bias(count, width)) & _slots_mask(count, width)).to_bytes(size, "little")
     return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
 
 
@@ -135,12 +151,68 @@ class LaurentPoly:
         return out
 
 
-@dataclass(frozen=True)
 class TruncatedPoly:
-    """Element of Z[x]/(x^{n+1}), coefficients x^0..x^n."""
+    """Element of Z[x]/(x^{n+1}), coefficients x^0..x^n.
 
-    n: int
-    coeffs: tuple
+    Elements are immutable. A product stays packed until its coefficients
+    are read, and equality with it compares residues where the module
+    docstring's bound allows; an element packs itself at most once per width.
+    """
+
+    __slots__ = ("n", "_coeffs", "_top", "_width", "_residues")
+
+    def __init__(self, n: int, coeffs: tuple):
+        self.n = n
+        self._coeffs = coeffs
+        self._top = None
+        self._width = None  # the slot width of a packed product
+        self._residues = {}  # width -> residue mod X^{n+1}
+
+    @staticmethod
+    def _packed(n: int, residue: int, width: int) -> "TruncatedPoly":
+        p = TruncatedPoly(n, None)
+        p._width = width
+        p._residues[width] = residue
+        return p
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(_unpack(self._residues[self._width], self.n + 1, self._width))
+        return self._coeffs
+
+    def _largest(self) -> int:
+        """The largest absolute value of a coefficient."""
+        if self._top is None:
+            self._top = max(map(abs, self.coeffs), default=0)
+        return self._top
+
+    def _residue(self, width: int) -> int:
+        """This element packed at width, mod X^{n+1}; computed once per width."""
+        residue = self._residues.get(width)
+        if residue is None:
+            residue = _pack(self.coeffs, width) & _slots_mask(self.n + 1, width)
+            self._residues[width] = residue
+        return residue
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncatedPoly):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        if self._width is not None or other._width is not None:
+            packed, e = (self, other) if self._width is not None else (other, self)
+            width = packed._width
+            # |c_i| < X/2 and |e_i| < X/4, so no slot of c - e reaches X
+            if e._largest() < 1 << (8 * width - 2):
+                return packed._residues[width] == e._residue(width)
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"TruncatedPoly(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(n: int, coeffs) -> "TruncatedPoly":
@@ -179,15 +251,12 @@ class TruncatedPoly:
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._match(other)
-        a, b = self.coeffs, other.coeffs
-        top_a = max(map(abs, a), default=0)
-        top_b = max(map(abs, b), default=0)
+        top_a, top_b = self._largest(), other._largest()
         # every product coefficient is a sum of at most n+1 terms a_i b_j
         width = _slot_bytes(max((self.n + 1) * top_a * top_b, top_a, top_b))
-        packed = _pack(a, width)
-        # a square multiplies an integer by itself, which CPython does faster
-        product = packed * (packed if other is self else _pack(b, width))
-        return TruncatedPoly(self.n, tuple(_unpack(product, self.n + 1, width)))
+        # a square multiplies one residue by itself, which CPython does faster
+        product = self._residue(width) * other._residue(width)
+        return TruncatedPoly._packed(self.n, product & _slots_mask(self.n + 1, width), width)
 
     def times_one_plus_x(self) -> "TruncatedPoly":
         """This element times 1+x: coefficient i becomes c_i + c_{i-1}, one shift-add."""
@@ -250,9 +319,12 @@ def int_identity(m: int):
 def int_mat_mul(a, b):
     """Product of integer matrices given as lists of rows.
 
-    Each row of b is packed once, so row i of the product is the packed sum
-    of a[i][k] times row k of b: rows * inner big-integer products in place
-    of rows * inner * cols scalar ones.
+    Each row of b is packed once, from its first nonzero slot on, so row i of
+    the product is the packed sum of a[i][k] times row k of b: rows * inner
+    big-integer products in place of rows * inner * cols scalar ones, none
+    of them over a row's leading zeros. The sum runs by Horner's rule over
+    the rows' offsets, from the highest down, shifting the partial sum up to
+    each next offset.
     """
     inner = len(b)
     cols = len(b[0]) if b else 0
@@ -264,8 +336,24 @@ def int_mat_mul(a, b):
     top_b = max((abs(x) for row in b for x in row), default=0)
     # every product entry is a sum of inner terms a[i][k] b[k][j]
     width = _slot_bytes(max(inner * top_a * top_b, top_b))
-    packed = [_pack(row, width) for row in b]
-    return [_unpack(sum(v * p for v, p in zip(row, packed) if v), cols, width) for row in a]
+    shift = 8 * width
+    # (offset, k, packed row) for each nonzero row k of b, highest offset first
+    tails = []
+    for k, row in enumerate(b):
+        offset = next((j for j, x in enumerate(row) if x), cols)
+        if offset < cols:
+            tails.append((offset, k, _pack(row[offset:], width)))
+    tails.sort(reverse=True)
+    out = []
+    for row in a:
+        acc, low = 0, cols
+        for offset, k, packed in tails:
+            v = row[k]
+            if v:
+                acc = (acc << shift * (low - offset)) + v * packed
+                low = offset
+        out.append([0] * cols if low == cols else [0] * low + _unpack(acc, cols - low, width))
+    return out
 
 
 def int_mat_vec(a, v):

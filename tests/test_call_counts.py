@@ -108,6 +108,26 @@ def kring_calls(monkeypatch, rebind):
     return counts
 
 
+# at: the packings and unpackings of one command. An element packs itself
+# at most once per slot width, and a pair check compares the residue of a
+# packed product with that of a known element, so no pair check unpacks. Over
+# 0..128 --self-check unpacks what the 131 Taylor shifts, the 129 rows of the
+# base-change product and the 10 products of [L_129] and [L_-1] return: 270.
+# A range of 8 indices unpacks its 8 shifts and the 13 anchor products: 21.
+AT_PACKING = {
+    "at --n 128 --self-check": {"packs": 868, "unpacks": 270},
+    "at --n 64 --k-range 32..39": {"packs": 42, "unpacks": 21},
+}
+
+
+@pytest.fixture
+def packing_calls(rebind):
+    counts = Counter()
+    rebind(kring._pack, counting(counts, "packs", kring._pack))
+    rebind(kring._unpack, counting(counts, "unpacks", kring._unpack))
+    return counts
+
+
 def invoke(line):
     *command, name = line.split()
     result = CliRunner().invoke(cli.main, [*command, str(FIXTURES / name)])
@@ -183,3 +203,10 @@ def test_at_work_per_command(kring_calls, line):
     result = CliRunner().invoke(cli.main, line.split())
     assert result.exit_code == 0, result.output
     assert dict(kring_calls) == AT_CALLS[line]
+
+
+@pytest.mark.parametrize("line", AT_PACKING)
+def test_at_packing_per_command(packing_calls, line):
+    result = CliRunner().invoke(cli.main, line.split())
+    assert result.exit_code == 0, result.output
+    assert dict(packing_calls) == AT_PACKING[line]

@@ -444,16 +444,27 @@ def shift_inputs(draw):
 
 @st.composite
 def mat_pairs(draw):
-    kind = draw(st.sampled_from(["big", "zero", "edge"]))
+    kind = draw(st.sampled_from(["big", "zero", "edge", "leading"]))
     rows = draw(st.integers(min_value=0, max_value=5))
     cols = draw(st.integers(min_value=0, max_value=5))
     if kind == "edge":
         inner, x, y = draw(edge_factors())
         return [[x] * inner for _ in range(rows)], [[y] * cols for _ in range(inner)]
+    if kind == "leading" and draw(st.booleans()):
+        # both factors upper triangular, every row of the right one starting
+        # at the diagonal
+        n = draw(st.integers(min_value=0, max_value=12))
+        a, b = draw(st.permutations([at_base_change(n), at_base_change_inverse(n)]))
+        return a, b
     inner = draw(st.integers(min_value=0, max_value=5))
     zero = draw(st.sampled_from(["a", "b"])) if kind == "zero" else None
     a = [draw(st.lists(st.just(0) if zero == "a" else big_ints, min_size=inner, max_size=inner)) for _ in range(rows)]
     b = [draw(st.lists(st.just(0) if zero == "b" else big_ints, min_size=cols, max_size=cols)) for _ in range(inner)]
+    if kind == "leading":
+        # each row of b starts with a run of zeros, all of it for an all-zero row
+        for row in b:
+            z = draw(st.integers(min_value=0, max_value=cols))
+            row[:z] = [0] * z
     return a, b
 
 
@@ -487,6 +498,9 @@ class TestPackedKernels:
     @example(([], []))
     @example(([[], []], []))
     @example(([[0, 0]], [[0, 0, 0], [0, 0, 0]]))
+    @example(([[1, 2]], [[0, 0, 3], [0, 0, 0]]))  # a leading run and an all-zero row
+    @example(([[2, -1], [0, 3]], [[0, 5], [7, 0]]))  # rows start at different slots
+    @example((at_base_change(4), at_base_change_inverse(4)))
     def test_mat_mul_matches_schoolbook(self, pair):
         a, b = pair
         assert int_mat_mul(a, b) == schoolbook_mat_mul(a, b)
@@ -502,6 +516,114 @@ class TestPackedKernels:
             int_mat_mul([[1, 2], [3, 4]], [[1], [2], [3]])
         with pytest.raises(InputError, match="0 entries in every row"):
             int_mat_mul([[1]], [])
+
+
+# ---------------------------------------------------------------------------
+# equality of a packed product
+#
+# A product keeps its residue mod X^{n+1} at its slot width w, X = 2^(8w),
+# and compares residues with an element whose coefficients are all below
+# 2^(8w - 2) in absolute value. The element "carry" (+X in slot i, -1 in slot
+# i + 1) and the element "top" (+X in slot n) have the product's residue, so
+# only the bound keeps them from comparing equal.
+
+
+def residue_of(coeffs, width: int) -> int:
+    """sum c_i X^i mod X^{n+1}, summed term by term."""
+    shift = 8 * width
+    return sum(c << (shift * i) for i, c in enumerate(coeffs)) % (1 << (shift * len(coeffs)))
+
+
+@st.composite
+def perturbed_products(draw):
+    """(a, b, kind, e): factors a and b and an element e that is not a b."""
+    a, b = draw(product_pairs())
+    n = len(a) - 1
+    kinds = ["one", "top"] + (["carry"] if n else [])
+    kind = draw(st.sampled_from(kinds))
+    x = 1 << (8 * (TruncatedPoly(n, a) * TruncatedPoly(n, b))._width)
+    e = list(schoolbook_product(a, b))
+    i = draw(st.integers(min_value=0, max_value=n))
+    if kind == "one":
+        e[i] += draw(st.sampled_from([1, -1]))
+    elif kind == "carry":
+        i = min(i, n - 1)
+        e[i] += x
+        e[i + 1] -= 1
+    else:
+        e[n] += x
+    return a, b, kind, tuple(e)
+
+
+@st.composite
+def bound_cases(draw):
+    """(a, b, i, sign, below): put sign (2^(8w - 2) - below) into slot i of a b, at its width w."""
+    a, b = draw(product_pairs())
+    i = draw(st.integers(min_value=0, max_value=len(a) - 1))
+    return a, b, i, draw(st.sampled_from([1, -1])), draw(st.sampled_from([0, 1]))
+
+
+class TestResidueEquality:
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_products())
+    @example(((3,), (5,), "one", (16,)))  # 15 + 1 at width 1
+    @example(((3,), (5,), "top", (15 + 256,)))
+    @example(((1, 2), (3, 4), "one", (3, 9)))
+    @example(((1, 2), (3, 4), "carry", (3 + 256, 9)))  # 3 + 10x at width 1
+    @example(((1, 2), (3, 4), "top", (3, 10 + 256)))
+    @example(((-1, -2), (3, 4), "carry", (-3 + 256, -11)))
+    def test_product_differs_from_a_perturbed_element(self, case):
+        a, b, kind, e = case
+        n = len(a) - 1
+        product = lambda: TruncatedPoly(n, a) * TruncatedPoly(n, b)
+        assert product() != TruncatedPoly(n, e)
+        assert TruncatedPoly(n, e) != product()
+        assert not product() == TruncatedPoly(n, e)
+        p = product()
+        if kind != "one":
+            assert residue_of(e, p._width) == p._residue(p._width)
+        assert p.coeffs == schoolbook_product(a, b)
+        assert p != TruncatedPoly(n, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    @example(((8,), (8,), 0, 1, 0))  # 64 = 2^(8 - 2) is the product at width 1
+    @example(((8,), (8,), 0, -1, 0))
+    @example(((8,), (8,), 0, 1, 1))
+    @example(((7,), (9,), 0, 1, 1))  # 63 = 2^(8 - 2) - 1 is the product
+    def test_residues_are_compared_only_below_the_bound(self, case):
+        a, b, i, sign, below = case
+        n = len(a) - 1
+        width = (TruncatedPoly(n, a) * TruncatedPoly(n, b))._width
+        coeffs = list(schoolbook_product(a, b))
+        coeffs[i] = sign * ((1 << (8 * width - 2)) - below)
+        for flip in (False, True):
+            p, e = TruncatedPoly(n, a) * TruncatedPoly(n, b), TruncatedPoly(n, tuple(coeffs))
+            assert ((e == p) if flip else (p == e)) == (tuple(coeffs) == schoolbook_product(a, b))
+            # the element packs itself only when every coefficient is below the bound
+            assert (width in e._residues) == (max(map(abs, coeffs)) < 1 << (8 * width - 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_pairs())
+    @example(((8, 8), (8, 8)))
+    @example(((0,), (0,)))
+    def test_equal_forms_hash_alike(self, pair):
+        a, b = pair
+        n = len(a) - 1
+        pa, pb = TruncatedPoly(n, a), TruncatedPoly(n, b)
+        product = pa * pb
+        forms = [
+            TruncatedPoly(n, schoolbook_product(a, b)),
+            pa * pb,  # packed, not yet read
+            pb * pa,
+            product * TruncatedPoly.one(n),  # packed again, at the width of a product by 1
+            TruncatedPoly(n, product.coeffs),
+        ]
+        for p in forms:
+            for q in forms:
+                assert p == q
+                assert hash(p) == hash(q)
+        assert repr(forms[1]) == repr(forms[0]) == f"TruncatedPoly(n={n}, coeffs={schoolbook_product(a, b)})"
 
 
 # ---------------------------------------------------------------------------
