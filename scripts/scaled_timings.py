@@ -1,0 +1,110 @@
+"""Time `check` commands on regular k[Z_n] and k^{Z_n} documents, one process per run.
+
+Each case is ``KIND:N:COMMAND[:CAP]``: KIND is ``kG`` (the group algebra
+k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check`` subcommand
+(``hopf``, ``comodule-algebra`` or ``galois``) and CAP the value of
+``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). The regular
+extension of each algebra is written over Q with the ``hopfgal.cli`` writers
+into ``--workdir``, and every run is a fresh ``python -m hopfgal`` process,
+so start-up is included. Wall time is taken with ``perf_counter`` around the
+child, and peak RSS from the child's own ``wait4`` resource usage.
+
+``--against DIR`` names the ``src`` directory of another checkout (a parent
+commit, say): the runs of the two trees then alternate, this tree first in
+odd rounds and the other first in even ones, and each line shows both and
+whether their reports are byte-identical. Standard library only::
+
+    python3 scripts/scaled_timings.py --repeat 3
+    python3 scripts/scaled_timings.py kG:128:hopf:16384 --against ../parent/src
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+import time
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from hopfgal import cli, zoo  # noqa: E402
+from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra  # noqa: E402
+
+BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
+DEFAULT_CASES = ("kG:64:galois", "kG_dual:64:galois", "kG:128:hopf:16384")
+
+
+def parse_case(text: str):
+    parts = text.split(":")
+    if len(parts) not in (3, 4) or parts[0] not in BUILDERS or not parts[1].isdigit():
+        raise argparse.ArgumentTypeError(f"expected KIND:N:COMMAND[:CAP], got {text!r}")
+    return parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
+
+
+def write_document(workdir: pathlib.Path, kind: str, n: int) -> pathlib.Path:
+    path = workdir / f"regular_{kind}_{n}.json"
+    if not path.exists():
+        h = BUILDERS[kind](Group.cyclic(n))
+        doc = cli.document(h.field, cli.extension_sections(zoo.regular_extension(h)))
+        path.write_text(json.dumps(doc))
+    return path
+
+
+def run_once(src: pathlib.Path, command: str, doc: pathlib.Path, cap):
+    """Wall seconds, peak RSS in MB, exit code and the SHA-256 of stdout of one fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("HOPFGAL_MAX_DIM", None)
+    if cap is not None:
+        env["HOPFGAL_MAX_DIM"] = cap
+    argv = [sys.executable, "-m", "hopfgal", "check", command, str(doc)]
+    started = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - started
+    child.returncode = os.waitstatus_to_exitcode(status)
+    child.stdout.close()
+    # ru_maxrss is in kilobytes on Linux.
+    return wall, usage.ru_maxrss / 1024, child.returncode, hashlib.sha256(out).hexdigest()
+
+
+def summary(runs) -> str:
+    walls = sorted(w for w, _, _, _ in runs)
+    rss = max(r for _, r, _, _ in runs)
+    codes = sorted({c for _, _, c, _ in runs})
+    spread = f" ({walls[0]:.2f}-{walls[-1]:.2f})" if len(walls) > 1 else ""
+    return f"{statistics.median(walls):6.2f} s{spread} {rss:6.0f} MB exit {','.join(map(str, codes))}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("cases", nargs="*", type=parse_case, help="KIND:N:COMMAND[:CAP]")
+    parser.add_argument("--repeat", type=int, default=1, help="runs of each case and tree")
+    parser.add_argument("--against", type=pathlib.Path, help="src directory of a second tree")
+    parser.add_argument("--workdir", type=pathlib.Path, default=pathlib.Path("scaled_documents"))
+    args = parser.parse_args()
+    cases = args.cases or [parse_case(c) for c in DEFAULT_CASES]
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    trees = [("this", SRC)] + ([("against", args.against.resolve())] if args.against else [])
+    for kind, n, command, cap in cases:
+        doc = write_document(args.workdir, kind, n)
+        runs = {name: [] for name, _ in trees}
+        for round_ in range(args.repeat):
+            order = trees if round_ % 2 == 0 else trees[::-1]
+            for name, src in order:
+                runs[name].append(run_once(src, command, doc, cap))
+        label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
+        line = f"{label:28} " + "  |  ".join(f"{name} {summary(runs[name])}" for name, _ in trees)
+        if args.against:
+            digests = {d for rs in runs.values() for _, _, _, d in rs}
+            line += "  reports " + ("identical" if len(digests) == 1 else "DIFFER")
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

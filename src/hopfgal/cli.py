@@ -116,13 +116,14 @@ def _get(obj: dict, key: str, path: str, kind, kind_name: str):
     return value
 
 
-def _parse_scalar(field: Field, raw, path: str):
+def _parse_scalar(field: Field, raw, where):
+    """Parse a scalar; ``where()`` builds its path, called only for an error."""
     if not isinstance(raw, str):
-        raise SchemaError(path, f"scalar must be a string like \"num/den\", got {raw!r}")
+        raise SchemaError(where(), f"scalar must be a string like \"num/den\", got {raw!r}")
     try:
         return field.parse(raw)
     except InputError as e:
-        raise SchemaError(path, str(e))
+        raise SchemaError(where(), str(e))
 
 
 def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: int | None = None) -> Mat:
@@ -142,17 +143,19 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
     if not isinstance(triples, list):
         raise SchemaError(f"{path}.triples", "expected a list of [row, col, scalar]")
     entries = {}
+    # The path of a triple is built only for an error: on a valid document
+    # it would be most of the cost of a triple.
+    tpath = lambda: f"{path}.triples[{idx}]"
     for idx, t in enumerate(triples):
-        tpath = f"{path}.triples[{idx}]"
         if not (isinstance(t, list) and len(t) == 3):
-            raise SchemaError(tpath, "expected [row, col, scalar]")
+            raise SchemaError(tpath(), "expected [row, col, scalar]")
         i, j, raw = t
         if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
-            raise SchemaError(tpath, "row and column must be integers")
+            raise SchemaError(tpath(), "row and column must be integers")
         if not (0 <= i < r and 0 <= j < c):
-            raise SchemaError(tpath, f"index ({i}, {j}) outside {r}x{c}")
+            raise SchemaError(tpath(), f"index ({i}, {j}) outside {r}x{c}")
         if (i, j) in entries:
-            raise SchemaError(tpath, f"duplicate entry for ({i}, {j})")
+            raise SchemaError(tpath(), f"duplicate entry for ({i}, {j})")
         entries[(i, j)] = _parse_scalar(field, raw, tpath)
     return Mat.from_entries(field, r, c, entries)
 
@@ -219,7 +222,7 @@ def _parse_base_columns(obj, field: Field, dim: int, path: str):
         cpath = f"{path}.base_columns[{idx}]"
         if not isinstance(col, list) or len(col) != dim:
             raise SchemaError(cpath, f"expected a column of {dim} scalars")
-        out.append([_parse_scalar(field, x, f"{cpath}[{i}]") for i, x in enumerate(col)])
+        out.append([_parse_scalar(field, x, lambda: f"{cpath}[{i}]") for i, x in enumerate(col)])
     return Subspace.from_spanning_columns(Mat.from_rows(field, out).transpose())
 
 

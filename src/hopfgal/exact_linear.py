@@ -593,10 +593,17 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
 
     The map with fewer columns is the fixed one: each basis vector e_v that
     it meets picks a slice of the tables, the matrix of B(e_v, -) (or of
-    B(-, e_v)); the other map is multiplied by the stacked slices in one
-    product, and row v of the fixed map spreads the result over the columns
-    of the answer. The work is per nonzero, and no operator on a tensor
-    product is built.
+    B(-, e_v)), and row z of the answer gains the slice's entry (z, u) times
+    row u of the other map, spread over the columns of the answer by row v
+    of the fixed map. The work is per product that reaches the answer, as in
+    Gustavson's row-wise sparse product (ACM TOMS 4, 1978): a slice of
+    several tables is combined only over the columns u where the other map
+    has a nonzero row, found by walking a trie of those rows' digits beside
+    each table's columns; a fixed row with one term adds its products
+    straight into the answer; and a fixed row with several terms has its
+    slice multiplied by the other map once, and the product spread. A
+    coefficient is tested for 1 once for the whole row it scales. No slice
+    is built in full, and no operator on a tensor product is built.
     """
     f._check_same_field(g)
     for table, _ in factors:
@@ -619,58 +626,97 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     # g is the fixed map when it has fewer columns.
     right = g.cols < f.cols
     fixed, other = (g, f) if right else (f, g)
-    # slices[t][v] = {z: {u: coefficient}}: factor t's table with its fixed leg at v.
+    # The legs of the fixed map and of the other, one per factor.
+    legs = [fy if right else fx for fx, fy, _ in dims]
+    other_legs = [fx if right else fy for fx, fy, _ in dims]
+    # slices[t][v] = {u: [(z, coefficient)]}: factor t's table with its fixed
+    # leg at v, by column u of the other leg.
     slices = []
-    for (table, fy), (fx, _, _) in zip(factors, dims):
-        sl = [{} for _ in range(fy if right else fx)]
+    for (table, fy), fv in zip(factors, legs):
+        sl = [{} for _ in range(fv)]
         for z, row in enumerate(table._rows):
             for col, t in row.items():
                 x, y = divmod(col, fy)
                 v, u = (y, x) if right else (x, y)
-                sl[v].setdefault(z, {})[u] = t
+                sl[v].setdefault(u, []).append((z, t))
         slices.append(sl)
-
-    def slice_at(v):
-        digits = []
-        for fx, fy, _ in reversed(dims):
-            v, d = divmod(v, fy if right else fx)
-            digits.append(d)
-        digits.reverse()
-        acc = slices[0][digits[0]]
-        for sl, d, (fx, fy, fz) in zip(slices[1:], digits[1:], dims[1:]):
-            fu = fx if right else fy
-            # Skip products with a unit factor: most structure constants are 1.
-            rows2 = [(z2, [(u2, b, b == 1) for u2, b in r2.items()]) for z2, r2 in sl[d].items()]
-            acc = {
-                z * fz + z2: {u * fu + u2: a if b_one else a * b for u, a in r.items() for u2, b, b_one in r2}
-                for z, r in acc.items()
-                for z2, r2 in rows2
-            }
-        return acc
-
-    # Row (v, z) of stacked is row z of the slice that row v of the fixed map picks.
-    stacked, keys = [], []
-    for v, frow in enumerate(fixed._rows):
-        if frow:
-            for z, r in slice_at(v).items():
-                stacked.append(r)
-                keys.append((z, frow))
+    # Column i*n + k of the answer is B(f e_i, g e_k), so a column k of f
+    # moves by k*n and one of g by k, and a term i of the fixed row adds
+    # i (of g) or i*n (of f). trie holds the nonzero rows of the other map,
+    # with their columns moved, under the digits of their indices, one leg
+    # a level.
     n = g.cols
+    trie = {}
+    for u, row in enumerate(other._rows):
+        if row:
+            node, digits = trie, _digits(u, other_legs)
+            for d in digits[:-1]:
+                node = node.setdefault(d, {})
+            node[digits[-1]] = {k * n: b for k, b in row.items()} if right else row
+    start = [(0, 1, trie)]
+
+    def meet(digits):
+        """(z, coefficient, row of the other map) for each entry (z, u) of
+        the slice at digits whose column u meets a nonzero row."""
+        level = start  # (z so far, coefficient so far, trie node)
+        for sl, d, (_, _, fz) in zip(slices, digits, dims):
+            cols = sl[d]
+            deeper = []
+            for zp, cp, node in level:
+                small, large = (node, cols) if len(node) < len(cols) else (cols, node)
+                for u in small:
+                    if u in large:
+                        child = node[u]
+                        for z, a in cols[u]:
+                            deeper.append((zp * fz + z, a if cp == 1 else cp * a, child))
+            level = deeper
+        return level
+
     out = [{} for _ in range(dz)]
-    for (z, frow), row in zip(keys, _mul_rows(stacked, other._rows)):
-        if not row:
+    for v, frow in enumerate(fixed._rows):
+        if not frow:
             continue
-        acc = out[z]
-        for i, c in frow.items():
-            c_one = c == 1
-            for k, a in row.items():
-                key = k * n + i if right else i * n + k
-                if not c_one:
-                    a = c * a
-                w = acc.get(key)
-                acc[key] = a if w is None else w + a
+        hits = meet(_digits(v, legs))
+        if len(frow) == 1:
+            # One term: each product goes straight into the answer.
+            ((i, c),) = frow.items()
+            base = i if right else i * n
+            for z, a, row in hits:
+                _add_row(out[z], row, base, a if c == 1 else c * a)
+            continue
+        # Several terms: the slice times the other map, once, then spread.
+        products = {}
+        for z, a, row in hits:
+            _add_row(products.setdefault(z, {}), row, 0, a)
+        for z, row in products.items():
+            for i, c in frow.items():
+                _add_row(out[z], row, i if right else i * n, c)
     out = [r if all(r.values()) else {k: a for k, a in r.items() if a} for r in out]
     return Mat._make(f.field, dz, f.cols * g.cols, out)
+
+
+def _digits(v: int, radices: list) -> list:
+    """The mixed-radix digits of v, the first slowest."""
+    digits = []
+    for r in reversed(radices):
+        v, d = divmod(v, r)
+        digits.append(d)
+    return digits[::-1]
+
+
+def _add_row(acc: dict, row: dict, base: int, a) -> None:
+    """acc += a * row, with the columns of row moved by base."""
+    if a == 1:
+        for k, b in row.items():
+            k += base
+            w = acc.get(k)
+            acc[k] = b if w is None else w + b
+    else:
+        for k, b in row.items():
+            k += base
+            b *= a
+            w = acc.get(k)
+            acc[k] = b if w is None else w + b
 
 
 def flip(field: Field, dim_left: int, dim_right: int) -> Mat:

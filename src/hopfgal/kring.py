@@ -36,6 +36,7 @@ action hold by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 import math
 
 from .exact_linear import InputError, InvariantViolation, Mat
@@ -408,17 +409,29 @@ def _spans_full_lattice(rows, m: int) -> bool:
     return True
 
 
-def at_base_change(n: int):
-    """Binomial matrix sending (1+x)^k coordinates to monomial coordinates."""
+def _binomial_rows(n: int):
+    """The rows [C(k, j) for k = 0..n], j = 0..n.
+
+    Each row comes from the last by Pascal's rule, C(k, j) = C(k-1, j) +
+    C(k-1, j-1): along row j it is a running sum of row j-1, so a row costs
+    n additions and no binomial coefficient is computed on its own.
+    """
     if n < 0:
         raise InputError("degree must be nonnegative")
-    return [[math.comb(k, j) for k in range(n + 1)] for j in range(n + 1)]
+    row = [1] * (n + 1)
+    for _ in range(n + 1):
+        yield row
+        row = list(accumulate(row[:n], initial=0))
+
+
+def at_base_change(n: int):
+    """Binomial matrix sending (1+x)^k coordinates to monomial coordinates."""
+    return list(_binomial_rows(n))
 
 
 def at_base_change_inverse(n: int):
-    if n < 0:
-        raise InputError("degree must be nonnegative")
-    return [[(-1) ** (j + k) * math.comb(k, j) for k in range(n + 1)] for j in range(n + 1)]
+    """Its inverse, with entries (-1)^(j+k) C(k, j)."""
+    return [[-x if (j + k) & 1 else x for k, x in enumerate(row)] for j, row in enumerate(_binomial_rows(n))]
 
 
 # ---------------------------------------------------------------------------

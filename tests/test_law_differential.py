@@ -504,22 +504,50 @@ def test_corrupted_structures_match_reference(data):
 # the kernel and the raw canonical map
 
 
-@settings(max_examples=100, deadline=None)
+def nonzero_scalars(field):
+    if field.is_rational:
+        return st.sampled_from([1, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)])
+    return st.one_of(st.just(1), st.integers(1, field.p - 1))
+
+
+@st.composite
+def shaped_map(draw, field, rows, cols):
+    """A matrix whose rows are each drawn empty, with one term or with several."""
+    entries = {}
+    for i in range(rows):
+        shape = draw(st.sampled_from(["empty", "one", "several"])) if cols else "empty"
+        if shape == "one":
+            entries[(i, draw(st.integers(0, cols - 1)))] = draw(nonzero_scalars(field))
+        elif shape == "several":
+            for j in draw(st.sets(st.integers(0, cols - 1), min_size=min(2, cols))):
+                entries[(i, j)] = draw(nonzero_scalars(field))
+    return Mat.from_entries(field, rows, cols, entries)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_bilinear_compose_matches_kronecker_product(data):
+    """Up to three tables, each drawn once and used with either map fixed.
+
+    The map with fewer columns is the fixed one, so the two pairs of maps,
+    of a and b columns and of b and a, take the two orientations; the rows
+    of either map may be empty, or hold one term or several.
+    """
     field = data.draw(st.sampled_from(FIELDS))
-    factors, table = [], None
-    for _ in range(data.draw(st.sampled_from([1, 2]))):
-        dx, dy, dz = (data.draw(st.integers(1, 3)) for _ in range(3))
-        t = data.draw(sparse_mat(field, dz, dx * dy))
-        table = t if table is None else interleaved(table, t, factors[-1][1], dy)
-        factors.append((t, dy))
-    dx = dy = 1
-    for t, right in factors:
-        dx, dy = dx * (t.cols // right), dy * right
-    f = data.draw(sparse_mat(field, dx, data.draw(st.integers(0, 3))))
-    g = data.draw(sparse_mat(field, dy, data.draw(st.integers(0, 3))))
-    assert bilinear_compose(factors, f, g) == table.mul(f.kron(g))
+    factors, table, dy = [], None, 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        fx, fy, fz = (data.draw(st.integers(1, 3)) for _ in range(3))
+        t = data.draw(sparse_mat(field, fz, fx * fy))
+        table = t if table is None else interleaved(table, t, dy, fy)
+        factors.append((t, fy))
+        dy *= fy
+    dx = table.cols // dy
+    a = data.draw(st.integers(0, 3))
+    b = data.draw(st.integers(0, 3).filter(lambda b: b != a))
+    for wf, wg in ((a, b), (b, a)):
+        f = data.draw(shaped_map(field, dx, wf))
+        g = data.draw(shaped_map(field, dy, wg))
+        assert bilinear_compose(factors, f, g) == table.mul(f.kron(g))
 
 
 def test_bilinear_compose_rejects_mismatched_legs():
