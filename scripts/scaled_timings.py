@@ -1,13 +1,16 @@
-"""Time `check` commands on regular k[Z_n] and k^{Z_n} documents, one process per run.
+"""Time `at` commands, and `check` commands on regular k[Z_n] and k^{Z_n}, one process per run.
 
-Each case is ``KIND:N:COMMAND[:CAP]``: KIND is ``kG`` (the group algebra
-k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check`` subcommand
-(``hopf``, ``comodule-algebra`` or ``galois``) and CAP the value of
+A ``check`` case is ``KIND:N:COMMAND[:CAP]``: KIND is ``kG`` (the group
+algebra k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check``
+subcommand (``hopf``, ``comodule-algebra`` or ``galois``) and CAP the value of
 ``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). The regular
 extension of each algebra is written over Q with the ``hopfgal.cli`` writers
-into ``--workdir``, and every run is a fresh ``python -m hopfgal`` process,
-so start-up is included. Wall time is taken with ``perf_counter`` around the
-child, and peak RSS from the child's own ``wait4`` resource usage.
+into ``--workdir``. An ``at`` case is ``at:`` and the command's options,
+separated by commas, each value after ``=``: ``at:--n=128,--k=1000000`` runs
+``at --n 128 --k 1000000``, and ``at:--n=512,--self-check`` a self-check.
+Every run is a fresh ``python -m hopfgal`` process, so start-up is
+included. Wall time is taken with ``perf_counter`` around the child, and peak
+RSS from the child's own ``wait4`` resource usage.
 
 ``--against DIR`` names the ``src`` directory of another checkout (a parent
 commit, say): the runs of the two trees then alternate, this tree first in
@@ -16,6 +19,7 @@ whether their reports are byte-identical. Standard library only::
 
     python3 scripts/scaled_timings.py --repeat 3
     python3 scripts/scaled_timings.py kG:128:hopf:16384 --against ../parent/src
+    python3 scripts/scaled_timings.py at:--n=64,--k=1000000000000 --repeat 5 --against ../parent/src
 """
 
 import argparse
@@ -39,28 +43,37 @@ DEFAULT_CASES = ("kG:64:galois", "kG_dual:64:galois", "kG:128:hopf:16384")
 
 
 def parse_case(text: str):
+    """(label, arguments, document, cap): a check case names its document as (KIND, N), an at case none."""
+    if text.startswith("at:"):
+        options = text[3:].split(",")
+        if not all(o.startswith("--") for o in options):
+            raise argparse.ArgumentTypeError(f"expected at:--OPTION[=VALUE],..., got {text!r}")
+        return text, ["at"] + [part for o in options for part in o.split("=", 1)], None, None
     parts = text.split(":")
     if len(parts) not in (3, 4) or parts[0] not in BUILDERS or not parts[1].isdigit():
-        raise argparse.ArgumentTypeError(f"expected KIND:N:COMMAND[:CAP], got {text!r}")
-    return parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
+        raise argparse.ArgumentTypeError(f"expected KIND:N:COMMAND[:CAP] or at:OPTIONS, got {text!r}")
+    kind, n, command, cap = parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
+    label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
+    return label, ["check", command], (kind, n), cap
 
 
 def write_document(workdir: pathlib.Path, kind: str, n: int) -> pathlib.Path:
     path = workdir / f"regular_{kind}_{n}.json"
     if not path.exists():
+        workdir.mkdir(parents=True, exist_ok=True)
         h = BUILDERS[kind](Group.cyclic(n))
         doc = cli.document(h.field, cli.extension_sections(zoo.regular_extension(h)))
         path.write_text(json.dumps(doc))
     return path
 
 
-def run_once(src: pathlib.Path, command: str, doc: pathlib.Path, cap):
+def run_once(src: pathlib.Path, arguments: list, cap):
     """Wall seconds, peak RSS in MB, exit code and the SHA-256 of stdout of one fresh process."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("HOPFGAL_MAX_DIM", None)
     if cap is not None:
         env["HOPFGAL_MAX_DIM"] = cap
-    argv = [sys.executable, "-m", "hopfgal", "check", command, str(doc)]
+    argv = [sys.executable, "-m", "hopfgal", *arguments]
     started = time.perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     out = child.stdout.read()
@@ -82,22 +95,21 @@ def summary(runs) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("cases", nargs="*", type=parse_case, help="KIND:N:COMMAND[:CAP]")
+    parser.add_argument("cases", nargs="*", type=parse_case, help="KIND:N:COMMAND[:CAP] or at:OPTIONS")
     parser.add_argument("--repeat", type=int, default=1, help="runs of each case and tree")
     parser.add_argument("--against", type=pathlib.Path, help="src directory of a second tree")
     parser.add_argument("--workdir", type=pathlib.Path, default=pathlib.Path("scaled_documents"))
     args = parser.parse_args()
     cases = args.cases or [parse_case(c) for c in DEFAULT_CASES]
-    args.workdir.mkdir(parents=True, exist_ok=True)
     trees = [("this", SRC)] + ([("against", args.against.resolve())] if args.against else [])
-    for kind, n, command, cap in cases:
-        doc = write_document(args.workdir, kind, n)
+    for label, arguments, document, cap in cases:
+        if document is not None:
+            arguments = arguments + [str(write_document(args.workdir, *document))]
         runs = {name: [] for name, _ in trees}
         for round_ in range(args.repeat):
             order = trees if round_ % 2 == 0 else trees[::-1]
             for name, src in order:
-                runs[name].append(run_once(src, command, doc, cap))
-        label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
+                runs[name].append(run_once(src, arguments, cap))
         line = f"{label:28} " + "  |  ".join(f"{name} {summary(runs[name])}" for name, _ in trees)
         if args.against:
             digests = {d for rs in runs.values() for _, _, _, d in rs}

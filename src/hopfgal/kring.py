@@ -26,6 +26,12 @@ with +X in slot i and -1 in slot i+1, or with +X in slot n, has the residue
 of c without being c. The matrix product packs each row of its right factor
 from the row's first nonzero entry, so leading zeros cost nothing.
 
+Powers are taken in one place, TruncatedPoly.powers: several exponents share
+one chain of squarings, each square is computed once, and no power begins
+with a product by one. So at_table takes both of its anchors from one chain,
+and a negative window inverts 1+x once. The closed route to that inverse
+walks (1+x)^k as one packed integer too, a multiply-add per k.
+
 An augmented ring is a triple (R, M, 1_M): a unital ring, an R-module, and a
 distinguished element. Rings embed by R |-> (R, R, 1_R); the coreflector
 returns the ring. Module actions on free Z-models are stored as certified
@@ -265,48 +271,85 @@ class TruncatedPoly:
         return TruncatedPoly(self.n, c[:1] + tuple(a + b for a, b in zip(c[1:], c)))
 
     def __pow__(self, k: int) -> "TruncatedPoly":
-        if k < 0:
+        return self.powers((k,))[0]
+
+    def powers(self, exponents) -> list:
+        """This element to each of the nonnegative exponents, from one chain of squarings.
+
+        The squares self^(2^i) are computed once each, up to the highest bit
+        of the largest exponent: a further square would go unused, and it
+        would be the widest. Each power is the product of the squares its
+        bits select, the first of them taken as it is, so no product by one
+        is formed (an addition sequence, Knuth, TAOCP vol. 2, 4.6.3).
+        """
+        if any(k < 0 for k in exponents):
             raise InputError("negative powers need an explicit inverse")
-        out = TruncatedPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                # the last square would go unused, and it is the widest
-                base = base * base
-        return out
+        out = [None] * len(exponents)
+        top = max(exponents, default=0)
+        square, bit = self, 0
+        while True:
+            for i, k in enumerate(exponents):
+                if k >> bit & 1:
+                    out[i] = square if out[i] is None else out[i] * square
+            bit += 1
+            if not top >> bit:
+                break
+            square = square * square
+        return [TruncatedPoly.one(self.n) if p is None else p for p in out]
+
+
+def _inverse_by_binomials(n: int) -> tuple:
+    """The closed form sum (-1)^k C(n+1, k+1) (1+x)^k, k = 0..n, of 1/(1+x) in Z[x]/(x^{n+1}).
+
+    The sum runs on packed integers at one slot width. (1+x)^k has degree
+    k <= n, so it fits in the n+1 slots unreduced, and each step is one
+    shift-add for the next power and one multiply-add into the sum, which
+    is unpacked once. Coefficient j of the sum, and of every partial sum,
+    is at most sum_k C(n+1, k+1) C(k, j) <= sum_k C(n+1, k+1) 2^k =
+    (3^{n+1} - 1)/2 in absolute value, and C(k, j) <= 2^n, so every entry
+    is below 3^{n+1}, which sets the width. The binomials come from
+    math.comb, and no Taylor shift is taken, so the self-check's comparison
+    of [L_-1] with its closed form stays independent of this route.
+    """
+    width = _slot_bytes(3 ** (n + 1))
+    shift = 8 * width
+    total, power = 0, 1
+    for k in range(n + 1):
+        total += (-1) ** k * math.comb(n + 1, k + 1) * power
+        power += power << shift
+    return tuple(_unpack(total, n + 1, width))
 
 
 def inv_one_plus_x(n: int) -> TruncatedPoly:
     """Inverse of 1+x in Z[x]/(x^{n+1}), computed twice and cross-checked.
 
-    One route is the alternating-sign recurrence for (1+x)u = 1 and the
-    other the closed binomial form sum (-1)^k C(n+1, k+1) (1+x)^k, whose
-    powers are walked one factor 1+x at a time, so both cost O(n^2).
+    One route is the alternating-sign recurrence for (1+x)u = 1, n+1
+    entries, and the other the closed binomial form, n+1 big-integer
+    multiply-adds (_inverse_by_binomials).
     """
     if n < 0:
         raise InputError("truncation degree must be nonnegative")
     recurrence = TruncatedPoly(n, tuple((-1) ** j for j in range(n + 1)))
-    closed = [0] * (n + 1)
-    power = TruncatedPoly.one(n)
-    for k in range(n + 1):
-        coeff = (-1) ** k * math.comb(n + 1, k + 1)
-        for j, c in enumerate(power.coeffs):
-            closed[j] += coeff * c
-        power = power.times_one_plus_x()
-    if recurrence != TruncatedPoly(n, tuple(closed)):
+    if recurrence != TruncatedPoly(n, _inverse_by_binomials(n)):
         raise InvariantViolation("the two inversion routes for 1+x disagree")
     return recurrence
 
 
+def one_plus_x_powers(n: int, exponents) -> list:
+    """(1+x)^k in Z[x]/(x^{n+1}) for integers k of one sign, from one chain of squarings.
+
+    Negative exponents are powers of the inverse of 1+x, which is built once.
+    """
+    if any(k < 0 for k in exponents):
+        if any(k > 0 for k in exponents):
+            raise InputError("exponents of both signs need two chains")
+        return inv_one_plus_x(n).powers([-k for k in exponents])
+    return TruncatedPoly.from_coeffs(n, [1, 1]).powers(exponents)
+
+
 def one_plus_x_power(n: int, k: int) -> TruncatedPoly:
     """(1+x)^k in Z[x]/(x^{n+1}) by polynomial arithmetic, any integer k."""
-    base = TruncatedPoly.from_coeffs(n, [1, 1])
-    if k >= 0:
-        return base ** k
-    return inv_one_plus_x(n) ** (-k)
+    return one_plus_x_powers(n, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,31 +575,36 @@ def at_table(n: int, k_lo: int, k_hi: int):
     structured subfamily (lower end, diagonal, successor, upper end) beyond
     that so wide tables stay inside the interactive time budget.
 
-    The powers come from two windows, each anchored once by one_plus_x_power
-    and walked up by one factor 1+x per index: the rows (1+x)^k for k in
-    [k_lo, k_hi], and the products (1+x)^s for s in [2 k_lo, 2 k_hi], which
-    holds every k1 + k2 a checked pair can reach. The product anchor is
-    computed on its own, not as the square of the row anchor, so a wrong
-    step in either walk shows up as a failed pair. A step that multiplies by
-    some other unit u keeps every pair consistent (both sides pick up the
-    same power of u), so the first row step is also compared with a plain
-    product by 1+x.
+    The powers come from two windows, anchored at (1+x)^{k_lo} and
+    (1+x)^{2 k_lo} by one call of one_plus_x_powers and walked up by one
+    factor 1+x per index: the rows (1+x)^k for k in [k_lo, k_hi], and the
+    products (1+x)^s for s in [2 k_lo, 2 k_hi], which holds every k1 + k2 a
+    checked pair can reach. The product anchor is a product of the chain's
+    squares, not the square of the row anchor, so a wrong step in either
+    walk shows up as a failed pair. A step that multiplies by some
+    other unit u keeps every pair consistent (both sides pick up the same
+    power of u), and so does a product that multiplies by u, since no
+    anchor is a product by one. So the row window is walked one index past
+    k_hi, and its first step is also compared with a plain product by 1+x.
+
+    A window element goes, with the residues it has packed, once the last
+    pair that reads it is checked; the two elements of the step check stay.
     """
     if k_hi < k_lo:
         raise InputError("empty exponent range")
 
-    def walk(start: int, stop: int) -> dict:
-        p = one_plus_x_power(n, start)
+    def walk(p: TruncatedPoly, start: int, stop: int) -> dict:
         out = {start: p}
         for k in range(start + 1, stop + 1):
             p = p.times_one_plus_x()
             out[k] = p
         return out
 
-    power = walk(k_lo, k_hi)
-    product = walk(2 * k_lo, 2 * k_hi)
+    row_anchor, product_anchor = one_plus_x_powers(n, (k_lo, 2 * k_lo))
+    power = walk(row_anchor, k_lo, k_hi + 1)
+    product = walk(product_anchor, 2 * k_lo, 2 * k_hi)
     ks = range(k_lo, k_hi + 1)
-    rows = [(k, from_monomials(power[k])) for k in ks]
+    rows = [(k, from_monomials(power[k]).coords) for k in ks]
     if k_hi - k_lo + 1 <= 16:
         pairs = [(a, b) for a in ks for b in ks]
     else:
@@ -565,14 +613,25 @@ def at_table(n: int, k_lo: int, k_hi: int):
             pairs.extend([(a, k_lo), (a, a), (a, k_hi)])
             if a < k_hi:
                 pairs.append((a, a + 1))
-    for k1, k2 in pairs:
+    # the index of the last pair that reads each element of either window
+    last_row, last_product = {}, {}
+    for i, (k1, k2) in enumerate(pairs):
+        last_row[k1] = last_row[k2] = last_product[k1 + k2] = i
+    for k in (k_lo, k_lo + 1):
+        last_row.pop(k, None)
+    for i, (k1, k2) in enumerate(pairs):
         if power[k1] * power[k2] != product[k1 + k2]:
             raise InvariantViolation(
                 f"line class product fails at ({k1}, {k2}) for degree {n}"
             )
-    if k_hi > k_lo and power[k_lo + 1] != power[k_lo] * TruncatedPoly.from_coeffs(n, [1, 1]):
+        for k in {k1, k2}:
+            if last_row.get(k) == i:
+                del power[k]
+        if last_product[k1 + k2] == i:
+            del product[k1 + k2]
+    if power[k_lo + 1] != power[k_lo] * TruncatedPoly.from_coeffs(n, [1, 1]):
         raise InvariantViolation(f"line class step fails at {k_lo} for degree {n}")
-    return [(k, v.coords) for k, v in rows]
+    return rows
 
 
 @dataclass(frozen=True)

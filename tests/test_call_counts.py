@@ -95,13 +95,16 @@ KRON_CALLS = {
 
 # at: the polynomial products and Taylor shifts of one command. Over 0..128
 # --self-check anchors both windows at (1+x)^0 (no product), checks
-# 3 * 129 + 128 = 515 pairs and the first step, and builds [L_129] (9
-# products) and [L_-1] (1 product): 526; and it shifts each of the 129 rows
-# and the two identities. A range of 8 indices checks all 64 pairs and the
-# step, and anchors the windows at (1+x)^32 (6 products) and (1+x)^64 (7).
+# 3 * 129 + 128 = 515 pairs and the first step, and builds [L_129] (129 =
+# 2^7 + 1: 7 squares and 1 product) and [L_-1] (the inverse itself, no
+# product): 515 + 1 + 8 = 524, and 526 when each power began with a product
+# by one; and it shifts each of the 129 rows and the two identities. A range
+# of 8 indices checks all 64 pairs and the step, and takes both anchors,
+# (1+x)^32 and (1+x)^64, from one chain of 6 squares: 6 + 64 + 1 = 71, and
+# 78 with a chain for each anchor (6 and 7 products).
 AT_CALLS = {
-    "at --n 128 --self-check": {"products": 526, "taylor_shifts": 131},
-    "at --n 64 --k-range 32..39": {"products": 78, "taylor_shifts": 8},
+    "at --n 128 --self-check": {"products": 524, "taylor_shifts": 131},
+    "at --n 64 --k-range 32..39": {"products": 71, "taylor_shifts": 8},
 }
 
 
@@ -116,13 +119,18 @@ def kring_calls(monkeypatch, rebind):
 
 # at: the packings and unpackings of one command. An element packs itself
 # at most once per slot width, and a pair check compares the residue of a
-# packed product with that of a known element, so no pair check unpacks. Over
-# 0..128 --self-check unpacks what the 131 Taylor shifts, the 129 rows of the
-# base-change product and the 10 products of [L_129] and [L_-1] return: 270.
-# A range of 8 indices unpacks its 8 shifts and the 13 anchor products: 21.
+# packed product with that of a known element, so no pair check unpacks.
+# Over 0..128 --self-check packs 730 times in its pair and step checks, once
+# for each of the 129 rows of the base-change matrix and 6 times in the chain
+# of [L_129] (its early squares share a width): 730 + 129 + 6 = 865, and 868
+# when [L_129] and [L_-1] began with a product by one. It unpacks what the
+# 131 Taylor shifts, the 129 rows of the base-change product, the 8 products
+# of [L_129] and the closed route to 1/(1+x) return: 269 (270). A range of 8
+# indices packs 5 times in its chain and 30 in its checks: 35 (42 with two
+# chains); it unpacks its 8 shifts and the 6 squares of its chain: 14 (21).
 AT_PACKING = {
-    "at --n 128 --self-check": {"packs": 868, "unpacks": 270},
-    "at --n 64 --k-range 32..39": {"packs": 42, "unpacks": 21},
+    "at --n 128 --self-check": {"packs": 865, "unpacks": 269},
+    "at --n 64 --k-range 32..39": {"packs": 35, "unpacks": 14},
 }
 
 

@@ -18,6 +18,7 @@ from hopfgal.kring import (
     RingMorphism,
     TruncatedPoly,
     TruncatedRing,
+    _inverse_by_binomials,
     _taylor_shift,
     at_augmented_ring,
     at_base_change,
@@ -47,6 +48,7 @@ from hopfgal.kring import (
     matrix_ring,
     module_apply,
     one_plus_x_power,
+    one_plus_x_powers,
     primary_identity,
     representation_action,
     ring_equal,
@@ -54,7 +56,7 @@ from hopfgal.kring import (
     secondary_identity,
     to_monomials,
 )
-from hopfgal import zoo
+from hopfgal import kring, zoo
 
 
 def classical_map(n):
@@ -139,6 +141,22 @@ class TestInversion:
     def test_negative_binomial_powers(self):
         # (1+x)^{-2} = 1 - 2x + 3x^2 - 4x^3 ...
         assert one_plus_x_power(3, -2).coeffs == (1, -2, 3, -4)
+
+    def test_closed_route_matches_the_term_by_term_sum(self):
+        for n in range(201):
+            assert _inverse_by_binomials(n) == reference_inverse_by_binomials(n), n
+
+
+def reference_inverse_by_binomials(n: int) -> tuple:
+    """sum (-1)^k C(n+1, k+1) (1+x)^k, k = 0..n, one coefficient at a time: O(n^2) additions."""
+    total = [0] * (n + 1)
+    power = [1] + [0] * n
+    for k in range(n + 1):
+        coeff = (-1) ** k * math.comb(n + 1, k + 1)
+        for j, c in enumerate(power):
+            total[j] += coeff * c
+        power = power[:1] + [a + b for a, b in zip(power[1:], power)]
+    return tuple(total)
 
 
 class TestBaseChange:
@@ -627,6 +645,77 @@ class TestResidueEquality:
 
 
 # ---------------------------------------------------------------------------
+# one chain of squarings for several powers
+
+
+def binomial_power(n: int, k: int) -> tuple:
+    """(1+x)^k in Z[x]/(x^{n+1}) from its binomial series: C(k, j), and (-1)^j C(-k+j-1, j) for k < 0."""
+    if k >= 0:
+        return tuple(math.comb(k, j) for j in range(n + 1))
+    return tuple((-1) ** j * math.comb(-k + j - 1, j) for j in range(n + 1))
+
+
+MAGNITUDES = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(0, 24).map(lambda i: 1 << i),
+    st.integers(10**6, 10**7),
+    st.integers(0, 200),
+)
+
+
+@st.composite
+def exponent_sets(draw):
+    """(n, exponents of one sign), the signs of some sets negative."""
+    n = draw(st.integers(0, 40))
+    sign = draw(st.sampled_from([1, -1]))
+    return n, [sign * m for m in draw(st.lists(MAGNITUDES, min_size=1, max_size=5))]
+
+
+class TestSharedPowering:
+    @settings(max_examples=150, deadline=None)
+    @given(exponent_sets())
+    @example((5, [0]))
+    @example((0, [-(10**6), 0, -1]))
+    @example((40, [10**6, 2 * 10**6, 1, 0, 1 << 20]))
+    def test_matches_each_exponent_powered_alone(self, case):
+        n, exponents = case
+        shared = one_plus_x_powers(n, exponents)
+        assert [p.coeffs for p in shared] == [binomial_power(n, k) for k in exponents]
+        assert shared == [one_plus_x_power(n, k) for k in exponents]
+
+    @settings(max_examples=60, deadline=None)
+    @given(truncated_polys(max_n=8), st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    def test_any_base_matches_repeated_products(self, p, exponents):
+        expect = []
+        for k in exponents:
+            q = TruncatedPoly.one(p.n).coeffs
+            for _ in range(k):
+                q = schoolbook_product(q, p.coeffs)
+            expect.append(q)
+        assert [q.coeffs for q in p.powers(exponents)] == expect
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [(0,), (1,), (2,), (7,), (8,), (129,), (10**6,), (5, 10), (96, 192), (0, 0), (3, 1, 12)],
+    )
+    def test_each_square_once_and_no_product_by_one(self, monkeypatch, exponents):
+        counts = []
+        mul = TruncatedPoly.__mul__
+        monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: counts.append(1) or mul(a, b))
+        TruncatedPoly.from_coeffs(6, [1, 1]).powers(exponents)
+        # squares up to the top bit of the largest exponent, then one product
+        # fewer than each exponent has set bits
+        squares = max(max(exponents).bit_length() - 1, 0)
+        assert len(counts) == squares + sum(max(bin(k).count("1") - 1, 0) for k in exponents)
+
+    def test_mixed_signs_rejected(self):
+        with pytest.raises(InputError, match="both signs"):
+            one_plus_x_powers(3, (-1, 1))
+        with pytest.raises(InputError, match="explicit inverse"):
+            TruncatedPoly.one(3).powers((2, -1))
+
+
+# ---------------------------------------------------------------------------
 # the self-checks catch a wrong kernel
 
 
@@ -644,6 +733,33 @@ class TestChecksCatchCorruption:
     def test_corrupt_product(self, monkeypatch, lo, hi, j):
         mul = TruncatedPoly.__mul__
         monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: _bump(mul(a, b), j))
+        # Every factor has constant term 1, so a bump of the top slot multiplies
+        # each product by the unit 1 + x^5. Unless k_lo = 0, both anchors are
+        # products of squares with no product by one, so every pair stays
+        # consistent and the step check catches it.
+        message = "line class step fails" if j == 5 and lo != 0 else "line class product fails"
+        with pytest.raises(InvariantViolation, match=message):
+            at_table(5, lo, hi)
+
+    @pytest.mark.parametrize("k", [-3, 1, 7])
+    def test_product_by_a_unit_on_one_index(self, monkeypatch, k):
+        # the one pair of a single index stays consistent, so the window is
+        # walked one index further for the step check
+        mul = TruncatedPoly.__mul__
+        monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: _bump(mul(a, b), 5))
+        with pytest.raises(InvariantViolation, match="line class step fails"):
+            at_table(5, k, k)
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_wrong_product_anchor(self, monkeypatch, lo, hi, j):
+        powers = kring.one_plus_x_powers
+
+        def wrong(n, exponents):
+            row_anchor, product_anchor = powers(n, exponents)
+            return [row_anchor, _bump(product_anchor, j)]
+
+        monkeypatch.setattr(kring, "one_plus_x_powers", wrong)
         with pytest.raises(InvariantViolation, match="line class product fails"):
             at_table(5, lo, hi)
 
@@ -671,8 +787,11 @@ class TestChecksCatchCorruption:
 
     @pytest.mark.parametrize("n", [1, 4, 17])
     def test_corrupt_inversion_route(self, monkeypatch, n):
-        step = TruncatedPoly.times_one_plus_x
-        monkeypatch.setattr(TruncatedPoly, "times_one_plus_x", lambda p: _bump(step(p), p.n))
+        # the closed route's packed sum is read with X^n added to it
+        unpack = kring._unpack
+        monkeypatch.setattr(
+            kring, "_unpack", lambda value, count, width: unpack(value + (1 << 8 * width * (count - 1)), count, width)
+        )
         with pytest.raises(InvariantViolation, match="inversion routes"):
             inv_one_plus_x(n)
 

@@ -33,6 +33,7 @@ or id_B (x) right materialized.
 import dataclasses
 from fractions import Fraction
 import functools
+import json
 import pathlib
 
 import pytest
@@ -122,6 +123,12 @@ from hopfgal.hopf_core import (
 )
 
 FIELDS = [QQ, Field(2), Field(3), Field(7)]
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# The zoo below is built lazily: each entry has a name or an index known
+# without the library, and is built on its first use and kept. So a library
+# fault fails the tests that read the entries it breaks, not the collection
+# of this module.
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,7 @@ def test_algebra_map_law_matches_reference(data):
 # valid structures with one entry changed
 
 
+@functools.cache
 def hopf_examples():
     out = []
     for field in FIELDS:
@@ -462,9 +470,6 @@ def hopf_examples():
         if field.p != 2:
             out.append(sweedler_h4(field))
     return out
-
-
-HOPF_EXAMPLES = hopf_examples()
 
 
 @st.composite
@@ -482,7 +487,7 @@ def corrupted(draw, m: Mat):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_corrupted_structures_match_reference(data):
-    h = data.draw(st.sampled_from(HOPF_EXAMPLES))
+    h = data.draw(st.sampled_from(hopf_examples()))
     a, names = h.algebra, list(h.basis_names)
     mult = data.draw(corrupted(a.mult))
     alg = AlgebraData(a.field, a.dim, names, mult, data.draw(corrupted(a.unit)))
@@ -558,18 +563,24 @@ def test_bilinear_compose_rejects_mismatched_legs():
         bilinear_compose([(Mat.identity(QQ, 4), 2)], eye3, eye2)
 
 
-EXTENSIONS = [
-    zoo.q_sqrt2_extension(),
-    zoo.q_cbrt2_extension(),
-    zoo.trivial_coaction_extension(),
-    zoo.regular_extension(sweedler_h4()),
-    zoo.regular_extension(build_group_algebra(Group.symmetric(3), Field(7))),
-    zoo.regular_extension(build_dual_group_algebra(Group.cyclic(4), Field(3))),
-]
+EXTENSIONS = (
+    zoo.q_sqrt2_extension,
+    zoo.q_cbrt2_extension,
+    zoo.trivial_coaction_extension,
+    lambda: zoo.regular_extension(sweedler_h4()),
+    lambda: zoo.regular_extension(build_group_algebra(Group.symmetric(3), Field(7))),
+    lambda: zoo.regular_extension(build_dual_group_algebra(Group.cyclic(4), Field(3))),
+)
 
 
-@pytest.mark.parametrize("e", EXTENSIONS, ids=range(len(EXTENSIONS)))
-def test_canonical_map_matches_reference(e):
+@functools.cache
+def zoo_extension(i):
+    return EXTENSIONS[i]()
+
+
+@pytest.mark.parametrize("i", range(len(EXTENSIONS)))
+def test_canonical_map_matches_reference(i):
+    e = zoo_extension(i)
     can, bt = canonical_map(e)
     assert can == balanced_self_tensor(e.materialize()).descend(ref_raw(e))
 
@@ -591,28 +602,38 @@ def ref_base_mult(e):
     return Mat.zeros(e.field, e.base_dim, 0).hstack(*products)
 
 
+def fixture_sections():
+    """(path, the names of its sections) for each committed fixture, read as plain JSON."""
+    return [(path, json.loads(path.read_text())["sections"].keys()) for path in sorted(FIXTURES.glob("*.json"))]
+
+
 def fixture_extensions():
-    """Every extension in the committed fixtures, both ends of a morphism included."""
-    out = []
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    for path in sorted(fixtures.glob("*.json")):
-        field, sections = cli._load_document(str(path))
+    """name -> (path, end) for every extension in the fixtures; end picks an end of a morphism."""
+    out = {}
+    for path, sections in fixture_sections():
         if "extension_morphism" in sections:
-            m = cli._parse_morphism(sections, field)
-            out += [(f"{path.stem}-source", m.source), (f"{path.stem}-target", m.target)]
+            out.update({f"{path.stem}-{end}": (path, end) for end in ("source", "target")})
         elif "comodule_algebra" in sections:
-            parts = (sections["hopf"], sections["comodule_algebra"], sections.get("extension"))
-            out.append((path.stem, cli._parse_extension_parts(*parts, field, "sections")))
+            out[path.stem] = (path, None)
     return out
 
 
 FIXTURE_EXTENSIONS = fixture_extensions()
 
 
-@pytest.mark.parametrize(
-    "e", [e for _, e in FIXTURE_EXTENSIONS], ids=[n for n, _ in FIXTURE_EXTENSIONS]
-)
-def test_base_mult_matches_reference_on_fixtures(e):
+@functools.cache
+def fixture_extension(name):
+    path, end = FIXTURE_EXTENSIONS[name]
+    field, sections = cli._load_document(str(path))
+    if end is not None:
+        return getattr(cli._parse_morphism(sections, field), end)
+    parts = (sections["hopf"], sections["comodule_algebra"], sections.get("extension"))
+    return cli._parse_extension_parts(*parts, field, "sections")
+
+
+@pytest.mark.parametrize("name", FIXTURE_EXTENSIONS)
+def test_base_mult_matches_reference_on_fixtures(name):
+    e = fixture_extension(name)
     assert e.base_mult() == ref_base_mult(e)
 
 
@@ -929,36 +950,35 @@ def ref_intertwiner_space(e):
 # the library against the reference
 
 
-def fixture_morphisms():
-    out = []
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    for path in sorted(fixtures.glob("*.json")):
-        field, sections = cli._load_document(str(path))
-        if "extension_morphism" in sections:
-            out.append((path.stem, cli._parse_morphism(sections, field)))
-    return out
+def fixture_morphism(path):
+    field, sections = cli._load_document(str(path))
+    return cli._parse_morphism(sections, field)
 
 
-def zoo_morphisms():
-    q2 = zoo.q_sqrt2_extension()
-    regular_z4 = zoo.regular_extension(build_group_algebra(Group.cyclic(4)))
-    shear = Mat.from_rows(QQ, [[1, 1], [0, 1]])
-    return [
-        ("identity_q_sqrt2", ExtensionMorphism.identity(q2)),
-        ("cyclic_4_2", zoo.cyclic_group_change(4, 2)),
-        ("cyclic_6_3", zoo.cyclic_group_change(6, 3)),
-        ("self_QZ2", zoo.self_galois_morphism(build_group_algebra(Group.cyclic(2)))),
-        ("self_sweedler", zoo.self_galois_morphism(sweedler_h4())),
-        ("to_trivial_q_sqrt2", zoo.to_trivial_morphism(q2)),
-        ("to_trivial_q_cbrt2", zoo.to_trivial_morphism(zoo.q_cbrt2_extension())),
-        ("to_trivial_sweedler", zoo.to_trivial_morphism(zoo.regular_extension(sweedler_h4()))),
-        ("base_to_cover_q_sqrt2", zoo.base_to_cover_morphism(q2)),
-        ("base_to_cover_QZ4", zoo.base_to_cover_morphism(regular_z4)),
-        ("iso_q_sqrt2", zoo.iso_morphism(q2, shear)),
-    ] + fixture_morphisms()
+MORPHISMS = {
+    "identity_q_sqrt2": lambda: ExtensionMorphism.identity(zoo.q_sqrt2_extension()),
+    "cyclic_4_2": lambda: zoo.cyclic_group_change(4, 2),
+    "cyclic_6_3": lambda: zoo.cyclic_group_change(6, 3),
+    "self_QZ2": lambda: zoo.self_galois_morphism(build_group_algebra(Group.cyclic(2))),
+    "self_sweedler": lambda: zoo.self_galois_morphism(sweedler_h4()),
+    "to_trivial_q_sqrt2": lambda: zoo.to_trivial_morphism(zoo.q_sqrt2_extension()),
+    "to_trivial_q_cbrt2": lambda: zoo.to_trivial_morphism(zoo.q_cbrt2_extension()),
+    "to_trivial_sweedler": lambda: zoo.to_trivial_morphism(zoo.regular_extension(sweedler_h4())),
+    "base_to_cover_q_sqrt2": lambda: zoo.base_to_cover_morphism(zoo.q_sqrt2_extension()),
+    "base_to_cover_QZ4": lambda: zoo.base_to_cover_morphism(
+        zoo.regular_extension(build_group_algebra(Group.cyclic(4)))
+    ),
+    "iso_q_sqrt2": lambda: zoo.iso_morphism(zoo.q_sqrt2_extension(), Mat.from_rows(QQ, [[1, 1], [0, 1]])),
+} | {
+    path.stem: functools.partial(fixture_morphism, path)
+    for path, sections in fixture_sections()
+    if "extension_morphism" in sections
+}
 
 
-MORPHISMS = zoo_morphisms()
+@functools.cache
+def morphism(name):
+    return MORPHISMS[name]()
 
 
 def modules_over(c):
@@ -993,9 +1013,9 @@ def check_morphism_maps(m):
         assert (p.comodule_algebra.algebra.mult, p.comodule_algebra.coaction) == ref_pullback_algebra(p)
 
 
-@pytest.mark.parametrize("m", [m for _, m in MORPHISMS], ids=[n for n, _ in MORPHISMS])
-def test_morphism_maps_match_reference(m):
-    check_morphism_maps(m)
+@pytest.mark.parametrize("name", MORPHISMS)
+def test_morphism_maps_match_reference(name):
+    check_morphism_maps(morphism(name))
 
 
 def divisors(n):
@@ -1041,36 +1061,54 @@ def check_change_basis(e, p):
     assert (changed.algebra.mult, changed.comodule_algebra.coaction) == ref_change_basis(e, p)
 
 
-def zoo_bundles():
-    q2 = zoo.q_sqrt2_extension()
-    extensions = [
-        q2,
-        zoo.trivial_coaction_extension(),
-        zoo.regular_extension(sweedler_h4()),
-        zoo.regular_extension(build_group_algebra(Group.cyclic(3), Field(5))),
-        zoo.regular_extension(build_dual_group_algebra(Group.symmetric(3), Field(7))),
-        # bases of dimension 2 and 4, the second not commutative
-        zoo.cyclic_group_change(4, 2).target,
-        zoo.self_galois_morphism(sweedler_h4()).target,
-    ]
-    out = []
-    for e in extensions:
-        e = e.materialize()
-        h = e.hopf
-        reps = [trivial_left_comodule(h), left_regular_comodule(h), trivial_left_comodule(h, 2)]
-        if h.dim == 2:
-            # the nontrivial grouplike: g in k[Z/2], d_e - d_g in k^{Z/2}
-            g = Mat.column(h.field, [0, 1] if h.counit.entry(0, 1) else [1, -1])
-            reps.append(grouplike_character(h, g))
-        out += [cotensor_bundle(e, v) for v in reps]
-    return out
+BUNDLE_EXTENSIONS = (
+    zoo.q_sqrt2_extension,
+    zoo.trivial_coaction_extension,
+    lambda: zoo.regular_extension(sweedler_h4()),
+    lambda: zoo.regular_extension(build_group_algebra(Group.cyclic(3), Field(5))),
+    lambda: zoo.regular_extension(build_dual_group_algebra(Group.symmetric(3), Field(7))),
+    # bases of dimension 2 and 4, the second not commutative
+    lambda: zoo.cyclic_group_change(4, 2).target,
+    lambda: zoo.self_galois_morphism(sweedler_h4()).target,
+)
+
+REPRESENTATIONS = {
+    "trivial": trivial_left_comodule,
+    "regular": left_regular_comodule,
+    "trivial2": lambda h: trivial_left_comodule(h, 2),
+    # the nontrivial grouplike of a two-dimensional H: g in k[Z/2], d_e - d_g in k^{Z/2}
+    "grouplike": lambda h: grouplike_character(h, Mat.column(h.field, [0, 1] if h.counit.entry(0, 1) else [1, -1])),
+}
+
+# (extension, representation, dimension of the cotensor bundle); the
+# dimensions pick the pairs whose tensor products are checked
+BUNDLES = [
+    (0, "trivial", 1), (0, "regular", 2), (0, "trivial2", 2), (0, "grouplike", 1),
+    (1, "trivial", 2), (1, "regular", 2), (1, "trivial2", 4), (1, "grouplike", 0),
+    (2, "trivial", 1), (2, "regular", 4), (2, "trivial2", 2),
+    (3, "trivial", 1), (3, "regular", 3), (3, "trivial2", 2),
+    (4, "trivial", 1), (4, "regular", 6), (4, "trivial2", 2),
+    (5, "trivial", 2), (5, "regular", 4), (5, "trivial2", 4), (5, "grouplike", 2),
+    (6, "trivial", 4), (6, "regular", 16), (6, "trivial2", 8),
+]
 
 
-BUNDLES = zoo_bundles()
+@functools.cache
+def bundle_extension(i):
+    return BUNDLE_EXTENSIONS[i]().materialize()
 
 
-@pytest.mark.parametrize("b", BUNDLES, ids=range(len(BUNDLES)))
-def test_bundle_maps_match_reference(b):
+@functools.cache
+def zoo_bundle(j):
+    i, kind, _ = BUNDLES[j]
+    e = bundle_extension(i)
+    return cotensor_bundle(e, REPRESENTATIONS[kind](e.hopf))
+
+
+@pytest.mark.parametrize("j", range(len(BUNDLES)))
+def test_bundle_maps_match_reference(j):
+    b = zoo_bundle(j)
+    assert b.dim == BUNDLES[j][2]
     assert (b.left_action, b.right_action) == ref_bundle_actions(b)
     e = b.extension
     module = RelativeHopfModule(e.comodule_algebra, e.dim, e.algebra.mult, e.comodule_algebra.coaction)
@@ -1083,7 +1121,10 @@ def test_bundle_maps_match_reference(b):
 
 
 BUNDLE_PAIRS = [
-    (b1, b2) for b1 in BUNDLES for b2 in BUNDLES if b1.extension is b2.extension and b1.dim * b2.dim <= 16
+    (j1, j2)
+    for j1, (i1, _, d1) in enumerate(BUNDLES)
+    for j2, (i2, _, d2) in enumerate(BUNDLES)
+    if i1 == i2 and d1 * d2 <= 16
 ]
 
 
@@ -1110,8 +1151,9 @@ def ref_bundle_iso(b1, b2, b12):
     return iso
 
 
-@pytest.mark.parametrize("b1,b2", BUNDLE_PAIRS, ids=range(len(BUNDLE_PAIRS)))
-def test_bundle_tensor_matches_reference(b1, b2):
+@pytest.mark.parametrize("pair", range(len(BUNDLE_PAIRS)))
+def test_bundle_tensor_matches_reference(pair):
+    b1, b2 = (zoo_bundle(j) for j in BUNDLE_PAIRS[pair])
     b12 = cotensor_bundle(b1.extension, comodule_tensor(b1.rep, b2.rep))
     assert outcome(lambda: bundle_tensor_data(b1, b2).iso) == outcome(lambda: ref_bundle_iso(b1, b2, b12))
     qt, bt = ref_bundle_tensor(b1, b2)[0], BalancedTensor(b1.right_action, b2.left_action)
@@ -1124,12 +1166,14 @@ def test_bundle_tensor_matches_reference(b1, b2):
         assert found == linear_solutions(field, dim, dim, ref_bimodule_map_defects(qt, b1, b2, b12))
 
 
-SELF_TENSOR_CASES = FIXTURE_EXTENSIONS + [(f"zoo{i}", e) for i, e in enumerate(EXTENSIONS)]
+SELF_TENSOR_CASES = {name: functools.partial(fixture_extension, name) for name in FIXTURE_EXTENSIONS} | {
+    f"zoo{i}": functools.partial(zoo_extension, i) for i in range(len(EXTENSIONS))
+}
 
 
-@pytest.mark.parametrize("e", [e for _, e in SELF_TENSOR_CASES], ids=[n for n, _ in SELF_TENSOR_CASES])
-def test_self_tensor_and_intertwiners_match_reference(e):
-    e = e.materialize()
+@pytest.mark.parametrize("name", SELF_TENSOR_CASES)
+def test_self_tensor_and_intertwiners_match_reference(name):
+    e = SELF_TENSOR_CASES[name]().materialize()
     assert_same_quotient(balanced_self_tensor(e), ref_self_tensor(e))
     assert _intertwiner_space(e) == ref_intertwiner_space(e)
 
@@ -1146,9 +1190,9 @@ def test_regular_extension_maps_match_reference(e):
     assert (twisted.action, twisted.coaction) == ref_triangle_action(module, b.rep)
 
 
-@pytest.mark.parametrize("e", [e for _, e in SELF_TENSOR_CASES], ids=[n for n, _ in SELF_TENSOR_CASES])
-def test_change_basis_matches_reference(e):
-    e = e.materialize()
+@pytest.mark.parametrize("name", SELF_TENSOR_CASES)
+def test_change_basis_matches_reference(name):
+    e = SELF_TENSOR_CASES[name]().materialize()
     check_change_basis(e, upper_unitriangular(e.field, e.dim))
 
 
@@ -1176,10 +1220,11 @@ def test_comodule_map_law_matches_reference(data):
     assert comodule_map_law(*args) == ref_comodule_map(*args)
 
 
+@functools.cache
 def hopf_maps():
     """The Hopf maps of the zoo: identities, group homomorphisms, (co)units, Fourier transforms."""
-    out = [HopfMap.identity(h) for h in HOPF_EXAMPLES]
-    out += [counit_map(h) for h in HOPF_EXAMPLES[:4]] + [unit_map(h) for h in HOPF_EXAMPLES[:4]]
+    out = [HopfMap.identity(h) for h in hopf_examples()]
+    out += [counit_map(h) for h in hopf_examples()[:4]] + [unit_map(h) for h in hopf_examples()[:4]]
     out += [
         group_algebra_map(Group.cyclic(4), Group.cyclic(2), [0, 1, 0, 1]),
         group_algebra_map(Group.symmetric(3), Group.cyclic(2), [0, 1, 1, 0, 0, 1], Field(7)),
@@ -1189,13 +1234,10 @@ def hopf_maps():
     return out
 
 
-HOPF_MAPS = hopf_maps()
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_hopf_reports_match_reference_on_corrupted_structures(data):
-    h = data.draw(st.sampled_from(HOPF_EXAMPLES))
+    h = data.draw(st.sampled_from(hopf_examples()))
     a = h.algebra
     alg = AlgebraData(a.field, a.dim, a.basis_names, data.draw(corrupted(a.mult)), data.draw(corrupted(a.unit)))
     parts = (data.draw(corrupted(m)) for m in (h.comult, h.counit, h.antipode))
@@ -1215,13 +1257,14 @@ def test_hopf_reports_match_reference_on_corrupted_structures(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_hopf_map_reports_match_reference(data):
-    f = data.draw(st.sampled_from(HOPF_MAPS))
+    f = data.draw(st.sampled_from(hopf_maps()))
     fc = HopfMap(f.source, f.target, data.draw(corrupted(f.matrix)))
     assert check_hopf_map(fc) == ref_check_hopf_map(fc)
 
 
-@pytest.mark.parametrize("m", [m for _, m in MORPHISMS], ids=[n for n, _ in MORPHISMS])
-def test_extension_morphism_report_matches_reference(m):
+@pytest.mark.parametrize("name", MORPHISMS)
+def test_extension_morphism_report_matches_reference(name):
+    m = morphism(name)
     report = check_extension_morphism(m)
     assert [c.name for c in report[-1:]] == ["base_restriction"]
     assert report[:-1] == ref_check_extension_morphism(m)
@@ -1230,7 +1273,7 @@ def test_extension_morphism_report_matches_reference(m):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_extension_morphism_report_matches_reference_on_corruptions(data):
-    m = data.draw(st.sampled_from([m for _, m in MORPHISMS]))
+    m = data.draw(st.sampled_from([morphism(name) for name in MORPHISMS]))
     chi = HopfMap(m.chi.source, m.chi.target, data.draw(corrupted(m.chi.matrix)))
     try:
         mc = ExtensionMorphism(chi, data.draw(corrupted(m.alpha)), m.source, m.target)
@@ -1243,7 +1286,7 @@ def test_extension_morphism_report_matches_reference_on_corruptions(data):
 @functools.cache
 def pullbacks():
     """The pullback structure of every Cartesian morphism of the zoo and the fixtures."""
-    return [(name, pullback_structure(m)) for name, m in MORPHISMS if is_cartesian(m).value]
+    return [(name, pullback_structure(morphism(name))) for name in MORPHISMS if is_cartesian(morphism(name)).value]
 
 
 def test_pullback_verification_passes_the_reference():
@@ -1266,15 +1309,16 @@ def test_pullback_verification_matches_reference_on_corruptions(data):
     assert outcome(lambda: _verify_pullback(pc)) == outcome(lambda: ref_verify_pullback(pc))
 
 
-@pytest.mark.parametrize("b", BUNDLES, ids=range(len(BUNDLES)))
-def test_bundle_report_matches_reference(b):
+@pytest.mark.parametrize("j", range(len(BUNDLES)))
+def test_bundle_report_matches_reference(j):
+    b = zoo_bundle(j)
     assert check_associated_bundle(b) == ref_check_associated_bundle(b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_bundle_report_matches_reference_on_corruptions(data):
-    b = data.draw(st.sampled_from(BUNDLES))
+    b = data.draw(st.sampled_from([zoo_bundle(j) for j in range(len(BUNDLES))]))
     left, right = data.draw(corrupted(b.left_action)), data.draw(corrupted(b.right_action))
     bc = AssociatedBundle(b.extension, b.rep, b.space, left, right)
     assert check_associated_bundle(bc) == ref_check_associated_bundle(bc)
