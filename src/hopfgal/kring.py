@@ -26,17 +26,22 @@ with +X in slot i and -1 in slot i+1, or with +X in slot n, has the residue
 of c without being c. The matrix product packs each row of its right factor
 from the row's first nonzero entry, so leading zeros cost nothing.
 
-Powers are taken in one place, TruncatedPoly.powers: several exponents share
-one chain of squarings, each square is computed once, and no power begins
-with a product by one. So at_table takes both of its anchors from one chain,
-and a negative window inverts 1+x once. The closed route to that inverse
-walks (1+x)^k as one packed integer too, a multiply-add per k.
+Powers are taken in one place, _powers: several exponents share one chain
+of squarings, each square is computed once, and no power begins with a
+product by one. Its callers are TruncatedPoly.powers, LaurentPoly's power,
+LaurentRing.evaluate (one chain per exponent sign) and
+TruncatedRing.check_images. So at_table takes both of its anchors from one
+chain, and a negative window inverts 1+x once. The closed route to that
+inverse walks (1+x)^k as one packed integer too, a multiply-add per k.
 
 An augmented ring is a triple (R, M, 1_M): a unital ring, an R-module, and a
 distinguished element. Rings embed by R |-> (R, R, 1_R); the coreflector
 returns the ring. Module actions on free Z-models are stored as certified
 ring morphisms into a matrix ring, so unitality and associativity of the
-action hold by construction.
+action hold by construction. Finite Z-algebras, the matrix rings among
+them, keep their structure constants in the sparse Mat table of an
+AlgebraData over Q, so the r x r matrices hold their r^3 nonzero
+constants, not a dense (r^2)^3 table.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 import math
+import operator
 
-from .exact_linear import InputError, InvariantViolation, Mat
-from .hopf_core import AxiomCheck, Group
+from .exact_linear import QQ, InputError, InvariantViolation, Mat, bilinear_compose
+from .hopf_core import AlgebraData, AxiomCheck, Group, build_group_algebra, ground_algebra
 from .extension import KTopology
 from .bundle import cotensor_bundle, grouplike_character, certify_fgp
 
@@ -91,6 +97,36 @@ def _unpack(value: int, count: int, width: int) -> list:
     # higher slots may hold anything; the mask drops them
     data = ((value + _bias(count, width)) & _slots_mask(count, width)).to_bytes(size, "little")
     return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
+
+
+# ---------------------------------------------------------------------------
+# powers
+
+
+def _powers(base, exponents, mul, one) -> list:
+    """base to each of the nonnegative exponents, from one chain of squarings.
+
+    The squares base^(2^i) are computed once each, up to the highest bit of
+    the largest exponent: a further square would go unused, and it would be
+    the widest. Each power is the product of the squares its bits select,
+    the first of them taken as it is, so no product by one is formed (an
+    addition sequence, Knuth, TAOCP vol. 2, 4.6.3). mul(a, b) is the product
+    and one() makes a fresh unit for each zero exponent.
+    """
+    if any(k < 0 for k in exponents):
+        raise InputError("negative powers need an explicit inverse")
+    out = [None] * len(exponents)
+    top = max(exponents, default=0)
+    square, bit = base, 0
+    while True:
+        for i, k in enumerate(exponents):
+            if k >> bit & 1:
+                out[i] = square if out[i] is None else mul(out[i], square)
+        bit += 1
+        if not top >> bit:
+            break
+        square = mul(square, square)
+    return [one() if p is None else p for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +182,7 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise InputError("negative powers need an explicit inverse")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _powers(self, (k,), operator.mul, LaurentPoly.one)[0]
 
 
 class TruncatedPoly:
@@ -274,28 +301,8 @@ class TruncatedPoly:
         return self.powers((k,))[0]
 
     def powers(self, exponents) -> list:
-        """This element to each of the nonnegative exponents, from one chain of squarings.
-
-        The squares self^(2^i) are computed once each, up to the highest bit
-        of the largest exponent: a further square would go unused, and it
-        would be the widest. Each power is the product of the squares its
-        bits select, the first of them taken as it is, so no product by one
-        is formed (an addition sequence, Knuth, TAOCP vol. 2, 4.6.3).
-        """
-        if any(k < 0 for k in exponents):
-            raise InputError("negative powers need an explicit inverse")
-        out = [None] * len(exponents)
-        top = max(exponents, default=0)
-        square, bit = self, 0
-        while True:
-            for i, k in enumerate(exponents):
-                if k >> bit & 1:
-                    out[i] = square if out[i] is None else out[i] * square
-            bit += 1
-            if not top >> bit:
-                break
-            square = square * square
-        return [TruncatedPoly.one(self.n) if p is None else p for p in out]
+        """This element to each of the nonnegative exponents, from one chain of squarings."""
+        return _powers(self, exponents, operator.mul, lambda: TruncatedPoly.one(self.n))
 
 
 def _inverse_by_binomials(n: int) -> tuple:
@@ -561,10 +568,13 @@ def k_product(v: KClassVector, w: KClassVector) -> KClassVector:
 def representation_action(p: LaurentPoly, v: KClassVector) -> KClassVector:
     """Action of Z[t,t^-1] through t |-> 1+x."""
     n = v.n
-    image = TruncatedPoly.zero(n)
-    for e, c in p.terms:
-        image = image + one_plus_x_power(n, e) * TruncatedPoly.from_coeffs(n, [c])
-    return from_monomials(image * to_monomials(v))
+    image = [0] * (n + 1)
+    # one_plus_x_powers takes exponents of one sign
+    for terms in ([(e, c) for e, c in p.terms if e >= 0], [(e, c) for e, c in p.terms if e < 0]):
+        powers = one_plus_x_powers(n, [e for e, _ in terms])
+        for (_, c), power in zip(terms, powers):
+            image = [a + c * b for a, b in zip(image, power.coeffs)]
+    return from_monomials(TruncatedPoly(n, tuple(image)) * to_monomials(v))
 
 
 def at_table(n: int, k_lo: int, k_hi: int):
@@ -726,11 +736,16 @@ class LaurentRing(_PolynomialRing):
         return (t_img, t_inv)
 
     def evaluate(self, target, images, a):
+        """sum_e c_e t^e, the powers of each image from one chain of squarings."""
         t_img, t_inv = images
         out = target.zero()
-        for e, c in a.terms:
-            power = _ring_pow(target, t_img if e >= 0 else t_inv, abs(e))
-            out = target.add(out, target.mul(target.from_int(c), power))
+        for base, terms in (
+            (t_img, [(e, c) for e, c in a.terms if e >= 0]),
+            (t_inv, [(-e, c) for e, c in a.terms if e < 0]),
+        ):
+            powers = _powers(base, [e for e, _ in terms], target.mul, target.one)
+            for (_, c), power in zip(terms, powers):
+                out = target.add(out, target.mul(target.from_int(c), power))
         return out
 
     def __eq__(self, other):
@@ -768,7 +783,7 @@ class TruncatedRing(_PolynomialRing):
         """A single x_image, checked to be nilpotent of order n + 1."""
         x_img = images
         target.validate(x_img)
-        if not target.eq(_ring_pow(target, x_img, self.n + 1), target.zero()):
+        if not target.eq(_powers(x_img, (self.n + 1,), target.mul, target.one)[0], target.zero()):
             raise InputError(f"image of x is not nilpotent of order {self.n + 1}")
         return (x_img,)
 
@@ -788,19 +803,22 @@ class TruncatedRing(_PolynomialRing):
 
 
 class FiniteZAlgebra:
-    """Finite free Z-algebra by structure constants; elements are int tuples."""
+    """Finite free Z-algebra: an AlgebraData over Q with int structure constants.
 
-    def __init__(self, dim: int, names, mult, unit):
-        self.dim = dim
-        self.names = tuple(names)
-        self.mult = tuple(tuple(tuple(int(x) for x in cell) for cell in row) for row in mult)
-        self.unit = tuple(int(x) for x in unit)
-        if len(self.names) != dim or len(self.unit) != dim:
-            raise InputError("names and unit must have one entry per basis element")
-        if len(self.mult) != dim or any(
-            len(row) != dim or any(len(cell) != dim for cell in row) for row in self.mult
-        ):
-            raise InputError("structure constants must form a dim x dim x dim table")
+    The structure constants are the sparse ``Mat`` table every algebra of
+    the package has, so a product costs time per nonzero constant it meets.
+    Elements are int tuples, and a product is one ``bilinear_compose`` of
+    the two elements' columns over the table.
+    """
+
+    def __init__(self, algebra: AlgebraData):
+        if algebra.field != QQ:
+            raise InputError(f"a Z-algebra needs structure constants over Q, not {algebra.field}")
+        if not all(isinstance(x, int) for m in (algebra.mult, algebra.unit) for _, _, x in m.nonzeros()):
+            raise InputError("structure constants must be integers")
+        self.algebra = algebra
+        self.dim = algebra.dim
+        self.unit = tuple(algebra.unit.entries())
 
     def zero(self):
         return (0,) * self.dim
@@ -818,17 +836,8 @@ class FiniteZAlgebra:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        out = [0] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                cell = self.mult[i][j]
-                for r in range(self.dim):
-                    out[r] += x * y * cell[r]
-        return tuple(out)
+        product = bilinear_compose([(self.algebra.mult, self.dim)], Mat.column(QQ, a), Mat.column(QQ, b))
+        return tuple(product.entries())
 
     def eq(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -838,7 +847,8 @@ class FiniteZAlgebra:
             raise InputError(f"expected an integer vector of length {self.dim}")
 
     def generators(self) -> list:
-        return [(name, tuple(int(j == i) for j in range(self.dim))) for i, name in enumerate(self.names)]
+        names = self.algebra.basis_names
+        return [(name, tuple(int(j == i) for j in range(self.dim))) for i, name in enumerate(names)]
 
     def check_images(self, target, images) -> tuple:
         """One image per basis element, checked to respect the unit and the table."""
@@ -849,9 +859,12 @@ class FiniteZAlgebra:
             target.validate(im)
         if not target.eq(_combine(target, images, self.unit), target.one()):
             raise InputError("map does not send the unit to the unit")
+        # row i*dim + j of the transposed table is the cell of e_i e_j
+        cells = self.algebra.mult.transpose()
         for i in range(self.dim):
             for j in range(self.dim):
-                if not target.eq(target.mul(images[i], images[j]), _combine(target, images, self.mult[i][j])):
+                cell = cells.row_list(i * self.dim + j)
+                if not target.eq(target.mul(images[i], images[j]), _combine(target, images, cell)):
                     raise InputError(f"map is not multiplicative on basis pair ({i}, {j})")
         return images
 
@@ -861,57 +874,40 @@ class FiniteZAlgebra:
     def __eq__(self, other):
         return (
             isinstance(other, FiniteZAlgebra)
-            and self.dim == other.dim
-            and self.mult == other.mult
-            and self.unit == other.unit
+            and self.algebra.mult == other.algebra.mult
+            and self.algebra.unit == other.algebra.unit
         )
 
     def __repr__(self):
-        return f"Z-algebra<{','.join(self.names)}>"
+        return f"Z-algebra<{','.join(self.algebra.basis_names)}>"
 
 
 def integers_ring() -> FiniteZAlgebra:
-    return FiniteZAlgebra(1, ("1",), (((1,),),), (1,))
+    return FiniteZAlgebra(ground_algebra(QQ))
 
 
 def matrix_ring(r: int) -> FiniteZAlgebra:
-    """r x r integer matrices as a finite Z-algebra with basis E_ij."""
+    """r x r integer matrices as a finite Z-algebra with basis E_ij, E_ij E_jl = E_il."""
     if r < 1:
         raise InputError("matrix ring needs positive size")
     dim = r * r
     names = [f"E{i}{j}" for i in range(r) for j in range(r)]
-    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    if j == k:
-                        mult[i * r + j][k * r + l][i * r + l] = 1
-    unit = [0] * dim
-    for i in range(r):
-        unit[i * r + i] = 1
-    return FiniteZAlgebra(dim, names, mult, unit)
+    mult = Mat.from_entries(
+        QQ,
+        dim,
+        dim * dim,
+        {(i * r + l, (i * r + j) * dim + j * r + l): 1 for i in range(r) for j in range(r) for l in range(r)},
+    )
+    unit = Mat.from_entries(QQ, dim, 1, {(i * r + i, 0): 1 for i in range(r)})
+    return FiniteZAlgebra(AlgebraData(QQ, dim, names, mult, unit))
 
 
 def group_ring(g: Group) -> FiniteZAlgebra:
-    order = g.order
-    mult = [[[0] * order for _ in range(order)] for _ in range(order)]
-    for i in range(order):
-        for j in range(order):
-            mult[i][j][g.table[i][j]] = 1
-    unit = [1 if i == g.identity else 0 for i in range(order)]
-    return FiniteZAlgebra(order, g.labels, mult, unit)
+    return FiniteZAlgebra(build_group_algebra(g).algebra)
 
 
 def ring_equal(r1, r2) -> bool:
     return r1 == r2
-
-
-def _ring_pow(ring, a, k: int):
-    out = ring.one()
-    for _ in range(k):
-        out = ring.mul(out, a)
-    return out
 
 
 def _combine(ring, images, coords):
@@ -1019,9 +1015,7 @@ def module_apply(aug: AugmentedRing, r, m):
     """Action of a ring element on a module element."""
     if aug.is_regular:
         return aug.ring.mul(r, m)
-    flat = aug.module_action.apply(r)
-    mat = [list(flat[i * aug.rank : (i + 1) * aug.rank]) for i in range(aug.rank)]
-    return tuple(int_mat_vec(mat, list(m)))
+    return tuple(int_mat_vec(_action_matrix(aug, r), list(m)))
 
 
 def _module_eq(aug: AugmentedRing, a, b) -> bool:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hopfgal.exact_linear import QQ, InputError, InvariantViolation, Mat
+from hopfgal.exact_linear import QQ, Field, InputError, InvariantViolation, Mat
 from hopfgal.hopf_core import AlgebraData, Group, build_group_algebra, report_ok
 from hopfgal.extension import KTopology
 from hopfgal.kring import (
@@ -19,6 +20,7 @@ from hopfgal.kring import (
     TruncatedPoly,
     TruncatedRing,
     _inverse_by_binomials,
+    _powers,
     _taylor_shift,
     at_augmented_ring,
     at_base_change,
@@ -706,7 +708,29 @@ class TestSharedPowering:
         # squares up to the top bit of the largest exponent, then one product
         # fewer than each exponent has set bits
         squares = max(max(exponents).bit_length() - 1, 0)
-        assert len(counts) == squares + sum(max(bin(k).count("1") - 1, 0) for k in exponents)
+        expected = squares + sum(max(bin(k).count("1") - 1, 0) for k in exponents)
+        assert len(counts) == expected
+        # _powers over other rings: bases of infinite order, so no operand
+        # equals the unit unless it is a unit that one() made
+        ring = matrix_ring(3)
+        for base, mul, one, power in (
+            (LaurentPoly.t(1), operator.mul, LaurentPoly.one, LaurentPoly.t),
+            (
+                (1, 1, 0, 0, 1, 1, 0, 0, 1),
+                ring.mul,
+                ring.one,
+                lambda k: (1, k, k * (k - 1) // 2, 0, 1, k, 0, 0, 1),
+            ),
+        ):
+            operands = []
+
+            def counting_mul(a, b):
+                operands.extend((a, b))
+                return mul(a, b)
+
+            assert _powers(base, exponents, counting_mul, one) == [power(k) for k in exponents]
+            assert len(operands) == 2 * expected
+            assert one() not in operands
 
     def test_mixed_signs_rejected(self):
         with pytest.raises(InputError, match="both signs"):
@@ -850,10 +874,34 @@ class TestRingPresentations:
         assert z.from_int(-2) == (-2,)
 
     def test_finite_algebra_validation(self):
-        with pytest.raises(InputError):
-            FiniteZAlgebra(2, ("a",), (((1, 0), (0, 1)),) * 2, (1, 0))
-        with pytest.raises(InputError):
-            FiniteZAlgebra(1, ("a",), (((1,),),), (1, 0))
+        # AlgebraData checks the shapes; a Z-algebra takes only int constants over Q
+        with pytest.raises(InputError, match="over Q"):
+            FiniteZAlgebra(build_group_algebra(Group.cyclic(2), Field(3)).algebra)
+        half = Mat.from_entries(QQ, 1, 1, {(0, 0): Fraction(1, 2)})
+        one = Mat.identity(QQ, 1)
+        for mult, unit in ((half, one), (one, half)):
+            with pytest.raises(InputError, match="integers"):
+                FiniteZAlgebra(AlgebraData(QQ, 1, ["1"], mult, unit))
+        assert FiniteZAlgebra(scalar_algebra()) == integers_ring()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.tuples(
+                st.just(r), *[st.lists(st.integers(-50, 50), min_size=r * r, max_size=r * r)] * 2
+            )
+        )
+    )
+    def test_matrix_ring_product_is_the_matrix_product(self, case):
+        r, a, b = case
+        ring = matrix_ring(r)
+        assert len(ring.algebra.mult.nonzeros()) == r**3
+
+        def rows(v):
+            return [v[i * r : (i + 1) * r] for i in range(r)]
+
+        product = int_mat_mul(rows(a), rows(b))
+        assert ring.mul(tuple(a), tuple(b)) == tuple(x for row in product for x in row)
 
     def test_matrix_ring_structure(self):
         m2 = matrix_ring(2)
@@ -998,17 +1046,20 @@ class TestAugmentedRing:
         with pytest.raises(InputError):
             AugmentedRing(LaurentRing(), None, 2, LaurentPoly.one())
 
-    def test_at_model_action(self):
-        at2 = at_augmented_ring(2)
-        v = at2.one
-        for k in range(3):
-            assert v == tuple(1 if j == k else 0 for j in range(3))
-            v = module_apply(at2, LaurentPoly.t(1), v)
-        assert v == line_class(2, 3).coords
-        assert module_apply(at2, LaurentPoly.t(-1), at2.one) == line_class(2, -1).coords
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_at_model_action(self, n):
+        at = at_augmented_ring(n)
+        v = at.one
+        for k in range(n + 1):
+            assert v == tuple(1 if j == k else 0 for j in range(n + 1))
+            v = module_apply(at, LaurentPoly.t(1), v)
+        assert v == line_class(n, n + 1).coords
+        for k in (1, -1, 40, -40):
+            assert module_apply(at, LaurentPoly.t(k), at.one) == line_class(n, k).coords
 
-    def test_at_model_triangles(self):
-        assert report_ok(check_coreflection(at_augmented_ring(3)))
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_at_model_triangles(self, n):
+        assert report_ok(check_coreflection(at_augmented_ring(n)))
 
 
 class TestAugmentedMorphism:
