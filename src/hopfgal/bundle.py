@@ -24,6 +24,7 @@ from .exact_linear import (
     InvariantViolation,
     Mat,
     PreconditionError,
+    QQ,
     Subspace,
     bilinear_compose,
     flip,
@@ -85,18 +86,12 @@ class LeftComodule:
     def is_graded(self) -> bool:
         return self.degrees is not None
 
-    def materialize(self, field=None) -> "LeftComodule":
+    def materialize(self, field=QQ) -> "LeftComodule":
         if not self.is_graded:
             return self
-        hopf, elems = self.hopf.materialize(field) if field else self.hopf.materialize()
-        index = {e: i for i, e in enumerate(elems)}
-        dh = hopf.dim
-        lam = Mat.from_entries(
-            hopf.field,
-            dh * self.dim,
-            self.dim,
-            {(index[deg] * self.dim + i, i): 1 for i, deg in enumerate(self.degrees)},
-        )
+        hopf, rho = self.hopf.coaction(self.degrees, field)
+        # the right coaction V -> V (x) H, flipped to H (x) V
+        lam = flip(hopf.field, self.dim, hopf.dim).mul(rho)
         return LeftComodule(hopf, self.dim, coaction=lam, names=self.names)
 
 

@@ -113,15 +113,7 @@ class ComoduleAlgebra:
         """Matrix form; identity when the Hopf algebra is already matrices."""
         if not self.is_graded:
             return self
-        hopf, elems = self.hopf.materialize(self.field)
-        index = {e: i for i, e in enumerate(elems)}
-        da, dh = self.dim, hopf.dim
-        rho = Mat.from_entries(
-            self.field,
-            da * dh,
-            da,
-            {(i * dh + index[deg], i): 1 for i, deg in enumerate(self.degrees)},
-        )
+        hopf, rho = self.hopf.coaction(self.degrees, self.field)
         return ComoduleAlgebra(self.algebra, hopf, coaction=rho)
 
 
@@ -289,14 +281,10 @@ def check_extension(e: Extension) -> list[AxiomCheck]:
     )
     bad = None
     base = e.invariant_subalgebra
-    if base.coordinates(_products(a, e.inclusion)) is None:
-        cols = e.base_basis_columns()
-        i, j = next(
-            (i, j)
-            for i, u in enumerate(cols)
-            for j, v in enumerate(cols)
-            if not base.contains(a.multiply(u, v))
-        )
+    products = _products(a, e.inclusion)
+    if base.coordinates(products) is None:
+        c = next(c for c in range(products.cols) if not base.contains(products.col_vector(c)))
+        i, j = divmod(c, e.inclusion.cols)
         bad = f"product of base columns {i} and {j} leaves the base"
     out.append(AxiomCheck("base_closed_under_mult", bad is None, bad))
     return out

@@ -101,12 +101,11 @@ class CotensorSpace:
     through chi applied to the first comultiplication leg.
     """
 
-    def __init__(self, left_dim: int, left_coaction: Mat, chi: HopfMap):
+    def __init__(self, left_coaction: Mat, chi: HopfMap):
         h, hp = chi.source, chi.target
-        if (left_coaction.rows, left_coaction.cols) != (left_dim * hp.dim, left_dim):
-            raise InputError(
-                f"left coaction must be {left_dim * hp.dim}x{left_dim} for the cotensor"
-            )
+        left_dim = left_coaction.cols
+        if left_coaction.rows != left_dim * hp.dim:
+            raise InputError(f"left coaction must be {left_dim * hp.dim}x{left_dim} for the cotensor")
         self.field = h.field
         self.left_dim = left_dim
         self.chi = chi
@@ -182,7 +181,7 @@ class ExtensionMorphism:
     @cached_property
     def cotensor(self) -> CotensorSpace:
         """A' box^{H'} H, the codomain of kappa and of the mirror map."""
-        return CotensorSpace(self.target.dim, self.target.comodule_algebra.coaction, self.chi)
+        return CotensorSpace(self.target.comodule_algebra.coaction, self.chi)
 
     @cached_property
     def canonical(self) -> "CanonicalMapData":
@@ -485,7 +484,7 @@ def _verify_composition(m2: ExtensionMorphism, m1: ExtensionMorphism, comp: Exte
 
     # Q2 inherits a right H'-coaction from A'
     coact_q2 = _balanced_coaction(d2.domain, dbpp, mid.comodule_algebra.coaction, dhp)
-    c1p = CotensorSpace(d2.domain.dim, coact_q2, m1.chi)
+    c1p = CotensorSpace(coact_q2, m1.chi)
     spread = on_legs(d1.cotensor.embed, eye(t1.ambient_dim), dbpp, 1)
     nu = c1p.coordinates(t1.descend(on_legs(d2.domain.projector, spread, 1, dh)))
     if not is_bijective(nu):
@@ -494,7 +493,7 @@ def _verify_composition(m2: ExtensionMorphism, m1: ExtensionMorphism, comp: Exte
         )
 
     # (kappa_2 box id) and the counit collapse back to the composite cotensor
-    c2p = CotensorSpace(d2.cotensor.dim, d2.cotensor.h_coaction(), m1.chi)
+    c2p = CotensorSpace(d2.cotensor.h_coaction(), m1.chi)
     k2_box = c2p.coordinates(on_legs(d2.kappa, c1p.embed, 1, dh))
     mu = dc.cotensor.coordinates(
         on_legs(hp.counit, on_legs(d2.cotensor.embed, c2p.embed, 1, dh), app.dim, dh)
@@ -559,7 +558,7 @@ def f_lower_star(m: ExtensionMorphism, mod: RelativeHopfModule) -> PulledModule:
     """Cotensor along chi: M' |-> M' box^{H'} H."""
     _require_module_over(m.target.comodule_algebra, mod, "target")
     h = m.source.hopf
-    cot = CotensorSpace(mod.dim, mod.coaction, m.chi)
+    cot = CotensorSpace(mod.coaction, m.chi)
     # (m' (x) h) . a = m' . alpha(a_(0)) (x) h a_(1)
     factors = [(mod.action, m.target.dim), (h.mult, h.dim)]
     act = cot.coordinates(bilinear_compose(factors, cot.embed, m.alpha_coaction))
@@ -645,7 +644,7 @@ def coinvariant_cotensor_checks(
     field = m.field
     h, hp = m.source.hopf, m.target.hopf
     dmp = mod.dim
-    cot = CotensorSpace(dmp, mod.coaction, m.chi)
+    cot = CotensorSpace(mod.coaction, m.chi)
     coact_c = cot.h_coaction()
 
     s1 = kernel(mod.coaction - Mat.identity(field, dmp).kron(hp.unit))

@@ -721,7 +721,7 @@ class GradedHopfShortcut:
     Comodules over a group algebra k[Gamma] are Gamma-graded vector spaces,
     so for grading purposes no Hopf data needs to be materialized; for
     operations that genuinely need matrices, materialize() builds k[Gamma]
-    when Gamma is finite.
+    when Gamma is finite, and coaction() the coaction of a grading on it.
     """
 
     def __init__(self, grading_group: AbelianGroup):
@@ -735,6 +735,13 @@ class GradedHopfShortcut:
                 "grading group is infinite; this operation needs finite-dimensional Hopf data"
             )
         return build_group_algebra(gg.to_group(), field), gg.elements()
+
+    def coaction(self, degrees, field: Field = QQ) -> tuple[HopfData, Mat]:
+        """(k[Gamma], the right coaction e_i |-> e_i (x) g_i of the degrees g_i)."""
+        hopf, elems = self.materialize(field)
+        index = {e: i for i, e in enumerate(elems)}
+        cells = {(i * hopf.dim + index[g], i): 1 for i, g in enumerate(degrees)}
+        return hopf, Mat.from_entries(field, len(degrees) * hopf.dim, len(degrees), cells)
 
     def __eq__(self, other):
         return isinstance(other, GradedHopfShortcut) and self.grading_group == other.grading_group

@@ -41,7 +41,8 @@ ring morphisms into a matrix ring, so unitality and associativity of the
 action hold by construction. Finite Z-algebras, the matrix rings among
 them, keep their structure constants in the sparse Mat table of an
 AlgebraData over Q, so the r x r matrices hold their r^3 nonzero
-constants, not a dense (r^2)^3 table.
+constants, not a dense (r^2)^3 table. Every ring scales by an integer with
+scale(c, a), not a ring product; module maps stay tuples of int rows.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def int_identity(m: int):
 
 
 def int_mat_mul(a, b):
-    """Product of integer matrices given as lists of rows.
+    """Product of integer matrices given as sequences of rows.
 
     Each row of b is packed once, from its first nonzero slot on, so row i of
     the product is the packed sum of a[i][k] times row k of b: rows * inner
@@ -416,7 +417,7 @@ def int_det(a) -> int:
     m = len(a)
     if m == 0:
         return 1
-    a = [list(r) for r in a]
+    a = [list(row) for row in a]  # a working copy, eliminated in place
     sign = 1
     prev = 1
     for k in range(m - 1):
@@ -439,7 +440,7 @@ def int_det(a) -> int:
 
 def _spans_full_lattice(rows, m: int) -> bool:
     # row Hermite reduction; the rows span Z^m iff every pivot is a unit
-    work = [list(r) for r in rows]
+    work = [list(row) for row in rows]  # a working copy, reduced in place
     rank = 0
     for col in range(m):
         live = [i for i in range(rank, len(work)) if work[i][col]]
@@ -687,17 +688,14 @@ def augmentation_surjective(n: int, generators=None) -> AugmentationCertificate:
 class _PolynomialRing:
     """The arithmetic the two polynomial rings share: their elements' operators.
 
-    Every ring presentation (these two and ``FiniteZAlgebra``) also gives its
-    generators, checks generator images for a ``RingMorphism`` and evaluates
-    a ring map on an element, so that ``RingMorphism`` never asks which
-    presentation it has.
+    Every ring presentation (these two and ``FiniteZAlgebra``) also has
+    ``scale(c, a)``, gives its generators, checks generator images for a
+    ``RingMorphism`` and evaluates a ring map on an element, so that
+    ``RingMorphism`` never asks which presentation it has.
     """
 
     def add(self, a, b):
         return a + b
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         return a * b
@@ -715,8 +713,8 @@ class LaurentRing(_PolynomialRing):
     def one(self):
         return LaurentPoly.one()
 
-    def from_int(self, c: int):
-        return LaurentPoly.from_dict({0: c})
+    def scale(self, c: int, a):
+        return LaurentPoly(tuple((e, c * v) for e, v in a.terms) if c else ())
 
     def validate(self, a):
         if not isinstance(a, LaurentPoly):
@@ -745,7 +743,7 @@ class LaurentRing(_PolynomialRing):
         ):
             powers = _powers(base, [e for e, _ in terms], target.mul, target.one)
             for (_, c), power in zip(terms, powers):
-                out = target.add(out, target.mul(target.from_int(c), power))
+                out = target.add(out, target.scale(c, power))
         return out
 
     def __eq__(self, other):
@@ -769,8 +767,8 @@ class TruncatedRing(_PolynomialRing):
     def one(self):
         return TruncatedPoly.one(self.n)
 
-    def from_int(self, c: int):
-        return TruncatedPoly.from_coeffs(self.n, [c])
+    def scale(self, c: int, a):
+        return TruncatedPoly(self.n, tuple(c * v for v in a.coeffs))
 
     def validate(self, a):
         if not isinstance(a, TruncatedPoly) or a.n != self.n:
@@ -792,7 +790,7 @@ class TruncatedRing(_PolynomialRing):
         (x_img,) = images
         out = target.zero()
         for c in reversed(a.coeffs):
-            out = target.add(target.mul(out, x_img), target.from_int(c))
+            out = target.add(target.mul(out, x_img), target.scale(c, target.one()))
         return out
 
     def __eq__(self, other):
@@ -826,14 +824,11 @@ class FiniteZAlgebra:
     def one(self):
         return self.unit
 
-    def from_int(self, c: int):
-        return tuple(c * u for u in self.unit)
+    def scale(self, c: int, a):
+        return tuple(c * x for x in a)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
 
     def mul(self, a, b):
         product = bilinear_compose([(self.algebra.mult, self.dim)], Mat.column(QQ, a), Mat.column(QQ, b))
@@ -915,7 +910,7 @@ def _combine(ring, images, coords):
     out = ring.zero()
     for c, im in zip(coords, images):
         if c:
-            out = ring.add(out, ring.mul(ring.from_int(c), im))
+            out = ring.add(out, ring.scale(c, im))
     return out
 
 
@@ -1015,7 +1010,7 @@ def module_apply(aug: AugmentedRing, r, m):
     """Action of a ring element on a module element."""
     if aug.is_regular:
         return aug.ring.mul(r, m)
-    return tuple(int_mat_vec(_action_matrix(aug, r), list(m)))
+    return tuple(int_mat_vec(_action_matrix(aug, r), m))
 
 
 def _module_eq(aug: AugmentedRing, a, b) -> bool:
@@ -1067,7 +1062,7 @@ class AugmentedRingMorphism:
         kind, data = self.module_map
         if kind == "onevector":
             return module_apply(self.target, self.ring_map.apply(m), data)
-        return tuple(int_mat_vec([list(r) for r in data], list(m)))
+        return tuple(int_mat_vec(data, m))
 
     @staticmethod
     def identity(aug: AugmentedRing) -> "AugmentedRingMorphism":
@@ -1101,7 +1096,7 @@ def compose_augmented(
         return AugmentedRingMorphism(f.source, g.target, ring_map, ("onevector", w))
     if g.module_map[0] != "matrix":
         raise InputError("cannot compose a matrix module map into a regular module")
-    rows = int_mat_mul([list(r) for r in g.module_map[1]], [list(r) for r in f.module_map[1]])
+    rows = int_mat_mul(g.module_map[1], f.module_map[1])
     return AugmentedRingMorphism(f.source, g.target, ring_map, ("matrix", rows))
 
 
@@ -1127,7 +1122,7 @@ def check_augmented_morphism(m: AugmentedRingMorphism) -> list[AxiomCheck]:
         )
     )
     if m.module_map[0] == "matrix":
-        rows = [list(r) for r in m.module_map[1]]
+        rows = m.module_map[1]
         gens = m.source.ring.generators()
         ok = True
         witness = None
@@ -1146,7 +1141,7 @@ def check_augmented_morphism(m: AugmentedRingMorphism) -> list[AxiomCheck]:
 
 def _action_matrix(aug: AugmentedRing, r):
     flat = aug.module_action.apply(r)
-    return [list(flat[i * aug.rank : (i + 1) * aug.rank]) for i in range(aug.rank)]
+    return [flat[i * aug.rank : (i + 1) * aug.rank] for i in range(aug.rank)]
 
 
 def check_coreflection(aug: AugmentedRing) -> list[AxiomCheck]:
@@ -1172,13 +1167,16 @@ def check_coreflection(aug: AugmentedRing) -> list[AxiomCheck]:
 
 
 def at_augmented_ring(n: int) -> AugmentedRing:
-    """The rank n+1 model: Z[t,t^-1] acting through t |-> 1+x in the shifted basis."""
+    """The rank n+1 model: Z[t,t^-1] acting through t |-> 1+x in the shifted basis.
+
+    t and t^-1 send [L_k] to [L_{k+1}] and [L_{k-1}]: their columns come from
+    one self-checked window, at_table(n, -1, n + 1).
+    """
     if n < 0:
         raise InputError("degree must be nonnegative")
-    t_cols = [line_class(n, k + 1).coords for k in range(n + 1)]
-    t_inv_cols = [line_class(n, k - 1).coords for k in range(n + 1)]
-    t_flat = tuple(t_cols[k][j] for j in range(n + 1) for k in range(n + 1))
-    t_inv_flat = tuple(t_inv_cols[k][j] for j in range(n + 1) for k in range(n + 1))
+    window = dict(at_table(n, -1, n + 1))
+    t_flat = tuple(window[k + 1][j] for j in range(n + 1) for k in range(n + 1))
+    t_inv_flat = tuple(window[k - 1][j] for j in range(n + 1) for k in range(n + 1))
     action = RingMorphism(LaurentRing(), matrix_ring(n + 1), (t_flat, t_inv_flat))
     one = tuple(1 if j == 0 else 0 for j in range(n + 1))
     return AugmentedRing(LaurentRing(), action, n + 1, one)

@@ -48,7 +48,7 @@ from hopfgal.bundle import (
     _divisors,
     _split_characters,
 )
-from hopfgal import zoo
+from hopfgal import bundle, zoo
 
 
 def sign_character(h):
@@ -343,6 +343,24 @@ class TestBundleTensor:
         right = bundle_tensor(bundles[0], bundle_tensor(bundles[1], bundles[2]))
         assert left.space == right.space
         assert left.rep.coaction == right.rep.coaction
+
+    def test_search_runs_when_the_product_map_is_refused(self, monkeypatch):
+        e = zoo.q_sqrt2_extension()
+        b_sign = cotensor_bundle(e, sign_character(e.hopf))
+        refused = []
+
+        def refuse_once(m):
+            if not refused:
+                refused.append(m)
+                return False
+            return is_bijective(m)
+
+        monkeypatch.setattr(bundle, "is_bijective", refuse_once)
+        data = bundle_tensor_data(b_sign, b_sign)
+        assert len(refused) == 1
+        assert is_bijective(data.iso)
+        defects = bundle._bimodule_map_defects(data.quotient, b_sign, b_sign, data.bundle)
+        assert all(d.is_zero() for d in defects(data.iso))
 
     def test_sweedler_regular_square(self):
         h = sweedler_h4()

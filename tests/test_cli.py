@@ -27,7 +27,7 @@ from hopfgal.cli import _exit_code, _format_shifted, _verdict_from_tristate, mai
 from hopfgal.comodule import Verdict
 from hopfgal.exact_linear import QQ, Field, Mat
 from hopfgal.hopf_core import Group, build_group_algebra, sweedler_h4
-from hopfgal.kring import at_table
+from hopfgal.kring import at_base_change, at_table, primary_identity, secondary_identity
 
 from test_law_differential import yd_phi_expected
 
@@ -199,6 +199,21 @@ class TestAt:
 
     def test_rejects_negative_degree(self):
         assert invoke(["at", "--n", "-1"]).exit_code == 2
+
+    # one fault per condition of the self-check, each caught before any output
+    SELF_CHECK_FAULTS = {
+        "primary_identity": secondary_identity,
+        "secondary_identity": primary_identity,
+        "at_base_change_inverse": at_base_change,
+        "int_det": lambda m: -1,
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("name", list(SELF_CHECK_FAULTS))
+    def test_failed_self_check_exits_one(self, monkeypatch, name, fmt):
+        monkeypatch.setattr(cli, name, self.SELF_CHECK_FAULTS[name])
+        r = invoke(["at", "--n", "2", "--self-check", "--format", fmt])
+        assert (r.exit_code, r.stdout, r.stderr) == (1, "", "self-check failed\n")
 
     def test_rejects_both_selectors(self):
         r = invoke(["at", "--n", "2", "--k", "1", "--k-range", "0..1"])

@@ -1,8 +1,10 @@
 """Comodule algebras, coinvariants, balanced tensors, Galois verdicts."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hopfgal.exact_linear import (
     InvariantViolation,
@@ -209,6 +211,54 @@ class TestGaloisVerdicts:
         names = {x.name: x for x in report}
         assert not names["base_in_coinvariants"].ok
         assert not names["base_contains_unit"].ok
+
+    def test_unclosed_base_names_its_first_pair(self):
+        # span{1, g} in k[Z_4] holds 1*1, 1*g and g*1 but not g*g
+        e = zoo.regular_extension(build_group_algebra(Group.cyclic(4)))
+        base = Subspace.from_spanning_columns(Mat.from_rows(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]]))
+        planted = Extension(e.comodule_algebra, base)
+        assert closure_witness(planted) == pairwise_closure_witness(planted) == (1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["z4", "dual_z4", "sweedler"]),
+        st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=4), min_size=1, max_size=3),
+    )
+    @example("sweedler", [[0, 1, 0, 0], [0, 0, 1, 0]])
+    def test_closure_witness_matches_the_pairwise_search(self, name, columns):
+        h = {
+            "z4": lambda: build_group_algebra(Group.cyclic(4)),
+            "dual_z4": lambda: build_dual_group_algebra(Group.cyclic(4)),
+            "sweedler": sweedler_h4,
+        }[name]()
+        e = zoo.regular_extension(h)
+        spanning = Mat.from_rows(QQ, [list(r) for r in zip([1, 0, 0, 0], *columns)])
+        planted = Extension(e.comodule_algebra, Subspace.from_spanning_columns(spanning))
+        assert closure_witness(planted) == pairwise_closure_witness(planted)
+
+
+def closure_witness(e):
+    """The pair check_extension names for base_closed_under_mult, or None when it holds."""
+    check = next(c for c in check_extension(e) if c.name == "base_closed_under_mult")
+    if check.ok:
+        return None
+    found = re.fullmatch(r"product of base columns (\d+) and (\d+) leaves the base", check.witness)
+    return int(found[1]), int(found[2])
+
+
+def pairwise_closure_witness(e):
+    """The first pair (i, j) of base columns whose product leaves the base, one product at a time."""
+    cols = e.base_basis_columns()
+    base = e.invariant_subalgebra
+    return next(
+        (
+            (i, j)
+            for i, u in enumerate(cols)
+            for j, v in enumerate(cols)
+            if not base.contains(e.algebra.multiply(u, v))
+        ),
+        None,
+    )
 
 
 class TestDimensionNineAtDefaultCap:

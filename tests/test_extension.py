@@ -129,9 +129,12 @@ class TestGeneralizedCanonicalMap:
             data.cotensor.coordinates(stray)
 
     def test_cotensor_shape_checked(self):
+        # a coaction of a dim A-dimensional space has dim A * dim H' rows
         e = zoo.q_sqrt2_extension()
-        with pytest.raises(InputError):
-            CotensorSpace(3, e.comodule_algebra.coaction, HopfMap.identity(e.hopf))
+        coaction = e.comodule_algebra.coaction
+        short = Mat.zeros(QQ, coaction.rows - 1, coaction.cols)
+        with pytest.raises(InputError, match="left coaction must be"):
+            CotensorSpace(short, HopfMap.identity(e.hopf))
 
 
 class TestDistributiveLaw:

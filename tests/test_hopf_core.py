@@ -17,6 +17,8 @@ from hopfgal.hopf_core import (
     build_group_algebra,
     check_hopf,
     check_hopf_map,
+    coassociative_law,
+    counital_law,
     fourier_iso,
     is_cosemisimple_certified,
     report_ok,
@@ -220,6 +222,22 @@ class TestAbelianGroup:
         assert h.dim == 4
         assert elems[0] == (0,)
         assert report_ok(check_hopf(h))
+
+    def test_coaction_of_a_grading(self):
+        sh = GradedHopfShortcut(AbelianGroup(torsion=(2, 3)))
+        degrees = [(1, 2), (0, 0), (1, 2), (0, 1)]
+        field = Field(5)
+        h, rho = sh.coaction(degrees, field)
+        _, elems = sh.materialize(field)
+        assert h.field == field and (rho.rows, rho.cols) == (4 * 6, 4)
+        for i, g in enumerate(degrees):
+            # e_i |-> e_i (x) g_i
+            expect = Mat.basis_vector(field, 4, i).kron(Mat.basis_vector(field, 6, elems.index(g)))
+            assert rho.col_vector(i) == expect
+        names = [f"v{i}" for i in range(4)]
+        assert coassociative_law("co", rho, h, names).ok and counital_law("eps", rho, h, names).ok
+        with pytest.raises(InputError):
+            GradedHopfShortcut(AbelianGroup(free_rank=1)).coaction([(0,)])
 
 
 class TestCosemisimpleCertificate:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import math
 import operator
 import random
@@ -361,6 +362,8 @@ class TestLinearKernels:
     def test_to_monomials_matches_base_change(self, p):
         v = KClassVector(p.n, p.coeffs)
         assert list(to_monomials(v).coeffs) == int_mat_vec(at_base_change(p.n), list(v.coords))
+        # the change of basis is linear, so it maps a difference to the difference
+        assert to_monomials(v - from_monomials(p)) == to_monomials(v) - p
 
     @settings(max_examples=80, deadline=None)
     @given(truncated_polys())
@@ -500,6 +503,8 @@ class TestPackedKernels:
         n = len(a) - 1
         got = TruncatedPoly(n, a) * TruncatedPoly(n, b)
         assert got.coeffs == schoolbook_product(a, b)
+        assert (-got).coeffs == tuple(-c for c in schoolbook_product(a, b))
+        assert (got - TruncatedPoly(n, a)).coeffs == tuple(c - x for c, x in zip(schoolbook_product(a, b), a))
 
     @settings(max_examples=300, deadline=None)
     @given(shift_inputs())
@@ -866,12 +871,34 @@ class TestAugmentationSurjective:
         with pytest.raises(InputError):
             augmentation_surjective(2, generators=[KClassVector(1, (1, 0))])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(
+                    st.lists(st.integers(min_value=-4, max_value=4), min_size=m, max_size=m),
+                    min_size=m,
+                    max_size=m + 2,
+                ),
+            )
+        )
+    )
+    @example((1, [[2], [3]]))  # two live rows, reduced to a unit
+    @example((2, [[2, 4], [3, 6], [0, 1]]))  # no two rows span, all three do
+    @example((2, [[2, 0], [4, 0], [0, 1]]))  # a sublattice of index 2
+    def test_spans_full_lattice_matches_the_minors(self, case):
+        # the rows span Z^m exactly when the gcd of their m x m minors is 1
+        m, rows = case
+        minors = [fraction_det(list(chosen)) for chosen in itertools.combinations(rows, m)]
+        assert kring._spans_full_lattice(rows, m) == (math.gcd(*minors) == 1)
+
 
 class TestRingPresentations:
     def test_integers(self):
         z = integers_ring()
         assert z.mul((3,), (4,)) == (12,)
-        assert z.from_int(-2) == (-2,)
+        assert z.scale(-2, z.one()) == (-2,)
 
     def test_finite_algebra_validation(self):
         # AlgebraData checks the shapes; a Z-algebra takes only int constants over Q
@@ -998,7 +1025,7 @@ class TestRingMorphism:
         p = TruncatedPoly.from_coeffs(n, coeffs[: n + 1])
         expected, power = ring.zero(), ring.one()
         for c in p.coeffs:
-            expected = ring.add(expected, ring.mul(ring.from_int(c), power))
+            expected = ring.add(expected, ring.scale(c, power))
             power = ring.mul(power, x_img)
         assert RingMorphism(TruncatedRing(n), ring, x_img).apply(p) == expected
 
@@ -1010,6 +1037,19 @@ RING_ZOO = [
     ("group_ring_z4", lambda: group_ring(Group.cyclic(4))),
     ("matrix_2", lambda: matrix_ring(2)),
 ]
+
+
+@pytest.mark.parametrize("name,build", RING_ZOO)
+def test_scale_is_repeated_addition(name, build):
+    # c a is a + ... + a, the product of c 1 with a, and cancels (-c) a
+    ring = build()
+    for _, a in ring.generators():
+        multiple = ring.zero()
+        for c in range(5):
+            assert ring.eq(ring.scale(c, a), multiple)
+            assert ring.eq(ring.scale(c, a), ring.mul(ring.scale(c, ring.one()), a))
+            assert ring.eq(ring.add(ring.scale(-c, a), multiple), ring.zero())
+            multiple = ring.add(multiple, a)
 
 
 class TestAugmentedRing:
@@ -1035,7 +1075,8 @@ class TestAugmentedRing:
             aug = augment(ring)
             assert aug.module_action is None and aug.rank is None
             assert ring.eq(aug.one, ring.one())
-            assert ring.eq(module_apply(aug, ring.from_int(3), ring.one()), ring.from_int(3))
+            three = ring.scale(3, ring.one())
+            assert ring.eq(module_apply(aug, three, ring.one()), three)
 
     def test_free_model_validation(self):
         at1 = at_augmented_ring(1)
@@ -1122,6 +1163,23 @@ class TestAugmentedMorphism:
             AugmentedRingMorphism(
                 emb, at2, RingMorphism.identity(LaurentRing()), ("mystery", None)
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=18, max_size=18))
+    def test_matrix_module_maps_compose_as_matrices(self, entries):
+        at2 = at_augmented_ring(2)
+        ident = RingMorphism.identity(LaurentRing())
+        a = tuple(tuple(entries[3 * i : 3 * i + 3]) for i in range(3))
+        b = tuple(tuple(entries[9 + 3 * i : 12 + 3 * i]) for i in range(3))
+        f = AugmentedRingMorphism(at2, at2, ident, ("matrix", a))
+        g = AugmentedRingMorphism(at2, at2, ident, ("matrix", b))
+        product = tuple(map(tuple, int_mat_mul(b, a)))
+        gf = compose_augmented(g, f)
+        assert gf.module_map == ("matrix", product)
+        expected = AugmentedRingMorphism(at2, at2, ident, ("matrix", product))
+        assert augmented_morphism_equal(gf, expected) and augmented_morphism_equal(expected, gf)
+        # maps with the same ring map are equal exactly when their matrices are
+        assert augmented_morphism_equal(gf, f) == (product == a) == augmented_morphism_equal(f, gf)
 
     def test_matrix_into_regular_composition_rejected(self):
         at2 = at_augmented_ring(2)

@@ -835,7 +835,7 @@ def ref_f_lower_star_action(m, mod):
     """The action of A on M' box^{H'} H."""
     field, h = m.field, m.source.hopf
     da, dh, dmp, dap = m.source.dim, h.dim, mod.dim, m.target.dim
-    cot = CotensorSpace(dmp, mod.coaction, m.chi)
+    cot = CotensorSpace(mod.coaction, m.chi)
     step = Mat.identity(field, dmp * dh).kron(m.source.comodule_algebra.coaction)
     step = Mat.identity(field, dmp * dh).kron(m.alpha).kron(Mat.identity(field, dh)).mul(step)
     # (m', h, a', h') -> (m' a', h h')
