@@ -5,7 +5,11 @@ algebra k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check``
 subcommand (``hopf``, ``comodule-algebra`` or ``galois``) and CAP the value of
 ``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). The regular
 extension of each algebra is written over Q with the ``hopfgal.cli`` writers
-into ``--workdir``. An ``at`` case is ``at:`` and the command's options,
+into ``--workdir``. The kinds ``kG_scaled`` and ``kG_dual_scaled`` write the
+same extension in a diagonal rational basis of H and of A, e'_i = s_i e_i
+with each s_i drawn from SCALES by a generator seeded with N, as the
+``regular_scaled`` workload of perfbench does (without its permutation), so
+their structure constants are fractions. An ``at`` case is ``at:`` and the command's options,
 separated by commas, each value after ``=``: ``at:--n=128,--k=1000000`` runs
 ``at --n 128 --k 1000000``, and ``at:--n=512,--self-check`` a self-check.
 Every run is a fresh ``python -m hopfgal`` process, so start-up is
@@ -19,6 +23,7 @@ whether their reports are byte-identical. Standard library only::
 
     python3 scripts/scaled_timings.py --repeat 3
     python3 scripts/scaled_timings.py kG:128:hopf:16384 --against ../parent/src
+    python3 scripts/scaled_timings.py kG_scaled:64:hopf kG_dual_scaled:64:galois --repeat 5 --against ../parent/src
     python3 scripts/scaled_timings.py at:--n=64,--k=1000000000000 --repeat 5 --against ../parent/src
 """
 
@@ -27,6 +32,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import statistics
 import subprocess
 import sys
@@ -35,10 +41,17 @@ import time
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from fractions import Fraction  # noqa: E402
+
 from hopfgal import cli, zoo  # noqa: E402
-from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra  # noqa: E402
+from hopfgal.comodule import ComoduleAlgebra, Extension  # noqa: E402
+from hopfgal.exact_linear import Mat, Subspace  # noqa: E402
+from hopfgal.hopf_core import AlgebraData, Group, HopfData, build_dual_group_algebra, build_group_algebra  # noqa: E402
 
 BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
+KINDS = (*BUILDERS, *(f"{kind}_scaled" for kind in BUILDERS))
+# The scales of perfbench's regular_scaled documents.
+SCALES = tuple(Fraction(s) for s in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2"))
 DEFAULT_CASES = ("kG:64:galois", "kG_dual:64:galois", "kG:128:hopf:16384")
 
 
@@ -50,20 +63,42 @@ def parse_case(text: str):
             raise argparse.ArgumentTypeError(f"expected at:--OPTION[=VALUE],..., got {text!r}")
         return text, ["at"] + [part for o in options for part in o.split("=", 1)], None, None
     parts = text.split(":")
-    if len(parts) not in (3, 4) or parts[0] not in BUILDERS or not parts[1].isdigit():
+    if len(parts) not in (3, 4) or parts[0] not in KINDS or not parts[1].isdigit():
         raise argparse.ArgumentTypeError(f"expected KIND:N:COMMAND[:CAP] or at:OPTIONS, got {text!r}")
     kind, n, command, cap = parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
     label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
     return label, ["check", command], (kind, n), cap
 
 
+def rescaled(m: Mat, row_scales, col_scales) -> Mat:
+    """m in the bases e'_i = s_i e_i of its codomain and domain: entry (r, c) times s_c / s_r."""
+    cells = {(r, c): x * col_scales[c] / row_scales[r] for r, c, x in m.nonzeros()}
+    return Mat.from_entries(m.field, m.rows, m.cols, cells)
+
+
+def scaled_regular_extension(h: HopfData, rng: random.Random) -> Extension:
+    """The regular extension of h in a diagonal basis of H and one of A, drawn from SCALES."""
+    sh, sa = ([rng.choice(SCALES) for _ in range(h.dim)] for _ in range(2))
+    pairs = lambda s, t: [x * y for x in s for y in t]
+
+    def algebra(s):
+        return AlgebraData(h.field, h.dim, h.basis_names, rescaled(h.mult, s, pairs(s, s)), rescaled(h.unit, s, [1]))
+
+    maps = [rescaled(m, sh, sh) if m is not None else None for m in (h.antipode, h.antipode_inv)]
+    hopf = HopfData(algebra(sh), rescaled(h.comult, pairs(sh, sh), sh), rescaled(h.counit, [1], sh), *maps)
+    a = algebra(sa)
+    coaction = rescaled(h.comult, pairs(sa, sh), sa)
+    return Extension(ComoduleAlgebra(a, hopf, coaction=coaction), Subspace.from_spanning_columns(a.unit))
+
+
 def write_document(workdir: pathlib.Path, kind: str, n: int) -> pathlib.Path:
     path = workdir / f"regular_{kind}_{n}.json"
     if not path.exists():
         workdir.mkdir(parents=True, exist_ok=True)
-        h = BUILDERS[kind](Group.cyclic(n))
-        doc = cli.document(h.field, cli.extension_sections(zoo.regular_extension(h)))
-        path.write_text(json.dumps(doc))
+        base, scaled = kind.removesuffix("_scaled"), kind.endswith("_scaled")
+        h = BUILDERS[base](Group.cyclic(n))
+        e = scaled_regular_extension(h, random.Random(n)) if scaled else zoo.regular_extension(h)
+        path.write_text(json.dumps(cli.document(h.field, cli.extension_sections(e))))
     return path
 
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import lcm, prod
 
 
 class InputError(ValueError):
@@ -222,9 +223,12 @@ class Mat:
 
     Instances are immutable: all operations return new matrices, and a row
     dict may be shared between matrices, so none is changed once built.
+    ``_den`` and ``_num`` hold the integral view (see ``integral``) once it
+    is known, and are unset before: the lcm of the denominators, and the
+    cleared matrix when that lcm is not 1.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rows")
+    __slots__ = ("field", "rows", "cols", "_rows", "_den", "_num")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         """Dense constructor: ``entries`` lists all rows*cols scalars row-major."""
@@ -262,14 +266,21 @@ class Mat:
         if rows < 0 or cols < 0:
             raise InputError("negative matrix dimensions")
         out = [{} for _ in range(rows)]
-        of = field.of
+        of, p, den = field.of, field.p, 1
         for (i, j), x in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise InputError(f"index ({i}, {j}) outside {rows}x{cols}")
-            x = of(x)
+            if p is not None or type(x) is not int:
+                # An int over Q is already canonical. Over Q a Fraction is
+                # left by coercion, and the integral view takes its denominator.
+                x = of(x)
+                if type(x) is not int:
+                    den = lcm(den, x.denominator)
             if x:
                 out[i][j] = x
-        return Mat._wrap(field, rows, cols, out)
+        m = Mat._wrap(field, rows, cols, out)
+        m._den = den
+        return m
 
     @staticmethod
     def from_rows(field: Field, row_lists) -> "Mat":
@@ -289,6 +300,33 @@ class Mat:
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
         return Mat._wrap(field, rows, cols, [{} for _ in range(rows)])
+
+    def integral(self) -> tuple["Mat", int]:
+        """The integral view (N, d): N = d * self has integer entries.
+
+        Over Q, d is the lcm of the denominators of the entries and N holds
+        ``int`` entries, so the kernels run on N in integer arithmetic and
+        self is N / d. Over F_p the view is (self, 1), with no scan. It is
+        computed at most once: ``from_entries`` finds d as it builds the
+        matrix, and any other matrix is scanned on the first call.
+        """
+        try:
+            d = self._den
+        except AttributeError:
+            d = self._den = 1 if self.field.p is not None else _common_denominator(self._rows)
+        if d == 1:
+            return self, 1
+        try:
+            return self._num, d
+        except AttributeError:
+            # x = a / b becomes a * (d / b): integer arithmetic throughout.
+            rows = [
+                {j: x * d if type(x) is int else x.numerator * (d // x.denominator) for j, x in r.items()}
+                for r in self._rows
+            ]
+            num = self._num = Mat._wrap(self.field, self.rows, self.cols, rows)
+            num._den = 1
+            return num, d
 
     @staticmethod
     def column(field: Field, entries) -> "Mat":
@@ -512,6 +550,15 @@ class Mat:
             " ".join(fmt(x) for x in self.row_list(i)) for i in range(self.rows)
         )
         return f"Mat({self.field}, {self.rows}x{self.cols}: {body})"
+
+
+def _common_denominator(rows: list) -> int:
+    """The lcm of the denominators of the entries of these rows over Q."""
+    # The types are collected without a Python step per entry, so a matrix
+    # of ints, the common case, costs one pass in C.
+    if Fraction not in set(map(type, chain.from_iterable(map(dict.values, rows)))):
+        return 1
+    return lcm(*{x.denominator for r in rows for x in r.values() if type(x) is not int})
 
 
 def _mul_rows(srows: list, orows: list) -> list:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, prod
 
 from .exact_linear import (
     Field,
@@ -49,15 +51,31 @@ def tensor_names(*name_lists) -> list[str]:
     ]
 
 
-def _check_law(name, lhs: Mat, rhs: Mat, labels, transposed=False) -> AxiomCheck:
+def _check_law(name, lhs, rhs, labels, transposed=False) -> AxiomCheck:
     """Compare the two sides of a law, two maps; on a mismatch, name the first.
 
-    Column j of each side holds the image of domain basis tuple j; with
-    transposed, the sides are given transposed and row j holds it. labels()
-    gives the domain and codomain basis names and is called only on a
-    mismatch. The witness is the first domain tuple where the sides differ
-    and, there, the first codomain coefficient that differs.
+    Each side is a pair (M, d) of a matrix and a positive integer, and stands
+    for M / d: the law helpers evaluate a side on the integral views of the
+    maps it composes (``Mat.integral``), and d is the product of their
+    denominators. The sides are compared as d_R M_L and d_L M_R, each with
+    the common factor of d_L and d_R taken out, so equal denominators compare
+    M_L == M_R. Column j of each side holds the image of domain basis tuple
+    j; with transposed, the sides are given transposed and row j holds it.
+    labels() gives the domain and codomain basis names and is called only on
+    a mismatch. The witness is the first domain tuple where the sides differ
+    and, there, the first codomain coefficient that differs, printed as the
+    value of the side, not of its cleared matrix.
     """
+    (lhs, dl), (rhs, dr) = lhs, rhs
+    # Both sides end over the common denominator lcm(d_L, d_R).
+    den = dl
+    if dl != dr:
+        g = gcd(dl, dr)
+        den = dl // g * dr
+        if dr != g:
+            lhs = lhs.scale(dr // g)
+        if dl != g:
+            rhs = rhs.scale(dl // g)
     if lhs == rhs:
         return AxiomCheck(name, True)
     if not transposed:
@@ -67,17 +85,24 @@ def _check_law(name, lhs: Mat, rhs: Mat, labels, transposed=False) -> AxiomCheck
         return AxiomCheck(name, False)
     (j, i), (domain_names, codomain_names) = where, labels()
     fmt = lhs.field.format
+    value = lambda m: fmt(Fraction(m.entry(j, i), den))
     return AxiomCheck(
         name,
         False,
         f"{name} fails at basis {domain_names[j]}: coefficient of {codomain_names[i]} "
-        f"is {fmt(lhs.entry(j, i))} on the left, {fmt(rhs.entry(j, i))} on the right",
+        f"is {value(lhs)} on the left, {value(rhs)} on the right",
     )
 
 
 def _check_eq(name, lhs: Mat, rhs: Mat, domain_names, codomain_names) -> AxiomCheck:
-    """_check_law with the basis names given directly."""
-    return _check_law(name, lhs, rhs, lambda: (domain_names, codomain_names))
+    """_check_law on two maps, each its own side, with the basis names given directly."""
+    return _check_law(name, (lhs, 1), (rhs, 1), lambda: (domain_names, codomain_names))
+
+
+def _transposed(m: Mat) -> tuple[Mat, int]:
+    """The integral view of m, transposed."""
+    n, d = m.integral()
+    return n.transpose(), d
 
 
 class AlgebraData:
@@ -154,25 +179,33 @@ def ground_algebra(field: Field) -> AlgebraData:
 # A coaction co is the transposed matrix of an action of the dual algebra,
 # whose product is the comultiplication transposed and whose unit is the
 # counit transposed; the coaction laws are that action's laws, transposed.
+#
+# The kernels run on the integral views of the structure matrices, so over Q
+# a side costs integer arithmetic whatever the basis; each side carries the
+# product of the denominators of the maps it composes, and _check_law
+# compares the sides up to those scales.
 
 
-def _associativity_sides(act: Mat, mult: Mat, side: str):
+def _associativity_sides(act, mult, side: str):
     """act(act (x) id) and act(id (x) mult) for a right action M (x) A -> M;
-    for a left one, act(id (x) act) and act(mult (x) id)."""
+    for a left one, act(id (x) act) and act(mult (x) id). act and mult are
+    integral views, and so are the two sides."""
+    (act, da), (mult, dm) = act, mult
     eye_a, eye_m = Mat.identity(act.field, mult.rows), Mat.identity(act.field, act.rows)
     if side == "right":
         table = [(act, mult.rows)]
-        return bilinear_compose(table, act, eye_a), bilinear_compose(table, eye_m, mult)
+        return (bilinear_compose(table, act, eye_a), da * da), (bilinear_compose(table, eye_m, mult), da * dm)
     table = [(act, act.rows)]
-    return bilinear_compose(table, eye_a, act), bilinear_compose(table, mult, eye_m)
+    return (bilinear_compose(table, eye_a, act), da * da), (bilinear_compose(table, mult, eye_m), da * dm)
 
 
-def _unital_side(act: Mat, unit: Mat, side: str) -> Mat:
-    """act(id (x) unit) for a right action, act(unit (x) id) for a left one."""
+def _unital_side(act, unit, side: str):
+    """act(id (x) unit) for a right action, act(unit (x) id) for a left one, on integral views."""
+    (act, da), (unit, du) = act, unit
     eye_m = Mat.identity(act.field, act.rows)
     if side == "right":
-        return bilinear_compose([(act, unit.rows)], eye_m, unit)
-    return bilinear_compose([(act, act.rows)], unit, eye_m)
+        return bilinear_compose([(act, unit.rows)], eye_m, unit), da * du
+    return bilinear_compose([(act, act.rows)], unit, eye_m), da * du
 
 
 def associative_law(name, action: Mat, alg: AlgebraData, names, side="right", labels=None):
@@ -182,7 +215,7 @@ def associative_law(name, action: Mat, alg: AlgebraData, names, side="right", la
     Left action A (x) M -> M: act(id (x) act) = act(mult (x) id).
     Witnesses label M's basis by labels, by default the names in parentheses.
     """
-    lhs, rhs = _associativity_sides(action, alg.mult, side)
+    lhs, rhs = _associativity_sides(action.integral(), alg.mult.integral(), side)
     legs = [names, alg.basis_names, alg.basis_names]
     if side != "right":
         legs.reverse()
@@ -191,9 +224,9 @@ def associative_law(name, action: Mat, alg: AlgebraData, names, side="right", la
 
 def unital_law(name, action: Mat, alg: AlgebraData, names, side="right", labels=None):
     """The unit acts as the identity: act(id (x) unit) = id; on the left act(unit (x) id) = id."""
-    lhs = _unital_side(action, alg.unit, side)
+    lhs = _unital_side(action.integral(), alg.unit.integral(), side)
     eye_m = Mat.identity(alg.field, action.rows)
-    return _check_law(name, lhs, eye_m, lambda: (labels or tensor_names(names),) * 2)
+    return _check_law(name, lhs, (eye_m, 1), lambda: (labels or tensor_names(names),) * 2)
 
 
 def coassociative_law(name, coaction: Mat, h: HopfData, names, side="right"):
@@ -202,7 +235,7 @@ def coassociative_law(name, coaction: Mat, h: HopfData, names, side="right"):
     Right coaction M -> M (x) H: (co (x) id) co = (id (x) Delta) co.
     Left coaction M -> H (x) M: (Delta (x) id) co = (id (x) co) co.
     """
-    lhs, rhs = _associativity_sides(coaction.transpose(), h.comult.transpose(), side)
+    lhs, rhs = _associativity_sides(_transposed(coaction), _transposed(h.comult), side)
     legs = [names, h.basis_names, h.basis_names]
     if side != "right":
         lhs, rhs = rhs, lhs
@@ -213,9 +246,9 @@ def coassociative_law(name, coaction: Mat, h: HopfData, names, side="right"):
 
 def counital_law(name, coaction: Mat, h: HopfData, names, side="right"):
     """The counit undoes the coaction: (id (x) eps) co = id; on the left (eps (x) id) co = id."""
-    lhs = _unital_side(coaction.transpose(), h.counit.transpose(), side)
+    lhs = _unital_side(_transposed(coaction), _transposed(h.counit), side)
     eye_m = Mat.identity(h.field, coaction.cols)
-    return _check_law(name, lhs, eye_m, lambda: (tensor_names(names),) * 2, transposed=True)
+    return _check_law(name, lhs, (eye_m, 1), lambda: (tensor_names(names),) * 2, transposed=True)
 
 
 def comodule_map_law(name, co_tgt: Mat, f: Mat, g: Mat, co: Mat, names, codomain_legs):
@@ -226,9 +259,10 @@ def comodule_map_law(name, co_tgt: Mat, f: Mat, g: Mat, co: Mat, names, codomain
     to f^T and g^T. names label M's basis; codomain_legs are the basis names
     of N and H'.
     """
-    ft = f.transpose()
-    lhs = ft.mul(co_tgt.transpose())
-    rhs = bilinear_compose([(co.transpose(), g.cols)], ft, g.transpose())
+    (ft, df), (gt, dg) = _transposed(f), _transposed(g)
+    (cot, dct), (cos, dcs) = _transposed(co_tgt), _transposed(co)
+    lhs = ft.mul(cot), df * dct
+    rhs = bilinear_compose([(cos, g.cols)], ft, gt), dcs * df * dg
     labels = lambda: (tensor_names(names), tensor_names(*codomain_legs))
     return _check_law(name, lhs, rhs, labels, transposed=True)
 
@@ -240,19 +274,22 @@ def algebra_map_law(prefix, f: Mat, src: AlgebraData, *tgt: AlgebraData) -> list
     whose product is taken from the two tables; ground_algebra stands for k.
     The checks are named <prefix>_multiplicative and <prefix>_unital.
     """
-    lhs = f.mul(src.mult)
-    rhs = bilinear_compose([(t.mult, t.dim) for t in tgt], f, f)
-    unit = tgt[0].unit
+    (fn, df), (mult, dm), (unit, du) = f.integral(), src.mult.integral(), src.unit.integral()
+    tables = [t.mult.integral() for t in tgt]
+    lhs = fn.mul(mult), df * dm
+    rhs = bilinear_compose([(m, m.rows) for m, _ in tables], fn, fn), prod(d for _, d in tables) * df * df
+    unit_tgt = tgt[0].unit.integral()
     if len(tgt) == 2:
         # The unit of A (x) H is unit_A (x) unit_H.
-        ua, uh = (t.unit.entries() for t in tgt)
+        (ua, da), (uh, dh) = (t.unit.integral() for t in tgt)
+        ua, uh = ua.entries(), uh.entries()
         units = {(i * len(uh) + j, 0): x * y for i, x in enumerate(ua) if x for j, y in enumerate(uh) if y}
-        unit = Mat.from_entries(src.field, len(ua) * len(uh), 1, units)
+        unit_tgt = Mat.from_entries(src.field, len(ua) * len(uh), 1, units), da * dh
     codomain = lambda: tensor_names(*(t.basis_names for t in tgt))
     pairs = lambda: tensor_names(src.basis_names, src.basis_names)
     return [
         _check_law(f"{prefix}_multiplicative", lhs, rhs, lambda: (pairs(), codomain())),
-        _check_law(f"{prefix}_unital", f.mul(src.unit), unit, lambda: (["(1)"], codomain())),
+        _check_law(f"{prefix}_unital", (fn.mul(unit), df * du), unit_tgt, lambda: (["(1)"], codomain())),
     ]
 
 
@@ -339,20 +376,16 @@ def check_hopf(h: HopfData) -> list[AxiomCheck]:
     out.extend(algebra_map_law("comult", h.comult, h.algebra, h.algebra, h.algebra))
     out.extend(algebra_map_law("counit", h.counit, h.algebra, ground_algebra(field)))
 
-    unit_counit = h.unit.mul(h.counit)
-    for name, f, g in (("antipode_left", h.antipode, eye), ("antipode_right", eye, h.antipode)):
-        convolution = bilinear_compose([(h.mult, d)], f, g).mul(h.comult)
-        out.append(_check_eq(name, convolution, unit_counit, names1, names1))
+    (mult, dm), (comult, dc), (s, ds) = h.mult.integral(), h.comult.integral(), h.antipode.integral()
+    (unit, du), (counit, de) = h.unit.integral(), h.counit.integral()
+    unit_counit = unit.mul(counit), du * de
+    labels = lambda: (names1, names1)
+    for name, f, g in (("antipode_left", s, eye), ("antipode_right", eye, s)):
+        convolution = bilinear_compose([(mult, d)], f, g).mul(comult), dm * ds * dc
+        out.append(_check_law(name, convolution, unit_counit, labels))
     if h.antipode_inv is not None:
-        out.append(
-            _check_eq(
-                "antipode_inverse",
-                h.antipode_inv.mul(h.antipode),
-                eye,
-                names1,
-                names1,
-            )
-        )
+        s_inv, dsi = h.antipode_inv.integral()
+        out.append(_check_law("antipode_inverse", (s_inv.mul(s), dsi * ds), (eye, 1), labels))
     return out
 
 
@@ -405,6 +438,8 @@ class HopfMap:
 
 def check_hopf_map(f: HopfMap) -> list[AxiomCheck]:
     src, tgt, m = f.source, f.target, f.matrix
+    (mi, dmi), (s, ds), (s_tgt, ds_tgt) = m.integral(), src.antipode.integral(), tgt.antipode.integral()
+    counit_tgt, de = tgt.counit.integral()
     names1 = tensor_names(src.basis_names)
     tgt_names = tensor_names(tgt.basis_names)
     scalar = ["(1)"]
@@ -412,9 +447,9 @@ def check_hopf_map(f: HopfMap) -> list[AxiomCheck]:
         comodule_map_law(
             "map_comultiplicative", tgt.comult, m, m, src.comult, src.basis_names, (tgt.basis_names,) * 2
         ),
-        _check_eq("map_counital", tgt.counit.mul(m), src.counit, names1, scalar),
-        _check_eq(
-            "map_antipode", m.mul(src.antipode), tgt.antipode.mul(m), names1, tgt_names
+        _check_law("map_counital", (counit_tgt.mul(mi), de * dmi), src.counit.integral(), lambda: (names1, scalar)),
+        _check_law(
+            "map_antipode", (mi.mul(s), dmi * ds), (s_tgt.mul(mi), ds_tgt * dmi), lambda: (names1, tgt_names)
         ),
     ]
 

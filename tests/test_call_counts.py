@@ -224,3 +224,37 @@ def test_at_packing_per_command(packing_calls, line):
     result = CliRunner().invoke(cli.main, line.split())
     assert result.exit_code == 0, result.output
     assert dict(packing_calls) == AT_PACKING[line]
+
+
+# check hopf on k[Z_8] over Q in the seeded diagonal basis of
+# scripts/scaled_timings.py (kind kG_scaled), whose structure constants are
+# fractions: the Fraction products and sums the command makes. Every law
+# side is evaluated on integral views, and clearing a matrix's denominators
+# takes each a / b to a * (d // b) in int arithmetic, so none are left: 0.
+# Evaluated on the fractions themselves, the sides took 1105 products (and
+# no sum): associativity 678, left and right unit 8 + 8, coassociativity 8,
+# left and right counit 6 + 6, comult multiplicative 175 and unital 1,
+# counit multiplicative 62 and unital 1, antipode left 97 and right 49, and
+# antipode inverse 6.
+FRACTION_ARITHMETIC = {"check hopf kG_scaled:8": 0}
+FRACTION_DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+@pytest.mark.parametrize("line", FRACTION_ARITHMETIC)
+def test_fraction_arithmetic_per_command(monkeypatch, tmp_path, line):
+    from fractions import Fraction
+
+    from test_scaled_timings import scaled_timings
+
+    *command, case = line.split()
+    kind, n = case.split(":")
+    path = scaled_timings.write_document(tmp_path, kind, int(n))
+    assert "/" in path.read_text()
+    counts = Counter()
+    for name in FRACTION_DUNDERS:
+        monkeypatch.setattr(Fraction, name, counting(counts, "fraction_arithmetic", getattr(Fraction, name)))
+    result = CliRunner().invoke(cli.main, [*command, str(path)])
+    assert result.exit_code == 0, result.output
+    assert counts["fraction_arithmetic"] == FRACTION_ARITHMETIC[line]

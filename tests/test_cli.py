@@ -820,6 +820,68 @@ class TestReportPlumbing:
         assert r.exit_code == 0
         assert "timings_ms:" in r.stdout
 
+    def test_json_timings_block(self):
+        r = invoke(["check", "hopf", fx("hopf_sweedler.json"), "--timings", "--format", "json"])
+        assert r.exit_code == 0
+        assert list(json.loads(r.stdout)["timings_ms"]) == ["total"]
+
+
+def base_not_preserved(tmp_path) -> pathlib.Path:
+    """cartesian_z4_z2 with alpha swapping e and g: the source base span{e}
+    lands on g, outside the target base span{e, g^2}."""
+    doc = json.loads(pathlib.Path(fx("cartesian_z4_z2.json")).read_text())
+    triples = doc["sections"]["extension_morphism"]["alpha"]["triples"]
+    assert triples[:2] == [[0, 0, "1"], [1, 1, "1"]]
+    triples[:2] = [[1, 0, "1"], [0, 1, "1"]]
+    path = tmp_path / "base_not_preserved.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def singular_antipode(tmp_path) -> pathlib.Path:
+    """bundle_regular_sweedler with a zero antipode and no inverse: the comodule
+    algebra still passes, and the bundle's action twist needs S^{-1}."""
+    doc = json.loads(pathlib.Path(fx("bundle_regular_sweedler.json")).read_text())
+    hopf = doc["sections"]["hopf"]
+    hopf["antipode"]["triples"] = []
+    del hopf["antipode_inv"]
+    path = tmp_path / "singular_antipode.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# One document per error handler of cli._handle_errors that no schema test
+# reaches: an InputError from the library exits 2, a PreconditionError 3.
+HANDLED_ERRORS = {
+    "input_error": (
+        base_not_preserved,
+        ["check", "cartesian"],
+        2,
+        "error: alpha does not map the declared base into the target base\n",
+    ),
+    "precondition_error": (
+        singular_antipode,
+        ["bundle"],
+        3,
+        "undecided: the action twist needs an invertible antipode\n",
+    ),
+}
+
+
+class TestErrorHandlers:
+    @pytest.mark.parametrize("case", HANDLED_ERRORS)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_in_process(self, tmp_path, case, fmt):
+        write, command, code, line = HANDLED_ERRORS[case]
+        r = invoke([*command, write(tmp_path), "--format", fmt])
+        assert (r.exit_code, r.stdout, r.stderr) == (code, "", line)
+
+    @pytest.mark.parametrize("case", HANDLED_ERRORS)
+    def test_console_script(self, tmp_path, case):
+        write, command, code, line = HANDLED_ERRORS[case]
+        out = hopfgal_command([*command, str(write(tmp_path))])
+        assert (out.returncode, out.stdout, out.stderr) == (code, b"", line.encode())
+
 
 # ---------------------------------------------------------------------------
 # determinism

@@ -291,6 +291,34 @@ class TestRationalScalars:
         assert repr(a) == repr(b) == repr(d) == "Mat(Q, 2x2: 2 0; -1 1)"
 
 
+class TestIntegralView:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rows: Mat.from_entries(QQ, 2, 3, {(i, j): x for i, r in enumerate(rows) for j, x in enumerate(r)}),
+            lambda rows: Mat.from_rows(QQ, rows),
+            lambda rows: Mat.from_rows(QQ, rows).transpose().transpose(),
+        ],
+        ids=["read", "dense", "moved"],
+    )
+    def test_denominators_are_cleared_once(self, build):
+        m = build([[Fraction(1, 2), 0, -3], [Fraction(-2, 3), Fraction(5, 4), 1]])
+        n, d = m.integral()
+        assert d == 12
+        assert n == m.scale(12) and n.entries() == [6, 0, -36, -8, 15, 12]
+        assert all(type(x) is int for x in n.entries())
+        assert m.integral()[0] is n and n.integral() == (n, 1)
+
+    def test_an_integral_matrix_is_its_own_view(self):
+        for m in (Mat.from_rows(QQ, [[2, 0], [Fraction(-4, 2), 1]]), Mat.identity(QQ, 3), Mat.zeros(QQ, 2, 2)):
+            assert m.integral() == (m, 1) and m.integral()[0] is m
+
+    def test_over_a_prime_field_the_view_is_the_matrix(self):
+        f = Field(7)
+        m = Mat.from_rows(f, [[Fraction(1, 2), 3]])
+        assert m.integral()[0] is m and m.integral()[1] == 1
+
+
 class TestPrimeField:
     def test_mixed_field_rejected(self):
         m = Mat.identity(QQ, 2)

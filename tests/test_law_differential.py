@@ -63,6 +63,7 @@ from hopfgal.comodule import (
     balanced_self_tensor,
     canonical_map,
     change_basis,
+    check_comodule_algebra,
 )
 from hopfgal.exact_linear import (
     Field,
@@ -503,6 +504,92 @@ def test_corrupted_structures_match_reference(data):
     assert algebra_map_law("comult", comult, alg, alg, alg) == ref_algebra_map("comult", comult, alg, alg, alg)
     k = ground_algebra(a.field)
     assert algebra_map_law("counit", hc.counit, alg, k) == ref_algebra_map("counit", hc.counit, alg, k)
+
+
+# ---------------------------------------------------------------------------
+# rational bases: the laws decided on integral views against the fractions
+
+
+# The comodule algebras over Q of the zoo: each regular extension, and the
+# coactions of Q(sqrt 2), Q(cbrt 2) and the trivial coaction, materialized.
+RATIONAL_COMODULE_ALGEBRAS = (
+    *(f"regular {i}" for i in range(7)),
+    "q_sqrt2_extension",
+    "q_cbrt2_extension",
+    "trivial_coaction_extension",
+)
+
+
+@functools.cache
+def rational_comodule_algebra(name):
+    kind, _, i = name.partition(" ")
+    if kind == "regular":
+        e = zoo.regular_extension([h for h in hopf_examples() if h.field == QQ][int(i)])
+    else:
+        e = getattr(zoo, name)()
+    return e.materialize().comodule_algebra
+
+
+def rescaled(m, row_scales, col_scales):
+    """m in the bases e'_i = s_i e_i of its codomain and domain: entry (r, c) times s_c / s_r."""
+    cells = {(r, c): x * col_scales[c] / row_scales[r] for r, c, x in m.nonzeros()}
+    return Mat.from_entries(m.field, m.rows, m.cols, cells)
+
+
+def pair_scales(s, t):
+    return [x * y for x in s for y in t]
+
+
+RATIONAL_SCALES = [Fraction(s) for s in ("1", "-1", "2", "1/2", "-1/3", "3/2", "5/7")]
+BUMPS = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), 1]
+
+
+@st.composite
+def bumped(draw, m: Mat):
+    """m with one entry changed by a nonzero amount, rebuilt densely, so its
+    integral view is found by a scan rather than as it is built."""
+    i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, m.cols - 1))
+    entries = m.entries()
+    entries[i * m.cols + j] += draw(st.sampled_from(BUMPS))
+    return Mat(m.field, m.rows, m.cols, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_bases_match_reference(data):
+    """Each report of a zoo structure over Q in random diagonal bases of H and
+    A, some with a bump in mult, comult, coaction or antipode, against the
+    reference evaluated on the fractions themselves."""
+    c = rational_comodule_algebra(data.draw(st.sampled_from(RATIONAL_COMODULE_ALGEBRAS)))
+    h, a = c.hopf, c.algebra
+    sh = data.draw(st.lists(st.sampled_from(RATIONAL_SCALES), min_size=h.dim, max_size=h.dim))
+    sa = data.draw(st.lists(st.sampled_from(RATIONAL_SCALES), min_size=a.dim, max_size=a.dim))
+    maps = {
+        "mult": rescaled(h.mult, sh, pair_scales(sh, sh)),
+        "comult": rescaled(h.comult, pair_scales(sh, sh), sh),
+        "antipode": rescaled(h.antipode, sh, sh),
+        "coaction": rescaled(c.coaction, pair_scales(sa, sh), sa),
+    }
+    bump = data.draw(st.sampled_from([None, *maps]))
+    if bump is not None:
+        maps[bump] = data.draw(bumped(maps[bump]))
+    s_inv = None if h.antipode_inv is None else rescaled(h.antipode_inv, sh, sh)
+    h2 = HopfData(
+        AlgebraData(QQ, h.dim, h.basis_names, maps["mult"], rescaled(h.unit, sh, [1])),
+        maps["comult"],
+        rescaled(h.counit, [1], sh),
+        maps["antipode"],
+        s_inv,
+    )
+    a2 = AlgebraData(QQ, a.dim, a.basis_names, rescaled(a.mult, sa, pair_scales(sa, sa)), rescaled(a.unit, sa, [1]))
+    c2 = ComoduleAlgebra(a2, h2, coaction=maps["coaction"])
+    assert check_hopf(h2) == ref_check_hopf(h2)
+    assert check_comodule_algebra(c2) == ref_check_comodule_algebra(c2)
+    # The change of basis e_i = (1 / s_i) e'_i is a Hopf map h -> h2 unless bumped.
+    change = HopfMap(h, h2, Mat.from_entries(QQ, h.dim, h.dim, {(i, i): 1 / s for i, s in enumerate(sh)}))
+    assert check_hopf_map(change) == ref_check_hopf_map(change)
+    if bump is None:
+        assert all(check.ok for check in check_hopf(h2) + check_comodule_algebra(c2) + check_hopf_map(change))
 
 
 # ---------------------------------------------------------------------------
