@@ -294,9 +294,13 @@ class TruncatedPoly:
         return TruncatedPoly._packed(self.n, product & _slots_mask(self.n + 1, width), width)
 
     def times_one_plus_x(self) -> "TruncatedPoly":
-        """This element times 1+x: coefficient i becomes c_i + c_{i-1}, one shift-add."""
+        """This element times 1+x: coefficient i becomes c_i + c_{i-1}.
+
+        One map of operator.add over the coefficients and their shift by
+        one slot, with no Python-level loop body.
+        """
         c = self.coeffs
-        return TruncatedPoly(self.n, c[:1] + tuple(a + b for a, b in zip(c[1:], c)))
+        return TruncatedPoly(self.n, c[:1] + tuple(map(operator.add, c[1:], c)))
 
     def __pow__(self, k: int) -> "TruncatedPoly":
         return self.powers((k,))[0]
@@ -516,9 +520,11 @@ def _taylor_shift(coeffs, step: int) -> tuple:
 
     Horner's rule on one packed integer: at y = X, acc -> acc (X + step) + a_i
     runs from a_n down to a_0 and leaves f(X + step), whose slots are the
-    shifted coefficients (von zur Gathen & Gerhard, ISSAC 1997). Coefficient
-    j of the result is sum_i a_i C(i, j) step^(i-j), so no entry exceeds
-    C(n, n // 2) sum |a_i|, which sets the slot width.
+    shifted coefficients (von zur Gathen & Gerhard, ISSAC 1997). Each step is
+    (acc << 8w) + acc + a_i, or - acc for step -1: a shift and two additions,
+    with no product by step. Coefficient j of the result is
+    sum_i a_i C(i, j) step^(i-j), so no entry exceeds C(n, n // 2) sum |a_i|,
+    which sets the slot width.
     """
     if not coeffs:
         return ()
@@ -526,8 +532,12 @@ def _taylor_shift(coeffs, step: int) -> tuple:
     width = _slot_bytes(math.comb(n, n // 2) * sum(map(abs, coeffs)))
     shift = 8 * width
     acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << shift) + step * acc + c
+    if step == 1:
+        for c in reversed(coeffs):
+            acc = (acc << shift) + acc + c
+    else:
+        for c in reversed(coeffs):
+            acc = (acc << shift) - acc + c
     return tuple(_unpack(acc, n + 1, width))
 
 
@@ -600,6 +610,17 @@ def at_table(n: int, k_lo: int, k_hi: int):
 
     A window element goes, with the residues it has packed, once the last
     pair that reads it is checked; the two elements of the step check stay.
+
+    The rows take one Taylor shift, of (1+x)^{k_lo}, and are walked from it
+    in the shifted basis. There [L_k] is y^k in Z[y]/((y-1)^{n+1}), y = 1+x,
+    so [L_{k+1}] is row k moved up one slot, the top coordinate moving out
+    as that multiple of y^{n+1} = [L_{n+1}], whose coordinates are the
+    closed form primary_identity(n). When the range holds more than one
+    index, the walked row k_hi is tied to the Taylor shift of (1+x)^{k_hi}.
+    Both shifted end rows are taken before the pair checks and the rows are
+    walked after them, so the rows never coexist with the full windows.
+    The closed form is itself checked: --self-check compares it with
+    line_class(n, n+1), the Taylor shift of (1+x)^{n+1}.
     """
     if k_hi < k_lo:
         raise InputError("empty exponent range")
@@ -615,7 +636,8 @@ def at_table(n: int, k_lo: int, k_hi: int):
     power = walk(row_anchor, k_lo, k_hi + 1)
     product = walk(product_anchor, 2 * k_lo, 2 * k_hi)
     ks = range(k_lo, k_hi + 1)
-    rows = [(k, from_monomials(power[k]).coords) for k in ks]
+    first = from_monomials(row_anchor).coords
+    last = from_monomials(power[k_hi]).coords if k_hi > k_lo else first
     if k_hi - k_lo + 1 <= 16:
         pairs = [(a, b) for a in ks for b in ks]
     else:
@@ -642,6 +664,18 @@ def at_table(n: int, k_lo: int, k_hi: int):
             del product[k1 + k2]
     if power[k_lo + 1] != power[k_lo] * TruncatedPoly.from_coeffs(n, [1, 1]):
         raise InvariantViolation(f"line class step fails at {k_lo} for degree {n}")
+    rows = [(k_lo, first)]
+    if k_hi > k_lo:
+        wrap = primary_identity(n).coords
+        row = first
+        for k in range(k_lo + 1, k_hi + 1):
+            top = row[n]
+            row = (0,) + row[:n]
+            if top:
+                row = tuple([a + top * w for a, w in zip(row, wrap)])
+            rows.append((k, row))
+        if row != last:
+            raise InvariantViolation(f"line class rows fail to tie at {k_hi} for degree {n}")
     return rows
 
 

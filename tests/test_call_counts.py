@@ -98,13 +98,15 @@ KRON_CALLS = {
 # 3 * 129 + 128 = 515 pairs and the first step, and builds [L_129] (129 =
 # 2^7 + 1: 7 squares and 1 product) and [L_-1] (the inverse itself, no
 # product): 515 + 1 + 8 = 524, and 526 when each power began with a product
-# by one; and it shifts each of the 129 rows and the two identities. A range
-# of 8 indices checks all 64 pairs and the step, and takes both anchors,
-# (1+x)^32 and (1+x)^64, from one chain of 6 squares: 6 + 64 + 1 = 71, and
-# 78 with a chain for each anchor (6 and 7 products).
+# by one. It shifts the two end rows, [L_0] and [L_128], and the two
+# identities: 4, and 131 when each of the 129 rows took its own shift (the
+# rows between are walked in the shifted basis). A range of 8 indices checks
+# all 64 pairs and the step, and takes both anchors, (1+x)^32 and (1+x)^64,
+# from one chain of 6 squares: 6 + 64 + 1 = 71, and 78 with a chain for each
+# anchor (6 and 7 products); it shifts its two end rows: 2 (8, one per row).
 AT_CALLS = {
-    "at --n 128 --self-check": {"products": 524, "taylor_shifts": 131},
-    "at --n 64 --k-range 32..39": {"products": 71, "taylor_shifts": 8},
+    "at --n 128 --self-check": {"products": 524, "taylor_shifts": 4},
+    "at --n 64 --k-range 32..39": {"products": 71, "taylor_shifts": 2},
 }
 
 
@@ -124,13 +126,15 @@ def kring_calls(monkeypatch, rebind):
 # for each of the 129 rows of the base-change matrix and 6 times in the chain
 # of [L_129] (its early squares share a width): 730 + 129 + 6 = 865, and 868
 # when [L_129] and [L_-1] began with a product by one. It unpacks what the
-# 131 Taylor shifts, the 129 rows of the base-change product, the 8 products
-# of [L_129] and the closed route to 1/(1+x) return: 269 (270). A range of 8
-# indices packs 5 times in its chain and 30 in its checks: 35 (42 with two
-# chains); it unpacks its 8 shifts and the 6 squares of its chain: 14 (21).
+# 4 Taylor shifts, the 129 rows of the base-change product, the 8 products
+# of [L_129] and the closed route to 1/(1+x) return: 4 + 129 + 8 + 1 = 142
+# (269 with a shift per row, 270 with products by one as well). A range of
+# 8 indices packs 5 times in its chain and 30 in its checks: 35 (42 with
+# two chains); it unpacks its 2 shifts and the 6 squares of its chain: 8
+# (14 with a shift per row, 21 with two chains as well).
 AT_PACKING = {
-    "at --n 128 --self-check": {"packs": 865, "unpacks": 269},
-    "at --n 64 --k-range 32..39": {"packs": 35, "unpacks": 14},
+    "at --n 128 --self-check": {"packs": 865, "unpacks": 142},
+    "at --n 64 --k-range 32..39": {"packs": 35, "unpacks": 8},
 }
 
 

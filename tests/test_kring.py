@@ -60,6 +60,7 @@ from hopfgal.kring import (
     to_monomials,
 )
 from hopfgal import kring, zoo
+from test_cli import invoke, oracle_coords
 
 
 def classical_map(n):
@@ -300,6 +301,22 @@ class TestAtTable:
         # the walked rows against powers built one by one by repeated squaring
         expect = [(k, line_class(n, k).coords) for k in range(lo, hi + 1)]
         assert at_table(n, lo, hi) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=1, max_value=70),
+    )
+    def test_walked_rows_match_shifted_powers(self, n, lo, width):
+        # windows cross 0 and n + 1, so rows wrap through [L_{n+1}] with
+        # top coordinates of both signs
+        hi = lo + width - 1
+        rows = at_table(n, lo, hi)
+        assert rows == [(k, from_monomials(one_plus_x_power(n, k)).coords) for k in range(lo, hi + 1)]
+        # a sample of rows against the closed-form generalized binomials
+        for k, coords in rows[:: max(1, width // 4)]:
+            assert list(coords) == oracle_coords(n, k), k
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +830,41 @@ class TestChecksCatchCorruption:
         monkeypatch.setattr(TruncatedPoly, "times_one_plus_x", bad)
         with pytest.raises(InvariantViolation, match="line class step fails"):
             at_table(5, lo, hi)
+
+    @staticmethod
+    def _corrupt_wrap(monkeypatch, j):
+        # the closed form of [L_{n+1}] that the rows walk wraps by, with
+        # coordinate j one too large
+        closed = kring.primary_identity
+
+        def wrong(n):
+            coords = list(closed(n).coords)
+            coords[j] += 1
+            return KClassVector(n, tuple(coords))
+
+        monkeypatch.setattr(kring, "primary_identity", wrong)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (-3, 12)])
+    @pytest.mark.parametrize("j", [0, 3, 5])
+    def test_corrupt_wrap(self, monkeypatch, lo, hi, j):
+        self._corrupt_wrap(monkeypatch, j)
+        with pytest.raises(InvariantViolation, match=f"line class rows fail to tie at {hi} for degree 5"):
+            at_table(5, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (-3, -3), (7, 7), (40, 40)])
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_corrupt_wrap_left_unread(self, monkeypatch, lo, hi, j):
+        # the rows [L_0]..[L_5] are unit vectors, so 0..5 never wraps, and a
+        # single index walks no step at all
+        expect = at_table(5, lo, hi)
+        self._corrupt_wrap(monkeypatch, j)
+        assert at_table(5, lo, hi) == expect
+
+    def test_corrupt_wrap_fails_the_command(self, monkeypatch):
+        self._corrupt_wrap(monkeypatch, 3)
+        r = invoke(["at", "--n", 5, "--k-range", "0..9"])
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert r.stderr == "failed: line class rows fail to tie at 9 for degree 5\n"
 
     @pytest.mark.parametrize("n", [1, 4, 17])
     def test_corrupt_inversion_route(self, monkeypatch, n):
