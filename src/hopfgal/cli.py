@@ -189,9 +189,7 @@ def _parse_algebra(obj: dict, field: Field, path: str, extra_keys=()) -> Algebra
     return AlgebraData(field, dim, names, mult, unit)
 
 
-def _parse_hopf(obj, field: Field, path: str) -> HopfData:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
+def _parse_hopf(obj: dict, field: Field, path: str) -> HopfData:
     algebra = _parse_algebra(obj, field, path, extra_keys={"comult", "counit", "antipode", "antipode_inv"})
     d = algebra.dim
     comult = _parse_key_matrix(obj, "comult", field, path, d * d, d)
@@ -203,15 +201,14 @@ def _parse_hopf(obj, field: Field, path: str) -> HopfData:
     return HopfData(algebra, comult, counit, antipode, antipode_inv)
 
 
-def _parse_comodule_algebra(obj, hopf: HopfData, field: Field, path: str) -> ComoduleAlgebra:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
+def _parse_comodule_algebra(obj: dict, hopf: HopfData, field: Field, path: str) -> ComoduleAlgebra:
     algebra = _parse_algebra(obj, field, path, extra_keys={"coaction"})
     coaction = _parse_key_matrix(obj, "coaction", field, path, algebra.dim * hopf.dim, algebra.dim)
     return ComoduleAlgebra(algebra, hopf, coaction=coaction)
 
 
-def _parse_base_columns(obj, field: Field, dim: int, path: str):
+def _parse_base_columns(obj: dict, field: Field, dim: int, path: str):
+    """The span of obj's base_columns, at path.base_columns, or None when it has none."""
     cols = obj.get("base_columns")
     if cols is None:
         return None
@@ -226,29 +223,43 @@ def _parse_base_columns(obj, field: Field, dim: int, path: str):
     return Subspace.from_spanning_columns(Mat.from_rows(field, out).transpose())
 
 
-def _parse_extension_parts(hopf_obj, ca_obj, ext_obj, field: Field, path: str) -> Extension:
-    hopf = _parse_hopf(hopf_obj, field, f"{path}.hopf")
-    c = _parse_comodule_algebra(ca_obj, hopf, field, f"{path}.comodule_algebra")
-    base = None
-    if ext_obj is not None:
-        if not isinstance(ext_obj, dict):
-            raise SchemaError(f"{path}.extension", "expected an object")
-        _warn_unknown(ext_obj, {"base_columns"}, f"{path}.extension")
-        base = _parse_base_columns(ext_obj, field, c.algebra.dim, f"{path}.extension")
-    return Extension(c, base)
-
-
-def _parse_extension_object(obj, field: Field, path: str) -> Extension:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
+def _parse_extension_object(obj: dict, field: Field, path: str) -> Extension:
+    """An extension laid out as one object: a morphism's source or target."""
     _warn_unknown(obj, {"hopf", "comodule_algebra", "base_columns"}, path)
     hopf_obj = _get(obj, "hopf", path, dict, "an object")
     ca_obj = _get(obj, "comodule_algebra", path, dict, "an object")
-    ext_obj = {"base_columns": obj["base_columns"]} if "base_columns" in obj else None
-    return _parse_extension_parts(hopf_obj, ca_obj, ext_obj, field, path)
+    hopf = _parse_hopf(hopf_obj, field, f"{path}.hopf")
+    c = _parse_comodule_algebra(ca_obj, hopf, field, f"{path}.comodule_algebra")
+    return Extension(c, _parse_base_columns(obj, field, c.algebra.dim, path))
 
 
-def _parse_morphism(sections: dict, field: Field) -> ExtensionMorphism:
+# Readers: one structure from a document's sections. _read_comodule_algebra
+# parses hopf before it looks comodule_algebra up, and _read_extension looks
+# both up first; a document with faults in both is reported by that order.
+
+
+def _read_comodule_algebra(sections: dict, field: Field) -> ComoduleAlgebra:
+    """The sections hopf and comodule_algebra."""
+    hopf = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
+    obj = _section(sections, "comodule_algebra")
+    return _parse_comodule_algebra(obj, hopf, field, "sections.comodule_algebra")
+
+
+def _read_extension(sections: dict, field: Field) -> Extension:
+    """The sections hopf, comodule_algebra and, unless absent or null, extension."""
+    hopf_obj, ca_obj = _section(sections, "hopf"), _section(sections, "comodule_algebra")
+    hopf = _parse_hopf(hopf_obj, field, "sections.hopf")
+    c = _parse_comodule_algebra(ca_obj, hopf, field, "sections.comodule_algebra")
+    base = None
+    if sections.get("extension") is not None:
+        obj = _section(sections, "extension")
+        _warn_unknown(obj, {"base_columns"}, "sections.extension")
+        base = _parse_base_columns(obj, field, c.algebra.dim, "sections.extension")
+    return Extension(c, base)
+
+
+def _read_morphism(sections: dict, field: Field) -> ExtensionMorphism:
+    """The section extension_morphism."""
     obj = _section(sections, "extension_morphism")
     path = "sections.extension_morphism"
     _warn_unknown(obj, {"source", "target", "chi", "alpha"}, path)
@@ -289,7 +300,9 @@ def _load_document(path: str):
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers a syntax error, bytes that are not UTF-8 and an
+        # integer past Python's digit limit; RecursionError, nesting too deep.
         raise SchemaError(path, f"invalid JSON: {e}")
     except OSError as e:
         raise SchemaError(path, str(e))
@@ -460,7 +473,8 @@ def _exit_code(verdicts) -> int:
     return 0
 
 
-def _emit_report(command: str, verdicts, dims: dict, fmt: str, timings=None, extra: dict | None = None):
+def _emit_report(command: str, verdicts, dims: dict, extra: dict | None, fmt: str, timings: dict | None):
+    """Print one report; each value of extra is a matrix_doc or a flat mapping."""
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -486,18 +500,10 @@ def _emit_report(command: str, verdicts, dims: dict, fmt: str, timings=None, ext
                 for i, j, v in value["triples"]:
                     lines.append(f"  {i} {j} {v}")
             else:
-                lines.append(f"{key}: {value}")
+                lines.append(f"{key}: " + " ".join(f"{k}={v}" for k, v in value.items()))
     if timings is not None:
         lines.append("timings_ms: " + " ".join(f"{k}={v}" for k, v in timings.items()))
     _echo("\n".join(lines))
-
-
-def _finish(command: str, verdicts, dims, fmt, started, timings_flag, extra=None):
-    timings = None
-    if timings_flag:
-        timings = {"total": round((time.perf_counter() - started) * 1000.0, 1)}
-    _emit_report(command, verdicts, dims, fmt, timings, extra)
-    raise SystemExit(_exit_code(verdicts))
 
 
 def _handle_errors(fn):
@@ -528,61 +534,78 @@ def main():
     """Exact verification of Hopf-Galois data and shifted basis tables."""
 
 
-@main.command("check")
-@click.argument("kind", type=click.Choice(["hopf", "comodule-algebra", "galois", "cartesian", "module"]))
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Report format.")
-@click.option("--timings", is_flag=True, help="Append wall-clock timings (breaks byte-determinism).")
-def cmd_check(kind, file, fmt, timings):
+_DOCUMENT_PARAMS = (
+    click.argument("file", type=click.Path(exists=True, dir_okay=False)),
+    click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Report format."),
+    click.option("--timings", is_flag=True, help="Append wall-clock timings (breaks byte-determinism)."),
+)
+
+
+def _document_command(name: str, *params):
+    """Register the decorated body as the command that reports on one document FILE.
+
+    params are the command's click arguments before FILE; FILE, --format and
+    --timings follow. The body takes the document's field and sections and
+    the values of params, and returns the command name, verdicts, dims and
+    extra of the report; its docstring is the command's help. The exit code
+    is the verdicts'.
+    """
+
+    def register(body):
+        def callback(file, fmt, timings, **args):
+            def run():
+                started = time.perf_counter()
+                field, sections = _load_document(file)
+                command, verdicts, dims, extra = body(field, sections, **args)
+                elapsed = {"total": round((time.perf_counter() - started) * 1000.0, 1)} if timings else None
+                _emit_report(command, verdicts, dims, extra, fmt, elapsed)
+                raise SystemExit(_exit_code(verdicts))
+
+            _handle_errors(run)
+
+        callback.__doc__ = body.__doc__
+        for param in reversed((*params, *_DOCUMENT_PARAMS)):
+            callback = param(callback)
+        return main.command(name)(callback)
+
+    return register
+
+
+@_document_command(
+    "check", click.argument("kind", type=click.Choice(["hopf", "comodule-algebra", "galois", "cartesian", "module"]))
+)
+def cmd_check(field, sections, kind):
     """Run the axiom or verdict suite named KIND on a document."""
-
-    def run():
-        started = time.perf_counter()
-        field, sections = _load_document(file)
-        if kind == "hopf":
-            h = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
-            verdicts = _verdicts_from_checks(check_hopf(h))
-            dims = {"hopf": h.dim}
-        elif kind == "comodule-algebra":
-            h = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
-            c = _parse_comodule_algebra(
-                _section(sections, "comodule_algebra"), h, field, "sections.comodule_algebra"
-            )
-            verdicts = _verdicts_from_checks(check_comodule_algebra(c))
-            dims = {"algebra": c.algebra.dim, "hopf": h.dim}
-        elif kind == "galois":
-            e = _parse_extension_parts(
-                _section(sections, "hopf"),
-                _section(sections, "comodule_algebra"),
-                sections.get("extension"),
-                field,
-                "sections",
-            )
-            verdicts = _verdicts_from_checks(e.checks)
-            verdicts.append(_verdict_from_tristate("hopf_galois", is_hopf_galois(e)))
-            dims = {"algebra": e.dim, "base": e.base_dim, "hopf": e.hopf.dim}
-        elif kind == "cartesian":
-            m = _parse_morphism(sections, field)
-            _guard_dims("sections.extension_morphism", **_cotensor_products(m))
-            verdicts = _verdicts_from_checks(m.checks)
-            verdicts.append(_verdict_from_tristate("cartesian", is_cartesian(m)))
-            dims = {
-                "source": m.source.dim,
-                "target": m.target.dim,
-                "source_hopf": m.source.hopf.dim,
-                "target_hopf": m.target.hopf.dim,
-            }
-        else:  # module
-            h = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
-            c = _parse_comodule_algebra(
-                _section(sections, "comodule_algebra"), h, field, "sections.comodule_algebra"
-            )
-            mod = _parse_module(_section(sections, "module"), c, field, "sections.module")
-            verdicts = _verdicts_from_checks(check_relative_hopf_module(mod))
-            dims = {"module": mod.dim, "algebra": c.algebra.dim, "hopf": h.dim}
-        _finish(f"check {kind}", verdicts, dims, fmt, started, timings)
-
-    _handle_errors(run)
+    if kind == "hopf":
+        h = _parse_hopf(_section(sections, "hopf"), field, "sections.hopf")
+        verdicts = _verdicts_from_checks(check_hopf(h))
+        dims = {"hopf": h.dim}
+    elif kind == "comodule-algebra":
+        c = _read_comodule_algebra(sections, field)
+        verdicts = _verdicts_from_checks(check_comodule_algebra(c))
+        dims = {"algebra": c.algebra.dim, "hopf": c.hopf.dim}
+    elif kind == "galois":
+        e = _read_extension(sections, field)
+        verdicts = _verdicts_from_checks(e.checks)
+        verdicts.append(_verdict_from_tristate("hopf_galois", is_hopf_galois(e)))
+        dims = {"algebra": e.dim, "base": e.base_dim, "hopf": e.hopf.dim}
+    elif kind == "cartesian":
+        m = _read_morphism(sections, field)
+        _guard_dims("sections.extension_morphism", **_cotensor_products(m))
+        verdicts = _verdicts_from_checks(m.checks)
+        verdicts.append(_verdict_from_tristate("cartesian", is_cartesian(m)))
+        dims = {
+            "source": m.source.dim,
+            "target": m.target.dim,
+            "source_hopf": m.source.hopf.dim,
+            "target_hopf": m.target.hopf.dim,
+        }
+    else:  # module
+        c = _read_comodule_algebra(sections, field)
+        mod = _parse_module(_section(sections, "module"), c, field, "sections.module")
+        verdicts = _verdicts_from_checks(check_relative_hopf_module(mod))
+        dims = {"module": mod.dim, "algebra": c.algebra.dim, "hopf": c.hopf.dim}
+    return f"check {kind}", verdicts, dims, None
 
 
 def _format_shifted(coords) -> str:
@@ -682,104 +705,74 @@ def cmd_at(n, k, k_range, self_check, fmt):
     _handle_errors(run)
 
 
-@main.command("phi")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Report format.")
-@click.option("--timings", is_flag=True, help="Append wall-clock timings (breaks byte-determinism).")
-def cmd_phi(file, fmt, timings):
+@_document_command("phi")
+def cmd_phi(field, sections):
     """Distributive law of a Cartesian morphism, with its verification."""
-
-    def run():
-        started = time.perf_counter()
-        field, sections = _load_document(file)
-        m = _parse_morphism(sections, field)
-        products = _cotensor_products(m)
-        _guard_dims(
-            "sections.extension_morphism",
-            **products,
-            # The multiplication of the pullback B' (x)_B A is built on
-            # (B' (x) A) (x) (B' (x) A), and the H-coaction of the cotensor
-            # solves against embed (x) id_H, on A' (x) H (x) H.
-            pullback_product=products["pullback"] ** 2,
-            cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
-        )
-        verdict = is_cartesian(m)
-        if verdict.value is not True:
-            if fmt == "json":
-                doc = {"error": "kappa not bijective", "reasons": list(verdict.reasons)}
-                _echo(json.dumps(doc, separators=(",", ":")))
-            else:
-                _echo("kappa not bijective")
-                for reason in verdict.reasons:
-                    _echo(f"  {reason}")
-            raise SystemExit(1)
-        p = pullback_structure(m)
-        mirror_ok = p.kappa.mul(p.phi) == m.mirror.kappa
-        verdicts = [
-            _verdict_from_tristate("cartesian", verdict),
-            ("kappa_after_phi_is_mirror", "pass" if mirror_ok else "fail", None),
-        ]
-        verdicts += _verdicts_from_checks(p.comodule_checks)
-        verdicts.append(("pullback_identities", "pass", None))
-        dims = {
-            "source": m.source.dim,
-            "target": m.target.dim,
-            "pullback": p.domain.dim,
-            "hopf": m.source.hopf.dim,
-        }
-        extra = {"phi": matrix_doc(p.phi)}
-        _finish("phi", verdicts, dims, fmt, started, timings, extra)
-
-    _handle_errors(run)
+    m = _read_morphism(sections, field)
+    products = _cotensor_products(m)
+    _guard_dims(
+        "sections.extension_morphism",
+        **products,
+        # The multiplication of the pullback B' (x)_B A is built on
+        # (B' (x) A) (x) (B' (x) A), and the H-coaction of the cotensor
+        # solves against embed (x) id_H, on A' (x) H (x) H.
+        pullback_product=products["pullback"] ** 2,
+        cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
+    )
+    verdict = is_cartesian(m)
+    if verdict.value is not True:
+        # The one output of a document command that is not a report.
+        if click.get_current_context().params["fmt"] == "json":
+            doc = {"error": "kappa not bijective", "reasons": list(verdict.reasons)}
+            _echo(json.dumps(doc, separators=(",", ":")))
+        else:
+            _echo("kappa not bijective")
+            for reason in verdict.reasons:
+                _echo(f"  {reason}")
+        raise SystemExit(1)
+    # pullback_structure raises InvariantViolation unless kappa phi is the
+    # mirror map and every identity of the pullback holds.
+    p = pullback_structure(m)
+    verdicts = [
+        _verdict_from_tristate("cartesian", verdict),
+        ("kappa_after_phi_is_mirror", "pass", None),
+        *_verdicts_from_checks(p.comodule_checks),
+        ("pullback_identities", "pass", None),
+    ]
+    dims = {
+        "source": m.source.dim,
+        "target": m.target.dim,
+        "pullback": p.domain.dim,
+        "hopf": m.source.hopf.dim,
+    }
+    return "phi", verdicts, dims, {"phi": matrix_doc(p.phi)}
 
 
-@main.command("bundle")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Report format.")
-@click.option("--timings", is_flag=True, help="Append wall-clock timings (breaks byte-determinism).")
-def cmd_bundle(file, fmt, timings):
+@_document_command("bundle")
+def cmd_bundle(field, sections):
     """Associated bundle of an extension and a left comodule."""
-
-    def run():
-        started = time.perf_counter()
-        field, sections = _load_document(file)
-        request = _section(sections, "bundle_request")
-        _warn_unknown(request, (), "sections.bundle_request")
-        e = _parse_extension_parts(
-            _section(sections, "hopf"),
-            _section(sections, "comodule_algebra"),
-            sections.get("extension"),
-            field,
-            "sections",
-        )
-        rep = _parse_comodule(_section(sections, "comodule"), e.hopf, field, "sections.comodule")
-        _guard_dims("sections.comodule", cotensor=e.dim * e.hopf.dim * rep.dim)
-        broken = next((c for c in check_comodule_algebra(e.comodule_algebra) if not c.ok), None)
-        if broken is not None:
-            raise InvariantViolation(broken.witness or broken.name)
-        verdicts = _verdicts_from_checks(check_left_comodule(rep))
-        bundle = cotensor_bundle(e, rep)
-        verdicts += _verdicts_from_checks(check_associated_bundle(bundle))
-        report = certify_fgp(bundle)
-        dims = {
-            "bundle": bundle.dim,
-            "base": bundle.base_dim,
-            "ambient": e.dim,
-            "fiber": rep.dim,
-        }
-        mults = "-" if report.multiplicities is None else ",".join(str(x) for x in report.multiplicities)
-        extra = {
-            "fgp": {
-                "kind": report.kind,
-                "rank": report.rank if report.rank is not None else "-",
-                "multiplicities": mults,
-                "note": report.note,
-            }
-        }
-        if fmt == "text":
-            extra = {
-                "fgp": f"kind={report.kind} rank={extra['fgp']['rank']} multiplicities={mults} note={report.note}"
-            }
-        _finish("bundle", verdicts, dims, fmt, started, timings, extra)
-
-    _handle_errors(run)
+    request = _section(sections, "bundle_request")
+    _warn_unknown(request, (), "sections.bundle_request")
+    e = _read_extension(sections, field)
+    rep = _parse_comodule(_section(sections, "comodule"), e.hopf, field, "sections.comodule")
+    _guard_dims("sections.comodule", cotensor=e.dim * e.hopf.dim * rep.dim)
+    broken = next((c for c in check_comodule_algebra(e.comodule_algebra) if not c.ok), None)
+    if broken is not None:
+        raise InvariantViolation(broken.witness or broken.name)
+    verdicts = _verdicts_from_checks(check_left_comodule(rep))
+    bundle = cotensor_bundle(e, rep)
+    verdicts += _verdicts_from_checks(check_associated_bundle(bundle))
+    report = certify_fgp(bundle)
+    dims = {
+        "bundle": bundle.dim,
+        "base": bundle.base_dim,
+        "ambient": e.dim,
+        "fiber": rep.dim,
+    }
+    fgp = {
+        "kind": report.kind,
+        "rank": report.rank if report.rank is not None else "-",
+        "multiplicities": "-" if report.multiplicities is None else ",".join(str(x) for x in report.multiplicities),
+        "note": report.note,
+    }
+    return "bundle", verdicts, dims, {"fgp": fgp}

@@ -59,6 +59,7 @@ from hopfgal.kring import (
     secondary_identity,
 )
 
+from test_cli import APPLICABLE
 from test_law_differential import yd_phi_expected
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -320,31 +321,15 @@ def test_criterion_09_augmentation_certificates():
     _report(9, "certificates unimodular, synthetic control rejected")
 
 
-_CLI_COMMANDS = {
-    "qsqrt2.json": [["check", "hopf"], ["check", "comodule-algebra"], ["check", "galois"]],
-    "regular_z4.json": [["check", "galois"]],
-    "trivial_coaction.json": [["check", "galois"]],
-    "hopf_sweedler.json": [["check", "hopf"]],
-    "cartesian_z4_z2.json": [["check", "cartesian"], ["phi"]],
-    "sweedler_self.json": [["check", "cartesian"], ["phi"]],
-    "commutative_identity.json": [["check", "cartesian"], ["phi"]],
-    "commutative_flip.json": [["check", "cartesian"], ["phi"]],
-    "trivial_noncartesian.json": [["check", "cartesian"], ["phi"]],
-    "module_self_qsqrt2.json": [["check", "module"]],
-    "bundle_sign_qsqrt2.json": [["bundle"]],
-    "bundle_regular_sweedler.json": [["bundle"]],
-}
-
-
 def test_criterion_10_cli_determinism():
     present = sorted(p.name for p in FIXTURES.glob("*.json"))
-    assert present == sorted(_CLI_COMMANDS), "fixture suite out of sync"
+    assert present == sorted(APPLICABLE), "fixture suite out of sync"
 
     def sweep():
         runner = CliRunner()
         transcript = []
-        for name in sorted(_CLI_COMMANDS):
-            for command in _CLI_COMMANDS[name]:
+        for name in sorted(APPLICABLE):
+            for command in APPLICABLE[name]:
                 for fmt in ("text", "json"):
                     args = command + [str(FIXTURES / name), "--format", fmt]
                     r = runner.invoke(cli_main, args)

@@ -13,6 +13,7 @@ import math
 import os
 import pathlib
 import shutil
+import socket
 import subprocess
 import sys
 import time
@@ -791,6 +792,154 @@ class TestSchemaErrors:
         assert (r.exit_code, r.stdout) == (2, "")
         assert r.stderr == f"error at {path}: tensor dimension {size} exceeds HOPFGAL_MAX_DIM=4096\n"
         assert max(built_rows, default=0) <= 4096
+
+
+def edited(fixture: str, edit) -> dict:
+    """A fixture document after edit(doc), which changes it in place."""
+    doc = json.load(open(fx(fixture)))
+    edit(doc)
+    return doc
+
+
+def hopf_of(doc) -> dict:
+    return doc["sections"]["hopf"]
+
+
+def morphism_end(doc, end: str) -> dict:
+    return doc["sections"]["extension_morphism"][end]
+
+
+# case: (fixture, command, edit, the stderr line). One case per error that a
+# parser raises and no other schema test pins.
+PARSER_ERRORS = {
+    "key_missing": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d).pop("mult"),
+        "sections.hopf.mult: required key missing",
+    ),
+    "key_wrong_type": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d).update(dim="4"),
+        "sections.hopf.dim: expected an integer",
+    ),
+    "key_bool_for_integer": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d).update(dim=True),
+        "sections.hopf.dim: expected an integer",
+    ),
+    "dim_not_positive": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d).update(dim=0),
+        "sections.hopf.dim: dimension must be positive",
+    ),
+    "names_short": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["basis_names"].pop(),
+        "sections.hopf.basis_names: expected 4 strings",
+    ),
+    "matrix_not_an_object": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d).update(antipode_inv=[]),
+        "sections.hopf.antipode_inv: matrix must be an object with rows, cols, triples",
+    ),
+    "matrix_negative_dimension": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["unit"].update(cols=-1),
+        "sections.hopf.unit: matrix dimensions must be nonnegative",
+    ),
+    "matrix_wrong_cols": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["unit"].update(cols=2),
+        "sections.hopf.unit.cols: expected 1, got 2",
+    ),
+    "triples_not_a_list": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["unit"].update(triples={}),
+        "sections.hopf.unit.triples: expected a list of [row, col, scalar]",
+    ),
+    "triple_short": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["unit"]["triples"][0].pop(),
+        "sections.hopf.unit.triples[0]: expected [row, col, scalar]",
+    ),
+    "triple_index_not_an_integer": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["unit"]["triples"][0].__setitem__(1, "0"),
+        "sections.hopf.unit.triples[0]: row and column must be integers",
+    ),
+    "triple_index_bool": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: hopf_of(d)["unit"]["triples"][0].__setitem__(0, False),
+        "sections.hopf.unit.triples[0]: row and column must be integers",
+    ),
+    "section_not_an_object": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: d["sections"].update(hopf=[]),
+        "sections.hopf: expected an object",
+    ),
+    "sections_missing": (
+        "hopf_sweedler.json", ["check", "hopf"], lambda d: d.pop("sections"),
+        "sections: missing sections object",
+    ),
+    "extension_not_an_object": (
+        "qsqrt2.json", ["check", "galois"], lambda d: d["sections"].update(extension=[]),
+        "sections.extension: expected an object",
+    ),
+    "base_columns_empty": (
+        "qsqrt2.json", ["check", "galois"], lambda d: d["sections"]["extension"].update(base_columns=[]),
+        "sections.extension.base_columns: expected a nonempty list of columns",
+    ),
+    "base_column_short": (
+        "bundle_sign_qsqrt2.json", ["bundle"], lambda d: d["sections"]["extension"]["base_columns"][0].pop(),
+        "sections.extension.base_columns[0]: expected a column of 2 scalars",
+    ),
+    # A morphism's source and target are read at their own paths.
+    "source_base_columns_empty": (
+        "cartesian_z4_z2.json", ["check", "cartesian"], lambda d: morphism_end(d, "source").update(base_columns=[]),
+        "sections.extension_morphism.source.base_columns: expected a nonempty list of columns",
+    ),
+    "target_base_column_short": (
+        "cartesian_z4_z2.json", ["phi"], lambda d: morphism_end(d, "target")["base_columns"][1].pop(),
+        "sections.extension_morphism.target.base_columns[1]: expected a column of 4 scalars",
+    ),
+    "source_base_scalar_not_a_string": (
+        "cartesian_z4_z2.json", ["phi"], lambda d: morphism_end(d, "source")["base_columns"][0].__setitem__(2, 0),
+        'sections.extension_morphism.source.base_columns[0][2]: scalar must be a string like "num/den", got 0',
+    ),
+}
+
+
+# Documents that are not JSON a parser can read: (file content, the start of the message).
+UNDECODABLE = {
+    "not_utf8": (b'{"schema_version": "1", "field": "Q\xff"}', "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+    "integer_too_long": (
+        b'{"schema_version": "1", "sections": {"hopf": {"dim": ' + b"1" * 5000 + b"}}}",
+        "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "nested_too_deep": (b"[" * 100000 + b"]" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+}
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize("case", sorted(PARSER_ERRORS))
+    def test_error_names_its_path(self, tmp_path, case):
+        fixture, command, edit, line = PARSER_ERRORS[case]
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(edited(fixture, edit)))
+        r = invoke([*command, p])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error at {line}\n")
+
+    def test_document_that_is_not_an_object(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[]")
+        r = invoke(["check", "hopf", p])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error at {p}: document must be a JSON object\n")
+
+    def test_unreadable_file(self, tmp_path):
+        # The file exists, as the option type checks, but open() fails on a socket.
+        p = tmp_path / "doc.sock"
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(p))
+            r = invoke(["check", "hopf", p])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error at {p}: [Errno 6] No such device or address: '{p}'\n"
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_document(self, tmp_path, case):
+        content, message = UNDECODABLE[case]
+        p = tmp_path / "doc.json"
+        p.write_bytes(content)
+        r = invoke(["check", "hopf", p])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr.startswith(f"error at {p}: {message}")
+        assert r.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

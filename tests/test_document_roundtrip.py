@@ -31,17 +31,15 @@ def rewritten(field, sections) -> dict:
     """Each section of a document, parsed by the CLI parsers and written back."""
     out = {}
     if "extension_morphism" in sections:
-        out.update(cli.morphism_sections(cli._parse_morphism(sections, field)))
+        out.update(cli.morphism_sections(cli._read_morphism(sections, field)))
     if "hopf" in sections:
         h = cli._parse_hopf(sections["hopf"], field, "sections.hopf")
         out["hopf"] = cli.hopf_doc(h)
     if "comodule_algebra" in sections:
-        c = cli._parse_comodule_algebra(sections["comodule_algebra"], h, field, "sections.comodule_algebra")
+        c = cli._read_comodule_algebra(sections, field)
         out["comodule_algebra"] = cli.comodule_algebra_doc(c)
     if "extension" in sections:
-        e = cli._parse_extension_parts(
-            sections["hopf"], sections["comodule_algebra"], sections["extension"], field, "sections"
-        )
+        e = cli._read_extension(sections, field)
         out["extension"] = cli.extension_sections(e)["extension"]
     if "module" in sections:
         out["module"] = cli.module_doc(cli._parse_module(sections["module"], c, field, "sections.module"))
@@ -89,9 +87,7 @@ def test_regular_fp_document_parses_back_equal(p, build, n):
     e = zoo.regular_extension(build(Group.cyclic(n), field))
     parsed_field, sections = reparsed(cli.document(field, cli.extension_sections(e)))
     assert parsed_field == field
-    back = cli._parse_extension_parts(
-        sections["hopf"], sections["comodule_algebra"], sections["extension"], field, "sections"
-    )
+    back = cli._read_extension(sections, field)
     assert hopf_equal(back.hopf, e.hopf)
     assert extension_equal(back, e)
 
@@ -100,7 +96,7 @@ def test_regular_fp_document_parses_back_equal(p, build, n):
 def test_coarsening_morphism_parses_back_equal(n, d):
     m = zoo.cyclic_group_change(n, d)
     field, sections = reparsed(cli.document(QQ, cli.morphism_sections(m)))
-    back = cli._parse_morphism(sections, field)
+    back = cli._read_morphism(sections, field)
     assert hopf_equal(back.chi.source, m.chi.source) and hopf_equal(back.chi.target, m.chi.target)
     assert back.chi.matrix == m.chi.matrix and back.alpha == m.alpha
     assert extension_equal(back.source, m.source) and extension_equal(back.target, m.target)

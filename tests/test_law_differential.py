@@ -713,9 +713,8 @@ def fixture_extension(name):
     path, end = FIXTURE_EXTENSIONS[name]
     field, sections = cli._load_document(str(path))
     if end is not None:
-        return getattr(cli._parse_morphism(sections, field), end)
-    parts = (sections["hopf"], sections["comodule_algebra"], sections.get("extension"))
-    return cli._parse_extension_parts(*parts, field, "sections")
+        return getattr(cli._read_morphism(sections, field), end)
+    return cli._read_extension(sections, field)
 
 
 @pytest.mark.parametrize("name", FIXTURE_EXTENSIONS)
@@ -1039,7 +1038,7 @@ def ref_intertwiner_space(e):
 
 def fixture_morphism(path):
     field, sections = cli._load_document(str(path))
-    return cli._parse_morphism(sections, field)
+    return cli._read_morphism(sections, field)
 
 
 MORPHISMS = {

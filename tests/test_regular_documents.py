@@ -280,7 +280,7 @@ def oracle(path, command):
     h = cli._parse_hopf(sections["hopf"], field, "sections.hopf")
     if command == "hopf":
         return ref_check_hopf(h)
-    e = cli._parse_extension_parts(sections["hopf"], sections["comodule_algebra"], sections["extension"], field, "sections")
+    e = cli._read_extension(sections, field)
     if command == "comodule-algebra":
         return ref_check_comodule_algebra(e.comodule_algebra)
     if not report_ok(ref_check_comodule_algebra(e.comodule_algebra)):
