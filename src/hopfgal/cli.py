@@ -56,8 +56,7 @@ from .kring import (
     at_base_change_inverse,
     at_table,
     int_det,
-    int_identity,
-    int_mat_mul,
+    int_product_is_identity,
     line_class,
     primary_identity,
     secondary_identity,
@@ -103,8 +102,9 @@ class SchemaError(Exception):
 
 
 def _warn_unknown(obj: dict, known, path: str):
+    """Warn of each key of obj not in known; path "" is the top level, whose keys are named bare."""
     for key in sorted(set(obj) - set(known)):
-        _echo(f"warning: unknown key at {path}.{key}", err=True)
+        _echo(f"warning: unknown key at {path + '.' if path else ''}{key}", err=True)
 
 
 def _get(obj: dict, key: str, path: str, kind, kind_name: str):
@@ -308,7 +308,7 @@ def _load_document(path: str):
         raise SchemaError(path, str(e))
     if not isinstance(doc, dict):
         raise SchemaError(path, "document must be a JSON object")
-    _warn_unknown(doc, {"schema_version", "field", "sections"}, "document")
+    _warn_unknown(doc, {"schema_version", "field", "sections"}, "")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected \"{SCHEMA_VERSION}\", got {version!r}")
@@ -628,7 +628,7 @@ def _run_at_self_check(n: int) -> bool:
     if line_class(n, -1) != secondary_identity(n):
         return False
     m = at_base_change(n)
-    if int_mat_mul(m, at_base_change_inverse(n)) != int_identity(n + 1):
+    if not int_product_is_identity(m, at_base_change_inverse(n)):
         return False
     return int_det(m) == 1
 

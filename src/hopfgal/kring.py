@@ -23,8 +23,10 @@ coefficient c_i has |c_i| < X/2, so every slot of c - e is below X in
 absolute value, and a sum of such slots that is a multiple of X^{n+1} has
 every slot zero. Past that bound the coefficients are compared: the element
 with +X in slot i and -1 in slot i+1, or with +X in slot n, has the residue
-of c without being c. The matrix product packs each row of its right factor
-from the row's first nonzero entry, so leading zeros cost nothing.
+of c without being c. A product by 1 is the other factor, and an element
+packs only up to its highest nonzero slot. The matrix product packs each row
+of its right factor from the row's first nonzero entry, so leading zeros
+cost nothing, and a product is told to be the identity on its packed rows.
 
 Powers are taken in one place, _powers: several exponents share one chain
 of squarings, each square is computed once, and no power begins with a
@@ -191,15 +193,17 @@ class TruncatedPoly:
 
     Elements are immutable. A product stays packed until its coefficients
     are read, and equality with it compares residues where the module
-    docstring's bound allows; an element packs itself at most once per width.
+    docstring's bound allows; an element packs itself at most once per width,
+    up to its highest nonzero slot. A product by 1 is the other factor, told
+    from a product's residue or an element's first slot and length.
     """
 
-    __slots__ = ("n", "_coeffs", "_top", "_width", "_residues")
+    __slots__ = ("n", "_coeffs", "_top", "_end", "_width", "_residues")
 
     def __init__(self, n: int, coeffs: tuple):
         self.n = n
         self._coeffs = coeffs
-        self._top = None
+        self._top = self._end = None
         self._width = None  # the slot width of a packed product
         self._residues = {}  # width -> residue mod X^{n+1}
 
@@ -222,11 +226,23 @@ class TruncatedPoly:
             self._top = max(map(abs, self.coeffs), default=0)
         return self._top
 
+    def _length(self) -> int:
+        """One past the highest nonzero slot, 0 for zero: one pass in C."""
+        if self._end is None:
+            self._end = bytes(map(bool, self.coeffs)).rfind(1) + 1
+        return self._end
+
+    def _is_one(self) -> bool:
+        # every slot of a product is below X/2, so only the product 1 has residue 1
+        if self._coeffs is None:
+            return self._residues[self._width] == 1
+        return self._coeffs[0] == 1 and self._length() == 1
+
     def _residue(self, width: int) -> int:
-        """This element packed at width, mod X^{n+1}; computed once per width."""
+        """This element packed at width, mod X^{n+1}, up to its highest nonzero slot; once per width."""
         residue = self._residues.get(width)
         if residue is None:
-            residue = _pack(self.coeffs, width) & _slots_mask(self.n + 1, width)
+            residue = _pack(self.coeffs[: self._length()], width) & _slots_mask(self.n + 1, width)
             self._residues[width] = residue
         return residue
 
@@ -266,8 +282,6 @@ class TruncatedPoly:
 
     @staticmethod
     def x(n: int) -> "TruncatedPoly":
-        if n < 1:
-            return TruncatedPoly.zero(n)
         return TruncatedPoly.from_coeffs(n, [0, 1])
 
     def _match(self, other: "TruncatedPoly"):
@@ -286,6 +300,10 @@ class TruncatedPoly:
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._match(other)
+        if self._is_one():
+            return other
+        if other._is_one():
+            return self
         top_a, top_b = self._largest(), other._largest()
         # every product coefficient is a sum of at most n+1 terms a_i b_j
         width = _slot_bytes(max((self.n + 1) * top_a * top_b, top_a, top_b))
@@ -372,15 +390,16 @@ def int_identity(m: int):
     return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
 
-def int_mat_mul(a, b):
-    """Product of integer matrices given as sequences of rows.
+def _product_rows(a, b):
+    """The rows of the integer matrix product a b, packed: (cols, width, rows).
 
     Each row of b is packed once, from its first nonzero slot on, so row i of
     the product is the packed sum of a[i][k] times row k of b: rows * inner
     big-integer products in place of rows * inner * cols scalar ones, none
     of them over a row's leading zeros. The sum runs by Horner's rule over
     the rows' offsets, from the highest down, shifting the partial sum up to
-    each next offset.
+    each next offset. rows yields, row by row, (low, acc): acc packs the
+    row's entries from column low on at width, and low is cols for a zero row.
     """
     inner = len(b)
     cols = len(b[0]) if b else 0
@@ -400,16 +419,37 @@ def int_mat_mul(a, b):
         if offset < cols:
             tails.append((offset, k, _pack(row[offset:], width)))
     tails.sort(reverse=True)
-    out = []
-    for row in a:
-        acc, low = 0, cols
-        for offset, k, packed in tails:
-            v = row[k]
-            if v:
-                acc = (acc << shift * (low - offset)) + v * packed
-                low = offset
-        out.append([0] * cols if low == cols else [0] * low + _unpack(acc, cols - low, width))
-    return out
+
+    def rows():
+        for row in a:
+            acc, low = 0, cols
+            for offset, k, packed in tails:
+                v = row[k]
+                if v:
+                    acc = (acc << shift * (low - offset)) + v * packed
+                    low = offset
+            yield low, acc
+
+    return cols, width, rows()
+
+
+def int_mat_mul(a, b):
+    """Product of integer matrices given as sequences of rows, from _product_rows."""
+    cols, width, rows = _product_rows(a, b)
+    return [[0] * cols if low == cols else [0] * low + _unpack(acc, cols - low, width) for low, acc in rows]
+
+
+def int_product_is_identity(a, b) -> bool:
+    """Is a b the identity matrix? Decided on the packed rows, to the first that differs.
+
+    Every entry is below X/2 in absolute value, so row i, packed from column
+    low on, is the identity's exactly when low <= i and it is X^(i - low).
+    A zero diagonal entry (low > i) fails, and no row is unpacked.
+    """
+    cols, width, rows = _product_rows(a, b)
+    if len(a) != cols:
+        return False
+    return all(low <= i and acc == 1 << 8 * width * (i - low) for i, (low, acc) in enumerate(rows))
 
 
 def int_mat_vec(a, v):
@@ -710,9 +750,8 @@ def augmentation_surjective(n: int, generators=None) -> AugmentationCertificate:
     if len(columns) == n + 1:
         det = int_det([[columns[k][j] for k in range(n + 1)] for j in range(n + 1)])
     matrix = tuple(tuple(c) for c in columns)
-    if spans:
-        return AugmentationCertificate(True, matrix, det, note + "; the images span the lattice")
-    return AugmentationCertificate(False, matrix, det, note + "; the images span a proper sublattice")
+    note += "; the images span the lattice" if spans else "; the images span a proper sublattice"
+    return AugmentationCertificate(spans, matrix, det, note)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,9 +1174,7 @@ def compose_augmented(
 
 
 def augmented_morphism_equal(a: AugmentedRingMorphism, b: AugmentedRingMorphism) -> bool:
-    if not ring_morphism_equal(a.ring_map, b.ring_map):
-        return False
-    if a.module_map[0] != b.module_map[0]:
+    if not ring_morphism_equal(a.ring_map, b.ring_map) or a.module_map[0] != b.module_map[0]:
         return False
     if a.module_map[0] == "onevector":
         return _module_eq(a.target, a.module_map[1], b.module_map[1])
@@ -1145,31 +1182,18 @@ def augmented_morphism_equal(a: AugmentedRingMorphism, b: AugmentedRingMorphism)
 
 
 def check_augmented_morphism(m: AugmentedRingMorphism) -> list[AxiomCheck]:
-    out = []
-    image = m.apply_module(m.source.one)
-    ok = _module_eq(m.target, image, m.target.one)
-    out.append(
-        AxiomCheck(
-            "one_preserved",
-            ok,
-            None if ok else "the distinguished element is not sent to the distinguished element",
-        )
-    )
+    ok = _module_eq(m.target, m.apply_module(m.source.one), m.target.one)
+    witness = None if ok else "the distinguished element is not sent to the distinguished element"
+    out = [AxiomCheck("one_preserved", ok, witness)]
+    witness = None
     if m.module_map[0] == "matrix":
         rows = m.module_map[1]
-        gens = m.source.ring.generators()
-        ok = True
-        witness = None
-        for label, g in gens:
+        for label, g in m.source.ring.generators():
             left = int_mat_mul(rows, _action_matrix(m.source, g))
-            right = int_mat_mul(_action_matrix(m.target, m.ring_map.apply(g)), rows)
-            if left != right:
-                ok = False
+            if left != int_mat_mul(_action_matrix(m.target, m.ring_map.apply(g)), rows):
                 witness = f"module map fails to intertwine the action of {label}"
                 break
-        out.append(AxiomCheck("module_map_linear", ok, witness))
-    else:
-        out.append(AxiomCheck("module_map_linear", True, None))
+    out.append(AxiomCheck("module_map_linear", witness is None, witness))
     return out
 
 
@@ -1181,19 +1205,16 @@ def _action_matrix(aug: AugmentedRing, r):
 def check_coreflection(aug: AugmentedRing) -> list[AxiomCheck]:
     """The embedding/coreflector adjunction triangles on this instance."""
     ring = aug.ring
-    out = []
-    out.append(
-        AxiomCheck("coreflector_recovers_ring", ring_equal(coreflect(augment(ring)), ring), None)
-    )
     embedded = augment(ring)
-    lifted_unit = lift_ring_morphism(RingMorphism.identity(ring))
-    left = compose_augmented(counit_morphism(embedded), lifted_unit)
+    left = compose_augmented(counit_morphism(embedded), lift_ring_morphism(RingMorphism.identity(ring)))
     ok = augmented_morphism_equal(left, AugmentedRingMorphism.identity(embedded))
-    out.append(AxiomCheck("embedding_triangle", ok, None if ok else "counit after lifted unit is not the identity"))
     ring_side = compose_ring_maps(counit_morphism(aug).ring_map, RingMorphism.identity(ring))
-    ok = ring_morphism_equal(ring_side, RingMorphism.identity(ring))
-    out.append(AxiomCheck("coreflector_triangle", ok, None if ok else "coreflected counit is not the identity"))
-    return out
+    ring_ok = ring_morphism_equal(ring_side, RingMorphism.identity(ring))
+    return [
+        AxiomCheck("coreflector_recovers_ring", ring_equal(coreflect(embedded), ring), None),
+        AxiomCheck("embedding_triangle", ok, None if ok else "counit after lifted unit is not the identity"),
+        AxiomCheck("coreflector_triangle", ring_ok, None if ring_ok else "coreflected counit is not the identity"),
+    ]
 
 
 # ---------------------------------------------------------------------------

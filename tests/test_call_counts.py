@@ -123,19 +123,25 @@ def kring_calls(monkeypatch, rebind):
 
 # at: the packings and unpackings of one command. An element packs itself
 # at most once per slot width, and a pair check compares the residue of a
-# packed product with that of a known element, so no pair check unpacks.
-# Over 0..128 --self-check packs 730 times in its pair and step checks, once
-# for each of the 129 rows of the base-change matrix and 6 times in the chain
-# of [L_129] (its early squares share a width): 730 + 129 + 6 = 865, and 868
-# when [L_129] and [L_-1] began with a product by one. It unpacks what the
-# 4 Taylor shifts, the 129 rows of the base-change product, the 8 products
-# of [L_129] and the closed route to 1/(1+x) return: 4 + 129 + 8 + 1 = 142
-# (269 with a shift per row, 270 with products by one as well). A range of
-# 8 indices packs 5 times in its chain and 30 in its checks: 35 (42 with
-# two chains); it unpacks its 2 shifts and the 6 squares of its chain: 8
-# (14 with a shift per row, 21 with two chains as well).
+# packed product with that of a known element, so no pair check unpacks. A
+# product by 1 is the other factor and packs nothing: over 0..128 the 132
+# pairs with the factor (1+x)^0 = 1 ((k, 0) for every k, and (0, 0), (0, 1),
+# (0, 128) once more) and the first step, 1 * (1+x), compare coefficient
+# tuples. The other 383 pairs pack 555 times: 552, and 3 packs the products
+# by 1 made before (178 in all) and left for later pairs to reuse. Then the
+# identity check packs each of the 129 rows of the base-change matrix, and
+# the chain of [L_129] packs 6 times (its early squares share a width):
+# 555 + 129 + 6 = 690, and 865 when products by 1 were packed (868 when
+# [L_129] and [L_-1] began with one). It unpacks what the 4 Taylor shifts,
+# the 8 products of [L_129] and the closed route to 1/(1+x) return: 4 + 8 +
+# 1 = 13. The identity check compares each packed row of B B^-1 with the
+# packed row of the identity and unpacks none (142 when it unpacked its 129
+# rows, 269 with a shift per row as well, 270 with products by one as well).
+# A range of 8 indices packs 5 times in its chain and 30 in its checks: 35
+# (42 with two chains); it unpacks its 2 shifts and the 6 squares of its
+# chain: 8 (14 with a shift per row, 21 with two chains as well).
 AT_PACKING = {
-    "at --n 128 --self-check": {"packs": 865, "unpacks": 142},
+    "at --n 128 --self-check": {"packs": 690, "unpacks": 13},
     "at --n 64 --k-range 32..39": {"packs": 35, "unpacks": 8},
 }
 

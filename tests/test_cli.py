@@ -198,6 +198,16 @@ class TestAt:
         assert r.exit_code == 0
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_int_option_values_match_their_string_form(self, monkeypatch, fmt):
+        # main called with ints, as a Python caller may: click hands them to
+        # _Integer.convert as they are, so parse_int never sees them
+        as_strings = invoke(["at", "--n", "5", "--k", "-2", "--format", fmt])
+        monkeypatch.setattr(cli, "parse_int", lambda value: pytest.fail(f"parse_int({value!r})"))
+        r = CliRunner().invoke(main, ["at", "--n", 5, "--k", -2, "--format", fmt])
+        assert (r.exit_code, r.stdout, r.stderr) == (0, as_strings.stdout, "")
+        assert as_strings.exit_code == 0
+
     def test_rejects_negative_degree(self):
         assert invoke(["at", "--n", "-1"]).exit_code == 2
 
@@ -737,6 +747,18 @@ class TestSchemaErrors:
         noisy = invoke(["check", "hopf", str(p), "--format", "json"])
         assert noisy.exit_code == 0
         assert noisy.stderr.count("warning: unknown key at sections.hopf.color") == 1
+        assert noisy.stdout == clean.stdout
+
+    def test_unknown_top_level_key_is_named_bare(self, tmp_path):
+        # as in every error about a top-level key (error at field, error at schema_version)
+        doc = json.load(open(fx("hopf_sweedler.json")))
+        doc["color"] = "blue"
+        p = tmp_path / "extra.json"
+        p.write_text(json.dumps(doc))
+        clean = invoke(["check", "hopf", fx("hopf_sweedler.json")])
+        noisy = invoke(["check", "hopf", str(p)])
+        assert noisy.exit_code == 0
+        assert noisy.stderr.splitlines() == ["warning: unknown key at color"]
         assert noisy.stdout == clean.stdout
 
     def test_max_dim_cap(self):

@@ -21,6 +21,7 @@ from hopfgal.kring import (
     TruncatedPoly,
     TruncatedRing,
     _inverse_by_binomials,
+    _pack,
     _powers,
     _taylor_shift,
     at_augmented_ring,
@@ -42,6 +43,7 @@ from hopfgal.kring import (
     int_identity,
     int_mat_mul,
     int_mat_vec,
+    int_product_is_identity,
     integers_ring,
     inv_one_plus_x,
     k_functor,
@@ -508,6 +510,51 @@ def mat_pairs(draw):
     return a, b
 
 
+def planted_base_change(n: int, left: bool, i: int, j: int):
+    """B and B^-1 with 1 added to entry (i, j) of B (left) or of B^-1."""
+    a, b = at_base_change(n), at_base_change_inverse(n)
+    (a if left else b)[i][j] += 1
+    return a, b
+
+
+@st.composite
+def identity_candidates(draw):
+    """Square (a, b), for many of them a b = I.
+
+    "inverse": a unimodular a, made by row additions from I, and b = a^-1
+    from the inverse column additions, entries up to the size of big_ints.
+    "base_change": B and B^-1, or B^-1 and B, perhaps with +1 planted in one
+    factor's first row, last row or diagonal. "random": rows of small or
+    big entries, some rows zero or repeated, so rank deficient.
+    """
+    kind = draw(st.sampled_from(["inverse", "base_change", "random"]))
+    if kind == "base_change":
+        n = draw(st.integers(min_value=0, max_value=8))
+        plant = draw(st.sampled_from([None, "first_row", "last_row", "diagonal"]))
+        if not plant:
+            return draw(st.permutations([at_base_change(n), at_base_change_inverse(n)]))
+        j = draw(st.integers(min_value=0, max_value=n))
+        return planted_base_change(n, draw(st.booleans()), {"first_row": 0, "last_row": n, "diagonal": j}[plant], j)
+    m = draw(st.integers(min_value=0, max_value=6))
+    if kind == "inverse":
+        a, b = int_identity(m), int_identity(m)
+        for _ in range(draw(st.integers(min_value=0, max_value=8)) if m > 1 else 0):
+            i, j = draw(st.permutations(range(m)))[:2]
+            c = draw(st.one_of(st.integers(-3, 3), big_ints))
+            # a -> (I + c e_ij) a and b -> b (I - c e_ij): column j of b less c times column i
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in b:
+                row[j] -= c * row[i]
+        return a, b
+    entry = st.one_of(st.integers(-2, 2), big_ints)
+    a, b = ([draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(m)] for _ in range(2))
+    for rows in (a, b):
+        if m and draw(st.booleans()):
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            rows[i] = [0] * m if draw(st.booleans()) else list(rows[j])
+    return a, b
+
+
 class TestPackedKernels:
     @settings(max_examples=300, deadline=None)
     @given(product_pairs())
@@ -547,6 +594,28 @@ class TestPackedKernels:
         a, b = pair
         assert int_mat_mul(a, b) == schoolbook_mat_mul(a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(identity_candidates())
+    @example(([], []))
+    @example(([[1]], [[1]]))
+    @example(([[0]], [[5]]))
+    @example(([[0, 1], [1, 0]], [[1, 0], [0, 1]]))  # row 0 starts past the diagonal
+    @example(([[0, 1], [1, 0]], [[0, 1], [1, 0]]))  # a permutation and its inverse
+    @example(([[1, 0], [0, 0]], [[1, 0], [0, 1]]))  # a zero row
+    @example(([[1, 0], [0, 1]], [[1, 0], [1, 1]]))  # the diagonal right, an entry below it not
+    @example(([[1, 0], [0, 2]], [[1, 0], [0, 1]]))  # 2 on the diagonal
+    @example(([[1, 0], [0, -1]], [[1, 0], [0, 1]]))  # -1 packs as X - 1 - X
+    @example(([[2, 3], [1, 2]], [[2, -3], [-1, 2]]))
+    @example((at_base_change(4), at_base_change_inverse(4)))
+    @example(planted_base_change(33, True, 0, 17))  # +1 in the first row
+    @example(planted_base_change(33, False, 33, 0))  # in the last row
+    @example(planted_base_change(33, False, 6, 6))  # on the diagonal
+    @example(([[1, 0]], [[1, 0], [0, 1]]))  # not square: the rows start like the identity's
+    @example(([[1], [0]], [[1, 0]]))
+    def test_identity_check_matches_the_unpacked_product(self, pair):
+        a, b = pair
+        assert int_product_is_identity(a, b) == (int_mat_mul(a, b) == int_identity(len(a)))
+
     def test_mat_mul_rejects_ragged_rows(self):
         with pytest.raises(InputError, match="different lengths"):
             int_mat_mul([[1, 2]], [[1, 2], [3]])
@@ -570,6 +639,12 @@ class TestPackedKernels:
 # only the bound keeps them from comparing equal.
 
 
+def product_width(a, b) -> int:
+    """The slot width of a b: whole bytes, sign bit included, for (n+1) max|a_i| max|b_j| and each factor."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    return max(len(a) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
+
+
 def residue_of(coeffs, width: int) -> int:
     """sum c_i X^i mod X^{n+1}, summed term by term."""
     shift = 8 * width
@@ -583,7 +658,7 @@ def perturbed_products(draw):
     n = len(a) - 1
     kinds = ["one", "top"] + (["carry"] if n else [])
     kind = draw(st.sampled_from(kinds))
-    x = 1 << (8 * (TruncatedPoly(n, a) * TruncatedPoly(n, b))._width)
+    x = 1 << (8 * product_width(a, b))
     e = list(schoolbook_product(a, b))
     i = draw(st.integers(min_value=0, max_value=n))
     if kind == "one":
@@ -614,6 +689,8 @@ class TestResidueEquality:
     @example(((1, 2), (3, 4), "carry", (3 + 256, 9)))  # 3 + 10x at width 1
     @example(((1, 2), (3, 4), "top", (3, 10 + 256)))
     @example(((-1, -2), (3, 4), "carry", (-3 + 256, -11)))
+    @example(((1, 0), (3, 4), "carry", (3 + 256, 3)))  # a product by 1, at the width of the rule
+    @example(((3, 4), (1, 0), "top", (3, 4 + 256)))
     def test_product_differs_from_a_perturbed_element(self, case):
         a, b, kind, e = case
         n = len(a) - 1
@@ -623,7 +700,8 @@ class TestResidueEquality:
         assert not product() == TruncatedPoly(n, e)
         p = product()
         if kind != "one":
-            assert residue_of(e, p._width) == p._residue(p._width)
+            width = product_width(a, b)
+            assert residue_of(e, width) == p._residue(width)
         assert p.coeffs == schoolbook_product(a, b)
         assert p != TruncatedPoly(n, e)
 
@@ -633,17 +711,21 @@ class TestResidueEquality:
     @example(((8,), (8,), 0, -1, 0))
     @example(((8,), (8,), 0, 1, 1))
     @example(((7,), (9,), 0, 1, 1))  # 63 = 2^(8 - 2) - 1 is the product
+    @example(((1,), (64,), 0, 1, 0))  # a product by 1: 64 is compared as a coefficient
+    @example(((1, 0), (2, 5), 1, -1, 1))
     def test_residues_are_compared_only_below_the_bound(self, case):
         a, b, i, sign, below = case
         n = len(a) - 1
-        width = (TruncatedPoly(n, a) * TruncatedPoly(n, b))._width
+        width = product_width(a, b)
         coeffs = list(schoolbook_product(a, b))
         coeffs[i] = sign * ((1 << (8 * width - 2)) - below)
+        # a product by 1 is the other factor, unpacked, so its equality compares coefficients
+        by_one = (1,) + (0,) * n in (a, b)
         for flip in (False, True):
             p, e = TruncatedPoly(n, a) * TruncatedPoly(n, b), TruncatedPoly(n, tuple(coeffs))
             assert ((e == p) if flip else (p == e)) == (tuple(coeffs) == schoolbook_product(a, b))
             # the element packs itself only when every coefficient is below the bound
-            assert (width in e._residues) == (max(map(abs, coeffs)) < 1 << (8 * width - 2))
+            assert (width in e._residues) == (not by_one and max(map(abs, coeffs)) < 1 << (8 * width - 2))
 
     @settings(max_examples=200, deadline=None)
     @given(product_pairs())
@@ -658,7 +740,7 @@ class TestResidueEquality:
             TruncatedPoly(n, schoolbook_product(a, b)),
             pa * pb,  # packed, not yet read
             pb * pa,
-            product * TruncatedPoly.one(n),  # packed again, at the width of a product by 1
+            product * TruncatedPoly.one(n),  # a product by 1: product itself
             TruncatedPoly(n, product.coeffs),
         ]
         for p in forms:
@@ -666,6 +748,63 @@ class TestResidueEquality:
                 assert p == q
                 assert hash(p) == hash(q)
         assert repr(forms[1]) == repr(forms[0]) == f"TruncatedPoly(n={n}, coeffs={schoolbook_product(a, b)})"
+
+    @settings(max_examples=100, deadline=None)
+    @given(truncated_polys(max_n=12), st.booleans())
+    @example(TruncatedPoly(0, (1,)), False)  # 1 times 1
+    @example(TruncatedPoly(3, (1, 0, 0, 0)), True)  # a product by 1 is not packed
+    @example(TruncatedPoly(3, (0, 0, 0, 0)), True)
+    @example(TruncatedPoly(3, (1, 0, 0, 5)), True)
+    def test_a_product_by_one_is_the_other_factor(self, p, packed):
+        n = p.n
+        a = p * TruncatedPoly.from_coeffs(n, [2]) if packed else p
+        expect = tuple(2 * c for c in p.coeffs) if packed else p.coeffs
+        p_is_one = p.coeffs == TruncatedPoly.one(n).coeffs
+        was_packed = a._coeffs is None
+        assert was_packed == (packed and not p_is_one)
+        # 1 as a unit, from its coefficients, and as a packed product (1+x)(1+x)^-1
+        ones = [TruncatedPoly.one(n), TruncatedPoly.from_coeffs(n, [1])]
+        ones.append(TruncatedPoly.from_coeffs(n, [1, 1]) * inv_one_plus_x(n))
+        assert (ones[2]._coeffs is None) == (n > 0)
+        for one in ones:
+            # when a is 1 as well, either factor may come back
+            assert a * one is a or (p_is_one and not packed and a * one is one)
+            assert one * a is a or (p_is_one and not packed and one * a is one)
+        # told from a's residue, without reading a's coefficients
+        assert (a._coeffs is None) == was_packed
+        assert a * ones[0] == TruncatedPoly(n, expect) == ones[2] * a
+        assert hash(a * ones[2]) == hash(TruncatedPoly(n, expect))
+
+    @pytest.mark.parametrize("c", [-1, 0, 2, 3, 257, 1 - (1 << 16)])
+    def test_only_one_is_taken_for_one(self, c):
+        # c as a packed product c(1+x) (1+x)^-1 and from its coefficients, and
+        # elements that start like 1: each product is computed
+        n = 4
+        a = TruncatedPoly(n, (1, 2, 0, -3, 0))
+        units = [TruncatedPoly.from_coeffs(n, [c, c]) * inv_one_plus_x(n), TruncatedPoly.from_coeffs(n, [c])]
+        assert units[0]._coeffs is None
+        for u in units:
+            assert (a * u).coeffs == (u * a).coeffs == tuple(c * x for x in a.coeffs)
+        for lookalike in [(1, 0, 0, 0, 5), (1, -1, 0, 0, 0), (1, 0, 0, 0, 1 << 40)]:
+            u = TruncatedPoly(n, lookalike)
+            assert (a * u).coeffs == (u * a).coeffs == schoolbook_product(a.coeffs, lookalike)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-300, 300), big_ints), max_size=12), st.integers(0, 12), st.integers(0, 2))
+    @example([], 4, 0)  # the zero element
+    @example([], 0, 0)
+    @example([-1], 0, 0)
+    @example([0, -128], 3, 0)  # -128 needs a second byte
+    @example([5, 0, -7], 2, 1)
+    def test_residue_packs_only_the_nonzero_prefix(self, head, zeros, extra):
+        coeffs = tuple(head) + (0,) * zeros or (0,)
+        n = len(coeffs) - 1
+        # the narrowest width that holds every coefficient, or wider
+        width = max(map(abs, coeffs)).bit_length() // 8 + 1 + extra
+        p = TruncatedPoly(n, coeffs)
+        full = _pack(coeffs, width) & ((1 << (8 * width * (n + 1))) - 1)
+        assert p._residue(width) == full == residue_of(coeffs, width)
+        assert p._length() == max((i + 1 for i, c in enumerate(coeffs) if c), default=0)
 
 
 # ---------------------------------------------------------------------------
