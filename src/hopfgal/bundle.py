@@ -55,6 +55,8 @@ from .comodule import (
     BalancedTensor,
     Extension,
     RelativeHopfModule,
+    coaction_datum,
+    coinvariant_space,
     invertible_in_span,
 )
 from .extension import cotensor_space, extension_equal
@@ -66,20 +68,7 @@ class LeftComodule:
     def __init__(self, hopf, dim: int, coaction: Mat | None = None, degrees=None, names=None):
         self.hopf = hopf
         self.dim = dim
-        if isinstance(hopf, GradedHopfShortcut):
-            if coaction is not None or degrees is None:
-                raise InputError("graded left comodule takes degrees, not a coaction matrix")
-            if len(degrees) != dim:
-                raise InputError("one degree per basis vector required")
-            self.degrees = [hopf.grading_group.normalize(d) for d in degrees]
-            self.coaction = None
-        else:
-            if degrees is not None or coaction is None:
-                raise InputError("matrix left comodule takes a coaction, not degrees")
-            if (coaction.rows, coaction.cols) != (hopf.dim * dim, dim):
-                raise InputError(f"coaction must be {hopf.dim * dim}x{dim}")
-            self.coaction = coaction
-            self.degrees = None
+        self.coaction, self.degrees = coaction_datum("left comodule", hopf, dim, coaction, degrees)
         self.names = list(names) if names is not None else [f"v{i}" for i in range(dim)]
 
     @property
@@ -126,18 +115,26 @@ def grouplike_character(h: HopfData, g: Mat) -> LeftComodule:
     return LeftComodule(h, 1, coaction=g)
 
 
-def comodule_tensor(v: LeftComodule, w: LeftComodule) -> LeftComodule:
-    """V (x) W with coaction v_(-1) w_(-1) (x) (v_(0) (x) w_(0))."""
+def _over_one_hopf(v: LeftComodule, w: LeftComodule) -> tuple[LeftComodule, LeftComodule]:
+    """v and w over one Hopf algebra: both graded by one group, or else both as matrices."""
     if v.is_graded and w.is_graded:
         if v.hopf != w.hopf:
             raise InputError("graded comodules over different grading groups")
-        gg = v.hopf.grading_group
-        degrees = [gg.add(a, b) for a in v.degrees for b in w.degrees]
-        return LeftComodule(v.hopf, v.dim * w.dim, degrees=degrees)
+        return v, w
     fld = v.hopf.field if not v.is_graded else w.hopf.field
     v, w = v.materialize(fld), w.materialize(fld)
     if not hopf_equal(v.hopf, w.hopf):
         raise InputError("comodules over different Hopf algebras")
+    return v, w
+
+
+def comodule_tensor(v: LeftComodule, w: LeftComodule) -> LeftComodule:
+    """V (x) W with coaction v_(-1) w_(-1) (x) (v_(0) (x) w_(0))."""
+    v, w = _over_one_hopf(v, w)
+    if v.is_graded:
+        gg = v.hopf.grading_group
+        degrees = [gg.add(a, b) for a in v.degrees for b in w.degrees]
+        return LeftComodule(v.hopf, v.dim * w.dim, degrees=degrees)
     h = v.hopf
     dv, dw = v.dim, w.dim
     # (h (x) v, h' (x) w) |-> h h' (x) v (x) w
@@ -148,14 +145,9 @@ def comodule_tensor(v: LeftComodule, w: LeftComodule) -> LeftComodule:
 
 
 def comodule_direct_sum(v: LeftComodule, w: LeftComodule) -> LeftComodule:
-    if v.is_graded and w.is_graded:
-        if v.hopf != w.hopf:
-            raise InputError("graded comodules over different grading groups")
+    v, w = _over_one_hopf(v, w)
+    if v.is_graded:
         return LeftComodule(v.hopf, v.dim + w.dim, degrees=v.degrees + w.degrees)
-    fld = v.hopf.field if not v.is_graded else w.hopf.field
-    v, w = v.materialize(fld), w.materialize(fld)
-    if not hopf_equal(v.hopf, w.hopf):
-        raise InputError("comodules over different Hopf algebras")
     h = v.hopf
     field = h.field
     # the inclusions of V and W into V (+) W, applied to the comodule leg
@@ -240,8 +232,7 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
     space = cotensor_space(c.coaction, v.coaction)
     self_module = RelativeHopfModule(c, da, a.mult, c.coaction, names=a.basis_names)
     twisted = triangle_action(self_module, v)
-    coinv = kernel(twisted.coaction - Mat.identity(field, twisted.dim).kron(h.unit))
-    if space != coinv:
+    if space != coinvariant_space(twisted.coaction, h):
         raise InvariantViolation(
             "cotensor and coinvariant computations of the bundle disagree"
         )
@@ -336,9 +327,8 @@ def _poly_roots(coeffs, field) -> list:
         denom = 1
         for c in coeffs:
             denom = denom * Fraction(c).denominator // math.gcd(denom, Fraction(c).denominator)
+        # coeffs come from _min_poly, which is monic: the leading coefficient is nonzero.
         ints = [int(Fraction(c) * denom) for c in coeffs]
-        while ints and ints[-1] == 0:
-            ints.pop()
         lead = abs(ints[-1])
         const = abs(ints[0]) if ints[0] else abs(next((c for c in ints if c), 1))
         within_budget(math.isqrt(const) + math.isqrt(lead), "trial divisions")
@@ -368,9 +358,8 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
             if s.dim == 1:
                 refined.append(s)
                 continue
+            # B is commutative, so op keeps each joint eigenspace of the earlier operators.
             t = solve(s.mat, op.mul(s.mat))
-            if t is None:
-                return None
             roots = _poly_roots(_min_poly(t), field)
             pieces = []
             for r in roots:
@@ -381,8 +370,7 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
                 return None
             refined.extend(pieces)
         subspaces = refined
-    if any(s.dim != 1 for s in subspaces):
-        return None
+    # Every operator split, so B is k^n and each joint eigenspace is a line.
     chars = []
     for s in subspaces:
         w = s.mat.col_vector(0)

@@ -64,6 +64,26 @@ class Verdict:
         return f"Verdict({tag}; {'; '.join(self.reasons)})"
 
 
+def coaction_datum(kind: str, hopf, dim: int, coaction: Mat | None, degrees) -> tuple:
+    """(coaction, degrees) of a comodule of dimension dim, checked; one of them is None.
+
+    Over a GradedHopfShortcut the datum is one degree per basis vector; over
+    a HopfData it is a coaction matrix of dim * dim H rows and dim columns.
+    kind names the structure in the errors.
+    """
+    if isinstance(hopf, GradedHopfShortcut):
+        if coaction is not None or degrees is None:
+            raise InputError(f"graded {kind} takes degrees, not a coaction matrix")
+        if len(degrees) != dim:
+            raise InputError("one degree per basis vector required")
+        return None, [hopf.grading_group.normalize(d) for d in degrees]
+    if degrees is not None or coaction is None:
+        raise InputError(f"matrix {kind} takes a coaction, not degrees")
+    if (coaction.rows, coaction.cols) != (dim * hopf.dim, dim):
+        raise InputError(f"coaction must be {dim * hopf.dim}x{dim}")
+    return coaction, None
+
+
 class ComoduleAlgebra:
     """An algebra with a right coaction of a Hopf algebra.
 
@@ -75,23 +95,9 @@ class ComoduleAlgebra:
     def __init__(self, algebra: AlgebraData, hopf, coaction=None, degrees=None):
         self.algebra = algebra
         self.hopf = hopf
-        if isinstance(hopf, GradedHopfShortcut):
-            if coaction is not None or degrees is None:
-                raise InputError("graded comodule algebra takes degrees, not a coaction matrix")
-            if len(degrees) != algebra.dim:
-                raise InputError("one degree per basis vector required")
-            self.degrees = [hopf.grading_group.normalize(d) for d in degrees]
-            self.coaction = None
-        else:
-            if degrees is not None or coaction is None:
-                raise InputError("matrix comodule algebra takes a coaction, not degrees")
-            da, dh = algebra.dim, hopf.dim
-            if (coaction.rows, coaction.cols) != (da * dh, da):
-                raise InputError(f"coaction must be {da * dh}x{da}")
-            if hopf.field != algebra.field:
-                raise InputError("algebra and Hopf algebra over different fields")
-            self.coaction = coaction
-            self.degrees = None
+        self.coaction, self.degrees = coaction_datum("comodule algebra", hopf, algebra.dim, coaction, degrees)
+        if coaction is not None and hopf.field != algebra.field:
+            raise InputError("algebra and Hopf algebra over different fields")
 
     @property
     def field(self) -> Field:
@@ -176,7 +182,12 @@ def coinvariants(c: ComoduleAlgebra) -> Subspace:
         return Subspace.from_spanning_columns(
             Mat.from_entries(field, da, len(picked), {(i, k): 1 for k, i in enumerate(picked)})
         )
-    return kernel(c.coaction - Mat.identity(field, da).kron(c.hopf.unit))
+    return coinvariant_space(c.coaction, c.hopf)
+
+
+def coinvariant_space(coaction: Mat, hopf) -> Subspace:
+    """{m : rho(m) = m (x) 1}, the kernel of rho - id (x) 1 for a right coaction rho: M -> M (x) H."""
+    return kernel(coaction - Mat.identity(coaction.field, coaction.cols).kron(hopf.unit))
 
 
 def _products(a: AlgebraData, cols: Mat) -> Mat:
@@ -351,24 +362,16 @@ def is_hopf_galois(e: Extension) -> Verdict:
     if bad:
         return Verdict(False, tuple(c.witness or c.name for c in bad))
     coinv = e.coinvariants
-    reasons = []
-    if coinv != e.invariant_subalgebra:
-        reasons.append(
-            f"coinvariants have dimension {coinv.dim}, declared base has dimension {e.base_dim}"
-            if coinv.dim != e.base_dim
-            else "coinvariants differ from the declared base"
-        )
-        return Verdict(False, tuple(reasons))
-    reasons.append(f"coinvariants match the declared base (dimension {coinv.dim})")
-    can, bt = canonical_map(e)
+    # base_in_coinvariants has passed, so a base of the same dimension is the coinvariants.
+    if coinv.dim != e.base_dim:
+        reason = f"coinvariants have dimension {coinv.dim}, declared base has dimension {e.base_dim}"
+        return Verdict(False, (reason,))
+    can, _ = canonical_map(e)
     rank = can.rank()
-    if can.rows == can.cols == rank:
-        reasons.append(f"canonical map is bijective ({can.rows}x{can.cols}, rank {rank})")
-        return Verdict(True, tuple(reasons))
-    reasons.append(
-        f"canonical map is not bijective ({can.rows}x{can.cols}, rank {rank})"
-    )
-    return Verdict(False, tuple(reasons))
+    bijective = can.rows == can.cols == rank
+    word = "is" if bijective else "is not"
+    match = f"coinvariants match the declared base (dimension {coinv.dim})"
+    return Verdict(bijective, (match, f"canonical map {word} bijective ({can.rows}x{can.cols}, rank {rank})"))
 
 
 def _intertwiner_space(e: Extension) -> list[Mat]:

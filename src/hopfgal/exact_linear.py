@@ -922,14 +922,10 @@ def is_bijective(m: Mat) -> bool:
 
 
 def inverse(m: Mat) -> Mat | None:
+    """m^-1, or None when m is not square or not invertible; solve is exact, so m x = I."""
     if m.rows != m.cols:
         return None
-    x = solve(m, Mat.identity(m.field, m.rows))
-    if x is None:
-        return None
-    if m.mul(x) != Mat.identity(m.field, m.rows):
-        return None
-    return x
+    return solve(m, Mat.identity(m.field, m.rows))
 
 
 def quotient(ambient_dim: int, relations: Subspace) -> tuple[int, Mat, Mat]:

@@ -39,6 +39,7 @@ from .hopf_core import (
     AxiomCheck,
     HopfData,
     HopfMap,
+    algebra_equal,
     algebra_map_law,
     antipode_inverse,
     check_hopf_map,
@@ -56,6 +57,7 @@ from .comodule import (
     RelativeHopfModule,
     Verdict,
     check_comodule_algebra,
+    coinvariant_space,
     is_hopf_galois,
 )
 
@@ -63,14 +65,7 @@ from .comodule import (
 def comodule_algebra_equal(c1: ComoduleAlgebra, c2: ComoduleAlgebra) -> bool:
     """Structural equality after materializing any graded shortcut."""
     c1, c2 = c1.materialize(), c2.materialize()
-    return (
-        c1.field == c2.field
-        and c1.dim == c2.dim
-        and c1.algebra.mult == c2.algebra.mult
-        and c1.algebra.unit == c2.algebra.unit
-        and hopf_equal(c1.hopf, c2.hopf)
-        and c1.coaction == c2.coaction
-    )
+    return algebra_equal(c1.algebra, c2.algebra) and hopf_equal(c1.hopf, c2.hopf) and c1.coaction == c2.coaction
 
 
 def extension_equal(e1: Extension, e2: Extension) -> bool:
@@ -243,41 +238,39 @@ def _mirror_tensor(m: ExtensionMorphism) -> BalancedTensor:
     return BalancedTensor(a.right_mult(m.source.inclusion), base_p.left_mult(m.beta))
 
 
-def canonical_map_data(m: ExtensionMorphism) -> CanonicalMapData:
-    """kappa: B' (x)_B A -> A' box^{H'} H, b' (x) a |-> (iota'(b') (x) 1) alpha(a_(0)) (x) a_(1).
+def _cotensor_map_data(m: ExtensionMorphism, bt: BalancedTensor, left: Mat, right: Mat, h_right: int, noun: str):
+    """The map x (x) y |-> left(x) right(y) on the balanced tensor bt, into A' box^{H'} H.
 
-    The product is that of A' on the first leg; on the second, scalars times
-    H, whose table is the identity.
+    The product is that of A' on the first leg; on the second, the identity
+    table of H, which takes the H leg from the right map (h_right = dim H:
+    scalars times H) or from the left one (h_right = 1: H times scalars).
+    noun names the map in the error.
     """
-    ap, dh = m.target.algebra, m.source.hopf.dim
-    bt = _pullback_tensor(m)
-    factors = [(ap.mult, ap.dim), (Mat.identity(m.field, dh), dh)]
-    raw = bilinear_compose(factors, m.target.inclusion, m.alpha_coaction)
-    kappa = solve(m.cotensor.embed, bt.descend(raw))
+    factors = [(m.target.algebra.mult, m.target.dim), (Mat.identity(m.field, m.source.hopf.dim), h_right)]
+    kappa = solve(m.cotensor.embed, bt.descend(bilinear_compose(factors, left, right)))
     if kappa is None:
-        raise InvariantViolation("generalized canonical map leaves the cotensor subspace")
+        raise InvariantViolation(f"{noun} leaves the cotensor subspace")
     return CanonicalMapData(kappa, m.cotensor, bt)
+
+
+def canonical_map_data(m: ExtensionMorphism) -> CanonicalMapData:
+    """kappa: B' (x)_B A -> A' box^{H'} H, b' (x) a |-> (iota'(b') (x) 1) alpha(a_(0)) (x) a_(1)."""
+    return _cotensor_map_data(
+        m, _pullback_tensor(m), m.target.inclusion, m.alpha_coaction, m.source.hopf.dim, "generalized canonical map"
+    )
 
 
 def mirror_map_data(m: ExtensionMorphism) -> CanonicalMapData:
     """kappa~ : A (x)_B B' -> A' box^{H'} H, a (x) b' |-> alpha(a_(0)) iota'(b') (x) a_(1).
 
-    Defined when the source antipode is invertible. The product is that of
-    A' on the first leg; on the second, H times scalars.
+    Defined when the source antipode is invertible.
     """
     h = m.source.hopf
     if h.antipode_inv is None and antipode_inverse(h) is None:
         raise PreconditionError(
             "mirror canonical map needs an invertible antipode on the source Hopf algebra"
         )
-    ap = m.target.algebra
-    bt = _mirror_tensor(m)
-    factors = [(ap.mult, ap.dim), (Mat.identity(m.field, h.dim), 1)]
-    raw = bilinear_compose(factors, m.alpha_coaction, m.target.inclusion)
-    kappa_t = solve(m.cotensor.embed, bt.descend(raw))
-    if kappa_t is None:
-        raise InvariantViolation("mirror canonical map leaves the cotensor subspace")
-    return CanonicalMapData(kappa_t, m.cotensor, bt)
+    return _cotensor_map_data(m, _mirror_tensor(m), m.alpha_coaction, m.target.inclusion, 1, "mirror canonical map")
 
 
 def is_cartesian(m: ExtensionMorphism) -> Verdict:
@@ -301,9 +294,8 @@ def distributive_law_data(
             f"({data.shape_and_rank()})"
         )
     mirror = m.mirror
+    # kappa is invertible, so the exact solve succeeds and kappa phi = kappa~.
     phi = solve(data.kappa, mirror.kappa)
-    if phi is None or data.kappa.mul(phi) != mirror.kappa:
-        raise InvariantViolation("kappa does not factor the mirror map")
     return phi, data, mirror
 
 
@@ -365,9 +357,7 @@ def pullback_structure(m: ExtensionMorphism) -> PullbackStructure:
 
     # (b'1, a1, b'2, a2) -> (b'1, b'2', a1', a2) -> multiply pairwise
     op_mid = q.section.mul(phi).mul(mirror.domain.projector)
-    pairs = on_legs(q.section, Mat.identity(field, q.dim * q.dim), q.dim, 1)
-    pairs = on_legs(q.section, pairs, 1, dbp * da)  # S (x) S
-    pairs = on_legs(op_mid, pairs, dbp, da)
+    pairs = on_legs(op_mid, q.section.kron(q.section), dbp, da)
     pairs = on_legs(base_p.mult, pairs, 1, da * da)
     mult_q = q.projector.mul(on_legs(a.mult, pairs, dbp, 1))
     unit_q = q.projector.mul(base_p.unit.kron(a.unit))
@@ -641,14 +631,13 @@ def coinvariant_cotensor_checks(
     The two composites of the comparison maps are checked to be identities.
     """
     _require_module_over(m.target.comodule_algebra, mod, "target")
-    field = m.field
     h, hp = m.source.hopf, m.target.hopf
     dmp = mod.dim
     cot = CotensorSpace(mod.coaction, m.chi)
     coact_c = cot.h_coaction()
 
-    s1 = kernel(mod.coaction - Mat.identity(field, dmp).kron(hp.unit))
-    s2 = kernel(coact_c - Mat.identity(field, cot.dim).kron(h.unit))
+    s1 = coinvariant_space(mod.coaction, hp)
+    s2 = coinvariant_space(coact_c, h)
 
     u_cols = solve(s2.mat, cot.coordinates(s1.mat.kron(h.unit)))
     if u_cols is None:
@@ -685,7 +674,7 @@ class KTopology:
         found_identity = False
         for cov in covers:
             cov = cov.materialize()
-            if not _bases_match(cov.base_algebra, base):
+            if not algebra_equal(cov.base_algebra, base):
                 raise InputError("cover base does not match the topology base")
             verdict = is_hopf_galois(cov)
             if verdict.value is not True:
@@ -695,15 +684,6 @@ class KTopology:
             self.covers.append(cov)
         if not found_identity:
             self.covers.insert(0, ident)
-
-
-def _bases_match(b1: AlgebraData, b2: AlgebraData) -> bool:
-    return (
-        b1.field == b2.field
-        and b1.dim == b2.dim
-        and b1.mult == b2.mult
-        and b1.unit == b2.unit
-    )
 
 
 def is_k_continuous(
@@ -723,7 +703,7 @@ def is_k_continuous(
     if not report_ok(algebra_map_law("f", f, base_s, base_t)):
         raise InputError("f is not a unital algebra map between the topology bases")
 
-    f_is_identity = _bases_match(base_s, base_t) and f == Mat.identity(field, base_s.dim)
+    f_is_identity = algebra_equal(base_s, base_t) and f == Mat.identity(field, base_s.dim)
     ident_src = identity_cover(base_s)
 
     reasons = []
@@ -736,14 +716,10 @@ def is_k_continuous(
             if any(extension_equal(c.target, ct) for ct in t_tgt.covers)
         ]
         if extension_equal(cov, ident_src):
+            # The shapes, the Hopf algebras and the base map of this lift are right by construction.
             for cov_t in t_tgt.covers:
                 chi = HopfMap(cov.hopf, cov_t.hopf, cov_t.hopf.unit)
-                try:
-                    pool.append(
-                        ExtensionMorphism(chi, cov_t.inclusion.mul(f), cov, cov_t)
-                    )
-                except InputError:
-                    continue
+                pool.append(ExtensionMorphism(chi, cov_t.inclusion.mul(f), cov, cov_t))
         if f_is_identity:
             for cov_t in t_tgt.covers:
                 if extension_equal(cov, cov_t):

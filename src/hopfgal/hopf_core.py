@@ -545,22 +545,19 @@ def build_group_algebra(g: Group, field: Field = QQ) -> HopfData:
 
 
 def build_dual_group_algebra(g: Group, field: Field = QQ) -> HopfData:
-    """The function algebra k^G: delta-function basis, convolution comult."""
-    n = g.order
-    if n > MAX_GROUP_ORDER:
-        raise InputError(f"group order {n} exceeds bound {MAX_GROUP_ORDER}")
+    """The function algebra k^G, the dual of kG: each structure map of kG transposed.
+
+    The delta function d_g is the dual basis vector of g, so the product is
+    the transposed grouplike comultiplication and the comultiplication the
+    transposed group law (convolution).
+    """
+    kg = build_group_algebra(g, field)
     labels = [f"d_{lbl}" for lbl in g.labels]
-    one = field.one()
-    mult = Mat.from_entries(field, n, n * n, {(i, i * n + i): one for i in range(n)})
-    unit = Mat(field, n, 1, [1] * n)
-    comult = Mat.from_entries(
-        field, n * n, n, {(i * n + j, g.table[i][j]): one for i in range(n) for j in range(n)}
-    )
-    counit = Mat.from_entries(field, 1, n, {(0, g.identity): one})
-    antipode = Mat.from_entries(field, n, n, {(g.inv[i], i): one for i in range(n)})
-    algebra = AlgebraData(field, n, labels, mult, unit)
+    algebra = AlgebraData(field, g.order, labels, kg.comult.transpose(), kg.counit.transpose())
+    antipode = kg.antipode.transpose()
     return HopfData(
-        algebra, comult, counit, antipode, antipode, rep_hint=("dual_group_algebra", g)
+        algebra, kg.mult.transpose(), kg.unit.transpose(), antipode, antipode,
+        rep_hint=("dual_group_algebra", g),
     )
 
 
@@ -625,13 +622,18 @@ def unit_map(h: HopfData) -> HopfMap:
     return HopfMap(trivial_hopf(h.field), h, h.unit)
 
 
+def algebra_equal(a, b) -> bool:
+    """Same product and unit in the same basis; ``Mat ==`` compares field and shape too.
+
+    a and b are algebras or Hopf algebras, anything with ``mult`` and ``unit``.
+    """
+    return a.mult == b.mult and a.unit == b.unit
+
+
 def hopf_equal(h1: HopfData, h2: HopfData) -> bool:
     """Structural equality of Hopf data (same matrices in the same basis)."""
     return (
-        h1.field == h2.field
-        and h1.dim == h2.dim
-        and h1.mult == h2.mult
-        and h1.unit == h2.unit
+        algebra_equal(h1, h2)
         and h1.comult == h2.comult
         and h1.counit == h2.counit
         and h1.antipode == h2.antipode

@@ -55,7 +55,7 @@ import math
 import operator
 
 from .exact_linear import QQ, InputError, InvariantViolation, Mat, bilinear_compose
-from .hopf_core import AlgebraData, AxiomCheck, Group, build_group_algebra, ground_algebra
+from .hopf_core import AlgebraData, AxiomCheck, Group, algebra_equal, build_group_algebra, ground_algebra
 from .extension import KTopology
 from .bundle import cotensor_bundle, grouplike_character, certify_fgp
 
@@ -940,11 +940,7 @@ class FiniteZAlgebra:
         return _combine(target, images, a)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteZAlgebra)
-            and self.algebra.mult == other.algebra.mult
-            and self.algebra.unit == other.algebra.unit
-        )
+        return isinstance(other, FiniteZAlgebra) and algebra_equal(self.algebra, other.algebra)
 
     def __repr__(self):
         return f"Z-algebra<{','.join(self.algebra.basis_names)}>"

@@ -3,6 +3,7 @@
 import pytest
 
 from hopfgal.exact_linear import (
+    Field,
     InputError,
     Mat,
     PreconditionError,
@@ -148,6 +149,62 @@ class TestLeftComodule:
         shortcut, _ = graded_z4_extension()
         g = comodule_direct_sum(graded_character(shortcut, 1), graded_character(shortcut, 2))
         assert g.degrees == [(1,), (2,)]
+
+
+Z2_GRADING = GradedHopfShortcut(AbelianGroup(torsion=(2,)))
+
+
+def construct(cls, hopf, datum, field=QQ):
+    """A two-dimensional structure of class cls over hopf, from a coaction or degrees datum."""
+    if cls is ComoduleAlgebra:
+        return ComoduleAlgebra(zoo.quadratic_field_algebra(2, field), hopf, **datum)
+    return LeftComodule(hopf, 2, **datum)
+
+
+# (class, Hopf algebra, datum, field of the algebra, message): each message as
+# the two constructors have always worded it. A left comodule has no field of
+# its own besides its coaction's, so only the comodule algebra checks one.
+COACTION_DATUM_ERRORS = [
+    (cls, hopf, datum, field, message)
+    for cls, noun in [(ComoduleAlgebra, "comodule algebra"), (LeftComodule, "left comodule")]
+    for hopf, datum, field, message in [
+        (Z2_GRADING, {"coaction": Mat.zeros(QQ, 4, 2)}, QQ, f"graded {noun} takes degrees, not a coaction matrix"),
+        (Z2_GRADING, {"degrees": [(0,)]}, QQ, "one degree per basis vector required"),
+        (build_group_algebra(Group.cyclic(2)), {"degrees": [(0,), (1,)]}, QQ, f"matrix {noun} takes a coaction, not degrees"),
+        (build_group_algebra(Group.cyclic(2)), {"coaction": Mat.identity(QQ, 2)}, QQ, "coaction must be 4x2"),
+        (sweedler_h4(), {"coaction": Mat.zeros(QQ, 4, 2)}, QQ, "coaction must be 8x2"),
+    ]
+] + [
+    (
+        ComoduleAlgebra, build_group_algebra(Group.cyclic(2)), {"coaction": Mat.zeros(QQ, 4, 2)}, Field(7),
+        "algebra and Hopf algebra over different fields",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,hopf,datum,field,message", COACTION_DATUM_ERRORS)
+def test_coaction_datum_errors(cls, hopf, datum, field, message):
+    with pytest.raises(InputError) as err:
+        construct(cls, hopf, datum, field)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("combine", [comodule_tensor, comodule_direct_sum])
+def test_comodules_over_one_hopf_algebra_errors(combine):
+    z3_grading = GradedHopfShortcut(AbelianGroup(torsion=(3,)))
+    graded = LeftComodule(Z2_GRADING, 1, degrees=[(1,)])
+    for v, w, message in [
+        (graded, LeftComodule(z3_grading, 1, degrees=[(1,)]), "graded comodules over different grading groups"),
+        (
+            trivial_left_comodule(sweedler_h4()),
+            trivial_left_comodule(build_group_algebra(Group.cyclic(2))),
+            "comodules over different Hopf algebras",
+        ),
+        (graded, trivial_left_comodule(sweedler_h4()), "comodules over different Hopf algebras"),
+    ]:
+        with pytest.raises(InputError) as err:
+            combine(v, w)
+        assert str(err.value) == message
 
 
 class TestTriangleAction:
@@ -297,6 +354,32 @@ class TestCertifyFgp:
         cov = identity_cover(zoo.quadratic_field_algebra(2))
         report = certify_fgp(cotensor_bundle(cov, trivial_left_comodule(cov.hopf)))
         assert report.kind == "assumed"
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            zoo.quadratic_field_algebra(2),  # Q(sqrt 2): no rational eigenvalue
+            zoo.quadratic_field_algebra(0),  # k[x]/(x^2) over Q
+            zoo.quadratic_field_algebra(0, Field(7)),  # and over F_7
+            # k[x,y]/(x,y)^2: x acts with the two-dimensional eigenspace span(x, y)
+            AlgebraData(
+                QQ, 3, ["1", "x", "y"],
+                Mat.from_entries(QQ, 3, 9, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (1, 3): 1, (2, 6): 1}),
+                Mat.basis_vector(QQ, 3, 0),
+            ),
+            build_group_algebra(Group.cyclic(3), Field(3)).algebra,  # F_p[Z_p] is not semisimple
+            build_group_algebra(Group.cyclic(5), Field(5)).algebra,
+        ],
+    )
+    def test_unsplit_commutative_base_is_reported_as_assumed(self, base):
+        assert base.is_commutative()
+        assert _split_characters(base) is None
+        cov = identity_cover(base)
+        report = certify_fgp(cotensor_bundle(cov, trivial_left_comodule(cov.hopf)))
+        assert report == FgpReport(
+            "assumed", None, None,
+            "projectivity assumed from the Galois structure; base not recognized as split semisimple",
+        )
 
     def test_divisors_match_the_full_scan(self):
         for n in range(1, 2000):

@@ -128,6 +128,17 @@ class TestGeneralizedCanonicalMap:
         with pytest.raises(InvariantViolation):
             data.cotensor.coordinates(stray)
 
+    @pytest.mark.parametrize(
+        "build,noun", [(canonical_map_data, "generalized canonical map"), (mirror_map_data, "mirror canonical map")]
+    )
+    def test_map_leaving_the_cotensor_raises(self, build, noun):
+        # alpha(s) = 1 + s maps the base into the base but does not intertwine the coactions
+        e = zoo.q_sqrt2_extension()
+        m = ExtensionMorphism(HopfMap.identity(e.hopf), Mat.from_rows(QQ, [[1, 1], [0, 1]]), e, e)
+        with pytest.raises(InvariantViolation) as err:
+            build(m)
+        assert str(err.value) == f"{noun} leaves the cotensor subspace"
+
     def test_cotensor_shape_checked(self):
         # a coaction of a dim A-dimensional space has dim A * dim H' rows
         e = zoo.q_sqrt2_extension()

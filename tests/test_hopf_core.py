@@ -4,6 +4,8 @@ import pytest
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from hopfgal.exact_linear import Field, InputError, Mat, QQ, flip, inverse
 from hopfgal.hopf_core import (
     AbelianGroup,
@@ -12,6 +14,7 @@ from hopfgal.hopf_core import (
     Group,
     HopfData,
     HopfMap,
+    MAX_GROUP_ORDER,
     antipode_inverse,
     build_dual_group_algebra,
     build_group_algebra,
@@ -63,6 +66,47 @@ class TestZooPasses:
 
     def test_trivial_hopf(self):
         assert report_ok(check_hopf(trivial_hopf()))
+
+
+def explicit_dual_group_tables(g: Group, field: Field) -> tuple:
+    """mult, unit, comult, counit and antipode of k^G written out: delta functions, convolution."""
+    n, one = g.order, field.one()
+    return (
+        Mat.from_entries(field, n, n * n, {(i, i * n + i): one for i in range(n)}),
+        Mat(field, n, 1, [1] * n),
+        Mat.from_entries(field, n * n, n, {(i * n + j, g.table[i][j]): one for i in range(n) for j in range(n)}),
+        Mat.from_entries(field, 1, n, {(0, g.identity): one}),
+        Mat.from_entries(field, n, n, {(g.inv[i], i): one for i in range(n)}),
+    )
+
+
+def z2_times_z4() -> Group:
+    elements = [(a, b) for a in range(2) for b in range(4)]
+    table = [[elements.index(((a + c) % 2, (b + d) % 4)) for c, d in elements] for a, b in elements]
+    return Group([f"a{a}b{b}" for a, b in elements], table)
+
+
+GROUPS = st.one_of(
+    st.integers(1, 12).map(Group.cyclic),
+    st.sampled_from([Group.symmetric(3), z2_times_z4(), Group.trivial()]),
+)
+
+
+class TestDualGroupAlgebra:
+    @settings(max_examples=60, deadline=None)
+    @given(GROUPS, st.sampled_from([QQ, Field(2), Field(7), Field(101)]))
+    def test_transposed_group_algebra_matches_explicit_tables(self, g, field):
+        h = build_dual_group_algebra(g, field)
+        assert (h.mult, h.unit, h.comult, h.counit, h.antipode) == explicit_dual_group_tables(g, field)
+        assert h.antipode_inv == h.antipode
+        assert h.basis_names == [f"d_{label}" for label in g.labels]
+        assert h.rep_hint == ("dual_group_algebra", g)
+
+    def test_order_bound(self):
+        n = MAX_GROUP_ORDER + 1
+        with pytest.raises(InputError) as err:
+            build_dual_group_algebra(Group.cyclic(n))
+        assert str(err.value) == f"group order {n} exceeds bound {MAX_GROUP_ORDER}"
 
 
 def _perturb(mat: Mat, i: int, j: int) -> Mat:

@@ -91,6 +91,7 @@ from hopfgal.extension import (
     _pullback_tensor,
     _verify_pullback,
     check_extension_morphism,
+    distributive_law_data,
     f_lower_star,
     f_upper_star,
     is_cartesian,
@@ -1102,6 +1103,18 @@ def check_morphism_maps(m):
 @pytest.mark.parametrize("name", MORPHISMS)
 def test_morphism_maps_match_reference(name):
     check_morphism_maps(morphism(name))
+
+
+@pytest.mark.parametrize("name", MORPHISMS)
+def test_distributive_law_factors_the_mirror_map(name):
+    """kappa phi = kappa~ wherever kappa is bijective: phi is one exact solve against kappa."""
+    m = morphism(name)
+    if m.canonical.bijective:
+        phi, data, mirror = distributive_law_data(m)
+        assert data.kappa.mul(phi) == mirror.kappa
+    else:
+        with pytest.raises(PreconditionError, match="needs a Cartesian morphism"):
+            distributive_law_data(m)
 
 
 def divisors(n):
