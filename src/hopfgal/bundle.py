@@ -219,7 +219,6 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
     The kernel of the cotensor constraints must coincide with the
     coinvariants of A <| V; a mismatch raises.
     """
-    e = e.materialize()
     v = v.materialize(e.field)
     c = e.comodule_algebra
     if not hopf_equal(c.hopf, v.hopf):

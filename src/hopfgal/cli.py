@@ -400,7 +400,6 @@ def comodule_algebra_doc(c: ComoduleAlgebra) -> dict:
 
 def extension_object(e: Extension) -> dict:
     """An extension as one object, the layout of a morphism's source and target."""
-    e = e.materialize()
     fmt = e.field.format
     return {
         "hopf": hopf_doc(e.hopf),

@@ -12,8 +12,9 @@ an exact rank computation.
 
 When the structure Hopf algebra is a GradedHopfShortcut, the coaction is a
 degree assignment per basis vector and the comodule-algebra axioms become
-degree bookkeeping; operations that genuinely need matrices materialize the
-group algebra (finite grading groups only).
+degree bookkeeping. The comodule algebra builds k[Gamma] and its coaction
+matrix the first time an operation reads them (finite grading groups only),
+so every operation takes graded and matrix data alike.
 """
 
 from __future__ import annotations
@@ -64,12 +65,14 @@ class Verdict:
         return f"Verdict({tag}; {'; '.join(self.reasons)})"
 
 
-def coaction_datum(kind: str, hopf, dim: int, coaction: Mat | None, degrees) -> tuple:
+def coaction_datum(kind: str, hopf, dim: int, coaction: Mat | None, degrees, *, field: Field | None = None) -> tuple:
     """(coaction, degrees) of a comodule of dimension dim, checked; one of them is None.
 
     Over a GradedHopfShortcut the datum is one degree per basis vector; over
-    a HopfData it is a coaction matrix of dim * dim H rows and dim columns.
-    kind names the structure in the errors.
+    a HopfData it is a coaction matrix of dim * dim H rows and dim columns,
+    over the field of H. field is that of a comodule algebra's algebra, which
+    H must share; a left comodule has no field of its own. kind names the
+    structure in the errors.
     """
     if isinstance(hopf, GradedHopfShortcut):
         if coaction is not None or degrees is None:
@@ -81,6 +84,10 @@ def coaction_datum(kind: str, hopf, dim: int, coaction: Mat | None, degrees) -> 
         raise InputError(f"matrix {kind} takes a coaction, not degrees")
     if (coaction.rows, coaction.cols) != (dim * hopf.dim, dim):
         raise InputError(f"coaction must be {dim * hopf.dim}x{dim}")
+    if field is not None and hopf.field != field:
+        raise InputError("algebra and Hopf algebra over different fields")
+    if coaction.field != hopf.field:
+        raise InputError(f"{kind} coaction and Hopf algebra over different fields")
     return coaction, None
 
 
@@ -88,16 +95,31 @@ class ComoduleAlgebra:
     """An algebra with a right coaction of a Hopf algebra.
 
     For HopfData the coaction is a (dim A * dim H) x (dim A) matrix. For a
-    GradedHopfShortcut it is a list of group elements, the degree of each
-    basis vector.
+    GradedHopfShortcut, kept as grading (None for a matrix datum), it is a
+    list of group elements, the degree of each basis vector; hopf and
+    coaction are then k[Gamma] and e_i |-> e_i (x) g_i, built on first use.
     """
 
     def __init__(self, algebra: AlgebraData, hopf, coaction=None, degrees=None):
         self.algebra = algebra
-        self.hopf = hopf
-        self.coaction, self.degrees = coaction_datum("comodule algebra", hopf, algebra.dim, coaction, degrees)
-        if coaction is not None and hopf.field != algebra.field:
-            raise InputError("algebra and Hopf algebra over different fields")
+        coaction, self.degrees = coaction_datum(
+            "comodule algebra", hopf, algebra.dim, coaction, degrees, field=algebra.field
+        )
+        self.grading = hopf if self.degrees is not None else None
+        if self.grading is None:
+            self.hopf, self.coaction = hopf, coaction
+
+    @cached_property
+    def hopf(self):
+        """k[Gamma] of a grading; an InputError when Gamma is infinite."""
+        hopf, self.coaction = self.grading.coaction(self.degrees, self.field)
+        return hopf
+
+    @cached_property
+    def coaction(self) -> Mat:
+        """The coaction of the degrees, built together with hopf."""
+        self.hopf
+        return vars(self)["coaction"]
 
     @property
     def field(self) -> Field:
@@ -109,18 +131,11 @@ class ComoduleAlgebra:
 
     @property
     def is_graded(self) -> bool:
-        return self.degrees is not None
+        return self.grading is not None
 
     @property
     def basis_names(self):
         return self.algebra.basis_names
-
-    def materialize(self) -> "ComoduleAlgebra":
-        """Matrix form; identity when the Hopf algebra is already matrices."""
-        if not self.is_graded:
-            return self
-        hopf, rho = self.hopf.coaction(self.degrees, self.field)
-        return ComoduleAlgebra(self.algebra, hopf, coaction=rho)
 
 
 def check_comodule_algebra(c: ComoduleAlgebra) -> list[AxiomCheck]:
@@ -138,7 +153,7 @@ def check_comodule_algebra(c: ComoduleAlgebra) -> list[AxiomCheck]:
 
 def _check_grading(c: ComoduleAlgebra) -> list[AxiomCheck]:
     a = c.algebra
-    gg = c.hopf.grading_group
+    gg = c.grading.grading_group
     names = a.basis_names
     deg, dim = c.degrees, a.dim
     # Column i * dim + j of mult, then row k: the order that picks the reported witness.
@@ -177,7 +192,7 @@ def coinvariants(c: ComoduleAlgebra) -> Subspace:
     """
     field, da = c.field, c.dim
     if c.is_graded:
-        zero = c.hopf.grading_group.zero()
+        zero = c.grading.grading_group.zero()
         picked = [i for i in range(da) if c.degrees[i] == zero]
         return Subspace.from_spanning_columns(
             Mat.from_entries(field, da, len(picked), {(i, k): 1 for k, i in enumerate(picked)})
@@ -267,9 +282,9 @@ class Extension:
         return AlgebraData(self.field, self.base_dim, names, mult, unit)
 
     def materialize(self) -> "Extension":
-        if not self.comodule_algebra.is_graded:
-            return self
-        return Extension(self.comodule_algebra.materialize(), self.invariant_subalgebra)
+        """Itself: the comodule algebra builds any matrices it needs. Kept for
+        the benchmark workloads, which call it."""
+        return self
 
 
 def check_extension(e: Extension) -> list[AxiomCheck]:
@@ -344,7 +359,6 @@ def balanced_self_tensor(e: Extension) -> BalancedTensor:
 
 def canonical_map(e: Extension) -> tuple[Mat, BalancedTensor]:
     """can: A (x)_B A -> A (x) H, together with the quotient model of its domain."""
-    e = e.materialize()
     a, h, rho = e.algebra, e.hopf, e.comodule_algebra.coaction
     field = e.field
     bt = balanced_self_tensor(e)
@@ -376,7 +390,6 @@ def is_hopf_galois(e: Extension) -> Verdict:
 
 def _intertwiner_space(e: Extension) -> list[Mat]:
     """Basis of {f: B (x) H -> A : right B-linear H-comodule maps}."""
-    e = e.materialize()
     a, h, rho = e.algebra, e.hopf, e.comodule_algebra.coaction
     field = e.field
     dh, db = h.dim, e.base_dim
@@ -436,9 +449,8 @@ def has_normal_basis(e: Extension, budget: int = GRID_BUDGET) -> Verdict:
     searched with ``invertible_in_span``. If its grid exceeds the budget the
     verdict is undecided rather than guessed.
     """
-    e_mat = e.materialize()
-    da = e_mat.dim
-    dom = e_mat.base_dim * e_mat.hopf.dim
+    da = e.dim
+    dom = e.base_dim * e.hopf.dim
     if dom != da:
         return Verdict(
             False,
@@ -474,12 +486,10 @@ class RelativeHopfModule:
     """A right A-module and right H-comodule with the compatibility law.
 
     action: M (x) A -> M, coaction: M -> M (x) H over the comodule algebra's
-    Hopf datum (matrix form required).
+    Hopf algebra (k[Gamma] for a grading).
     """
 
     def __init__(self, base: ComoduleAlgebra, dim: int, action: Mat, coaction: Mat, names=None):
-        if base.is_graded:
-            base = base.materialize()
         self.base = base
         da, dh = base.dim, base.hopf.dim
         if (action.rows, action.cols) != (dim, dim * da):
@@ -513,7 +523,7 @@ def check_relative_hopf_module(m: RelativeHopfModule) -> list[AxiomCheck]:
 
 def change_basis(e: Extension, p: Mat) -> Extension:
     """Transport an extension along an invertible change of basis of A."""
-    c = e.comodule_algebra.materialize()
+    c = e.comodule_algebra
     a = c.algebra
     field, da = c.field, c.dim
     p_inv = inverse(p)

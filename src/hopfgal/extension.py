@@ -63,14 +63,12 @@ from .comodule import (
 
 
 def comodule_algebra_equal(c1: ComoduleAlgebra, c2: ComoduleAlgebra) -> bool:
-    """Structural equality after materializing any graded shortcut."""
-    c1, c2 = c1.materialize(), c2.materialize()
+    """Same algebra, Hopf algebra and coaction matrix, a grading's included."""
     return algebra_equal(c1.algebra, c2.algebra) and hopf_equal(c1.hopf, c2.hopf) and c1.coaction == c2.coaction
 
 
 def extension_equal(e1: Extension, e2: Extension) -> bool:
     """Same comodule algebra, same declared base with the same inclusion."""
-    e1, e2 = e1.materialize(), e2.materialize()
     return (
         comodule_algebra_equal(e1.comodule_algebra, e2.comodule_algebra)
         and e1.invariant_subalgebra == e2.invariant_subalgebra
@@ -142,8 +140,8 @@ class ExtensionMorphism:
     """
 
     def __init__(self, chi: HopfMap, alpha: Mat, source: Extension, target: Extension):
-        self.source = source.materialize()
-        self.target = target.materialize()
+        self.source = source
+        self.target = target
         if not hopf_equal(chi.source, self.source.hopf):
             raise InputError("chi does not start on the source structure Hopf algebra")
         if not hopf_equal(chi.target, self.target.hopf):
@@ -188,7 +186,6 @@ class ExtensionMorphism:
 
     @staticmethod
     def identity(e: Extension) -> "ExtensionMorphism":
-        e = e.materialize()
         return ExtensionMorphism(
             HopfMap.identity(e.hopf), Mat.identity(e.field, e.dim), e, e
         )
@@ -673,7 +670,6 @@ class KTopology:
         ident = identity_cover(base)
         found_identity = False
         for cov in covers:
-            cov = cov.materialize()
             if not algebra_equal(cov.base_algebra, base):
                 raise InputError("cover base does not match the topology base")
             verdict = is_hopf_galois(cov)

@@ -8,9 +8,10 @@ sides differ).
 
 The module also provides the builders for the standard examples: group
 algebras kG, their function-algebra duals k^G, the four-dimensional Sweedler
-algebra, and the graded shortcut that stands in for the function Hopf algebra
-of the circle (an honest materialization would be infinite-dimensional; its
-comodules are just integer gradings, which is all later modules need).
+algebra, and the graded shortcut that stands in for the group algebra k[Gamma]
+of a finitely generated abelian group (for Gamma = Z, the function Hopf
+algebra of the circle): its comodules are Gamma-gradings, whose axioms are
+degree bookkeeping, and k[Gamma] itself is built only for a finite Gamma.
 """
 
 from __future__ import annotations
@@ -722,9 +723,6 @@ class AbelianGroup:
     def add(self, a, b) -> tuple:
         return self.normalize(tuple(x + y for x, y in zip(self.normalize(a), self.normalize(b))))
 
-    def neg(self, a) -> tuple:
-        return self.normalize(tuple(-x for x in self.normalize(a)))
-
     def elements(self) -> list[tuple]:
         if not self.is_finite:
             raise InputError("infinite group has no element list")
@@ -747,9 +745,6 @@ class AbelianGroup:
     def __repr__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " x ".join(parts) if parts else "0"
-
-
-CIRCLE = AbelianGroup(free_rank=1)
 
 
 class GradedHopfShortcut:

@@ -103,7 +103,6 @@ def regular_extension(h: HopfData) -> Extension:
 
 def module_self(c: ComoduleAlgebra) -> RelativeHopfModule:
     """M = A with right multiplication and the coaction itself."""
-    c = c.materialize()
     return RelativeHopfModule(
         c, c.dim, c.algebra.mult, c.coaction, names=c.basis_names
     )
@@ -115,7 +114,6 @@ def module_diagonal(c: ComoduleAlgebra) -> RelativeHopfModule:
     delta(h (x) a) = (h_(1) (x) a_(0)) (x) h_(2) a_(1): the pair (Delta h, rho a)
     goes to (h1, a0, h2 a1), leg by leg.
     """
-    c = c.materialize()
     h, a = c.hopf, c.algebra
     field = c.field
     dh, da = h.dim, a.dim
@@ -170,7 +168,6 @@ def to_trivial_morphism(e: Extension) -> ExtensionMorphism:
 
     The target is the underlying algebra as a cover of itself.
     """
-    e = e.materialize()
     tgt = identity_cover(e.algebra)
     return ExtensionMorphism(
         counit_map(e.hopf), Mat.identity(e.field, e.dim), e, tgt
@@ -182,14 +179,12 @@ def base_to_cover_morphism(e: Extension) -> ExtensionMorphism:
 
     Cartesian exactly when B exhausts the coinvariants of A.
     """
-    e = e.materialize()
     src = identity_cover(e.base_algebra)
     return ExtensionMorphism(unit_map(e.hopf), e.inclusion, src, e)
 
 
 def iso_morphism(e: Extension, p: Mat) -> ExtensionMorphism:
     """Transport along an invertible change of basis, as a morphism."""
-    e = e.materialize()
     return ExtensionMorphism(
         HopfMap.identity(e.hopf), p, e, change_basis(e, p)
     )

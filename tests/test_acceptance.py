@@ -247,7 +247,6 @@ def _bundle_fixtures():
 
 def test_criterion_07_cotensor_equals_coinvariants():
     for name, e, v in _bundle_fixtures():
-        e = e.materialize()
         v = v.materialize(e.field)
         c = e.comodule_algebra
         a, h = e.algebra, c.hopf

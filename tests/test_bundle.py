@@ -113,6 +113,15 @@ class TestLeftComodule:
         shortcut, _ = graded_z4_extension()
         assert report_ok(check_left_comodule(graded_character(shortcut, 2)))
 
+    def test_trivial_graded_comodule_is_the_tensor_unit(self):
+        shortcut, _ = graded_z4_extension()
+        unit = trivial_left_comodule(shortcut, 2)
+        assert unit.degrees == [(0,), (0,)]
+        assert report_ok(check_left_comodule(unit))
+        v = graded_character(shortcut, 3)
+        assert comodule_tensor(trivial_left_comodule(shortcut), v).degrees == v.degrees
+        assert comodule_tensor(v, trivial_left_comodule(shortcut)).degrees == v.degrees
+
     def test_graded_materialize_matches_matrix_character(self):
         shortcut, _ = graded_z4_extension()
         v = graded_character(shortcut, 3).materialize()
@@ -162,8 +171,9 @@ def construct(cls, hopf, datum, field=QQ):
 
 
 # (class, Hopf algebra, datum, field of the algebra, message): each message as
-# the two constructors have always worded it. A left comodule has no field of
-# its own besides its coaction's, so only the comodule algebra checks one.
+# the two constructors have always worded it, and the coaction's field against
+# the Hopf algebra's for both. A left comodule has no field of its own besides
+# its coaction's, so only the comodule algebra checks an algebra's field, first.
 COACTION_DATUM_ERRORS = [
     (cls, hopf, datum, field, message)
     for cls, noun in [(ComoduleAlgebra, "comodule algebra"), (LeftComodule, "left comodule")]
@@ -173,12 +183,17 @@ COACTION_DATUM_ERRORS = [
         (build_group_algebra(Group.cyclic(2)), {"degrees": [(0,), (1,)]}, QQ, f"matrix {noun} takes a coaction, not degrees"),
         (build_group_algebra(Group.cyclic(2)), {"coaction": Mat.identity(QQ, 2)}, QQ, "coaction must be 4x2"),
         (sweedler_h4(), {"coaction": Mat.zeros(QQ, 4, 2)}, QQ, "coaction must be 8x2"),
+        (
+            build_group_algebra(Group.cyclic(2)), {"coaction": Mat.zeros(Field(7), 4, 2)}, QQ,
+            f"{noun} coaction and Hopf algebra over different fields",
+        ),
     ]
 ] + [
     (
-        ComoduleAlgebra, build_group_algebra(Group.cyclic(2)), {"coaction": Mat.zeros(QQ, 4, 2)}, Field(7),
+        ComoduleAlgebra, build_group_algebra(Group.cyclic(2)), {"coaction": coaction}, Field(7),
         "algebra and Hopf algebra over different fields",
-    ),
+    )
+    for coaction in [Mat.zeros(QQ, 4, 2), Mat.zeros(Field(7), 4, 2)]
 ]
 
 
@@ -265,7 +280,7 @@ class TestTriangleAction:
 
 class TestCotensorBundle:
     def test_unit_comodule_recovers_base(self):
-        e = zoo.q_sqrt2_extension().materialize()
+        e = zoo.q_sqrt2_extension()
         b = cotensor_bundle(e, trivial_left_comodule(e.hopf))
         base_space = Subspace.from_spanning_columns(e.inclusion)
         assert b.space == base_space

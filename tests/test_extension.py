@@ -12,7 +12,9 @@ from hopfgal.exact_linear import (
     is_bijective,
 )
 from hopfgal.hopf_core import (
+    AbelianGroup,
     AlgebraData,
+    GradedHopfShortcut,
     Group,
     HopfData,
     HopfMap,
@@ -20,7 +22,7 @@ from hopfgal.hopf_core import (
     sweedler_h4,
     unit_map,
 )
-from hopfgal.comodule import change_basis, check_comodule_algebra, is_hopf_galois
+from hopfgal.comodule import ComoduleAlgebra, Extension, change_basis, check_comodule_algebra, is_hopf_galois
 from hopfgal.extension import (
     CotensorSpace,
     ExtensionMorphism,
@@ -339,6 +341,20 @@ class TestKTopology:
     def test_covers_must_be_galois(self):
         with pytest.raises(InputError, match="not Hopf-Galois"):
             KTopology(scalar_algebra(), [zoo.trivial_coaction_extension()])
+
+    def test_invalid_graded_cover_reports_its_grading(self):
+        # The cover keeps its degrees, so the reason is the grading law, not
+        # the coaction law of a matrix copy.
+        shortcut = GradedHopfShortcut(AbelianGroup(torsion=(4,)))
+        kz4 = build_group_algebra(Group.cyclic(4)).algebra
+        good = Extension(ComoduleAlgebra(kz4, shortcut, degrees=[(0,), (1,), (2,), (3,)]))
+        bad = Extension(ComoduleAlgebra(kz4, shortcut, degrees=[(0,), (1,), (1,), (3,)]), good.invariant_subalgebra)
+        with pytest.raises(InputError) as err:
+            KTopology(good.base_algebra, [bad])
+        assert str(err.value) == (
+            "cover is not Hopf-Galois: grading_multiplicative fails at basis (g,g): "
+            "component g2 has degree (1,), expected (2,)"
+        )
 
     def test_identity_map_is_continuous(self):
         alg = scalar_algebra()

@@ -363,7 +363,6 @@ def ref_coinvariants(c):
 
 
 def ref_raw(e):
-    e = e.materialize()
     a, h, rho = e.algebra, e.hopf, e.comodule_algebra.coaction
     return a.mult.kron(Mat.identity(e.field, h.dim)).mul(Mat.identity(e.field, a.dim).kron(rho))
 
@@ -528,7 +527,7 @@ def rational_comodule_algebra(name):
         e = zoo.regular_extension([h for h in hopf_examples() if h.field == QQ][int(i)])
     else:
         e = getattr(zoo, name)()
-    return e.materialize().comodule_algebra
+    return e.comodule_algebra
 
 
 def rescaled(m, row_scales, col_scales):
@@ -670,7 +669,7 @@ def zoo_extension(i):
 def test_canonical_map_matches_reference(i):
     e = zoo_extension(i)
     can, bt = canonical_map(e)
-    assert can == balanced_self_tensor(e.materialize()).descend(ref_raw(e))
+    assert can == balanced_self_tensor(e).descend(ref_raw(e))
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +893,7 @@ def ref_module_diagonal(c):
 
 def ref_change_basis(e, p):
     """The product and the coaction of A in the basis p, from p^-1 (x) p^-1 and p (x) id."""
-    c = e.comodule_algebra.materialize()
+    c = e.comodule_algebra
     p_inv = inverse(p)
     mult = p.mul(c.algebra.mult).mul(p_inv.kron(p_inv))
     return mult, p.kron(Mat.identity(c.field, c.hopf.dim)).mul(c.coaction).mul(p_inv)
@@ -1017,7 +1016,6 @@ def ref_bimodule_map_defects(qt, b1, b2, b12):
 
 
 def ref_intertwiner_space(e):
-    e = e.materialize()
     a, h, rho = e.algebra, e.hopf, e.comodule_algebra.coaction
     field, dh, db = e.field, e.hopf.dim, e.base_dim
     eye_h, eye_b = Mat.identity(field, dh), Mat.identity(field, db)
@@ -1194,7 +1192,7 @@ BUNDLES = [
 
 @functools.cache
 def bundle_extension(i):
-    return BUNDLE_EXTENSIONS[i]().materialize()
+    return BUNDLE_EXTENSIONS[i]()
 
 
 @functools.cache
@@ -1272,7 +1270,7 @@ SELF_TENSOR_CASES = {name: functools.partial(fixture_extension, name) for name i
 
 @pytest.mark.parametrize("name", SELF_TENSOR_CASES)
 def test_self_tensor_and_intertwiners_match_reference(name):
-    e = SELF_TENSOR_CASES[name]().materialize()
+    e = SELF_TENSOR_CASES[name]()
     assert_same_quotient(balanced_self_tensor(e), ref_self_tensor(e))
     assert _intertwiner_space(e) == ref_intertwiner_space(e)
 
@@ -1291,7 +1289,7 @@ def test_regular_extension_maps_match_reference(e):
 
 @pytest.mark.parametrize("name", SELF_TENSOR_CASES)
 def test_change_basis_matches_reference(name):
-    e = SELF_TENSOR_CASES[name]().materialize()
+    e = SELF_TENSOR_CASES[name]()
     check_change_basis(e, upper_unitriangular(e.field, e.dim))
 
 
