@@ -28,13 +28,10 @@ packs only up to its highest nonzero slot. The matrix product packs each row
 of its right factor from the row's first nonzero entry, so leading zeros
 cost nothing, and a product is told to be the identity on its packed rows.
 
-Powers are taken in one place, _powers: several exponents share one chain
-of squarings, each square is computed once, and no power begins with a
-product by one. Its callers are TruncatedPoly.powers, LaurentPoly's power,
-LaurentRing.evaluate (one chain per exponent sign) and
-TruncatedRing.check_images. So at_table takes both of its anchors from one
-chain, and a negative window inverts 1+x once. The closed route to that
-inverse walks (1+x)^k as one packed integer too, a multiply-add per k.
+The powers (1+x)^k, k of either sign, are taken in closed form and pinned
+by a chain of squarings of 1+x mod 2^61 - 1 whose products stay packed.
+Chains are taken in one place, _powers: several exponents share one chain,
+each square is computed once, and no power begins with a product by one.
 
 An augmented ring is a triple (R, M, 1_M): a unital ring, an R-module, and a
 distinguished element. Rings embed by R |-> (R, R, 1_R); the coreflector
@@ -320,66 +317,63 @@ class TruncatedPoly:
         c = self.coeffs
         return TruncatedPoly(self.n, c[:1] + tuple(map(operator.add, c[1:], c)))
 
-    def __pow__(self, k: int) -> "TruncatedPoly":
-        return self.powers((k,))[0]
 
-    def powers(self, exponents) -> list:
-        """This element to each of the nonnegative exponents, from one chain of squarings."""
-        return _powers(self, exponents, operator.mul, lambda: TruncatedPoly.one(self.n))
-
-
-def _inverse_by_binomials(n: int) -> tuple:
-    """The closed form sum (-1)^k C(n+1, k+1) (1+x)^k, k = 0..n, of 1/(1+x) in Z[x]/(x^{n+1}).
-
-    The sum runs on packed integers at one slot width. (1+x)^k has degree
-    k <= n, so it fits in the n+1 slots unreduced, and each step is one
-    shift-add for the next power and one multiply-add into the sum, which
-    is unpacked once. Coefficient j of the sum, and of every partial sum,
-    is at most sum_k C(n+1, k+1) C(k, j) <= sum_k C(n+1, k+1) 2^k =
-    (3^{n+1} - 1)/2 in absolute value, and C(k, j) <= 2^n, so every entry
-    is below 3^{n+1}, which sets the width. The binomials come from
-    math.comb, and no Taylor shift is taken, so the self-check's comparison
-    of [L_-1] with its closed form stays independent of this route.
-    """
-    width = _slot_bytes(3 ** (n + 1))
-    shift = 8 * width
-    total, power = 0, 1
-    for k in range(n + 1):
-        total += (-1) ** k * math.comb(n + 1, k + 1) * power
-        power += power << shift
-    return tuple(_unpack(total, n + 1, width))
-
-
-def inv_one_plus_x(n: int) -> TruncatedPoly:
-    """Inverse of 1+x in Z[x]/(x^{n+1}), computed twice and cross-checked.
-
-    One route is the alternating-sign recurrence for (1+x)u = 1, n+1
-    entries, and the other the closed binomial form, n+1 big-integer
-    multiply-adds (_inverse_by_binomials).
-    """
+def _binomial_series(n: int, exponents) -> list:
+    """(1+x)^k mod x^{n+1} for each k, unchecked: C(k, j+1) = C(k, j)(k - j)/(j + 1), exact for either sign."""
     if n < 0:
         raise InputError("truncation degree must be nonnegative")
-    recurrence = TruncatedPoly(n, tuple((-1) ** j for j in range(n + 1)))
-    if recurrence != TruncatedPoly(n, _inverse_by_binomials(n)):
-        raise InvariantViolation("the two inversion routes for 1+x disagree")
-    return recurrence
+    return [
+        TruncatedPoly(n, tuple(accumulate(range(n), lambda c, j: c * (k - j) // (j + 1), initial=1)))
+        for k in exponents
+    ]
+
+
+def _pin(n: int, exponents, powers) -> None:
+    """Check each power (1+x)^k against a chain of squarings of 1+x mod p = 2^61 - 1.
+
+    The chain's slots stay packed in [0, 2p), at a width that holds
+    (n+1)(2p)^2, so a product carries nothing between slots. As 2^61 = 1
+    mod p, three folds of each slot's bits from 61 up onto its low bits
+    take every slot back below 2p. For k < 0 the power times (1+x)^{-k}
+    must be 1. A power passes exactly when its coefficients are those of
+    (1+x)^k mod p: the pin misses only a power wrong by multiples of p.
+    """
+    p = (1 << 61) - 1
+    width = _slot_bytes((n + 1) * (2 * p) ** 2)
+    mask = _slots_mask(n + 1, width)
+    ones = mask // ((1 << 8 * width) - 1)  # 1 in each of the n+1 slots
+    low, high = p * ones, ((1 << 8 * width - 61) - 1) * ones
+
+    def mul(a: int, b: int) -> int:
+        c = a * b & mask
+        for _ in range(3):
+            c = (c & low) + (c >> 61 & high)
+        return c
+
+    chain = _powers(ones & _slots_mask(2, width), [abs(k) for k in exponents], mul, lambda: 1)
+    for k, power, residue in zip(exponents, powers, chain):
+        expect = [c % p for c in power.coeffs]
+        if k < 0:
+            residue, expect = mul(residue, _pack(expect, width)), [1] + [0] * n
+        if [c % p for c in _unpack(residue, n + 1, width)] != expect:
+            raise InvariantViolation(f"(1+x)^{k} disagrees with its chain mod 2^61 - 1 for degree {n}")
 
 
 def one_plus_x_powers(n: int, exponents) -> list:
-    """(1+x)^k in Z[x]/(x^{n+1}) for integers k of one sign, from one chain of squarings.
-
-    Negative exponents are powers of the inverse of 1+x, which is built once.
-    """
-    if any(k < 0 for k in exponents):
-        if any(k > 0 for k in exponents):
-            raise InputError("exponents of both signs need two chains")
-        return inv_one_plus_x(n).powers([-k for k in exponents])
-    return TruncatedPoly.from_coeffs(n, [1, 1]).powers(exponents)
+    """(1+x)^k in Z[x]/(x^{n+1}) for integers k of either sign, in closed form and pinned mod p."""
+    powers = _binomial_series(n, exponents)
+    _pin(n, exponents, powers)
+    return powers
 
 
 def one_plus_x_power(n: int, k: int) -> TruncatedPoly:
-    """(1+x)^k in Z[x]/(x^{n+1}) by polynomial arithmetic, any integer k."""
+    """(1+x)^k in Z[x]/(x^{n+1}), any integer k: one_plus_x_powers of one exponent."""
     return one_plus_x_powers(n, (k,))[0]
+
+
+def inv_one_plus_x(n: int) -> TruncatedPoly:
+    """Inverse of 1+x in Z[x]/(x^{n+1}): one_plus_x_power at k = -1."""
+    return one_plus_x_power(n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +614,8 @@ def representation_action(p: LaurentPoly, v: KClassVector) -> KClassVector:
     """Action of Z[t,t^-1] through t |-> 1+x."""
     n = v.n
     image = [0] * (n + 1)
-    # one_plus_x_powers takes exponents of one sign
-    for terms in ([(e, c) for e, c in p.terms if e >= 0], [(e, c) for e, c in p.terms if e < 0]):
-        powers = one_plus_x_powers(n, [e for e, _ in terms])
-        for (_, c), power in zip(terms, powers):
-            image = [a + c * b for a, b in zip(image, power.coeffs)]
+    for (_, c), power in zip(p.terms, one_plus_x_powers(n, [e for e, _ in p.terms])):
+        image = [a + c * b for a, b in zip(image, power.coeffs)]
     return from_monomials(TruncatedPoly(n, tuple(image)) * to_monomials(v))
 
 
@@ -636,18 +627,19 @@ def at_table(n: int, k_lo: int, k_hi: int):
     structured subfamily (lower end, diagonal, successor, upper end) beyond
     that so wide tables stay inside the interactive time budget.
 
-    The powers come from two windows, anchored at (1+x)^{k_lo} and
-    (1+x)^{2 k_lo} by one call of one_plus_x_powers and walked up by one
-    factor 1+x per index: the rows (1+x)^k for k in [k_lo, k_hi], and the
-    products (1+x)^s for s in [2 k_lo, 2 k_hi], which holds every k1 + k2 a
-    checked pair can reach. The product anchor is a product of the chain's
-    squares, not the square of the row anchor, so a wrong step in either
-    walk shows up as a failed pair. A step that multiplies by some
-    other unit u keeps every pair consistent (both sides pick up the same
-    power of u), and so does a product that multiplies by u, since no
-    anchor is a product by one. So the row window is walked one index past
-    k_hi, and its first step is also compared with a plain product by 1+x.
-
+    Two windows are walked up by one factor 1+x per index from anchors in
+    closed form: the rows (1+x)^k, k in [k_lo, k_hi], from (1+x)^{k_lo}, and
+    the products (1+x)^s, s in [2 k_lo, 2 k_hi], which holds every k1 + k2 a
+    checked pair can reach, from (1+x)^{2 k_lo}. No anchor is a product, so
+    a wrong step in either walk, or a product that multiplies by some unit,
+    fails a pair. A step that multiplies by some other unit u keeps every
+    pair consistent, so the row window is walked one index past k_hi and
+    its first step is compared with a plain product by 1+x. Anchors that
+    are u^{k_lo} and u^{2 k_lo} for a unit u other than 1+x keep the pairs,
+    the step and the tie consistent, so _pin checks the row anchor mod p;
+    the exact pair (k_lo, k_lo) then pins the product anchor mod p too.
+    The pin misses only a closed form wrong by multiples of p in every
+    coefficient.
     A window element goes, with the residues it has packed, once the last
     pair that reads it is checked; the two elements of the step check stay.
 
@@ -672,7 +664,8 @@ def at_table(n: int, k_lo: int, k_hi: int):
             out[k] = p
         return out
 
-    row_anchor, product_anchor = one_plus_x_powers(n, (k_lo, 2 * k_lo))
+    row_anchor, product_anchor = _binomial_series(n, (k_lo, 2 * k_lo))
+    _pin(n, (k_lo,), (row_anchor,))
     power = walk(row_anchor, k_lo, k_hi + 1)
     product = walk(product_anchor, 2 * k_lo, 2 * k_hi)
     ks = range(k_lo, k_hi + 1)

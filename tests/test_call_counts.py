@@ -96,20 +96,25 @@ KRON_CALLS = {
 }
 
 
-# at: the polynomial products and Taylor shifts of one command. Over 0..128
-# --self-check anchors both windows at (1+x)^0 (no product), checks
-# 3 * 129 + 128 = 515 pairs and the first step, and builds [L_129] (129 =
-# 2^7 + 1: 7 squares and 1 product) and [L_-1] (the inverse itself, no
-# product): 515 + 1 + 8 = 524, and 526 when each power began with a product
-# by one. It shifts the two end rows, [L_0] and [L_128], and the two
+# at: the polynomial products and Taylor shifts of one command. The anchors
+# (1+x)^{k_lo} and (1+x)^{2 k_lo} and the powers the self-check shifts are
+# taken in closed form, and the chain mod 2^61 - 1 that pins them multiplies
+# packed integers, not polynomials: no command takes a product in a chain.
+# Over 0..128 --self-check anchors both windows at (1+x)^0, checks
+# 3 * 129 + 128 = 515 pairs and the first step: 516 (524 when [L_129] took
+# 7 squares and 1 product, 526 when each power began with a product by one
+# as well). It shifts the two end rows, [L_0] and [L_128], and the two
 # identities: 4, and 131 when each of the 129 rows took its own shift (the
 # rows between are walked in the shifted basis). A range of 8 indices checks
-# all 64 pairs and the step, and takes both anchors, (1+x)^32 and (1+x)^64,
-# from one chain of 6 squares: 6 + 64 + 1 = 71, and 78 with a chain for each
-# anchor (6 and 7 products); it shifts its two end rows: 2 (8, one per row).
+# all 64 pairs and the step: 65 (71 with both anchors from one chain of 6
+# squares, 78 with a chain for each anchor); it shifts its two end rows: 2
+# (8, one per row). One large index checks its one pair and the step: 2 (34
+# for k = 10^6 with its anchors from 20 squares and 12 products), and shifts
+# its one row.
 AT_CALLS = {
-    "at --n 128 --self-check": {"products": 524, "taylor_shifts": 4},
-    "at --n 64 --k-range 32..39": {"products": 71, "taylor_shifts": 2},
+    "at --n 128 --self-check": {"products": 516, "taylor_shifts": 4},
+    "at --n 64 --k-range 32..39": {"products": 65, "taylor_shifts": 2},
+    "at --n 128 --k 1000000": {"products": 2, "taylor_shifts": 1},
 }
 
 
@@ -131,19 +136,28 @@ def kring_calls(monkeypatch, rebind):
 # tuples. The other 383 pairs pack 555 times: 552, and 3 packs the products
 # by 1 made before (178 in all) and left for later pairs to reuse. Then the
 # identity check packs each of the 129 rows of the base-change matrix, and
-# the chain of [L_129] packs 6 times (its early squares share a width):
-# 555 + 129 + 6 = 690, and 865 when products by 1 were packed (868 when
-# [L_129] and [L_-1] began with one). It unpacks what the 4 Taylor shifts,
-# the 8 products of [L_129] and the closed route to 1/(1+x) return: 4 + 8 +
-# 1 = 13. The identity check compares each packed row of B B^-1 with the
-# packed row of the identity and unpacks none (142 when it unpacked its 129
-# rows, 269 with a shift per row as well, 270 with products by one as well).
-# A range of 8 indices packs 5 times in its chain and 30 in its checks: 35
-# (42 with two chains); it unpacks its 2 shifts and the 6 squares of its
-# chain: 8 (14 with a shift per row, 21 with two chains as well).
+# the pin of [L_-1] packs its closed form mod p once, to multiply it by the
+# chain of (1+x)^1: 555 + 129 + 1 = 685 (690 when [L_129] was the product of
+# a chain that packed 6 times, 865 when products by 1 were packed as well).
+# It unpacks what the 4 Taylor shifts return and the three pinned chains,
+# of the anchor (1+x)^0, of [L_129] and of [L_-1]: 4 + 3 = 7 (13 when the 8
+# products of [L_129] and the closed route to 1/(1+x) were unpacked in place
+# of the pins, 142 when the identity check unpacked its 129 rows as well).
+# The identity check compares each packed row of B B^-1 with the packed row
+# of the identity. A range of 8 indices packs 33 times in its checks: the
+# 30 it packed when its anchors were products of a chain, which came with
+# their residues, and its two anchors once each at the width of the pair
+# (32, 32) and the row anchor once at the width of the step. It no longer
+# packs 5 times in a chain (35 in all then, 42 with two chains). It unpacks
+# its 2 shifts and its pin: 3 (8 with the 6 squares of its chain unpacked
+# in place of the pin, 14 with a shift per row, 21 with two chains as well).
+# One large index packs its row anchor and the product anchor at the width
+# of its one pair, and at the width of the step the row anchor, 1+x and the
+# walked (1+x)^{k+1}: 5. It unpacks its one shift and its pin: 2.
 AT_PACKING = {
-    "at --n 128 --self-check": {"packs": 690, "unpacks": 13},
-    "at --n 64 --k-range 32..39": {"packs": 35, "unpacks": 8},
+    "at --n 128 --self-check": {"packs": 685, "unpacks": 7},
+    "at --n 64 --k-range 32..39": {"packs": 33, "unpacks": 3},
+    "at --n 128 --k 1000000": {"packs": 5, "unpacks": 2},
 }
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,6 @@ from hopfgal.kring import (
     RingMorphism,
     TruncatedPoly,
     TruncatedRing,
-    _inverse_by_binomials,
     _pack,
     _powers,
     _taylor_shift,
@@ -125,7 +125,7 @@ class TestTruncatedPoly:
         direct = TruncatedPoly.one(4)
         for _ in range(7):
             direct = direct * p
-        assert p ** 7 == direct
+        assert _powers(p, (7,), operator.mul, lambda: TruncatedPoly.one(4)) == [direct]
 
     def test_x_at_degree_zero_vanishes(self):
         assert TruncatedPoly.x(0) == TruncatedPoly.zero(0)
@@ -147,22 +147,6 @@ class TestInversion:
     def test_negative_binomial_powers(self):
         # (1+x)^{-2} = 1 - 2x + 3x^2 - 4x^3 ...
         assert one_plus_x_power(3, -2).coeffs == (1, -2, 3, -4)
-
-    def test_closed_route_matches_the_term_by_term_sum(self):
-        for n in range(201):
-            assert _inverse_by_binomials(n) == reference_inverse_by_binomials(n), n
-
-
-def reference_inverse_by_binomials(n: int) -> tuple:
-    """sum (-1)^k C(n+1, k+1) (1+x)^k, k = 0..n, one coefficient at a time: O(n^2) additions."""
-    total = [0] * (n + 1)
-    power = [1] + [0] * n
-    for k in range(n + 1):
-        coeff = (-1) ** k * math.comb(n + 1, k + 1)
-        for j, c in enumerate(power):
-            total[j] += coeff * c
-        power = power[:1] + [a + b for a, b in zip(power[1:], power)]
-    return tuple(total)
 
 
 class TestBaseChange:
@@ -300,7 +284,7 @@ class TestAtTable:
 
     @pytest.mark.parametrize("n, lo, hi", [(0, -3, 4), (3, -5, 5), (6, -9, 30), (12, 40, 60)])
     def test_rows_match_independent_powers(self, n, lo, hi):
-        # the walked rows against powers built one by one by repeated squaring
+        # the walked rows against line classes taken one by one in closed form
         expect = [(k, line_class(n, k).coords) for k in range(lo, hi + 1)]
         assert at_table(n, lo, hi) == expect
 
@@ -808,7 +792,10 @@ class TestResidueEquality:
 
 
 # ---------------------------------------------------------------------------
-# one chain of squarings for several powers
+# the powers of 1+x in closed form, pinned by a chain of squarings mod p
+
+
+PIN_PRIME = (1 << 61) - 1
 
 
 def binomial_power(n: int, k: int) -> tuple:
@@ -818,34 +805,92 @@ def binomial_power(n: int, k: int) -> tuple:
     return tuple((-1) ** j * math.comb(-k + j - 1, j) for j in range(n + 1))
 
 
+def one_plus_2x_series(n, exponents):
+    """A consistently wrong closed form: (1+2x)^k, coefficient j times 2^j."""
+    return [TruncatedPoly(n, tuple(c << j for j, c in enumerate(binomial_power(n, k)))) for k in exponents]
+
+
 MAGNITUDES = st.one_of(
     st.sampled_from([0, 1]),
     st.integers(0, 24).map(lambda i: 1 << i),
     st.integers(10**6, 10**7),
     st.integers(0, 200),
 )
+SIGNED = st.tuples(st.sampled_from([1, -1]), MAGNITUDES).map(lambda t: t[0] * t[1])
+EXPONENTS = st.one_of(SIGNED, st.integers(-(10**6), 10**12))
 
 
 @st.composite
 def exponent_sets(draw):
-    """(n, exponents of one sign), the signs of some sets negative."""
-    n = draw(st.integers(0, 40))
-    sign = draw(st.sampled_from([1, -1]))
-    return n, [sign * m for m in draw(st.lists(MAGNITUDES, min_size=1, max_size=5))]
+    """(n, exponents), the signs mixed."""
+    return draw(st.integers(0, 64)), draw(st.lists(EXPONENTS, min_size=1, max_size=5))
 
 
-class TestSharedPowering:
+class TestClosedFormAnchors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 64), EXPONENTS)
+    @example(0, -1)
+    @example(64, 10**12)
+    @example(64, -(10**6))
+    @example(7, 3)
+    def test_closed_form_matches_binomial_series(self, n, k):
+        assert kring._binomial_series(n, [k])[0].coeffs == binomial_power(n, k)
+
     @settings(max_examples=150, deadline=None)
     @given(exponent_sets())
     @example((5, [0]))
     @example((0, [-(10**6), 0, -1]))
     @example((40, [10**6, 2 * 10**6, 1, 0, 1 << 20]))
+    @example((3, [-1, 1, 10**12, -(10**6)]))
     def test_matches_each_exponent_powered_alone(self, case):
         n, exponents = case
         shared = one_plus_x_powers(n, exponents)
         assert [p.coeffs for p in shared] == [binomial_power(n, k) for k in exponents]
         assert shared == [one_plus_x_power(n, k) for k in exponents]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 64), EXPONENTS, st.data())
+    def test_pin_rejects_any_coefficient_off_mod_p(self, n, k, data):
+        j = data.draw(st.integers(0, n))
+        off = data.draw(st.integers(-(10**30), 10**30).filter(lambda d: d % PIN_PRIME))
+        (power,) = kring._binomial_series(n, [k])
+        kring._pin(n, [k], [power])
+        bumped = list(power.coeffs)
+        bumped[j] += off
+        with pytest.raises(InvariantViolation, match=re.escape(f"(1+x)^{k} disagrees with its chain mod 2^61 - 1")):
+            kring._pin(n, [k], [TruncatedPoly(n, tuple(bumped))])
+        # what the pin misses: a coefficient off by a multiple of p
+        bumped[j] += PIN_PRIME * off - off
+        kring._pin(n, [k], [TruncatedPoly(n, tuple(bumped))])
+
+    @pytest.mark.parametrize("lo, hi", [(2, 9), (-3, 12), (1, 30), (-20, 4), (7, 7), (-5, -5), (10**6, 10**6)])
+    def test_only_the_pin_catches_a_consistent_wrong_unit(self, monkeypatch, lo, hi):
+        # anchors of (1+2x)^k keep every pair, the step and the tie consistent
+        # (at k_lo = 0 both anchors are 1, and nothing is wrong)
+        monkeypatch.setattr(kring, "_binomial_series", one_plus_2x_series)
+        message = f"(1+x)^{lo} disagrees with its chain mod 2^61 - 1 for degree 5"
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            at_table(5, lo, hi)
+        with pytest.raises(InvariantViolation, match="disagrees with its chain"):
+            one_plus_x_powers(5, [hi, lo])
+        monkeypatch.setattr(kring, "_pin", lambda n, exponents, powers: None)
+        wrong = at_table(5, lo, hi)
+        assert [k for k, _ in wrong] == list(range(lo, hi + 1))
+        assert wrong[0][1] == from_monomials(one_plus_2x_series(5, [lo])[0]).coords != tuple(oracle_coords(5, lo))
+
+    def test_negative_degree_rejected(self):
+        for build in (lambda: one_plus_x_power(-1, 2), lambda: at_table(-1, 0, 0), lambda: line_class(-2, -1)):
+            with pytest.raises(InputError, match="truncation degree must be nonnegative"):
+                build()
+
+    def test_a_wrong_anchor_fails_the_command(self, monkeypatch):
+        monkeypatch.setattr(kring, "_binomial_series", one_plus_2x_series)
+        r = invoke(["at", "--n", 5, "--k", -3])
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert r.stderr == "failed: (1+x)^-3 disagrees with its chain mod 2^61 - 1 for degree 5\n"
+
+
+class TestSharedPowering:
     @settings(max_examples=60, deadline=None)
     @given(truncated_polys(max_n=8), st.lists(st.integers(0, 40), min_size=1, max_size=4))
     def test_any_base_matches_repeated_products(self, p, exponents):
@@ -855,26 +900,26 @@ class TestSharedPowering:
             for _ in range(k):
                 q = schoolbook_product(q, p.coeffs)
             expect.append(q)
-        assert [q.coeffs for q in p.powers(exponents)] == expect
+        assert [q.coeffs for q in _powers(p, exponents, operator.mul, lambda: TruncatedPoly.one(p.n))] == expect
 
     @pytest.mark.parametrize(
         "exponents",
         [(0,), (1,), (2,), (7,), (8,), (129,), (10**6,), (5, 10), (96, 192), (0, 0), (3, 1, 12)],
     )
-    def test_each_square_once_and_no_product_by_one(self, monkeypatch, exponents):
-        counts = []
-        mul = TruncatedPoly.__mul__
-        monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: counts.append(1) or mul(a, b))
-        TruncatedPoly.from_coeffs(6, [1, 1]).powers(exponents)
+    def test_each_square_once_and_no_product_by_one(self, exponents):
         # squares up to the top bit of the largest exponent, then one product
-        # fewer than each exponent has set bits
+        # fewer than each exponent has set bits; bases of infinite order, so
+        # no operand equals the unit unless it is a unit that one() made
         squares = max(max(exponents).bit_length() - 1, 0)
         expected = squares + sum(max(bin(k).count("1") - 1, 0) for k in exponents)
-        assert len(counts) == expected
-        # _powers over other rings: bases of infinite order, so no operand
-        # equals the unit unless it is a unit that one() made
         ring = matrix_ring(3)
         for base, mul, one, power in (
+            (
+                TruncatedPoly.from_coeffs(6, [1, 1]),
+                operator.mul,
+                lambda: TruncatedPoly.one(6),
+                lambda k: TruncatedPoly(6, binomial_power(6, k)),
+            ),
             (LaurentPoly.t(1), operator.mul, LaurentPoly.one, LaurentPoly.t),
             (
                 (1, 1, 0, 0, 1, 1, 0, 0, 1),
@@ -893,11 +938,9 @@ class TestSharedPowering:
             assert len(operands) == 2 * expected
             assert one() not in operands
 
-    def test_mixed_signs_rejected(self):
-        with pytest.raises(InputError, match="both signs"):
-            one_plus_x_powers(3, (-1, 1))
+    def test_negative_exponents_need_an_inverse(self):
         with pytest.raises(InputError, match="explicit inverse"):
-            TruncatedPoly.one(3).powers((2, -1))
+            _powers(TruncatedPoly.one(3), (2, -1), operator.mul, lambda: TruncatedPoly.one(3))
 
 
 # ---------------------------------------------------------------------------
@@ -919,32 +962,30 @@ class TestChecksCatchCorruption:
         mul = TruncatedPoly.__mul__
         monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: _bump(mul(a, b), j))
         # Every factor has constant term 1, so a bump of the top slot multiplies
-        # each product by the unit 1 + x^5. Unless k_lo = 0, both anchors are
-        # products of squares with no product by one, so every pair stays
-        # consistent and the step check catches it.
-        message = "line class step fails" if j == 5 and lo != 0 else "line class product fails"
-        with pytest.raises(InvariantViolation, match=message):
+        # each product by the unit 1 + x^5. No anchor is a product, so that
+        # unit shows on one side of the first pair that forms a product.
+        with pytest.raises(InvariantViolation, match="line class product fails"):
             at_table(5, lo, hi)
 
     @pytest.mark.parametrize("k", [-3, 1, 7])
     def test_product_by_a_unit_on_one_index(self, monkeypatch, k):
-        # the one pair of a single index stays consistent, so the window is
-        # walked one index further for the step check
+        # the one pair of a single index squares the row anchor and compares
+        # it with the product anchor, which is no product
         mul = TruncatedPoly.__mul__
         monkeypatch.setattr(TruncatedPoly, "__mul__", lambda a, b: _bump(mul(a, b), 5))
-        with pytest.raises(InvariantViolation, match="line class step fails"):
+        with pytest.raises(InvariantViolation, match=f"line class product fails at \\({k}, {k}\\)"):
             at_table(5, k, k)
 
     @pytest.mark.parametrize("lo, hi", RANGES)
     @pytest.mark.parametrize("j", [0, 5])
     def test_wrong_product_anchor(self, monkeypatch, lo, hi, j):
-        powers = kring.one_plus_x_powers
+        series = kring._binomial_series
 
         def wrong(n, exponents):
-            row_anchor, product_anchor = powers(n, exponents)
+            row_anchor, product_anchor = series(n, exponents)
             return [row_anchor, _bump(product_anchor, j)]
 
-        monkeypatch.setattr(kring, "one_plus_x_powers", wrong)
+        monkeypatch.setattr(kring, "_binomial_series", wrong)
         with pytest.raises(InvariantViolation, match="line class product fails"):
             at_table(5, lo, hi)
 
@@ -1004,23 +1045,6 @@ class TestChecksCatchCorruption:
         r = invoke(["at", "--n", 5, "--k-range", "0..9"])
         assert (r.exit_code, r.stdout) == (1, "")
         assert r.stderr == "failed: line class rows fail to tie at 9 for degree 5\n"
-
-    @pytest.mark.parametrize("n", [1, 4, 17])
-    def test_corrupt_inversion_route(self, monkeypatch, n):
-        # the closed route's packed sum is read with X^n added to it
-        unpack = kring._unpack
-        monkeypatch.setattr(
-            kring, "_unpack", lambda value, count, width: unpack(value + (1 << 8 * width * (count - 1)), count, width)
-        )
-        with pytest.raises(InvariantViolation, match="inversion routes"):
-            inv_one_plus_x(n)
-
-    @pytest.mark.parametrize("n", [1, 4, 17])
-    def test_corrupt_closed_form(self, monkeypatch, n):
-        comb = math.comb
-        monkeypatch.setattr(math, "comb", lambda a, b: comb(a, b) + (b == 1))
-        with pytest.raises(InvariantViolation, match="inversion routes"):
-            inv_one_plus_x(n)
 
 
 class TestAugmentationSurjective:
