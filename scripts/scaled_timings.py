@@ -52,7 +52,13 @@ BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
 KINDS = (*BUILDERS, *(f"{kind}_scaled" for kind in BUILDERS))
 # The scales of perfbench's regular_scaled documents.
 SCALES = tuple(Fraction(s) for s in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2"))
-DEFAULT_CASES = ("kG:64:galois", "kG_dual:64:galois", "kG:128:hopf:16384", "at:--n=256,--k=1000000000000")
+DEFAULT_CASES = (
+    "kG:64:galois",
+    "kG_dual:64:galois",
+    "kG_dual_scaled:64:galois",
+    "kG:128:hopf:16384",
+    "at:--n=256,--k=1000000000000",
+)
 
 
 def parse_case(text: str):

@@ -322,7 +322,15 @@ class BalancedTensor:
     right is the table of the right action X (x) B -> X, left that of the
     left action B (x) Y -> Y. The balancing relations are the vectors
     (x b) (x) y - x (x) (b y) over basis vectors x, b, y; each side is one
-    bilinear_compose of an action table with an identity table.
+    bilinear_compose of an action table with an identity table, over the
+    base vectors that are kept.
+
+    A base vector b that acts on X and on Y as one scalar c * id (c = 0
+    included) is left out: each of its relations is c x (x) y - c x (x) y = 0.
+    The test reads only the two tables, so every caller gets it; when no base
+    vector is kept, as for B = k.1 in a unital algebra, the relations are 0
+    and no product is taken. The relation space is kept in reduced echelon
+    form, so it does not depend on which spanning vectors were built.
     """
 
     def __init__(self, right: Mat, left: Mat):
@@ -332,14 +340,24 @@ class BalancedTensor:
             raise InputError("the two action tables are not over one base")
         field = self.field = right.field
         self.ambient_dim = dx * dy
-        spans = Mat.zeros(field, 0, 0)
-        if self.ambient_dim:
+        on_x, on_y = _scalar_actions(right, dx, db, True), _scalar_actions(left, dy, db, False)
+        kept = [b for b in range(db) if on_x[b] is None or on_x[b] != on_y[b]]
+        if self.ambient_dim and kept:
+            # pick_y and pick_x put the kept base vectors, numbered t, into B
+            # (x) Y and X (x) B: column (i, t, j) of both sides is
+            # (e_i b) (x) e_j and e_i (x) (b e_j) for b = kept[t].
+            nk = len(kept)
+            pick_y = {(b * dy + j, t * dy + j): 1 for t, b in enumerate(kept) for j in range(dy)}
+            pick_x = {(i * db + b, i * nk + t): 1 for t, b in enumerate(kept) for i in range(dx)}
+            pick_y = Mat.from_entries(field, db * dy, nk * dy, pick_y)
+            pick_x = Mat.from_entries(field, dx * db, dx * nk, pick_x)
             eye_x, eye_y = Mat.identity(field, dx), Mat.identity(field, dy)
-            # Column (i, b, j) of both: (e_i b) (x) e_j and e_i (x) (b e_j).
-            spans = bilinear_compose(
-                [(right, db), (eye_y, dy)], eye_x, Mat.identity(field, db * dy)
-            ) - bilinear_compose([(eye_x, 1), (left, dy)], Mat.identity(field, dx * db), eye_y)
-        self.relations = Subspace.from_spanning_columns(spans)
+            spans = bilinear_compose([(right, db), (eye_y, dy)], eye_x, pick_y) - bilinear_compose(
+                [(eye_x, 1), (left, dy)], pick_x, eye_y
+            )
+            self.relations = Subspace.from_spanning_columns(spans)
+        else:
+            self.relations = Subspace.zero(field, self.ambient_dim)
         self.dim, self.projector, self.section = quotient(self.ambient_dim, self.relations)
 
     def descend(self, raw: Mat) -> Mat:
@@ -349,6 +367,25 @@ class BalancedTensor:
         if self.relations.dim and not raw.mul(self.relations.mat).is_zero():
             raise InvariantViolation("map does not vanish on the balancing relations")
         return raw.mul(self.section)
+
+
+def _scalar_actions(table: Mat, dim: int, db: int, on_right: bool) -> list:
+    """For each base vector b, the scalar c with which it acts as c * id, or None.
+
+    table is a right action V (x) B -> V (on_right) or a left action
+    B (x) V -> V, with dim V = dim. b acts as c * id when its columns hold c
+    on the diagonal and nothing else: c = 0 when they are empty.
+    """
+    value, count = [0] * db, [0] * db  # count -1: not a scalar
+    for z, col, t in table.nonzeros():
+        v, b = divmod(col, db) if on_right else divmod(col, dim)[::-1]
+        if count[b] < 0:
+            continue
+        if v == z and (not count[b] or t == value[b]):
+            value[b], count[b] = t, count[b] + 1
+        else:
+            count[b] = -1
+    return [value[b] if count[b] in (0, dim) else None for b in range(db)]
 
 
 def balanced_self_tensor(e: Extension) -> BalancedTensor:

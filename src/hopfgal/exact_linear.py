@@ -643,14 +643,16 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     B(-, e_v)), and row z of the answer gains the slice's entry (z, u) times
     row u of the other map, spread over the columns of the answer by row v
     of the fixed map. The work is per product that reaches the answer, as in
-    Gustavson's row-wise sparse product (ACM TOMS 4, 1978): a slice of
-    several tables is combined only over the columns u where the other map
-    has a nonzero row, found by walking a trie of those rows' digits beside
-    each table's columns; a fixed row with one term adds its products
-    straight into the answer; and a fixed row with several terms has its
-    slice multiplied by the other map once, and the product spread. A
-    coefficient is tested for 1 once for the whole row it scales. No slice
-    is built in full, and no operator on a tensor product is built.
+    Gustavson's row-wise sparse product (ACM TOMS 4, 1978). With one table,
+    each column u of the slice reads row u of the other map by index. With
+    two or more, the slice is combined only over the columns u where the
+    other map has a nonzero row, found by walking a trie of those rows'
+    digits beside each table's columns; only then is the trie built. A
+    fixed row with one term adds its products straight into the answer, and
+    a fixed row with several terms has its slice multiplied by the other map
+    once, and the product spread. A coefficient is tested for 1 once for the
+    whole row it scales. No slice is built in full, and no operator on a
+    tensor product is built.
     """
     f._check_same_field(g)
     for table, _ in factors:
@@ -673,9 +675,8 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     # g is the fixed map when it has fewer columns.
     right = g.cols < f.cols
     fixed, other = (g, f) if right else (f, g)
-    # The legs of the fixed map and of the other, one per factor.
+    # The legs of the fixed map, one per factor.
     legs = [fy if right else fx for fx, fy, _ in dims]
-    other_legs = [fx if right else fy for fx, fy, _ in dims]
     # slices[t][v] = {u: [(z, coefficient)]}: factor t's table with its fixed
     # leg at v, by column u of the other leg.
     slices = []
@@ -689,57 +690,87 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
         slices.append(sl)
     # Column i*n + k of the answer is B(f e_i, g e_k), so a column k of f
     # moves by k*n and one of g by k, and a term i of the fixed row adds
-    # i (of g) or i*n (of f). trie holds the nonzero rows of the other map,
-    # with their columns moved, under the digits of their indices, one leg
-    # a level.
+    # i (of g) or i*n (of f).
     n = g.cols
-    trie = {}
-    for u, row in enumerate(other._rows):
-        if row:
-            node, digits = trie, _digits(u, other_legs)
-            for d in digits[:-1]:
-                node = node.setdefault(d, {})
-            node[digits[-1]] = {k * n: b for k, b in row.items()} if right else row
-    start = [(0, 1, trie)]
-
-    def meet(digits):
-        """(z, coefficient, row of the other map) for each entry (z, u) of
-        the slice at digits whose column u meets a nonzero row."""
-        level = start  # (z so far, coefficient so far, trie node)
-        for sl, d, (_, _, fz) in zip(slices, digits, dims):
-            cols = sl[d]
-            deeper = []
-            for zp, cp, node in level:
-                small, large = (node, cols) if len(node) < len(cols) else (cols, node)
-                for u in small:
-                    if u in large:
-                        child = node[u]
-                        for z, a in cols[u]:
-                            deeper.append((zp * fz + z, a if cp == 1 else cp * a, child))
-            level = deeper
-        return level
-
     out = [{} for _ in range(dz)]
-    for v, frow in enumerate(fixed._rows):
-        if not frow:
-            continue
-        hits = meet(_digits(v, legs))
-        if len(frow) == 1:
+    if len(factors) == 1:
+        # The slice of a fixed row picks the rows of the other map by index.
+        (sl,) = slices
+        rows = [{k * n: b for k, b in row.items()} for row in other._rows] if right else other._rows
+        for v, frow in enumerate(fixed._rows):
+            if not frow:
+                continue
+            if len(frow) > 1:
+                hits = ((z, a, rows[u]) for u, terms in sl[v].items() for z, a in terms)
+                _spread(out, hits, frow, right, n)
+                continue
+            ((i, c),) = frow.items()
+            base = i if right else i * n
+            for u, terms in sl[v].items():
+                row = rows[u]
+                if not row:
+                    continue
+                for z, a in terms:
+                    _add_row(out[z], row, base, a if c == 1 else c * a)
+    else:
+        # trie holds the nonzero rows of the other map, with their columns
+        # moved, under the digits of their indices, one leg a level.
+        other_legs = [fx if right else fy for fx, fy, _ in dims]
+        trie = {}
+        for u, row in enumerate(other._rows):
+            if row:
+                node, digits = trie, _digits(u, other_legs)
+                for d in digits[:-1]:
+                    node = node.setdefault(d, {})
+                node[digits[-1]] = {k * n: b for k, b in row.items()} if right else row
+        start = [(0, 1, trie)]
+
+        def meet(digits):
+            """(z, coefficient, row of the other map) for each entry (z, u) of
+            the slice at digits whose column u meets a nonzero row."""
+            level = start  # (z so far, coefficient so far, trie node)
+            for sl, d, (_, _, fz) in zip(slices, digits, dims):
+                cols = sl[d]
+                deeper = []
+                for zp, cp, node in level:
+                    small, large = (node, cols) if len(node) < len(cols) else (cols, node)
+                    for u in small:
+                        if u in large:
+                            child = node[u]
+                            for z, a in cols[u]:
+                                deeper.append((zp * fz + z, a if cp == 1 else cp * a, child))
+                level = deeper
+            return level
+
+        for v, frow in enumerate(fixed._rows):
+            if not frow:
+                continue
+            hits = meet(_digits(v, legs))
+            if len(frow) > 1:
+                _spread(out, hits, frow, right, n)
+                continue
             # One term: each product goes straight into the answer.
             ((i, c),) = frow.items()
             base = i if right else i * n
             for z, a, row in hits:
                 _add_row(out[z], row, base, a if c == 1 else c * a)
-            continue
-        # Several terms: the slice times the other map, once, then spread.
-        products = {}
-        for z, a, row in hits:
-            _add_row(products.setdefault(z, {}), row, 0, a)
-        for z, row in products.items():
-            for i, c in frow.items():
-                _add_row(out[z], row, i if right else i * n, c)
     out = [r if all(r.values()) else {k: a for k, a in r.items() if a} for r in out]
     return Mat._make(f.field, dz, f.cols * g.cols, out)
+
+
+def _spread(out: list, hits, frow: dict, right: bool, n: int) -> None:
+    """Add a fixed row with several terms to the answer.
+
+    hits gives (z, coefficient, row of the other map) for each entry of the
+    row's slice; their sums, the slice times the other map, are taken once
+    and added once per term i of the row.
+    """
+    products = {}
+    for z, a, row in hits:
+        _add_row(products.setdefault(z, {}), row, 0, a)
+    for z, row in products.items():
+        for i, c in frow.items():
+            _add_row(out[z], row, i if right else i * n, c)
 
 
 def _digits(v: int, radices: list) -> list:
@@ -941,6 +972,9 @@ def quotient(ambient_dim: int, relations: Subspace) -> tuple[int, Mat, Mat]:
             f"relations live in dimension {relations.ambient_dim}, expected {ambient_dim}"
         )
     field = relations.field
+    if not relations.dim:
+        eye = Mat.identity(field, ambient_dim)
+        return ambient_dim, eye, eye
     # Transposed, the basis of a Subspace is the nonzero rows of a reduced row
     # echelon form, so the first column of each row is its pivot.
     echelon = relations.mat.transpose()._rows

@@ -163,7 +163,7 @@ def interleaved(f, g, f_right, g_right):
     dim Y' = g_right. For two multiplication tables it is the multiplication
     of the tensor product algebra.
     """
-    gy = g.cols // g_right
+    gy = g.cols // g_right if g_right else 0
     entries = {}
     for i, frow in enumerate(f._rows):
         for k, grow in enumerate(g._rows):
@@ -616,26 +616,27 @@ def shaped_map(draw, field, rows, cols):
     return Mat.from_entries(field, rows, cols, entries)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_bilinear_compose_matches_kronecker_product(data):
     """Up to three tables, each drawn once and used with either map fixed.
 
     The map with fewer columns is the fixed one, so the two pairs of maps,
-    of a and b columns and of b and a, take the two orientations; the rows
-    of either map may be empty, or hold one term or several.
+    of a and b > a columns and of b and a, take the two orientations; the
+    rows of either map may be empty, or hold one term or several. Any leg of
+    a table may have dimension 0.
     """
     field = data.draw(st.sampled_from(FIELDS))
-    factors, table, dy = [], None, 1
+    leg = st.sampled_from((1, 2, 3, 1, 2, 3, 0))  # 0 once in seven draws
+    factors, table, dx, dy = [], None, 1, 1
     for _ in range(data.draw(st.integers(1, 3))):
-        fx, fy, fz = (data.draw(st.integers(1, 3)) for _ in range(3))
+        fx, fy, fz = (data.draw(leg) for _ in range(3))
         t = data.draw(sparse_mat(field, fz, fx * fy))
         table = t if table is None else interleaved(table, t, dy, fy)
         factors.append((t, fy))
-        dy *= fy
-    dx = table.cols // dy
+        dx, dy = dx * fx, dy * fy
     a = data.draw(st.integers(0, 3))
-    b = data.draw(st.integers(0, 3).filter(lambda b: b != a))
+    b = a + data.draw(st.integers(1, 2))
     for wf, wg in ((a, b), (b, a)):
         f = data.draw(shaped_map(field, dx, wf))
         g = data.draw(shaped_map(field, dy, wg))
@@ -1285,6 +1286,56 @@ def test_regular_extension_maps_match_reference(e):
     module = RelativeHopfModule(e.comodule_algebra, e.dim, e.algebra.mult, e.comodule_algebra.coaction)
     twisted = triangle_action(module, b.rep)
     assert (twisted.action, twisted.coaction) == ref_triangle_action(module, b.rep)
+
+
+# How a base vector b acts, on X from the right and on Y from the left. A
+# vector that acts on both as one scalar c * id (c = 0 included) adds only
+# zero relations, and BalancedTensor leaves it out; every other kind must keep
+# its relations: c on X and c' != c on Y, a scalar on one side only, and an
+# operator that is not a scalar on either.
+BASE_KINDS = ("unit", "scalar", "zero", "split", "right_scalar", "left_scalar", "noncentral")
+
+
+@st.composite
+def action_tables(draw):
+    """A right action table of B on X, a left one on Y, and their operators,
+    base vector by base vector."""
+    field = draw(st.sampled_from(FIELDS))
+    dx, dy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    eye_x, eye_y = Mat.identity(field, dx), Mat.identity(field, dy)
+    rights, lefts = [], []
+    for kind in draw(st.lists(st.sampled_from(BASE_KINDS), min_size=1, max_size=4)):
+        c = field.of(draw(nonzero_scalars(field)))
+        r, l = eye_x.scale(c), eye_y.scale(c)
+        if kind == "unit":
+            r, l = eye_x, eye_y
+        elif kind == "zero":
+            r, l = eye_x.scale(0), eye_y.scale(0)
+        elif kind == "split":
+            l = eye_y.scale(draw(scalars(field).filter(lambda d: field.of(d) != c)))
+        elif kind == "right_scalar":
+            l = draw(sparse_mat(field, dy, dy))
+        elif kind == "left_scalar":
+            r = draw(sparse_mat(field, dx, dx))
+        elif kind == "noncentral":
+            r, l = draw(sparse_mat(field, dx, dx)), draw(sparse_mat(field, dy, dy))
+        rights.append(r)
+        lefts.append(l)
+    db = len(rights)
+    # Column x*db + b of the right table is e_x b, column b*dy + y of the left one b e_y.
+    right = {(z, x * db + b): a for b, r in enumerate(rights) for z, x, a in r.nonzeros()}
+    left = {(z, b * dy + y): a for b, l in enumerate(lefts) for z, y, a in l.nonzeros()}
+    tables = Mat.from_entries(field, dx, dx * db, right), Mat.from_entries(field, dy, db * dy, left)
+    return tables, (field, dx, dy, rights, lefts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_tables())
+def test_scalar_acting_base_vectors_match_reference(drawn):
+    """The relations without those of the base vectors that act as one scalar
+    on both sides span what every base vector's relations span."""
+    (right, left), ref = drawn
+    assert_same_quotient(BalancedTensor(right, left), RefBalancedTensor(*ref))
 
 
 @pytest.mark.parametrize("name", SELF_TENSOR_CASES)
