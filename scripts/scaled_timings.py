@@ -58,6 +58,7 @@ DEFAULT_CASES = (
     "kG_dual_scaled:64:galois",
     "kG:128:hopf:16384",
     "at:--n=256,--k=1000000000000",
+    "at:--n=128,--self-check",
 )
 
 

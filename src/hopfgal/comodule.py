@@ -361,10 +361,15 @@ class BalancedTensor:
         self.dim, self.projector, self.section = quotient(self.ambient_dim, self.relations)
 
     def descend(self, raw: Mat) -> Mat:
-        """Factor a map X (x) Y -> W through the quotient (raw must kill relations)."""
+        """Factor a map X (x) Y -> W through the quotient (raw must kill relations).
+
+        With no relations the section is the identity, and raw is the answer.
+        """
         if raw.cols != self.ambient_dim:
             raise InputError("map does not start on the ambient tensor product")
-        if self.relations.dim and not raw.mul(self.relations.mat).is_zero():
+        if not self.relations.dim:
+            return raw
+        if not raw.mul(self.relations.mat).is_zero():
             raise InvariantViolation("map does not vanish on the balancing relations")
         return raw.mul(self.section)
 

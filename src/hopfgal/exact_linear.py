@@ -644,15 +644,16 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     row u of the other map, spread over the columns of the answer by row v
     of the fixed map. The work is per product that reaches the answer, as in
     Gustavson's row-wise sparse product (ACM TOMS 4, 1978). With one table,
-    each column u of the slice reads row u of the other map by index. With
-    two or more, the slice is combined only over the columns u where the
-    other map has a nonzero row, found by walking a trie of those rows'
-    digits beside each table's columns; only then is the trie built. A
-    fixed row with one term adds its products straight into the answer, and
-    a fixed row with several terms has its slice multiplied by the other map
-    once, and the product spread. A coefficient is tested for 1 once for the
-    whole row it scales. No slice is built in full, and no operator on a
-    tensor product is built.
+    each column u of the slice reads row u of the other map by index, and
+    when some fixed rows are empty, as for the one column of a unit, only
+    the slices of the others are built. With two or more, the slice is
+    combined only over the columns u where the other map has a nonzero row,
+    found by walking a trie of those rows' digits beside each table's
+    columns; only then is the trie built. A fixed row with one term adds its
+    products straight into the answer, and a fixed row with several terms
+    has its slice multiplied by the other map once, and the product spread.
+    A coefficient is tested for 1 once for the whole row it scales. No slice
+    is built in full, and no operator on a tensor product is built.
     """
     f._check_same_field(g)
     for table, _ in factors:
@@ -682,7 +683,15 @@ def bilinear_compose(factors, f: Mat, g: Mat) -> Mat:
     slices = []
     for (table, fy), fv in zip(factors, legs):
         sl = [{} for _ in range(fv)]
-        for z, row in enumerate(table._rows):
+        table_rows = table._rows
+        if len(factors) == 1 and not all(fixed._rows):
+            # One table is read only at the nonzero fixed rows: drop the
+            # columns of the others before slicing (decided once a call).
+            live = [bool(row) for row in fixed._rows]
+            table_rows = [
+                {col: t for col, t in row.items() if live[col % fy if right else col // fy]} for row in table_rows
+            ]
+        for z, row in enumerate(table_rows):
             for col, t in row.items():
                 x, y = divmod(col, fy)
                 v, u = (y, x) if right else (x, y)

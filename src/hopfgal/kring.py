@@ -47,7 +47,7 @@ scale(c, a), not a ring product; module maps stay tuples of int rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 import math
 import operator
 
@@ -88,6 +88,11 @@ def _pack(coeffs, width: int) -> int:
 def _slots_mask(count: int, width: int) -> int:
     """X^count - 1 at X = 2^(8 width): reduces a packed integer mod X^count."""
     return (1 << (8 * width * count)) - 1
+
+
+def _step_residue(residue: int, count: int, width: int) -> int:
+    """residue (1 + X) mod X^count at X = 2^(8 width): one shift, one add, one mask."""
+    return (residue + (residue << 8 * width)) & _slots_mask(count, width)
 
 
 def _unpack(value: int, count: int, width: int) -> list:
@@ -191,11 +196,16 @@ class TruncatedPoly:
     Elements are immutable. A product stays packed until its coefficients
     are read, and equality with it compares residues where the module
     docstring's bound allows; an element packs itself at most once per width,
-    up to its highest nonzero slot. A product by 1 is the other factor, told
-    from a product's residue or an element's first slot and length.
+    up to its highest nonzero slot. An element p (1+x) made by
+    times_one_plus_x holds on to p's residues and takes its residue at a
+    width from p's at that width, when p has packed one: as integers,
+    (1 + X) p(X) is the element's packed value mod X^{n+1}, whatever the
+    width.
+    A product by 1 is the other factor, told from a product's residue or an
+    element's first slot and length.
     """
 
-    __slots__ = ("n", "_coeffs", "_top", "_end", "_width", "_residues")
+    __slots__ = ("n", "_coeffs", "_top", "_end", "_width", "_residues", "_source_residues")
 
     def __init__(self, n: int, coeffs: tuple):
         self.n = n
@@ -203,6 +213,7 @@ class TruncatedPoly:
         self._top = self._end = None
         self._width = None  # the slot width of a packed product
         self._residues = {}  # width -> residue mod X^{n+1}
+        self._source_residues = None  # p's residues when this element is p (1+x)
 
     @staticmethod
     def _packed(n: int, residue: int, width: int) -> "TruncatedPoly":
@@ -236,10 +247,19 @@ class TruncatedPoly:
         return self._coeffs[0] == 1 and self._length() == 1
 
     def _residue(self, width: int) -> int:
-        """This element packed at width, mod X^{n+1}, up to its highest nonzero slot; once per width."""
+        """This element packed at width, mod X^{n+1}; once per width.
+
+        Stepped from its source's residue at width when there is one, else
+        packed up to its highest nonzero slot.
+        """
         residue = self._residues.get(width)
         if residue is None:
-            residue = _pack(self.coeffs[: self._length()], width) & _slots_mask(self.n + 1, width)
+            step = self._source_residues and self._source_residues.get(width)
+            residue = (
+                _step_residue(step, self.n + 1, width)
+                if step
+                else _pack(self.coeffs[: self._length()], width) & _slots_mask(self.n + 1, width)
+            )
             self._residues[width] = residue
         return residue
 
@@ -312,10 +332,13 @@ class TruncatedPoly:
         """This element times 1+x: coefficient i becomes c_i + c_{i-1}.
 
         One map of operator.add over the coefficients and their shift by
-        one slot, with no Python-level loop body.
+        one slot, with no Python-level loop body. The result holds on to
+        this element's residues, to step its own from.
         """
         c = self.coeffs
-        return TruncatedPoly(self.n, c[:1] + tuple(map(operator.add, c[1:], c)))
+        p = TruncatedPoly(self.n, c[:1] + tuple(map(operator.add, c[1:], c)))
+        p._source_residues = self._residues
+        return p
 
 
 def _binomial_series(n: int, exponents) -> list:
@@ -397,29 +420,25 @@ def _product_rows(a, b):
     """
     inner = len(b)
     cols = len(b[0]) if b else 0
-    if any(len(row) != cols for row in b):
+    if set(map(len, b)) - {cols}:
         raise InputError("right factor has rows of different lengths")
-    if any(len(row) != inner for row in a):
+    if set(map(len, a)) - {inner}:
         raise InputError(f"left factor needs {inner} entries in every row, one per row of the right factor")
-    top_a = max((abs(x) for row in a for x in row), default=0)
-    top_b = max((abs(x) for row in b for x in row), default=0)
+    top_a = max(map(abs, chain.from_iterable(a)), default=0)
+    top_b = max(map(abs, chain.from_iterable(b)), default=0)
     # every product entry is a sum of inner terms a[i][k] b[k][j]
     width = _slot_bytes(max(inner * top_a * top_b, top_b))
     shift = 8 * width
-    # (offset, k, packed row) for each nonzero row k of b, highest offset first
-    tails = []
-    for k, row in enumerate(b):
-        offset = next((j for j, x in enumerate(row) if x), cols)
-        if offset < cols:
-            tails.append((offset, k, _pack(row[offset:], width)))
-    tails.sort(reverse=True)
+    # (offset, k, packed row) for each nonzero row k of b, highest offset
+    # first; a row's offset is the first column that compress lets through
+    offsets = [next(compress(range(cols), row), cols) for row in b]
+    tails = sorted(((o, k, _pack(b[k][o:], width)) for k, o in enumerate(offsets) if o < cols), reverse=True)
 
     def rows():
         for row in a:
             acc, low = 0, cols
             for offset, k, packed in tails:
-                v = row[k]
-                if v:
+                if v := row[k]:
                     acc = (acc << shift * (low - offset)) + v * packed
                     low = offset
             yield low, acc
@@ -519,8 +538,11 @@ def at_base_change(n: int):
 
 
 def at_base_change_inverse(n: int):
-    """Its inverse, with entries (-1)^(j+k) C(k, j)."""
-    return [[-x if (j + k) & 1 else x for k, x in enumerate(row)] for j, row in enumerate(_binomial_rows(n))]
+    """Its inverse, with entries (-1)^(j+k) C(k, j): each binomial row with every other entry negated by a slice."""
+    rows = list(_binomial_rows(n))
+    for j, row in enumerate(rows):
+        row[1 - j % 2 :: 2] = map(operator.neg, row[1 - j % 2 :: 2])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +652,31 @@ def at_table(n: int, k_lo: int, k_hi: int):
     Two windows are walked up by one factor 1+x per index from anchors in
     closed form: the rows (1+x)^k, k in [k_lo, k_hi], from (1+x)^{k_lo}, and
     the products (1+x)^s, s in [2 k_lo, 2 k_hi], which holds every k1 + k2 a
-    checked pair can reach, from (1+x)^{2 k_lo}. No anchor is a product, so
-    a wrong step in either walk, or a product that multiplies by some unit,
-    fails a pair. A step that multiplies by some other unit u keeps every
-    pair consistent, so the row window is walked one index past k_hi and
-    its first step is compared with a plain product by 1+x. Anchors that
+    checked pair can reach, from (1+x)^{2 k_lo}. Each window is walked twice:
+    its coefficients by times_one_plus_x, and its packed residues. A pair at
+    slot width w takes an element's residue from its predecessor's residue r
+    at w, as (r + (r << 8w)) mod X^{n+1}: one shift, one add, one mask. Only
+    the anchors, and an element whose predecessor holds no residue at w,
+    pack their coefficients. As integers (1+X) p(X) and (p (1+x))(X) agree
+    mod X^{n+1} at any width, so a stepped residue is the packed one and no
+    pair changes its verdict.
+    No anchor is a product, so a wrong step in either walk, or a product
+    that multiplies by some unit, fails a pair. A coefficient walk or a
+    packed step that multiplies by some other unit u can keep every pair
+    consistent, so the row window is walked one index past k_hi and the
+    step is checked three ways: element k_lo + 1, packed from its
+    coefficients, must equal the packed step of element k_lo and its
+    product by 1+x. That product pins both walks to a multiplication: a
+    packed step that is not r -> r (1+X), such as a shift by another number
+    of slots, or a coefficient walk by another unit, fails it. Anchors that
     are u^{k_lo} and u^{2 k_lo} for a unit u other than 1+x keep the pairs,
     the step and the tie consistent, so _pin checks the row anchor mod p;
     the exact pair (k_lo, k_lo) then pins the product anchor mod p too.
     The pin misses only a closed form wrong by multiples of p in every
     coefficient.
-    A window element goes, with the residues it has packed, once the last
-    pair that reads it is checked; the two elements of the step check stay.
+    A window element goes once the last pair that reads it is checked, and
+    its residues once its successor, which steps from them, goes too; the
+    two elements of the step check stay.
 
     The rows take one Taylor shift, of (1+x)^{k_lo}, and are walked from it
     in the shifted basis. There [L_k] is y^k in Z[y]/((y-1)^{n+1}), y = 1+x,
@@ -658,11 +693,8 @@ def at_table(n: int, k_lo: int, k_hi: int):
         raise InputError("empty exponent range")
 
     def walk(p: TruncatedPoly, start: int, stop: int) -> dict:
-        out = {start: p}
-        for k in range(start + 1, stop + 1):
-            p = p.times_one_plus_x()
-            out[k] = p
-        return out
+        steps = accumulate(range(start, stop), lambda q, _: q.times_one_plus_x(), initial=p)
+        return dict(zip(range(start, stop + 1), steps))
 
     row_anchor, product_anchor = _binomial_series(n, (k_lo, 2 * k_lo))
     _pin(n, (k_lo,), (row_anchor,))
@@ -683,19 +715,24 @@ def at_table(n: int, k_lo: int, k_hi: int):
     last_row, last_product = {}, {}
     for i, (k1, k2) in enumerate(pairs):
         last_row[k1] = last_row[k2] = last_product[k1 + k2] = i
-    for k in (k_lo, k_lo + 1):
-        last_row.pop(k, None)
+    last_row[k_lo] = last_row[k_lo + 1] = len(pairs)  # the step check reads them after the pairs
     for i, (k1, k2) in enumerate(pairs):
         if power[k1] * power[k2] != product[k1 + k2]:
             raise InvariantViolation(
                 f"line class product fails at ({k1}, {k2}) for degree {n}"
             )
         for k in {k1, k2}:
-            if last_row.get(k) == i:
+            if last_row[k] == i:
                 del power[k]
         if last_product[k1 + k2] == i:
             del product[k1 + k2]
-    if power[k_lo + 1] != power[k_lo] * TruncatedPoly.from_coeffs(n, [1, 1]):
+    # element k_lo + 1 from its coefficients, its packed step and its product
+    # by 1+x, which is 1+x itself, unpacked, when the anchor is 1
+    anchor, fresh = power[k_lo], TruncatedPoly(n, power[k_lo + 1].coeffs)
+    multiplied = anchor * TruncatedPoly.from_coeffs(n, [1, 1])
+    width = multiplied._width or 1
+    stepped = TruncatedPoly._packed(n, _step_residue(anchor._residue(width), n + 1, width), width)
+    if not stepped == fresh == multiplied:
         raise InvariantViolation(f"line class step fails at {k_lo} for degree {n}")
     rows = [(k_lo, first)]
     if k_hi > k_lo:

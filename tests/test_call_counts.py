@@ -59,16 +59,20 @@ def calls(monkeypatch, rebind):
 # _mul_rows: the products Mat.mul takes. bilinear_compose takes none: it adds
 # the products of a fixed row with one term straight into its answer, and
 # multiplies the slice of a row with several terms itself (17, 23, 70 and 29
-# calls when every slice went through one stacked product).
+# calls when every slice went through one stacked product). A balanced
+# tensor product with no balancing relations, as over B = k.1, has the
+# identity for its section, so descending a map through it takes no product:
+# 2 for check galois, whose one descent of the canonical map was the third,
+# 12 for check cartesian and 35 for phi (13 and 38 with those products).
 CASES = {
-    "check galois regular_z4.json": {"kernel": 1, "rank": 1, "check_extension": 1, "_mul_rows": 3},
-    "check cartesian sweedler_self.json": {"rank": 1, "check_hopf_map": 1, "_mul_rows": 13},
+    "check galois regular_z4.json": {"kernel": 1, "rank": 1, "check_extension": 1, "_mul_rows": 2},
+    "check cartesian sweedler_self.json": {"rank": 1, "check_hopf_map": 1, "_mul_rows": 12},
     # base_mult: the source base and the target base, once each. _mul_rows
     # was 40 when phi recomputed kappa phi, which pullback_structure has
     # already compared with the mirror map, and 39 when the distributive law
     # multiplied kappa phi again after the exact solve against kappa.
     "phi sweedler_self.json": {
-        "CotensorSpace": 1, "base_mult": 2, "check_comodule_algebra": 1, "rank": 1, "_mul_rows": 38,
+        "CotensorSpace": 1, "base_mult": 2, "check_comodule_algebra": 1, "rank": 1, "_mul_rows": 35,
     },
     "bundle bundle_regular_sweedler.json": {"base_mult": 1, "_mul_rows": 4},
 }
@@ -127,36 +131,52 @@ def kring_calls(monkeypatch, rebind):
     return counts
 
 
-# at: the packings and unpackings of one command. An element packs itself
-# at most once per slot width, and a pair check compares the residue of a
-# packed product with that of a known element, so no pair check unpacks. A
-# product by 1 is the other factor and packs nothing: over 0..128 the 132
-# pairs with the factor (1+x)^0 = 1 ((k, 0) for every k, and (0, 0), (0, 1),
-# (0, 128) once more) and the first step, 1 * (1+x), compare coefficient
-# tuples. The other 383 pairs pack 555 times: 552, and 3 packs the products
-# by 1 made before (178 in all) and left for later pairs to reuse. Then the
-# identity check packs each of the 129 rows of the base-change matrix, and
-# the pin of [L_-1] packs its closed form mod p once, to multiply it by the
-# chain of (1+x)^1: 555 + 129 + 1 = 685 (690 when [L_129] was the product of
-# a chain that packed 6 times, 865 when products by 1 were packed as well).
+# at: the packings and unpackings of one command. A pair check compares the
+# residue of a packed product with that of a known element, so no pair
+# check unpacks, and a product by 1 is the other factor and packs nothing.
+# A window element p (1+x) steps its residue at a pair's width from p's, so
+# it packs its coefficients only when p holds no residue at that width.
+# Along a table the pairs' widths grow, and two fronts reach each width: the
+# diagonal pairs (k, k) and (k, k+1), where the first row and the first
+# product to need the width pack, and from halfway up the upper-end pairs
+# (k, n), which pack a row and a product and [L_n] itself, whose predecessor
+# the pairs read only at the end.
+# Over 0..128 --self-check the pairs take widths 2..33: 2 packs at each of
+# 2..16, 4 at each of 17..30 (the diagonal's product is one the upper end
+# packed already), 1 more at 17, where both fronts pack their product, 3 at
+# 31 and 32, which only the upper end reaches, and 2 at 33, [L_128] and its
+# square: 15 * 2 + 14 * 4 + 1 + 2 * 3 + 2 = 95 (555 when each element packed
+# at every width it met). The step check packs the anchor 1 and [L_1] at
+# width 1, since a product by 1 + x of 1 is not packed: 2. Then the identity
+# check packs each of the 129 rows of the base-change matrix, and the pin of
+# [L_-1] packs its closed form mod p once, to multiply it by the chain of
+# (1+x)^1: 95 + 2 + 129 + 1 = 227 (685 with a pack per element and width).
 # It unpacks what the 4 Taylor shifts return and the three pinned chains,
 # of the anchor (1+x)^0, of [L_129] and of [L_-1]: 4 + 3 = 7 (13 when the 8
 # products of [L_129] and the closed route to 1/(1+x) were unpacked in place
 # of the pins, 142 when the identity check unpacked its 129 rows as well).
 # The identity check compares each packed row of B B^-1 with the packed row
-# of the identity. A range of 8 indices packs 33 times in its checks: the
-# 30 it packed when its anchors were products of a chain, which came with
-# their residues, and its two anchors once each at the width of the pair
-# (32, 32) and the row anchor once at the width of the step. It no longer
-# packs 5 times in a chain (35 in all then, 42 with two chains). It unpacks
-# its 2 shifts and its pin: 3 (8 with the 6 squares of its chain unpacked
-# in place of the pin, 14 with a shift per row, 21 with two chains as well).
+# of the identity.
+# Over 0..64 --self-check the pairs take widths 1..17: 2 packs at each of
+# 1..8, 4 at each of 9..14 and 1 more at 9, 3 at 15 and 16, and 2 at 17:
+# 8 * 2 + 6 * 4 + 1 + 2 * 3 + 2 = 49. With the step's 2, the 65 rows and the
+# pin: 49 + 2 + 65 + 1 = 117 (341 with a pack per element and width). It
+# unpacks 4 shifts and 3 pins: 7.
+# A range of 8 indices checks its 64 pairs at widths 9 and 10. Both anchors
+# pack at 9, for the pair (32, 32). At 10 the row anchor, [L_39] and
+# (1+x)^71 pack for the pair (32, 39), and [L_38] and [L_37] for the pairs
+# (33, 38) and (34, 37), which need width 10 before their predecessors do.
+# The step packs the row anchor, 1+x and [L_33] at width 5: 2 + 5 + 3 = 10
+# (33 with a pack per element and width). It unpacks its 2 shifts and its
+# pin: 3 (8 with the 6 squares of its chain unpacked in place of the pin,
+# 14 with a shift per row, 21 with two chains as well).
 # One large index packs its row anchor and the product anchor at the width
 # of its one pair, and at the width of the step the row anchor, 1+x and the
 # walked (1+x)^{k+1}: 5. It unpacks its one shift and its pin: 2.
 AT_PACKING = {
-    "at --n 128 --self-check": {"packs": 685, "unpacks": 7},
-    "at --n 64 --k-range 32..39": {"packs": 33, "unpacks": 3},
+    "at --n 128 --self-check": {"packs": 227, "unpacks": 7},
+    "at --n 64 --self-check": {"packs": 117, "unpacks": 7},
+    "at --n 64 --k-range 32..39": {"packs": 10, "unpacks": 3},
     "at --n 128 --k 1000000": {"packs": 5, "unpacks": 2},
 }
 

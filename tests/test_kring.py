@@ -359,6 +359,9 @@ class TestLinearKernels:
     @given(truncated_polys())
     def test_times_one_plus_x_is_a_product(self, p):
         assert p.times_one_plus_x() == p * TruncatedPoly.from_coeffs(p.n, [1, 1])
+        # equality with a packed product may read the residue stepped from
+        # p's, so the coefficients are compared on their own as well
+        assert p.times_one_plus_x().coeffs == (p * TruncatedPoly.from_coeffs(p.n, [1, 1])).coeffs
 
     @settings(max_examples=80, deadline=None)
     @given(truncated_polys())
@@ -1045,6 +1048,110 @@ class TestChecksCatchCorruption:
         r = invoke(["at", "--n", 5, "--k-range", "0..9"])
         assert (r.exit_code, r.stdout) == (1, "")
         assert r.stderr == "failed: line class rows fail to tie at 9 for degree 5\n"
+
+    @pytest.mark.parametrize("lo, hi", [(2, 2), (-3, -3), (7, 7), (0, 9), (-3, 12), (1, 30)])
+    def test_step_catches_a_coefficient_walk_by_another_unit(self, monkeypatch, lo, hi):
+        # coefficients walked by 1+2x while the residues still step by 1+X
+        # from the shared ones: a single index's one pair reads only the
+        # anchors, so the three-way step catches it
+        def by_one_plus_2x(p):
+            c = p.coeffs
+            q = TruncatedPoly(p.n, c[:1] + tuple(a + 2 * b for a, b in zip(c[1:], c)))
+            q._source_residues = p._residues
+            return q
+
+        monkeypatch.setattr(TruncatedPoly, "times_one_plus_x", by_one_plus_2x)
+        match = "line class step fails" if lo == hi else "line class (step|product) fails"
+        with pytest.raises(InvariantViolation, match=match):
+            at_table(5, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(2, 2), (-3, -3), (7, 7), (0, 9), (-3, 12), (1, 30)])
+    def test_step_catches_a_packed_step_by_another_unit(self, monkeypatch, lo, hi):
+        # a shift by two slots steps a residue by the unit 1 + X^2
+        by_one_plus_x2 = lambda r, count, w: (r + (r << 16 * w)) & ((1 << 8 * w * count) - 1)
+        monkeypatch.setattr(kring, "_step_residue", by_one_plus_x2)
+        match = "line class step fails" if lo == hi else "line class (step|product) fails"
+        with pytest.raises(InvariantViolation, match=match):
+            at_table(5, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# stepped residues: the verdicts of packing every element at every width
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big_ints, min_size=1, max_size=16), st.integers(min_value=1, max_value=8))
+@example([1], 1)
+@example([-1, 255, -(1 << 20)], 1)  # wider than the slots
+def test_packed_step_is_times_one_plus_x_at_any_width(coeffs, width):
+    # as integers, (1 + X) p(X) mod X^{n+1} is the packed value of p (1+x),
+    # whether or not the coefficients fit their slots
+    p = TruncatedPoly(len(coeffs) - 1, tuple(coeffs))
+    stepped = kring._step_residue(residue_of(coeffs, width), len(coeffs), width)
+    assert stepped == residue_of(p.times_one_plus_x().coeffs, width)
+
+
+@pytest.mark.parametrize("widths", [(1, 2), (2, 1), (3, 9), (9, 3, 2)])
+def test_residue_steps_only_from_its_own_width(widths):
+    # the source holds residues at the other widths, none at the last
+    *held, wanted = widths
+    p = TruncatedPoly(6, (1, -7, 100, 0, -5, 3, 2))
+    for width in held:
+        p._residue(width)
+    q = p.times_one_plus_x()
+    assert q._residue(wanted) == residue_of(q.coeffs, wanted)
+    p._residue(wanted)
+    r = p.times_one_plus_x()
+    assert r._residue(wanted) == residue_of(r.coeffs, wanted)
+
+
+def _checked_table(n, lo, hi, bumped_step, share):
+    """at_table's rows or its failure, and its packs.
+
+    The walk bumps slot 0 of the result of call bumped_step of
+    times_one_plus_x, if it is not None and the walk makes that many calls;
+    with share False no element shares its source's residues, so each packs
+    every width it meets.
+    """
+    step, calls, packs = TruncatedPoly.times_one_plus_x, itertools.count(), [0]
+    pack = kring._pack
+
+    def walk(p):
+        q = step(p) if share else TruncatedPoly(p.n, step(p).coeffs)
+        return _bump(q, 0) if next(calls) == bumped_step else q
+
+    def counted(*args):
+        packs[0] += 1
+        return pack(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedPoly, "times_one_plus_x", walk)
+        mp.setattr(kring, "_pack", counted)
+        try:
+            return at_table(n, lo, hi), packs[0]
+        except InvariantViolation as e:
+            return str(e), packs[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.none() | st.integers(min_value=0, max_value=120),
+)
+@example(64, 0, 40, None)
+@example(64, -40, 40, None)
+@example(48, -20, 40, 60)  # a product in the window's middle
+@example(64, 3, 17, 5)  # a row in the window's middle
+def test_rows_and_failures_match_per_width_repacking(n, lo, width, bumped_step):
+    # A stepped residue is the packed one, so the table and the check that
+    # fails on a corrupt window element are those of packing every width.
+    hi = lo + width - 1
+    stepped, stepped_packs = _checked_table(n, lo, hi, bumped_step, share=True)
+    repacked, repacked_packs = _checked_table(n, lo, hi, bumped_step, share=False)
+    assert stepped == repacked
+    assert stepped_packs <= repacked_packs
 
 
 class TestAugmentationSurjective:
