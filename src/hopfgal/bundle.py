@@ -238,11 +238,11 @@ def cotensor_bundle(e: Extension, v: LeftComodule) -> AssociatedBundle:
 
     # (a (x) v) b = a iota(b) (x) v and b (a (x) v) = iota(b) a (x) v, in bundle coordinates
     right = bilinear_compose([(a.mult, da), (eye_v, 1)], space.mat, e.inclusion)
-    right_action = solve(space.mat, right)
+    right_action = space.coordinates(right)
     if right_action is None:
         raise InvariantViolation("bundle is not closed under the right base action")
     left = bilinear_compose([(a.mult, da), (eye_v, dv)], e.inclusion, space.mat)
-    left_action = solve(space.mat, left)
+    left_action = space.coordinates(left)
     if left_action is None:
         raise InvariantViolation("bundle is not closed under the left base action")
     return AssociatedBundle(e, v, space, left_action, right_action)
@@ -358,7 +358,7 @@ def _split_characters(base: AlgebraData) -> list[Mat] | None:
                 refined.append(s)
                 continue
             # B is commutative, so op keeps each joint eigenspace of the earlier operators.
-            t = solve(s.mat, op.mul(s.mat))
+            t = s.coordinates(op.mul(s.mat))
             roots = _poly_roots(_min_poly(t), field)
             pieces = []
             for r in roots:
@@ -478,7 +478,7 @@ def bundle_tensor_data(b1: AssociatedBundle, b2: AssociatedBundle) -> BundleTens
     dv1, dv2 = b1.rep.dim, b2.rep.dim
     factors = [(a.mult, a.dim), (Mat.identity(field, dv1), 1), (Mat.identity(field, dv2), dv2)]
     raw = bilinear_compose(factors, b1.embed, b2.embed)
-    cand = solve(b12.embed, qt.descend(raw))
+    cand = b12.space.coordinates(qt.descend(raw))
     if cand is None:
         raise InvariantViolation("product of bundle sections leaves the cotensor bundle")
     if is_bijective(cand):

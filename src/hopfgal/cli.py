@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from math import lcm
 
 import click
 
@@ -116,17 +117,32 @@ def _get(obj: dict, key: str, path: str, kind, kind_name: str):
     return value
 
 
-def _parse_scalar(field: Field, raw, where):
-    """Parse a scalar; ``where()`` builds its path, called only for an error."""
+def _parse_scalar(field: Field, raw, where, memo: dict):
+    """Parse a scalar; ``where()`` builds its path, called only for an error.
+
+    memo maps each string already read to its value, so a string that
+    repeats within one matrix, or one list of base columns, is parsed once.
+    """
+    try:
+        return memo[raw]
+    except (KeyError, TypeError):
+        pass
     if not isinstance(raw, str):
         raise SchemaError(where(), f"scalar must be a string like \"num/den\", got {raw!r}")
     try:
-        return field.parse(raw)
+        x = memo[raw] = field.parse(raw)
     except InputError as e:
         raise SchemaError(where(), str(e))
+    return x
 
 
 def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: int | None = None) -> Mat:
+    """The matrix at path, built as sparse rows in one pass over its triples.
+
+    Each distinct scalar string is parsed once, and the values that
+    ``Field.parse`` returns are canonical, so nothing is coerced again; the
+    integral view's denominator is the lcm of the distinct values'.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(path, "matrix must be an object with rows, cols, triples")
     _warn_unknown(obj, {"rows", "cols", "triples"}, path)
@@ -142,7 +158,9 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
     triples = obj.get("triples", [])
     if not isinstance(triples, list):
         raise SchemaError(f"{path}.triples", "expected a list of [row, col, scalar]")
-    entries = {}
+    # A zero is stored until the pass ends, so a duplicate of it is found.
+    out = [{} for _ in range(r)]
+    memo = {}
     # The path of a triple is built only for an error: on a valid document
     # it would be most of the cost of a triple.
     tpath = lambda: f"{path}.triples[{idx}]"
@@ -154,10 +172,19 @@ def _parse_matrix(obj, field: Field, path: str, rows: int | None = None, cols: i
             raise SchemaError(tpath(), "row and column must be integers")
         if not (0 <= i < r and 0 <= j < c):
             raise SchemaError(tpath(), f"index ({i}, {j}) outside {r}x{c}")
-        if (i, j) in entries:
+        row = out[i]
+        if j in row:
             raise SchemaError(tpath(), f"duplicate entry for ({i}, {j})")
-        entries[(i, j)] = _parse_scalar(field, raw, tpath)
-    return Mat.from_entries(field, r, c, entries)
+        try:
+            row[j] = memo[raw]
+        except (KeyError, TypeError):
+            row[j] = _parse_scalar(field, raw, tpath, memo)
+    values = memo.values()
+    if not all(values):
+        out = [{j: x for j, x in row.items() if x} for row in out]
+    m = Mat._wrap(field, r, c, out)
+    m._den = lcm(*(x.denominator for x in values if type(x) is not int)) if field.p is None else 1
+    return m
 
 
 def _parse_key_matrix(obj: dict, key: str, field: Field, path: str, rows: int, cols: int) -> Mat:
@@ -214,12 +241,12 @@ def _parse_base_columns(obj: dict, field: Field, dim: int, path: str):
         return None
     if not isinstance(cols, list) or not cols:
         raise SchemaError(f"{path}.base_columns", "expected a nonempty list of columns")
-    out = []
+    out, memo = [], {}
     for idx, col in enumerate(cols):
         cpath = f"{path}.base_columns[{idx}]"
         if not isinstance(col, list) or len(col) != dim:
             raise SchemaError(cpath, f"expected a column of {dim} scalars")
-        out.append([_parse_scalar(field, x, lambda: f"{cpath}[{i}]") for i, x in enumerate(col)])
+        out.append([_parse_scalar(field, x, lambda: f"{cpath}[{i}]", memo) for i, x in enumerate(col)])
     return Subspace.from_spanning_columns(Mat.from_rows(field, out).transpose())
 
 
@@ -714,7 +741,7 @@ def cmd_phi(field, sections):
         **products,
         # The multiplication of the pullback B' (x)_B A is built on
         # (B' (x) A) (x) (B' (x) A), and the H-coaction of the cotensor
-        # solves against embed (x) id_H, on A' (x) H (x) H.
+        # reads coordinates in embed (x) id_H, on A' (x) H (x) H.
         pullback_product=products["pullback"] ** 2,
         cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
     )

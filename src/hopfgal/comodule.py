@@ -36,7 +36,6 @@ from .exact_linear import (
     linear_solutions,
     on_legs,
     quotient,
-    solve,
 )
 from .hopf_core import (
     AlgebraData,
@@ -264,9 +263,10 @@ class Extension:
         """Multiplication of B in the basis given by the inclusion columns.
 
         Every product of two inclusion columns comes from one product, and
-        one solve expresses them all in the inclusion basis.
+        their coordinates in the echelon basis of the base are read off at
+        its pivots, checked by one more product.
         """
-        coords = solve(self.inclusion, _products(self.algebra, self.inclusion))
+        coords = self.invariant_subalgebra.coordinates(_products(self.algebra, self.inclusion))
         if coords is None:
             raise InvariantViolation("base is not closed under multiplication")
         return coords
@@ -275,7 +275,7 @@ class Extension:
     def base_algebra(self) -> AlgebraData:
         """B with the multiplication it inherits from A."""
         mult = self.base_mult()
-        unit = solve(self.inclusion, self.algebra.unit)
+        unit = self.invariant_subalgebra.coordinates(self.algebra.unit)
         if unit is None:
             raise InvariantViolation("base does not contain the unit")
         names = [f"b{j}" for j in range(self.base_dim)]

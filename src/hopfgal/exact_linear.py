@@ -18,8 +18,9 @@ Conventions used by the whole package:
   ``bilinear_compose`` evaluates a bilinear map given by structure tables,
   one table per leg. ``kron`` is two ``on_legs`` calls on an identity.
   ``on_legs`` checks every matrix it builds against HOPFGAL_MAX_DIM.
-* Subspaces are stored via their reduced-echelon basis, so two subspaces are
-  equal iff their stored matrices are equal.
+* Subspaces are stored via their reduced-echelon basis and its pivots, so
+  two subspaces are equal iff their stored matrices are equal, and the
+  coordinates of a vector are read off at the pivots, not solved for.
 * A scalar of Q is a Python rational: an ``int`` when ``Field.of`` sees an
   integer (most structure constants are 0, 1 or -1), otherwise a
   ``Fraction``. Arithmetic may leave a ``Fraction`` with denominator 1;
@@ -856,15 +857,24 @@ class Subspace:
 
     The basis vectors are the columns of ``mat``; transposed they are exactly
     the nonzero rows of a reduced row echelon form, so the representation is
-    canonical and subspace equality is matrix equality.
+    canonical and subspace equality is matrix equality. ``pivots`` holds the
+    pivot column of each of those rows, as ``rref`` found it: basis vector k
+    has a 1 at coordinate ``pivots[k]`` and a 0 at every other pivot.
+
+    So the coordinates of a vector in the span are its entries at the
+    pivots, and ``coordinates`` reads them off instead of solving: it
+    accepts them when one product, ``mat`` times them, gives the vector
+    back. Coordinates in a basis are unique, so the answer is the one
+    ``solve`` gives.
     """
 
-    __slots__ = ("field", "ambient_dim", "mat")
+    __slots__ = ("field", "ambient_dim", "mat", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, mat: Mat):
+    def __init__(self, field: Field, ambient_dim: int, mat: Mat, pivots: tuple[int, ...]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.mat = mat
+        self.pivots = pivots
 
     @staticmethod
     def from_spanning_columns(columns: Mat) -> "Subspace":
@@ -872,15 +882,15 @@ class Subspace:
         field, ambient_dim = columns.field, columns.rows
         red, pivots = columns.transpose().rref()
         basis = Mat._wrap(field, len(pivots), ambient_dim, red._rows[: len(pivots)])
-        return Subspace(field, ambient_dim, basis.transpose())
+        return Subspace(field, ambient_dim, basis.transpose(), pivots)
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, Mat.zeros(field, ambient_dim, 0))
+        return Subspace(field, ambient_dim, Mat.zeros(field, ambient_dim, 0), ())
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, Mat.identity(field, ambient_dim))
+        return Subspace(field, ambient_dim, Mat.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -889,11 +899,14 @@ class Subspace:
     def contains(self, v: Mat) -> bool:
         if v.rows != self.ambient_dim or v.cols != 1:
             raise InputError("vector has wrong shape for containment test")
-        return solve(self.mat, v) is not None
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Mat) -> Mat | None:
-        """Coordinates of v in the echelon basis, or None if v is outside."""
-        return solve(self.mat, v)
+        """Coordinates of the columns of v in the echelon basis, or None if one is outside.
+
+        The same Mat, or None, and the same shape error as ``solve(self.mat, v)``.
+        """
+        return echelon_coordinates(self.mat, self.pivots, v)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -905,6 +918,21 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
+
+
+def echelon_coordinates(basis: Mat, pivots, b: Mat) -> Mat | None:
+    """solve(basis, b) for columns in reduced echelon form, read off at their pivots.
+
+    Transposed, the columns of basis are the rows of a reduced row echelon
+    form and ``pivots`` their pivot columns, so the only candidate for x in
+    basis * x = b is the rows of b at the pivots; it is the answer when one
+    product checks it, and b is outside the span otherwise.
+    """
+    if basis.rows != b.rows:
+        raise InputError(f"shape mismatch: {basis.rows} rows vs {b.rows} rows")
+    rows = b._rows
+    x = Mat._wrap(b.field, len(pivots), b.cols, [rows[p] for p in pivots])
+    return x if basis.mul(x) == b else None
 
 
 def kernel(m: Mat) -> Subspace:
@@ -985,9 +1013,8 @@ def quotient(ambient_dim: int, relations: Subspace) -> tuple[int, Mat, Mat]:
         eye = Mat.identity(field, ambient_dim)
         return ambient_dim, eye, eye
     # Transposed, the basis of a Subspace is the nonzero rows of a reduced row
-    # echelon form, so the first column of each row is its pivot.
-    echelon = relations.mat.transpose()._rows
-    pivots = [min(row) for row in echelon]
+    # echelon form, with its pivots.
+    echelon, pivots = relations.mat.transpose()._rows, relations.pivots
     pivot_set = set(pivots)
     free = {c: qi for qi, c in enumerate(c for c in range(ambient_dim) if c not in pivot_set)}
     qdim = len(free)

@@ -29,6 +29,7 @@ from .exact_linear import (
     PreconditionError,
     Subspace,
     bilinear_compose,
+    echelon_coordinates,
     is_bijective,
     kernel,
     on_legs,
@@ -91,7 +92,9 @@ class CotensorSpace:
     """left box^{H'} H inside left (x) H, for a Hopf map chi: H -> H'.
 
     The left factor carries a right H'-coaction; H is a left H'-comodule
-    through chi applied to the first comultiplication leg.
+    through chi applied to the first comultiplication leg. The embedding is
+    the echelon basis of a Subspace, so coordinates in it, and in
+    embed (x) id_H, are read off at the pivots and checked by one product.
     """
 
     def __init__(self, left_coaction: Mat, chi: HopfMap):
@@ -115,7 +118,7 @@ class CotensorSpace:
 
     def coordinates(self, cols: Mat) -> Mat:
         """Express ambient columns in the cotensor basis; error if they escape."""
-        sol = solve(self.embed, cols)
+        sol = self.space.coordinates(cols)
         if sol is None:
             raise InvariantViolation("columns leave the cotensor subspace")
         return sol
@@ -124,7 +127,10 @@ class CotensorSpace:
         """id (x) Delta_H restricted to the cotensor, as a map C -> C (x) H."""
         dh = self.chi.source.dim
         raw = on_legs(self.chi.source.comult, self.embed, self.left_dim, 1)
-        sol = solve(on_legs(self.embed, Mat.identity(self.field, self.dim * dh), 1, dh), raw)
+        # embed (x) id_H is in echelon form too: column c*dh + j has its
+        # pivot at p_c*dh + j, for the pivot p_c of column c of embed.
+        embed_h = on_legs(self.embed, Mat.identity(self.field, self.dim * dh), 1, dh)
+        sol = echelon_coordinates(embed_h, [p * dh + j for p in self.space.pivots for j in range(dh)], raw)
         if sol is None:
             raise InvariantViolation("cotensor is not stable under id (x) Delta")
         return sol
@@ -152,7 +158,7 @@ class ExtensionMorphism:
             )
         self.chi = chi
         self.alpha = alpha
-        beta = solve(self.target.inclusion, alpha.mul(self.source.inclusion))
+        beta = self.target.invariant_subalgebra.coordinates(alpha.mul(self.source.inclusion))
         if beta is None:
             raise InputError("alpha does not map the declared base into the target base")
         self.beta = beta
@@ -244,7 +250,7 @@ def _cotensor_map_data(m: ExtensionMorphism, bt: BalancedTensor, left: Mat, righ
     noun names the map in the error.
     """
     factors = [(m.target.algebra.mult, m.target.dim), (Mat.identity(m.field, m.source.hopf.dim), h_right)]
-    kappa = solve(m.cotensor.embed, bt.descend(bilinear_compose(factors, left, right)))
+    kappa = m.cotensor.space.coordinates(bt.descend(bilinear_compose(factors, left, right)))
     if kappa is None:
         raise InvariantViolation(f"{noun} leaves the cotensor subspace")
     return CanonicalMapData(kappa, m.cotensor, bt)
@@ -636,10 +642,10 @@ def coinvariant_cotensor_checks(
     s1 = coinvariant_space(mod.coaction, hp)
     s2 = coinvariant_space(coact_c, h)
 
-    u_cols = solve(s2.mat, cot.coordinates(s1.mat.kron(h.unit)))
+    u_cols = s2.coordinates(cot.coordinates(s1.mat.kron(h.unit)))
     if u_cols is None:
         raise InvariantViolation("coinvariant image is not coinvariant in the cotensor")
-    d_cols = solve(s1.mat, on_legs(h.counit, cot.embed.mul(s2.mat), dmp, 1))
+    d_cols = s1.coordinates(on_legs(h.counit, cot.embed.mul(s2.mat), dmp, 1))
     if d_cols is None:
         raise InvariantViolation("cotensor coinvariant does not land in the module coinvariants")
 

@@ -47,11 +47,12 @@ scale(c, a), not a ring product; module maps stay tuples of int rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress
 import math
 import operator
 
-from .exact_linear import QQ, InputError, InvariantViolation, Mat, bilinear_compose
+from .exact_linear import QQ, InputError, InvariantViolation, Mat
 from .hopf_core import AlgebraData, AxiomCheck, Group, algebra_equal, build_group_algebra, ground_algebra
 from .extension import KTopology
 from .bundle import cotensor_bundle, grouplike_character, certify_fgp
@@ -647,7 +648,11 @@ def at_table(n: int, k_lo: int, k_hi: int):
     The self-check verifies [L_{k1}][L_{k2}] = [L_{k1+k2}] in the pulled-back
     ring structure: all pairs when the range holds at most 16 indices, and a
     structured subfamily (lower end, diagonal, successor, upper end) beyond
-    that so wide tables stay inside the interactive time budget.
+    that so wide tables stay inside the interactive time budget. All pairs
+    means each unordered pair once, k1 <= k2, in the order of the ordered
+    pairs: a product, its test for 1 and the integer product behind it are
+    symmetric in the factors, so (k2, k1) would repeat (k1, k2), and the
+    first ordered pair to fail has k1 <= k2, so the message is the same.
 
     Two windows are walked up by one factor 1+x per index from anchors in
     closed form: the rows (1+x)^k, k in [k_lo, k_hi], from (1+x)^{k_lo}, and
@@ -704,7 +709,7 @@ def at_table(n: int, k_lo: int, k_hi: int):
     first = from_monomials(row_anchor).coords
     last = from_monomials(power[k_hi]).coords if k_hi > k_lo else first
     if k_hi - k_lo + 1 <= 16:
-        pairs = [(a, b) for a in ks for b in ks]
+        pairs = [(a, b) for a in ks for b in ks if a <= b]
     else:
         pairs = []
         for a in ks:
@@ -908,8 +913,10 @@ class FiniteZAlgebra:
 
     The structure constants are the sparse ``Mat`` table every algebra of
     the package has, so a product costs time per nonzero constant it meets.
-    Elements are int tuples, and a product is one ``bilinear_compose`` of
-    the two elements' columns over the table.
+    Elements are int tuples. The product of x and y sums x_i y_j e_i e_j
+    over the nonzero x_i and the nonzero products e_i e_j with y_j nonzero,
+    read from an index of the table by i and j that the algebra builds on
+    its first product.
     """
 
     def __init__(self, algebra: AlgebraData):
@@ -933,9 +940,27 @@ class FiniteZAlgebra:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    @cached_property
+    def _cells(self) -> list:
+        """cells[i][j]: the nonzeros (k, c) of e_i e_j, for each nonzero product."""
+        dim = self.dim
+        cells = [{} for _ in range(dim)]
+        for k, row in enumerate(self.algebra.mult._rows):
+            for col, c in row.items():
+                i, j = divmod(col, dim)
+                cells[i].setdefault(j, []).append((k, c))
+        return cells
+
     def mul(self, a, b):
-        product = bilinear_compose([(self.algebra.mult, self.dim)], Mat.column(QQ, a), Mat.column(QQ, b))
-        return tuple(product.entries())
+        out = [0] * self.dim
+        for x, row in zip(a, self._cells):
+            if x:
+                for j, cell in row.items():
+                    if y := b[j]:
+                        xy = x * y
+                        for k, c in cell:
+                            out[k] += c * xy
+        return tuple(out)
 
     def eq(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -957,12 +982,11 @@ class FiniteZAlgebra:
             target.validate(im)
         if not target.eq(_combine(target, images, self.unit), target.one()):
             raise InputError("map does not send the unit to the unit")
-        # row i*dim + j of the transposed table is the cell of e_i e_j
-        cells = self.algebra.mult.transpose()
-        for i in range(self.dim):
+        for i, row in enumerate(self._cells):
             for j in range(self.dim):
-                cell = cells.row_list(i * self.dim + j)
-                if not target.eq(target.mul(images[i], images[j]), _combine(target, images, cell)):
+                cell = row.get(j, ())
+                image = _combine(target, [images[k] for k, _ in cell], [c for _, c in cell])
+                if not target.eq(target.mul(images[i], images[j]), image):
                     raise InputError(f"map is not multiplicative on basis pair ({i}, {j})")
         return images
 

@@ -49,6 +49,7 @@ def calls(monkeypatch, rebind):
         rebind(fn, counting(counts, name, fn))
     for owner, attr, name in (
         (exact_linear.Mat, "rank", "rank"),
+        (exact_linear.Mat, "rref", "rref"),
         (comodule.Extension, "base_mult", "base_mult"),
         (extension.CotensorSpace, "__init__", "CotensorSpace"),
     ):
@@ -61,20 +62,28 @@ def calls(monkeypatch, rebind):
 # multiplies the slice of a row with several terms itself (17, 23, 70 and 29
 # calls when every slice went through one stacked product). A balanced
 # tensor product with no balancing relations, as over B = k.1, has the
-# identity for its section, so descending a map through it takes no product:
-# 2 for check galois, whose one descent of the canonical map was the third,
-# 12 for check cartesian and 35 for phi (13 and 38 with those products).
+# identity for its section, so descending a map through it takes no product
+# (3, 13 and 38 below when it took one).
+# Coordinates in an echelon basis (a Subspace, a cotensor embedding and
+# embed (x) id_H) are read off at its pivots and checked by one product, in
+# place of an elimination of [basis | v]: each read-off adds a product.
+# check galois 2 -> 5 (check_extension: the base in the coinvariants, the
+# unit in the base, the base closed under products), check cartesian
+# 12 -> 16 (beta, the base product and unit, kappa), phi 35 -> 47 (12
+# read-offs) and bundle 4 -> 8 (the two actions, the base product and unit).
+# rref: the eliminations, rank, kernel and from_spanning_columns included;
+# 7, 9, 18 and 9 when every read-off was a solve.
 CASES = {
-    "check galois regular_z4.json": {"kernel": 1, "rank": 1, "check_extension": 1, "_mul_rows": 2},
-    "check cartesian sweedler_self.json": {"rank": 1, "check_hopf_map": 1, "_mul_rows": 12},
+    "check galois regular_z4.json": {"kernel": 1, "rank": 1, "check_extension": 1, "_mul_rows": 5, "rref": 4},
+    "check cartesian sweedler_self.json": {"rank": 1, "check_hopf_map": 1, "_mul_rows": 16, "rref": 5},
     # base_mult: the source base and the target base, once each. _mul_rows
     # was 40 when phi recomputed kappa phi, which pullback_structure has
     # already compared with the mirror map, and 39 when the distributive law
     # multiplied kappa phi again after the exact solve against kappa.
     "phi sweedler_self.json": {
-        "CotensorSpace": 1, "base_mult": 2, "check_comodule_algebra": 1, "rank": 1, "_mul_rows": 35,
+        "CotensorSpace": 1, "base_mult": 2, "check_comodule_algebra": 1, "rank": 1, "_mul_rows": 47, "rref": 6,
     },
-    "bundle bundle_regular_sweedler.json": {"base_mult": 1, "_mul_rows": 4},
+    "bundle bundle_regular_sweedler.json": {"base_mult": 1, "_mul_rows": 8, "rref": 5},
 }
 
 
@@ -110,14 +119,15 @@ KRON_CALLS = {
 # as well). It shifts the two end rows, [L_0] and [L_128], and the two
 # identities: 4, and 131 when each of the 129 rows took its own shift (the
 # rows between are walked in the shifted basis). A range of 8 indices checks
-# all 64 pairs and the step: 65 (71 with both anchors from one chain of 6
-# squares, 78 with a chain for each anchor); it shifts its two end rows: 2
+# each of its 36 unordered pairs once and the step: 37 (65 with all 64
+# ordered pairs, 71 with both anchors from one chain of 6 squares as well,
+# 78 with a chain for each anchor); it shifts its two end rows: 2
 # (8, one per row). One large index checks its one pair and the step: 2 (34
 # for k = 10^6 with its anchors from 20 squares and 12 products), and shifts
 # its one row.
 AT_CALLS = {
     "at --n 128 --self-check": {"products": 516, "taylor_shifts": 4},
-    "at --n 64 --k-range 32..39": {"products": 65, "taylor_shifts": 2},
+    "at --n 64 --k-range 32..39": {"products": 37, "taylor_shifts": 2},
     "at --n 128 --k 1000000": {"products": 2, "taylor_shifts": 1},
 }
 
@@ -162,7 +172,7 @@ def kring_calls(monkeypatch, rebind):
 # 8 * 2 + 6 * 4 + 1 + 2 * 3 + 2 = 49. With the step's 2, the 65 rows and the
 # pin: 49 + 2 + 65 + 1 = 117 (341 with a pack per element and width). It
 # unpacks 4 shifts and 3 pins: 7.
-# A range of 8 indices checks its 64 pairs at widths 9 and 10. Both anchors
+# A range of 8 indices checks its 36 pairs at widths 9 and 10. Both anchors
 # pack at 9, for the pair (32, 32). At 10 the row anchor, [L_39] and
 # (1+x)^71 pack for the pair (32, 39), and [L_38] and [L_37] for the pairs
 # (33, 38) and (34, 37), which need width 10 before their predecessors do.

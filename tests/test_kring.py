@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hopfgal.exact_linear import QQ, Field, InputError, InvariantViolation, Mat
+from hopfgal.exact_linear import QQ, Field, InputError, InvariantViolation, Mat, bilinear_compose
 from hopfgal.hopf_core import AlgebraData, Group, build_group_algebra, report_ok
 from hopfgal.extension import KTopology
 from hopfgal.kring import (
@@ -1154,6 +1154,43 @@ def test_rows_and_failures_match_per_width_repacking(n, lo, width, bumped_step):
     assert stepped_packs <= repacked_packs
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=24),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=40),
+)
+@example(5, 0, 16, 20)  # a product: its pairs fail from the middle of the range
+@example(5, -3, 8, 2)  # a row: every pair from it on fails
+def test_unordered_pairs_fail_where_all_ordered_pairs_do(n, lo, width, bumped_step):
+    # A range of at most 16 indices checks each unordered pair once; the
+    # first ordered pair that fails, in the order of all of them, has
+    # k1 <= k2, so the table reports the pair that checking all of them did.
+    hi = lo + width - 1
+    got, _ = _checked_table(n, lo, hi, bumped_step, share=True)
+    # The windows as the walk builds them, with the same call bumped.
+    calls = itertools.count()
+
+    def walk(p, start, stop):
+        window = {start: p}
+        for k in range(start, stop):
+            p = p.times_one_plus_x()
+            if next(calls) == bumped_step:
+                p = _bump(p, 0)
+            window[k + 1] = p
+        return window
+
+    row_anchor, product_anchor = kring._binomial_series(n, (lo, 2 * lo))
+    rows, products = walk(row_anchor, lo, hi + 1), walk(product_anchor, 2 * lo, 2 * hi)
+    ks = range(lo, hi + 1)
+    failing = [(a, b) for a in ks for b in ks if rows[a] * rows[b] != products[a + b]]
+    if failing:
+        assert got == f"line class product fails at {failing[0]} for degree {n}"
+    else:
+        assert not (isinstance(got, str) and "line class product fails" in got)
+
+
 class TestAugmentationSurjective:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 32])
     def test_certificate_is_identity(self, n):
@@ -1260,6 +1297,42 @@ class TestRingPresentations:
         assert m2.mul(e01, e11) == e01
         assert m2.mul(e01, e00) == m2.zero()
         assert m2.one() == (1, 0, 0, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product_matches_the_table_route(self, data):
+        # the index of the columns of e_i e_j against one bilinear_compose
+        # of the two columns over the table
+        ring = data.draw(
+            st.sampled_from(
+                [
+                    integers_ring(),
+                    matrix_ring(1),
+                    matrix_ring(2),
+                    matrix_ring(3),
+                    group_ring(Group.cyclic(4)),
+                    group_ring(Group.symmetric(3)),
+                    FiniteZAlgebra(scalar_algebra()),
+                    FiniteZAlgebra(zoo.quadratic_field_algebra(-3)),
+                ]
+            )
+        )
+        coords = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -7, 10**20]), min_size=ring.dim, max_size=ring.dim)
+        a, b = tuple(data.draw(coords)), tuple(data.draw(coords))
+        table = bilinear_compose([(ring.algebra.mult, ring.dim)], Mat.column(QQ, a), Mat.column(QQ, b))
+        product = ring.mul(a, b)
+        assert product == tuple(table.entries())
+        assert all(type(x) is int for x in product)
+
+    @pytest.mark.parametrize("d", [2, -3])
+    def test_images_are_checked_against_the_table_constants(self, d):
+        # s^2 = d: a constant other than 1 enters the check of the pair (s, s)
+        ring = FiniteZAlgebra(zoo.quadratic_field_algebra(d))
+        assert ring.check_images(ring, [(1, 0), (0, -1)]) == ((1, 0), (0, -1))
+        with pytest.raises(InputError, match=r"basis pair \(1, 1\)"):
+            ring.check_images(ring, [(1, 0), (0, 2)])
+        with pytest.raises(InputError, match=r"basis pair \(1, 1\)"):
+            ring.check_images(FiniteZAlgebra(zoo.quadratic_field_algebra(d + 1)), [(1, 0), (0, 1)])
 
     def test_group_ring_unit(self):
         zg = group_ring(Group.cyclic(3))
