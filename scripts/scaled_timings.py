@@ -1,4 +1,4 @@
-"""Time `at` commands, and `check` commands on regular k[Z_n] and k^{Z_n}, one process per run.
+"""Time `at`, `check` on regular k[Z_n] and k^{Z_n}, and morphism commands on coarsenings, one process per run.
 
 A ``check`` case is ``KIND:N:COMMAND[:CAP]``: KIND is ``kG`` (the group
 algebra k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check``
@@ -9,9 +9,14 @@ into ``--workdir``. The kinds ``kG_scaled`` and ``kG_dual_scaled`` write the
 same extension in a diagonal rational basis of H and of A, e'_i = s_i e_i
 with each s_i drawn from SCALES by a generator seeded with N, as the
 ``regular_scaled`` workload of perfbench does (without its permutation), so
-their structure constants are fractions. An ``at`` case is ``at:`` and the command's options,
-separated by commas, each value after ``=``: ``at:--n=128,--k=1000000`` runs
-``at --n 128 --k 1000000``, and ``at:--n=512,--self-check`` a self-check.
+their structure constants are fractions. A ``coarsen`` case is
+``coarsen:N:D:COMMAND[:CAP]``: the morphism ``zoo.cyclic_group_change(N, D)``,
+which coarsens the regular extension of k[Z_N] along Z_N -> Z_D (D divides
+N), written over Q with ``cli.morphism_sections``, and COMMAND is
+``cartesian`` (``check cartesian``) or ``phi``. An ``at`` case is ``at:``
+and the command's options, separated by commas, each value after ``=``:
+``at:--n=128,--k=1000000`` runs ``at --n 128 --k 1000000``, and
+``at:--n=512,--self-check`` a self-check.
 Every run is a fresh ``python -m hopfgal`` process, so start-up is
 included. Wall time is taken with ``perf_counter`` around the child, and peak
 RSS from the child's own ``wait4`` resource usage.
@@ -25,6 +30,7 @@ whether their reports are byte-identical. Standard library only::
     python3 scripts/scaled_timings.py kG:128:hopf:16384 --against ../parent/src
     python3 scripts/scaled_timings.py kG_scaled:64:hopf kG_dual_scaled:64:galois --repeat 5 --against ../parent/src
     python3 scripts/scaled_timings.py at:--n=64,--k=1000000000000 --repeat 5 --against ../parent/src
+    python3 scripts/scaled_timings.py coarsen:16:2:phi:65536 coarsen:32:4:phi:65536 --repeat 3
 """
 
 import argparse
@@ -50,6 +56,8 @@ from hopfgal.hopf_core import AlgebraData, Group, HopfData, build_dual_group_alg
 
 BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
 KINDS = (*BUILDERS, *(f"{kind}_scaled" for kind in BUILDERS))
+# The commands of a coarsen case, by name.
+MORPHISM_COMMANDS = {"cartesian": ["check", "cartesian"], "phi": ["phi"]}
 # The scales of perfbench's regular_scaled documents.
 SCALES = tuple(Fraction(s) for s in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2"))
 DEFAULT_CASES = (
@@ -63,15 +71,32 @@ DEFAULT_CASES = (
 
 
 def parse_case(text: str):
-    """(label, arguments, document, cap): a check case names its document as (KIND, N), an at case none."""
+    """(label, arguments, document, cap): a check case names its document as
+    (KIND, N), a coarsen case as ("coarsen", N, D), an at case none."""
     if text.startswith("at:"):
         options = text[3:].split(",")
         if not all(o.startswith("--") for o in options):
             raise argparse.ArgumentTypeError(f"expected at:--OPTION[=VALUE],..., got {text!r}")
         return text, ["at"] + [part for o in options for part in o.split("=", 1)], None, None
     parts = text.split(":")
+    if parts[0] == "coarsen":
+        if (
+            len(parts) not in (4, 5)
+            or not (parts[1].isdigit() and parts[2].isdigit())
+            or parts[3] not in MORPHISM_COMMANDS
+            or not int(parts[2])
+            or int(parts[1]) % int(parts[2])
+        ):
+            raise argparse.ArgumentTypeError(
+                f"expected coarsen:N:D:cartesian|phi[:CAP] with D dividing N, got {text!r}"
+            )
+        n, d, command, cap = int(parts[1]), int(parts[2]), parts[3], parts[4] if len(parts) == 5 else None
+        label = f"coarsen:{n}:{d}:{command}" + (f" cap {cap}" if cap else "")
+        return label, MORPHISM_COMMANDS[command], ("coarsen", n, d), cap
     if len(parts) not in (3, 4) or parts[0] not in KINDS or not parts[1].isdigit():
-        raise argparse.ArgumentTypeError(f"expected KIND:N:COMMAND[:CAP] or at:OPTIONS, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected KIND:N:COMMAND[:CAP], coarsen:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
+        )
     kind, n, command, cap = parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
     label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
     return label, ["check", command], (kind, n), cap
@@ -98,14 +123,21 @@ def scaled_regular_extension(h: HopfData, rng: random.Random) -> Extension:
     return Extension(ComoduleAlgebra(a, hopf, coaction=coaction), Subspace.from_spanning_columns(a.unit))
 
 
-def write_document(workdir: pathlib.Path, kind: str, n: int) -> pathlib.Path:
-    path = workdir / f"regular_{kind}_{n}.json"
+def write_document(workdir: pathlib.Path, kind: str, n: int, d: int | None = None) -> pathlib.Path:
+    """The document of a case, written once into workdir: the regular extension
+    of KIND for n, or for kind "coarsen" the morphism cyclic_group_change(n, d)."""
+    path = workdir / (f"coarsen_{n}_{d}.json" if kind == "coarsen" else f"regular_{kind}_{n}.json")
     if not path.exists():
         workdir.mkdir(parents=True, exist_ok=True)
-        base, scaled = kind.removesuffix("_scaled"), kind.endswith("_scaled")
-        h = BUILDERS[base](Group.cyclic(n))
-        e = scaled_regular_extension(h, random.Random(n)) if scaled else zoo.regular_extension(h)
-        path.write_text(json.dumps(cli.document(h.field, cli.extension_sections(e))))
+        if kind == "coarsen":
+            m = zoo.cyclic_group_change(n, d)
+            doc = cli.document(m.field, cli.morphism_sections(m))
+        else:
+            base, scaled = kind.removesuffix("_scaled"), kind.endswith("_scaled")
+            h = BUILDERS[base](Group.cyclic(n))
+            e = scaled_regular_extension(h, random.Random(n)) if scaled else zoo.regular_extension(h)
+            doc = cli.document(h.field, cli.extension_sections(e))
+        path.write_text(json.dumps(doc))
     return path
 
 
@@ -137,7 +169,9 @@ def summary(runs) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("cases", nargs="*", type=parse_case, help="KIND:N:COMMAND[:CAP] or at:OPTIONS")
+    parser.add_argument(
+        "cases", nargs="*", type=parse_case, help="KIND:N:COMMAND[:CAP], coarsen:N:D:COMMAND[:CAP] or at:OPTIONS"
+    )
     parser.add_argument("--repeat", type=int, default=1, help="runs of each case and tree")
     parser.add_argument("--against", type=pathlib.Path, help="src directory of a second tree")
     parser.add_argument("--workdir", type=pathlib.Path, default=pathlib.Path("scaled_documents"))

@@ -741,7 +741,8 @@ def cmd_phi(field, sections):
         **products,
         # The multiplication of the pullback B' (x)_B A is built on
         # (B' (x) A) (x) (B' (x) A), and the H-coaction of the cotensor
-        # reads coordinates in embed (x) id_H, on A' (x) H (x) H.
+        # reads its coordinates off raw = (id (x) Delta) embed, on
+        # A' (x) H (x) H.
         pullback_product=products["pullback"] ** 2,
         cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
     )

@@ -350,6 +350,11 @@ class Mat:
             self.field, self.rows, 1, [{0: r[j]} if j in r else {} for r in self._rows]
         )
 
+    def take_rows(self, indices) -> "Mat":
+        """The matrix of the rows of self at indices, in that order."""
+        rows = self._rows
+        return Mat._wrap(self.field, len(indices), self.cols, [rows[i] for i in indices])
+
     def entries(self):
         return [x for i in range(self.rows) for x in self.row_list(i)]
 

@@ -80,8 +80,16 @@ CASES = {
     # was 40 when phi recomputed kappa phi, which pullback_structure has
     # already compared with the mirror map, and 39 when the distributive law
     # multiplied kappa phi again after the exact solve against kappa.
+    # check_comodule_algebra: 0, since the laws of the pullback Q are decided
+    # by transport through kappa (1 when they were evaluated on Q). _mul_rows
+    # 47 -> 46: the H-coaction of the cotensor checks its read-off by
+    # applying embed to one leg, not by a product with embed (x) id_H (-1);
+    # the algebra-map law of Q's coaction took 2 products (its multiplicative
+    # and its unital side), and the same law of Delta, now a precondition of
+    # the transport, takes 2 (-2 + 2). The other laws evaluate their sides
+    # with bilinear_compose.
     "phi sweedler_self.json": {
-        "CotensorSpace": 1, "base_mult": 2, "check_comodule_algebra": 1, "rank": 1, "_mul_rows": 47, "rref": 6,
+        "CotensorSpace": 1, "base_mult": 2, "check_comodule_algebra": 0, "rank": 1, "_mul_rows": 46, "rref": 6,
     },
     "bundle bundle_regular_sweedler.json": {"base_mult": 1, "_mul_rows": 8, "rref": 5},
 }
@@ -99,12 +107,16 @@ WIDEST_KRON = {
 # Every law is evaluated from the structure tables too (2, 6, 22 and 6
 # products before); what is left are the cotensor equalizer, the pullback
 # and maps that mix legs, each applied to its legs by on_legs. For phi the
-# pullback product takes five calls in place of four Kronecker products, and
-# each of the five Kronecker products with a unit takes two: 18 -> 24.
+# pullback product took five calls in place of four Kronecker products, and
+# each of the five Kronecker products with a unit takes two: 18 -> 24. The
+# pullback product is now two bilinear_compose calls, which take none:
+# 24 -> 19. The H-coaction of the cotensor still takes two: (id (x) Delta)
+# embed, and embed applied to one leg of the coordinates read off it, where
+# it applied embed to an identity.
 KRON_CALLS = {
     "check hopf hopf_sweedler.json": 0,
     "check cartesian sweedler_self.json": 4,
-    "phi sweedler_self.json": 24,
+    "phi sweedler_self.json": 19,
     "bundle bundle_regular_sweedler.json": 4,
 }
 
@@ -209,6 +221,23 @@ def invoke(line):
 def test_each_structure_is_derived_once(calls, line):
     invoke(line)
     assert {k: calls[k] for k in CASES[line]} == CASES[line]
+
+
+def test_a_failed_transport_evaluates_the_laws_of_the_pullback_once(calls, monkeypatch):
+    """With one structure constant of Q's product changed, kappa is not
+    multiplicative, so phi checks the comodule-algebra laws of Q, once, and
+    fails at the first of them that fails."""
+    product = extension._pullback_product
+
+    def bumped(*args):
+        mult = product(*args)
+        return mult + Mat.from_entries(mult.field, mult.rows, mult.cols, {(0, 0): 1})
+
+    monkeypatch.setattr(extension, "_pullback_product", bumped)
+    result = CliRunner().invoke(cli.main, ["phi", str(FIXTURES / "sweedler_self.json")])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("failed: pullback verification failed: associativity")
+    assert calls["check_comodule_algebra"] == 1
 
 
 @pytest.mark.parametrize("line", WIDEST_KRON)

@@ -34,6 +34,12 @@ spec.loader.exec_module(scaled_timings)
             "at:--n=4,--k-range=-3..2",
             ("at:--n=4,--k-range=-3..2", ["at", "--n", "4", "--k-range", "-3..2"], None, None),
         ),
+        ("coarsen:16:2:phi", ("coarsen:16:2:phi", ["phi"], ("coarsen", 16, 2), None)),
+        (
+            "coarsen:32:4:cartesian:65536",
+            ("coarsen:32:4:cartesian cap 65536", ["check", "cartesian"], ("coarsen", 32, 4), "65536"),
+        ),
+        ("coarsen:6:6:phi", ("coarsen:6:6:phi", ["phi"], ("coarsen", 6, 6), None)),
     ],
 )
 def test_cases_parse(text, expect):
@@ -41,7 +47,22 @@ def test_cases_parse(text, expect):
 
 
 @pytest.mark.parametrize(
-    "text", ["at:n=3", "at:", "kG:x:hopf", "G:4:hopf", "kG:4", "kG_scaled_scaled:4:hopf", "scaled:4:hopf"]
+    "text",
+    [
+        "at:n=3",
+        "at:",
+        "kG:x:hopf",
+        "G:4:hopf",
+        "kG:4",
+        "kG_scaled_scaled:4:hopf",
+        "scaled:4:hopf",
+        "coarsen:8:3:phi",
+        "coarsen:8:0:phi",
+        "coarsen:8:4:galois",
+        "coarsen:8:phi",
+        "coarsen:8:x:cartesian",
+        "coarsen:8:4:phi:16:1",
+    ],
 )
 def test_malformed_cases_are_refused(text):
     with pytest.raises(argparse.ArgumentTypeError):
@@ -82,3 +103,24 @@ def test_a_scaled_kind_writes_the_same_extension_in_a_rational_basis(tmp_path, k
         assert [r.exit_code for r in reports] == [0, 0]
         assert reports[0].output == reports[1].output
 
+
+
+def test_coarsen_cases_run_and_write_their_morphism(tmp_path):
+    """Each written document parses back to cyclic_group_change(n, d): the same
+    source and target, chi and alpha."""
+    from hopfgal import cli, zoo
+    from hopfgal.extension import extension_equal
+
+    cases = ["coarsen:4:2:phi", "coarsen:4:2:cartesian", "coarsen:8:4:phi", "coarsen:8:4:cartesian"]
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), *cases, "--workdir", str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == cases
+    assert all(line.endswith("exit 0") for line in lines), lines
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coarsen_4_2.json", "coarsen_8_4.json"]
+    for n, d in [(4, 2), (8, 4)]:
+        field, sections = cli._load_document(str(scaled_timings.write_document(tmp_path, "coarsen", n, d)))
+        read, built = cli._read_morphism(sections, field), zoo.cyclic_group_change(n, d)
+        assert extension_equal(read.source, built.source) and extension_equal(read.target, built.target)
+        assert (read.chi.matrix, read.alpha) == (built.chi.matrix, built.alpha)
