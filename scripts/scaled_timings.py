@@ -51,11 +51,13 @@ from fractions import Fraction  # noqa: E402
 
 from hopfgal import cli, zoo  # noqa: E402
 from hopfgal.comodule import ComoduleAlgebra, Extension  # noqa: E402
-from hopfgal.exact_linear import Mat, Subspace  # noqa: E402
+from hopfgal.exact_linear import InputError, Mat, Subspace, parse_int  # noqa: E402
 from hopfgal.hopf_core import AlgebraData, Group, HopfData, build_dual_group_algebra, build_group_algebra  # noqa: E402
 
 BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
 KINDS = (*BUILDERS, *(f"{kind}_scaled" for kind in BUILDERS))
+# The check subcommands of a KIND case.
+CHECK_COMMANDS = ("hopf", "comodule-algebra", "galois")
 # The commands of a coarsen case, by name.
 MORPHISM_COMMANDS = {"cartesian": ["check", "cartesian"], "phi": ["phi"]}
 # The scales of perfbench's regular_scaled documents.
@@ -68,6 +70,14 @@ DEFAULT_CASES = (
     "at:--n=256,--k=1000000000000",
     "at:--n=128,--self-check",
 )
+
+
+def is_cap(text: str) -> bool:
+    """Is text a positive integer in the grammar of HOPFGAL_MAX_DIM (parse_int's)?"""
+    try:
+        return parse_int(text) > 0
+    except InputError:
+        return False
 
 
 def parse_case(text: str):
@@ -86,16 +96,24 @@ def parse_case(text: str):
             or parts[3] not in MORPHISM_COMMANDS
             or not int(parts[2])
             or int(parts[1]) % int(parts[2])
+            or not all(map(is_cap, parts[4:]))
         ):
             raise argparse.ArgumentTypeError(
-                f"expected coarsen:N:D:cartesian|phi[:CAP] with D dividing N, got {text!r}"
+                f"expected coarsen:N:D:cartesian|phi[:CAP] with D dividing N and CAP positive, got {text!r}"
             )
         n, d, command, cap = int(parts[1]), int(parts[2]), parts[3], parts[4] if len(parts) == 5 else None
         label = f"coarsen:{n}:{d}:{command}" + (f" cap {cap}" if cap else "")
         return label, MORPHISM_COMMANDS[command], ("coarsen", n, d), cap
-    if len(parts) not in (3, 4) or parts[0] not in KINDS or not parts[1].isdigit():
+    if (
+        len(parts) not in (3, 4)
+        or parts[0] not in KINDS
+        or not parts[1].isdigit()
+        or parts[2] not in CHECK_COMMANDS
+        or not all(map(is_cap, parts[3:]))
+    ):
         raise argparse.ArgumentTypeError(
-            f"expected KIND:N:COMMAND[:CAP], coarsen:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
+            "expected KIND:N:hopf|comodule-algebra|galois[:CAP] with CAP positive, "
+            f"coarsen:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
         )
     kind, n, command, cap = parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
     label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")

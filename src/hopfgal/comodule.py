@@ -360,18 +360,22 @@ class BalancedTensor:
             self.relations = Subspace.zero(field, self.ambient_dim)
         self.dim, self.projector, self.section = quotient(self.ambient_dim, self.relations)
 
-    def descend(self, raw: Mat) -> Mat:
+    def descend(self, raw) -> Mat:
         """Factor a map X (x) Y -> W through the quotient (raw must kill relations).
 
-        With no relations the section is the identity, and raw is the answer.
+        raw is the map's matrix, or a function that applies it to ambient columns,
+        evaluated on the relations and on the section (the identity when there
+        are no relations, where a matrix is the answer).
         """
-        if raw.cols != self.ambient_dim:
-            raise InputError("map does not start on the ambient tensor product")
-        if not self.relations.dim:
-            return raw
-        if not raw.mul(self.relations.mat).is_zero():
+        if isinstance(raw, Mat):
+            if raw.cols != self.ambient_dim:
+                raise InputError("map does not start on the ambient tensor product")
+            if not self.relations.dim:
+                return raw
+            raw = raw.mul
+        if self.relations.dim and not raw(self.relations.mat).is_zero():
             raise InvariantViolation("map does not vanish on the balancing relations")
-        return raw.mul(self.section)
+        return raw(self.section)
 
 
 def _scalar_actions(table: Mat, dim: int, db: int, on_right: bool) -> list:

@@ -652,7 +652,7 @@ def group_algebra_map(g_src: Group, g_tgt: Group, index_map, field: Field = QQ) 
 
 
 def _primitive_root(p: int) -> int:
-    for g in range(2, p):
+    for g in range(1, p):
         seen = set()
         x = 1
         for _ in range(p - 1):
@@ -660,7 +660,6 @@ def _primitive_root(p: int) -> int:
             seen.add(x)
         if len(seen) == p - 1:
             return g
-    raise InputError(f"no primitive root mod {p}")
 
 
 def fourier_iso(p: int) -> HopfMap:

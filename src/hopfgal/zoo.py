@@ -8,7 +8,7 @@ compatibility checks.
 
 from __future__ import annotations
 
-from .exact_linear import Field, Mat, QQ, Subspace, bilinear_compose, on_legs
+from .exact_linear import Field, InputError, Mat, QQ, Subspace, bilinear_compose, on_legs
 from .hopf_core import (
     AlgebraData,
     Group,
@@ -151,8 +151,8 @@ def self_galois_morphism(h: HopfData) -> ExtensionMorphism:
 
 def cyclic_group_change(n: int, d: int) -> ExtensionMorphism:
     """Coarsen the regular extension of k[Z/n] along Z/n -> Z/d (d | n)."""
-    if n % d:
-        raise ValueError("d must divide n")
+    if d < 1 or n % d:
+        raise InputError(f"d = {d} is not a positive divisor of n = {n}")
     gn, gd = Group.cyclic(n), Group.cyclic(d)
     hn = build_group_algebra(gn)
     chi = group_algebra_map(gn, gd, [k % d for k in range(n)])

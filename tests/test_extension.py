@@ -1,8 +1,11 @@
 """Morphisms of extensions: canonical maps, pullbacks, composition, adjunctions."""
 
+import dataclasses
+
 import pytest
 
 from hopfgal.exact_linear import (
+    Field,
     InputError,
     InvariantViolation,
     Mat,
@@ -18,7 +21,9 @@ from hopfgal.hopf_core import (
     Group,
     HopfData,
     HopfMap,
+    build_dual_group_algebra,
     build_group_algebra,
+    counit_map,
     sweedler_h4,
     unit_map,
 )
@@ -41,7 +46,7 @@ from hopfgal.extension import (
     mirror_map_data,
     pullback_structure,
 )
-from hopfgal import zoo
+from hopfgal import extension, zoo
 from test_law_differential import yd_phi_expected
 
 
@@ -232,10 +237,125 @@ class TestScaledGroupChanges:
         assert p.domain.dim == n * n // d
         assert is_bijective(p.kappa)
 
+    @pytest.mark.parametrize("n,d", [(8, 3), (8, 16), (8, 0), (8, -2), (8, -3)])
+    def test_d_must_be_a_positive_divisor_of_n(self, n, d):
+        got = message(InputError, lambda: zoo.cyclic_group_change(n, d))
+        assert got == f"d = {d} is not a positive divisor of n = {n}"
+
     def test_target_is_galois_over_its_base(self):
         tgt = zoo.cyclic_group_change(32, 4).target
         assert tgt.base_dim == 8
         assert is_hopf_galois(tgt).value is True
+
+
+def message(exc_type, build):
+    """The message of the exc_type that build() raises."""
+    with pytest.raises(exc_type) as err:
+        build()
+    return str(err.value)
+
+
+def relations_target():
+    """The identity of cyclic_group_change(4, 2).target, whose B' (x)_B A has balancing relations."""
+    m = ExtensionMorphism.identity(zoo.cyclic_group_change(4, 2).target)
+    assert m.canonical.domain.relations.dim
+    return m
+
+
+class TestPlantedFaults:
+    """Each error path of the morphism layer, reached by a planted fault, with its exact message."""
+
+    def test_descend_checks_the_ambient_dimension(self):
+        q = relations_target().canonical.domain
+        got = message(InputError, lambda: q.descend(Mat.zeros(QQ, 1, q.ambient_dim + 1)))
+        assert got == "map does not start on the ambient tensor product"
+
+    def test_descend_evaluates_a_function_on_the_relations(self):
+        q = relations_target().canonical.domain
+        got = message(InvariantViolation, lambda: q.descend(lambda cols: cols))
+        assert got == "map does not vanish on the balancing relations"
+
+    def test_descend_evaluates_a_function_on_the_identity_without_relations(self):
+        q = zoo.cyclic_group_change(4, 2).canonical.domain
+        assert not q.relations.dim
+        assert q.descend(lambda cols: cols.scale(2)) == Mat.identity(QQ, q.ambient_dim).scale(2)
+
+    def test_cotensor_unstable_under_a_non_coassociative_comult(self):
+        # Delta(1) and Delta(g2) of k[Z/4] each gain the term 1 (x) 1.
+        m = zoo.cyclic_group_change(4, 2)
+        h = m.chi.source
+        comult = h.comult + Mat.from_entries(QQ, 16, 4, {(0, 0): 1, (0, 2): 1})
+        chi = HopfMap(HopfData(h.algebra, comult, h.counit, h.antipode), m.chi.target, m.chi.matrix)
+        cot = CotensorSpace(m.target.comodule_algebra.coaction, chi)
+        assert message(InvariantViolation, cot.h_coaction) == "cotensor is not stable under id (x) Delta"
+
+    def test_chi_must_end_on_the_target_hopf_algebra(self):
+        e = zoo.q_sqrt2_extension()
+        got = message(InputError, lambda: ExtensionMorphism(counit_map(e.hopf), Mat.identity(QQ, 2), e, e))
+        assert got == "chi does not end on the target structure Hopf algebra"
+
+    def test_mirror_map_needs_an_invertible_antipode(self):
+        h = build_group_algebra(Group.cyclic(2))
+        singular = HopfData(h.algebra, h.comult, h.counit, Mat.zeros(QQ, 2, 2))
+        m = ExtensionMorphism.identity(zoo.regular_extension(singular))
+        got = message(PreconditionError, lambda: mirror_map_data(m))
+        assert got == "mirror canonical map needs an invertible antipode on the source Hopf algebra"
+
+    def test_pullback_base_square(self, monkeypatch):
+        m = zoo.cyclic_group_change(4, 2)
+        p = pullback_structure(m)
+        monkeypatch.setattr(m, "beta", m.beta.scale(2))
+        got = message(InvariantViolation, lambda: extension._verify_pullback(p))
+        assert got == "pullback verification failed: base_square"
+
+    @pytest.mark.parametrize("build", [lambda: zoo.cyclic_group_change(4, 2), relations_target])
+    def test_composition_with_a_base_map_that_breaks_the_balancing(self, build, monkeypatch):
+        # With beta_2 scaled, T1 = B'' (x)_{B'} (A' box H) is balanced by another
+        # action of B' on B'' than Q2 = B'' (x)_{B'} A', which m2.canonical built
+        # with the true beta_2: the map that nu descends from T1 into Q2 (x) H
+        # does not vanish on the relations of T1.
+        m1 = build()
+        m2 = zoo.to_trivial_morphism(m1.target)
+        comp = compose_morphisms(m2, m1)
+        monkeypatch.setattr(m2, "beta", m2.beta.scale(2))
+        got = message(InvariantViolation, lambda: extension._verify_composition(m2, m1, comp))
+        assert got == "map does not vanish on the balancing relations"
+
+    def test_composition_middle_identification(self, monkeypatch):
+        m1 = zoo.cyclic_group_change(4, 2)
+        m2 = zoo.to_trivial_morphism(m1.target)
+        monkeypatch.setattr(extension, "is_bijective", lambda nu: False)
+        got = message(InvariantViolation, lambda: compose_morphisms(m2, m1))
+        assert got == "composition verification: middle cotensor identification is not bijective"
+
+    def test_composition_with_a_corrupted_composite_kappa(self):
+        m1 = zoo.cyclic_group_change(4, 2)
+        m2 = zoo.to_trivial_morphism(m1.target)
+        comp = compose_morphisms(m2, m1)
+        comp.canonical = dataclasses.replace(comp.canonical, kappa=comp.canonical.kappa.scale(2))
+        got = message(InvariantViolation, lambda: extension._verify_composition(m2, m1, comp))
+        assert got == "composite canonical map does not factor through the pairwise canonical maps"
+
+    @pytest.mark.parametrize(
+        "coaction, expect",
+        [
+            # twice the coaction fixes no nonzero vector, so no coinvariant of M' stays one
+            (lambda rho, unit: rho.scale(2), "coinvariant image is not coinvariant in the cotensor"),
+            # the trivial coaction makes every vector of the cotensor coinvariant
+            (lambda rho, unit: unit, "cotensor coinvariant does not land in the module coinvariants"),
+        ],
+    )
+    def test_coinvariant_lemma_with_a_corrupted_cotensor_coaction(self, coaction, expect, monkeypatch):
+        m = zoo.cyclic_group_change(4, 2)
+        mod = zoo.module_self(m.target.comodule_algebra)
+        h_coaction = CotensorSpace.h_coaction
+
+        def corrupted(cot):
+            rho = h_coaction(cot)
+            return coaction(rho, Mat.identity(QQ, cot.dim).kron(m.source.hopf.unit))
+
+        monkeypatch.setattr(CotensorSpace, "h_coaction", corrupted)
+        assert message(InvariantViolation, lambda: coinvariant_cotensor_checks(m, mod)) == expect
 
 
 class TestComposition:
@@ -394,6 +514,32 @@ class TestKTopology:
         t = KTopology(alg, [zoo.q_sqrt2_extension()])
         verdict = is_k_continuous(Mat.identity(QQ, 1), t, t)
         assert all("coflatness certified" in r for r in verdict.reasons)
+
+    def test_f_shape_checked(self):
+        t = KTopology(scalar_algebra())
+        got = message(InputError, lambda: is_k_continuous(Mat.identity(QQ, 2), t, t))
+        assert got == "f must be 1x1"
+
+    def test_candidate_with_another_base_map_is_skipped(self, monkeypatch):
+        # f is s |-> -s; the identity of the identity cover restricts to 1 on the base.
+        t = KTopology(zoo.quadratic_field_algebra(2))
+        f = Mat.from_rows(QQ, [[1, 0], [0, -1]])
+        skipped = ExtensionMorphism.identity(t.covers[0])
+        tried = []
+        monkeypatch.setattr(extension, "is_cartesian", lambda m: tried.append(m) or is_cartesian(m))
+        verdict = is_k_continuous(f, t, t, candidates=[skipped])
+        assert verdict.reasons == ("cover 0: Cartesian lift found; coflatness certified by cosemisimplicity",)
+        assert [m.beta for m in tried] == [f]
+
+    def test_coflatness_not_certified_in_dividing_characteristic(self):
+        f2 = Field(2)
+        one = Mat.identity(f2, 1)
+        cover = zoo.regular_extension(build_dual_group_algebra(Group.cyclic(2), f2))
+        t = KTopology(AlgebraData(f2, 1, ["1"], one, one), [cover])
+        assert is_k_continuous(one, t, t).reasons == (
+            "cover 0: Cartesian lift found; coflatness certified by cosemisimplicity",
+            "cover 1: Cartesian lift found; coflatness not certified: char 2 divides group order 2",
+        )
 
     def test_f_must_be_an_algebra_map(self):
         t_small = KTopology(scalar_algebra())

@@ -206,9 +206,11 @@ class TestsweedlerAntipode:
 
 
 class TestHopfMaps:
-    def test_fourier_iso_over_f5(self):
-        f = fourier_iso(5)
-        assert f.source.field == Field(5)
+    # F_2^x is generated by 1, the primitive root the search finds first for p = 2.
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_fourier_iso(self, p):
+        f = fourier_iso(p)
+        assert f.source.field == Field(p)
         assert report_ok(check_hopf(f.source))
         assert report_ok(check_hopf(f.target))
         assert report_ok(check_hopf_map(f))

@@ -87,11 +87,13 @@ from hopfgal.exact_linear import (
 from hopfgal.extension import (
     CotensorSpace,
     ExtensionMorphism,
+    _balanced_coaction,
     _cotensor_algebra,
     _mirror_tensor,
     _pullback_tensor,
     _verify_pullback,
     check_extension_morphism,
+    compose_morphisms,
     distributive_law_data,
     f_lower_star,
     f_upper_star,
@@ -900,6 +902,39 @@ def five_pass_pullback_product(p):
     return q.projector.mul(on_legs(a.mult, pairs, dbp, 1))
 
 
+def identity_spread_coaction(q, dx, rho, dh):
+    """The coaction of X (x)_B Y as extension._balanced_coaction built it:
+    id (x) rho and the projector applied to an identity of X (x) Y, then
+    descended."""
+    spread = on_legs(rho, Mat.identity(rho.field, q.ambient_dim), dx, 1)
+    return q.descend(on_legs(q.projector, spread, 1, dh))
+
+
+def identity_spread_composition(m2, m1, comp):
+    """iota, map01, the coaction of Q2 and nu before its cotensor coordinates,
+    as extension._verify_composition built them: each operator applied to an
+    identity of its ambient space, then descended. The reference for the
+    function form of BalancedTensor.descend."""
+    d1, d2, dc = m1.canonical, m2.canonical, comp.canonical
+    src, mid, tgt = m1.source, m1.target, m2.target
+    a, ap, base_p = src.algebra, mid.algebra, mid.base_algebra
+    dh, dbp, dbpp = src.hopf.dim, mid.base_dim, tgt.base_dim
+    eye = lambda n: Mat.identity(comp.field, n)
+    right = tgt.base_algebra.right_mult(m2.beta)
+    q1 = d1.domain
+    q1_left = bilinear_compose([(base_p.mult, dbp), (eye(a.dim), a.dim)], eye(dbp), q1.section)
+    t0 = BalancedTensor(right, q1.projector.mul(q1_left))
+    embed_a_q1 = q1.projector.mul(base_p.unit.kron(eye(a.dim)))
+    iota = dc.domain.descend(t0.projector.mul(on_legs(embed_a_q1, eye(dbpp * a.dim), dbpp, 1)))
+    c1_left = bilinear_compose([(ap.mult, ap.dim), (eye(dh), dh)], mid.inclusion, d1.cotensor.embed)
+    t1 = BalancedTensor(right, d1.cotensor.coordinates(c1_left))
+    map01 = t0.descend(t1.projector.mul(on_legs(d1.kappa, eye(t0.ambient_dim), dbpp, 1)))
+    coact_q2 = identity_spread_coaction(d2.domain, dbpp, mid.comodule_algebra.coaction, mid.hopf.dim)
+    spread = on_legs(d1.cotensor.embed, eye(t1.ambient_dim), dbpp, 1)
+    nu = t1.descend(on_legs(d2.domain.projector, spread, 1, dh))
+    return [iota, map01, coact_q2, nu]
+
+
 def ref_module_diagonal(c):
     """The action and the coaction of H (x) A: Delta (x) rho, then (h1, h2, a0, a1) -> (h1, a0, h2 a1)."""
     h, a, field = c.hopf, c.algebra, c.field
@@ -1133,6 +1168,28 @@ def test_distributive_law_factors_the_mirror_map(name):
     else:
         with pytest.raises(PreconditionError, match="needs a Cartesian morphism"):
             distributive_law_data(m)
+
+
+# The identities of these coarsening targets have balancing relations in B' (x)_B A.
+@pytest.mark.parametrize("n,d", [(8, 2), (16, 2), (16, 4), (32, 4)])
+def test_descended_maps_match_identity_spreads(n, d):
+    m = ExtensionMorphism.identity(zoo.cyclic_group_change(n, d).target)
+    q, dbp, dh = m.canonical.domain, m.target.base_dim, m.source.hopf.dim
+    assert q.relations.dim
+    rho = m.source.comodule_algebra.coaction
+    assert _balanced_coaction(q, dbp, rho, dh) == identity_spread_coaction(q, dbp, rho, dh)
+    seen, descend = [], BalancedTensor.descend
+
+    def recording(bt, raw):
+        out = descend(bt, raw)
+        if not isinstance(raw, Mat):
+            seen.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BalancedTensor, "descend", recording)
+        comp = compose_morphisms(m, m)
+    assert seen == identity_spread_composition(m, m, comp)
 
 
 def divisors(n):

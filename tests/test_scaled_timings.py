@@ -40,6 +40,10 @@ spec.loader.exec_module(scaled_timings)
             ("coarsen:32:4:cartesian cap 65536", ["check", "cartesian"], ("coarsen", 32, 4), "65536"),
         ),
         ("coarsen:6:6:phi", ("coarsen:6:6:phi", ["phi"], ("coarsen", 6, 6), None)),
+        (
+            "kG:8:comodule-algebra:+16",
+            ("kG:8:comodule-algebra cap +16", ["check", "comodule-algebra"], ("kG", 8), "+16"),
+        ),
     ],
 )
 def test_cases_parse(text, expect):
@@ -62,6 +66,17 @@ def test_cases_parse(text, expect):
         "coarsen:8:phi",
         "coarsen:8:x:cartesian",
         "coarsen:8:4:phi:16:1",
+        # COMMAND must be a check subcommand, CAP a positive integer in parse_int's grammar
+        "kG:8:4:phi",
+        "kG:8:cartesian",
+        "kG:8:hopf:0",
+        "kG:8:hopf:-4",
+        "kG:8:hopf:1_000",
+        "kG:8:hopf: 16",
+        "kG:8:hopf:",
+        "coarsen:8:4:phi:0",
+        "coarsen:8:4:phi:x",
+        "coarsen:8:4:cartesian:",
     ],
 )
 def test_malformed_cases_are_refused(text):
