@@ -13,7 +13,10 @@ their structure constants are fractions. A ``coarsen`` case is
 ``coarsen:N:D:COMMAND[:CAP]``: the morphism ``zoo.cyclic_group_change(N, D)``,
 which coarsens the regular extension of k[Z_N] along Z_N -> Z_D (D divides
 N), written over Q with ``cli.morphism_sections``, and COMMAND is
-``cartesian`` (``check cartesian``) or ``phi``. An ``at`` case is ``at:``
+``cartesian`` (``check cartesian``) or ``phi``. An ``identity`` case,
+``identity:N:D:COMMAND[:CAP]``, writes in the same way the identity morphism
+of that coarsening's target, whose pullback B' (x)_B A has balancing
+relations (the coarsened base has dimension N/D). An ``at`` case is ``at:``
 and the command's options, separated by commas, each value after ``=``:
 ``at:--n=128,--k=1000000`` runs ``at --n 128 --k 1000000``, and
 ``at:--n=512,--self-check`` a self-check.
@@ -31,6 +34,7 @@ whether their reports are byte-identical. Standard library only::
     python3 scripts/scaled_timings.py kG_scaled:64:hopf kG_dual_scaled:64:galois --repeat 5 --against ../parent/src
     python3 scripts/scaled_timings.py at:--n=64,--k=1000000000000 --repeat 5 --against ../parent/src
     python3 scripts/scaled_timings.py coarsen:16:2:phi:65536 coarsen:32:4:phi:65536 --repeat 3
+    python3 scripts/scaled_timings.py identity:64:2:phi:4194304 --repeat 3 --against ../parent/src
 """
 
 import argparse
@@ -52,13 +56,18 @@ from fractions import Fraction  # noqa: E402
 from hopfgal import cli, zoo  # noqa: E402
 from hopfgal.comodule import ComoduleAlgebra, Extension  # noqa: E402
 from hopfgal.exact_linear import InputError, Mat, Subspace, parse_int  # noqa: E402
+from hopfgal.extension import ExtensionMorphism  # noqa: E402
 from hopfgal.hopf_core import AlgebraData, Group, HopfData, build_dual_group_algebra, build_group_algebra  # noqa: E402
 
 BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
 KINDS = (*BUILDERS, *(f"{kind}_scaled" for kind in BUILDERS))
 # The check subcommands of a KIND case.
 CHECK_COMMANDS = ("hopf", "comodule-algebra", "galois")
-# The commands of a coarsen case, by name.
+# The morphism of a coarsen or identity case, by kind, and its commands, by name.
+MORPHISMS = {
+    "coarsen": zoo.cyclic_group_change,
+    "identity": lambda n, d: ExtensionMorphism.identity(zoo.cyclic_group_change(n, d).target),
+}
 MORPHISM_COMMANDS = {"cartesian": ["check", "cartesian"], "phi": ["phi"]}
 # The scales of perfbench's regular_scaled documents.
 SCALES = tuple(Fraction(s) for s in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2"))
@@ -82,14 +91,14 @@ def is_cap(text: str) -> bool:
 
 def parse_case(text: str):
     """(label, arguments, document, cap): a check case names its document as
-    (KIND, N), a coarsen case as ("coarsen", N, D), an at case none."""
+    (KIND, N), a coarsen or identity case as (kind, N, D), an at case none."""
     if text.startswith("at:"):
         options = text[3:].split(",")
         if not all(o.startswith("--") for o in options):
             raise argparse.ArgumentTypeError(f"expected at:--OPTION[=VALUE],..., got {text!r}")
         return text, ["at"] + [part for o in options for part in o.split("=", 1)], None, None
     parts = text.split(":")
-    if parts[0] == "coarsen":
+    if parts[0] in MORPHISMS:
         if (
             len(parts) not in (4, 5)
             or not (parts[1].isdigit() and parts[2].isdigit())
@@ -99,11 +108,12 @@ def parse_case(text: str):
             or not all(map(is_cap, parts[4:]))
         ):
             raise argparse.ArgumentTypeError(
-                f"expected coarsen:N:D:cartesian|phi[:CAP] with D dividing N and CAP positive, got {text!r}"
+                f"expected {parts[0]}:N:D:cartesian|phi[:CAP] with D dividing N and CAP positive, got {text!r}"
             )
-        n, d, command, cap = int(parts[1]), int(parts[2]), parts[3], parts[4] if len(parts) == 5 else None
-        label = f"coarsen:{n}:{d}:{command}" + (f" cap {cap}" if cap else "")
-        return label, MORPHISM_COMMANDS[command], ("coarsen", n, d), cap
+        kind, n, d, command = parts[0], int(parts[1]), int(parts[2]), parts[3]
+        cap = parts[4] if len(parts) == 5 else None
+        label = f"{kind}:{n}:{d}:{command}" + (f" cap {cap}" if cap else "")
+        return label, MORPHISM_COMMANDS[command], (kind, n, d), cap
     if (
         len(parts) not in (3, 4)
         or parts[0] not in KINDS
@@ -113,7 +123,7 @@ def parse_case(text: str):
     ):
         raise argparse.ArgumentTypeError(
             "expected KIND:N:hopf|comodule-algebra|galois[:CAP] with CAP positive, "
-            f"coarsen:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
+            f"coarsen|identity:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
         )
     kind, n, command, cap = parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
     label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
@@ -143,12 +153,12 @@ def scaled_regular_extension(h: HopfData, rng: random.Random) -> Extension:
 
 def write_document(workdir: pathlib.Path, kind: str, n: int, d: int | None = None) -> pathlib.Path:
     """The document of a case, written once into workdir: the regular extension
-    of KIND for n, or for kind "coarsen" the morphism cyclic_group_change(n, d)."""
-    path = workdir / (f"coarsen_{n}_{d}.json" if kind == "coarsen" else f"regular_{kind}_{n}.json")
+    of KIND for n, or for kind "coarsen" or "identity" the morphism MORPHISMS[kind](n, d)."""
+    path = workdir / (f"{kind}_{n}_{d}.json" if kind in MORPHISMS else f"regular_{kind}_{n}.json")
     if not path.exists():
         workdir.mkdir(parents=True, exist_ok=True)
-        if kind == "coarsen":
-            m = zoo.cyclic_group_change(n, d)
+        if kind in MORPHISMS:
+            m = MORPHISMS[kind](n, d)
             doc = cli.document(m.field, cli.morphism_sections(m))
         else:
             base, scaled = kind.removesuffix("_scaled"), kind.endswith("_scaled")
@@ -188,7 +198,10 @@ def summary(runs) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "cases", nargs="*", type=parse_case, help="KIND:N:COMMAND[:CAP], coarsen:N:D:COMMAND[:CAP] or at:OPTIONS"
+        "cases",
+        nargs="*",
+        type=parse_case,
+        help="KIND:N:COMMAND[:CAP], coarsen|identity:N:D:COMMAND[:CAP] or at:OPTIONS",
     )
     parser.add_argument("--repeat", type=int, default=1, help="runs of each case and tree")
     parser.add_argument("--against", type=pathlib.Path, help="src directory of a second tree")

@@ -739,10 +739,11 @@ def cmd_phi(field, sections):
     _guard_dims(
         "sections.extension_morphism",
         **products,
-        # The multiplication of the pullback B' (x)_B A is built on
-        # (B' (x) A) (x) (B' (x) A), and the H-coaction of the cotensor
-        # reads its coordinates off raw = (id (x) Delta) embed, on
-        # A' (x) H (x) H.
+        # With no balancing relations the multiplication of the pullback
+        # B' (x)_B A is built on (B' (x) A) (x) (B' (x) A); with relations
+        # only on pairs of quotient vectors, but this guard runs before the
+        # quotient is known. The H-coaction of the cotensor reads its
+        # coordinates off raw = (id (x) Delta) embed, on A' (x) H (x) H.
         pullback_product=products["pullback"] ** 2,
         cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
     )

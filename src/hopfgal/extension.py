@@ -349,20 +349,22 @@ def _pullback_product(q: BalancedTensor, op_mid: Mat, base_p: AlgebraData, a: Al
     """The product of Q = B' (x)_B A: (b'1 (x) a1)(b'2 (x) a2) = b'1 op_mid(a1 (x) b'2) a2.
 
     op_mid: A (x) B' -> B' (x) A moves the A factor past the incoming B'
-    factor. Two bilinear_compose calls evaluate the product on the ambient
-    B' (x) A: the first multiplies op_mid(a1 (x) b'2) by a2 on the right, the
-    second b'1 on the left. The sections of Q then pick its basis on both
-    sides, and the projector descends the answer; with no balancing
-    relations both are identities, and only the projector is applied.
+    factor. One bilinear_compose multiplies op_mid(a1 (x) b'2) by a2 on the
+    right, a second b'1 on the left, and the projector descends the answer.
+    With balancing relations Q's section first picks the right factors
+    b'2 (x) a2 of the product, and after the left product the left ones; with
+    none the section is the identity, and neither pick is made.
     """
     field, dbp, da = a.field, base_p.dim, a.dim
     eye_bp, eye_a = Mat.identity(field, dbp), Mat.identity(field, da)
     # a1 (x) b'2 (x) a2 |-> op_mid(a1 (x) b'2) a2, a map A (x) B' (x) A -> B' (x) A
     moved = bilinear_compose([(eye_bp, 1), (a.mult, da)], op_mid, eye_a)
-    # (b'1 (x) a1) (x) (b'2 (x) a2) |-> b'1 moved(a1 (x) b'2 (x) a2)
+    if q.relations.dim:
+        moved = bilinear_compose([(moved, dbp * da)], eye_a, q.section)
+    # (b'1 (x) a1) (x) y |-> b'1 moved(a1 (x) y)
     ambient = bilinear_compose([(base_p.mult, dbp), (eye_a, da)], eye_bp, moved)
     if q.relations.dim:
-        ambient = bilinear_compose([(ambient, dbp * da)], q.section, q.section)
+        ambient = bilinear_compose([(ambient, q.dim)], q.section, Mat.identity(field, q.dim))
     return q.projector.mul(ambient)
 
 
@@ -668,28 +670,17 @@ def f_lower_star_map(
     return cod.cotensor.coordinates(on_legs(g, dom.cotensor.embed, 1, m.source.hopf.dim))
 
 
-def adjunction_unit(
-    m: ExtensionMorphism, mod: RelativeHopfModule
-) -> tuple[Mat, PushedModule, PulledModule]:
-    """eta_M : M -> (M (x)_A A') box^{H'} H, m |-> (m_(0) (x) 1) (x) m_(1)."""
-    up = f_upper_star(m, mod)
-    low = f_lower_star(m, up.module)
+def _unit(m: ExtensionMorphism, mod: RelativeHopfModule, up: PushedModule, low: PulledModule) -> Mat:
+    """eta_M : M -> low = (M (x)_A A') box^{H'} H, m |-> (m_(0) (x) 1) (x) m_(1), with up = f^* M."""
     lift = up.domain.projector.mul(Mat.identity(m.field, mod.dim).kron(m.target.algebra.unit))
-    eta = low.cotensor.coordinates(on_legs(lift, mod.coaction, 1, m.source.hopf.dim))
-    return eta, up, low
+    return low.cotensor.coordinates(on_legs(lift, mod.coaction, 1, m.source.hopf.dim))
 
 
-def adjunction_counit(
-    m: ExtensionMorphism, mod: RelativeHopfModule
-) -> tuple[Mat, PulledModule, PushedModule]:
-    """eps_{M'} : (M' box^{H'} H) (x)_A A' -> M', (m' (x) h) (x) a' |-> eps(h) m'. a'."""
-    low = f_lower_star(m, mod)
-    up = f_upper_star(m, low.module)
-    dap = m.target.dim
+def _counit(m: ExtensionMorphism, mod: RelativeHopfModule, low: PulledModule, up: PushedModule) -> Mat:
+    """eps_{M'} : up = (M' box^{H'} H) (x)_A A' -> M', (m' (x) h) (x) a' |-> eps(h) m'. a', with low = f_* M'."""
     # (m' (x) h) (x) a' on the section, then eps(h), then the action
-    lifted = on_legs(low.cotensor.embed, up.domain.section, 1, dap)
-    eps = mod.action.mul(on_legs(m.source.hopf.counit, lifted, mod.dim, dap))
-    return eps, low, up
+    lifted = on_legs(low.cotensor.embed, up.domain.section, 1, m.target.dim)
+    return mod.action.mul(on_legs(m.source.hopf.counit, lifted, mod.dim, m.target.dim))
 
 
 def adjunction_triangle_checks(
@@ -697,17 +688,23 @@ def adjunction_triangle_checks(
 ) -> list[AxiomCheck]:
     """Both triangle identities of the extension/cotensor adjunction.
 
-    mod lives over the source, mod_target over the target.
+    mod lives over the source, mod_target over the target. The unit and
+    counit are read off the six images, f^*M, f_*f^*M, f^*f_*f^*M, f_*M',
+    f^*f_*M' and f_*f^*f_*M', each built once.
     """
-    eta, up, low = adjunction_unit(m, mod)
-    eps_u, low_u, up_u = adjunction_counit(m, up.module)
-    f_eta = f_upper_star_map(m, eta, up, up_u)
-    eps, low_m, up_m = adjunction_counit(m, mod_target)
-    eta2, up2, low2 = adjunction_unit(m, low_m.module)
-    f_eps = f_lower_star_map(m, eps, low2, low_m)
+    up = f_upper_star(m, mod)
+    low_up = f_lower_star(m, up.module)
+    up_low_up = f_upper_star(m, low_up.module)
+    low = f_lower_star(m, mod_target)
+    up_low = f_upper_star(m, low.module)
+    low_up_low = f_lower_star(m, up_low.module)
+    f_eta = f_upper_star_map(m, _unit(m, mod, up, low_up), up, up_low_up)
+    eps_up = _counit(m, up.module, low_up, up_low_up)
+    f_eps = f_lower_star_map(m, _counit(m, mod_target, low, up_low), low_up_low, low)
+    eta_low = _unit(m, low.module, up_low, low_up_low)
     return [
-        _identity_law("pushforward_triangle", eps_u.mul(f_eta), up.domain.dim, "u"),
-        _identity_law("pullback_triangle", f_eps.mul(eta2), low_m.cotensor.dim, "c"),
+        _identity_law("pushforward_triangle", eps_up.mul(f_eta), up.domain.dim, "u"),
+        _identity_law("pullback_triangle", f_eps.mul(eta_low), low.cotensor.dim, "c"),
     ]
 
 

@@ -211,6 +211,15 @@ class TestAt:
     def test_rejects_negative_degree(self):
         assert invoke(["at", "--n", "-1"]).exit_code == 2
 
+    def test_rejects_more_digits_than_int_reads(self):
+        digits = "1" * 5000
+        r = invoke(["at", "--n", digits])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == (
+            "Usage: main at [OPTIONS]\nTry 'main at --help' for help.\n\n"
+            f"Error: Invalid value for '--n': {digits!r} is not a valid integer.\n"
+        )
+
     # one fault per condition of the self-check, each caught before any output
     SELF_CHECK_FAULTS = {
         "primary_identity": secondary_identity,
@@ -787,6 +796,12 @@ class TestSchemaErrors:
         assert r.exit_code == 2
         assert r.stderr.startswith("error at HOPFGAL_MAX_DIM:")
         assert "exceeds" not in r.stderr
+
+    def test_max_dim_with_more_digits_than_int_reads_is_named(self):
+        digits = "1" * 5000
+        r = invoke(["check", "hopf", fx("hopf_sweedler.json")], env={"HOPFGAL_MAX_DIM": digits})
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error at HOPFGAL_MAX_DIM: HOPFGAL_MAX_DIM must be an integer, got {digits!r}\n"
 
     def test_empty_max_dim_means_default(self):
         r = invoke(["check", "hopf", fx("hopf_sweedler.json")], env={"HOPFGAL_MAX_DIM": ""})

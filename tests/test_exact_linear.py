@@ -7,6 +7,7 @@ from scratch so the two code paths share nothing.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from hopfgal.exact_linear import (
     inverse,
     is_bijective,
     kernel,
+    parse_int,
     permute_legs,
     quotient,
     solve,
@@ -439,3 +441,17 @@ def test_scalar_parse_format_roundtrip():
                 field.parse(raw)
         with pytest.raises(InputError, match="zero denominator"):
             field.parse("1/0")
+
+
+def test_more_digits_than_int_reads_are_an_input_error():
+    """5000 digits match parse_int's grammar, but int() refuses more than
+    sys.get_int_max_str_digits(): parse_int reports its own message, and
+    Field.parse the scalar's."""
+    assert 0 < sys.get_int_max_str_digits() < 5000
+    digits = "1" * 5000
+    with pytest.raises(InputError) as e:
+        parse_int(digits)
+    assert str(e.value) == f"unparsable integer {digits!r}"
+    with pytest.raises(InputError) as e:
+        Field(7).parse(digits)
+    assert str(e.value) == f"unparsable scalar {digits!r}"

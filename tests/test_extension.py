@@ -430,6 +430,9 @@ class TestAdjunction:
         [
             lambda: ExtensionMorphism.identity(zoo.q_sqrt2_extension()),
             lambda: zoo.cyclic_group_change(4, 2),
+            # identities whose pullbacks B' (x)_B A have balancing relations
+            lambda: ExtensionMorphism.identity(zoo.cyclic_group_change(8, 2).target),
+            lambda: ExtensionMorphism.identity(zoo.cyclic_group_change(16, 4).target),
         ],
     )
     @pytest.mark.parametrize("make_module", [zoo.module_self, zoo.module_diagonal])
@@ -446,6 +449,23 @@ class TestAdjunction:
         mod_tgt = zoo.module_self(m.target.comodule_algebra)
         with pytest.raises(InputError):
             adjunction_triangle_checks(m, mod_tgt, mod_tgt)
+
+    def test_each_image_is_built_once(self, monkeypatch):
+        """f^*M, f^*f_*f^*M and f^*f_*M' by f_upper_star; f_*f^*M, f_*M' and
+        f_*f^*f_*M' by f_lower_star."""
+        calls = {"f_upper_star": 0, "f_lower_star": 0}
+        for name in calls:
+
+            def counting(*args, name=name, build=getattr(extension, name)):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(extension, name, counting)
+        m = zoo.cyclic_group_change(4, 2)
+        mod_src = zoo.module_self(m.source.comodule_algebra)
+        mod_tgt = zoo.module_self(m.target.comodule_algebra)
+        assert all(c.ok for c in adjunction_triangle_checks(m, mod_src, mod_tgt))
+        assert calls == {"f_upper_star": 3, "f_lower_star": 3}
 
 
 class TestKTopology:

@@ -1192,6 +1192,20 @@ def test_descended_maps_match_identity_spreads(n, d):
     assert seen == identity_spread_composition(m, m, comp)
 
 
+# Q = B' (x)_B A has balancing relations here, so _pullback_product takes the
+# product on the ambient vectors that Q's section picks; both references take
+# it on every pair of ambient vectors (up to 256^2 at (32, 4), past the default
+# cap) and pick afterwards.
+@pytest.mark.parametrize("n,d", [(8, 2), (16, 2), (16, 4), (32, 4)])
+def test_pullback_product_on_quotient_pairs_matches_references(n, d, monkeypatch):
+    monkeypatch.setenv("HOPFGAL_MAX_DIM", str(256**2))
+    p = pullback_structure(ExtensionMorphism.identity(zoo.cyclic_group_change(n, d).target))
+    assert p.domain.relations.dim
+    mult = p.comodule_algebra.algebra.mult
+    assert mult == five_pass_pullback_product(p)
+    assert mult == ref_pullback_algebra(p)[0]
+
+
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 

@@ -40,6 +40,15 @@ spec.loader.exec_module(scaled_timings)
             ("coarsen:32:4:cartesian cap 65536", ["check", "cartesian"], ("coarsen", 32, 4), "65536"),
         ),
         ("coarsen:6:6:phi", ("coarsen:6:6:phi", ["phi"], ("coarsen", 6, 6), None)),
+        ("identity:8:2:phi", ("identity:8:2:phi", ["phi"], ("identity", 8, 2), None)),
+        (
+            "identity:64:2:phi:4194304",
+            ("identity:64:2:phi cap 4194304", ["phi"], ("identity", 64, 2), "4194304"),
+        ),
+        (
+            "identity:12:4:cartesian",
+            ("identity:12:4:cartesian", ["check", "cartesian"], ("identity", 12, 4), None),
+        ),
         (
             "kG:8:comodule-algebra:+16",
             ("kG:8:comodule-algebra cap +16", ["check", "comodule-algebra"], ("kG", 8), "+16"),
@@ -77,6 +86,14 @@ def test_cases_parse(text, expect):
         "coarsen:8:4:phi:0",
         "coarsen:8:4:phi:x",
         "coarsen:8:4:cartesian:",
+        "identity:8:3:phi",
+        "identity:8:0:phi",
+        "identity:8:4:galois",
+        "identity:8:phi",
+        "identity:8:4:phi:0",
+        "identity:8:4:phi:-16",
+        "identity:8:4:cartesian:x",
+        "identity:8:4:phi:16:1",
     ],
 )
 def test_malformed_cases_are_refused(text):
@@ -139,3 +156,27 @@ def test_coarsen_cases_run_and_write_their_morphism(tmp_path):
         read, built = cli._read_morphism(sections, field), zoo.cyclic_group_change(n, d)
         assert extension_equal(read.source, built.source) and extension_equal(read.target, built.target)
         assert (read.chi.matrix, read.alpha) == (built.chi.matrix, built.alpha)
+
+
+def test_an_identity_case_runs_against_a_second_tree_and_writes_its_morphism(tmp_path):
+    """identity:8:2:phi is admitted at the default cap (its largest guarded
+    product is 1024), and its document parses back to the identity of the
+    (8, 2) coarsening's target, whose pullback has balancing relations."""
+    from hopfgal import cli, zoo
+    from hopfgal.extension import extension_equal
+
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "identity:8:2:phi", "--against", str(ROOT / "src"), "--workdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    (line,) = result.stdout.splitlines()
+    assert line.startswith("identity:8:2:phi ")
+    assert line.count("exit 0") == 2 and line.endswith("reports identical")
+    assert [p.name for p in tmp_path.iterdir()] == ["identity_8_2.json"]
+    field, sections = cli._load_document(str(tmp_path / "identity_8_2.json"))
+    read, target = cli._read_morphism(sections, field), zoo.cyclic_group_change(8, 2).target
+    assert extension_equal(read.source, target) and extension_equal(read.target, target)
+    assert read.canonical.domain.relations.dim
+    assert cli._cotensor_products(read)["pullback"] ** 2 == 1024
