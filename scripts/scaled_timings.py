@@ -3,13 +3,14 @@
 A ``check`` case is ``KIND:N:COMMAND[:CAP]``: KIND is ``kG`` (the group
 algebra k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check``
 subcommand (``hopf``, ``comodule-algebra`` or ``galois``) and CAP the value of
-``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). The regular
-extension of each algebra is written over Q with the ``hopfgal.cli`` writers
-into ``--workdir``. The kinds ``kG_scaled`` and ``kG_dual_scaled`` write the
-same extension in a diagonal rational basis of H and of A, e'_i = s_i e_i
-with each s_i drawn from SCALES by a generator seeded with N, as the
-``regular_scaled`` workload of perfbench does (without its permutation), so
-their structure constants are fractions. A ``coarsen`` case is
+``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). N, CAP and
+the D below are positive integers in the grammar of ``parse_int``. The
+regular extension of each algebra is written over Q with the ``hopfgal.cli``
+writers into ``--workdir``. The kinds ``kG_scaled`` and ``kG_dual_scaled``
+write the same extension in a diagonal rational basis of H and of A,
+e'_i = s_i e_i with each s_i drawn from SCALES by a generator seeded with N,
+as the ``regular_scaled`` workload of perfbench does (without its
+permutation), so their structure constants are fractions. A ``coarsen`` case is
 ``coarsen:N:D:COMMAND[:CAP]``: the morphism ``zoo.cyclic_group_change(N, D)``,
 which coarsens the regular extension of k[Z_N] along Z_N -> Z_D (D divides
 N), written over Q with ``cli.morphism_sections``, and COMMAND is
@@ -81,7 +82,7 @@ DEFAULT_CASES = (
 )
 
 
-def is_cap(text: str) -> bool:
+def is_positive(text: str) -> bool:
     """Is text a positive integer in the grammar of HOPFGAL_MAX_DIM (parse_int's)?"""
     try:
         return parse_int(text) > 0
@@ -101,31 +102,29 @@ def parse_case(text: str):
     if parts[0] in MORPHISMS:
         if (
             len(parts) not in (4, 5)
-            or not (parts[1].isdigit() and parts[2].isdigit())
+            or not all(map(is_positive, [*parts[1:3], *parts[4:]]))
             or parts[3] not in MORPHISM_COMMANDS
-            or not int(parts[2])
-            or int(parts[1]) % int(parts[2])
-            or not all(map(is_cap, parts[4:]))
+            or parse_int(parts[1]) % parse_int(parts[2])
         ):
             raise argparse.ArgumentTypeError(
-                f"expected {parts[0]}:N:D:cartesian|phi[:CAP] with D dividing N and CAP positive, got {text!r}"
+                f"expected {parts[0]}:N:D:cartesian|phi[:CAP] with N, D and CAP positive "
+                f"and D dividing N, got {text!r}"
             )
-        kind, n, d, command = parts[0], int(parts[1]), int(parts[2]), parts[3]
+        kind, n, d, command = parts[0], parse_int(parts[1]), parse_int(parts[2]), parts[3]
         cap = parts[4] if len(parts) == 5 else None
         label = f"{kind}:{n}:{d}:{command}" + (f" cap {cap}" if cap else "")
         return label, MORPHISM_COMMANDS[command], (kind, n, d), cap
     if (
         len(parts) not in (3, 4)
         or parts[0] not in KINDS
-        or not parts[1].isdigit()
+        or not all(map(is_positive, [parts[1], *parts[3:]]))
         or parts[2] not in CHECK_COMMANDS
-        or not all(map(is_cap, parts[3:]))
     ):
         raise argparse.ArgumentTypeError(
-            "expected KIND:N:hopf|comodule-algebra|galois[:CAP] with CAP positive, "
+            "expected KIND:N:hopf|comodule-algebra|galois[:CAP] with N and CAP positive, "
             f"coarsen|identity:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
         )
-    kind, n, command, cap = parts[0], int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
+    kind, n, command, cap = parts[0], parse_int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
     label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
     return label, ["check", command], (kind, n), cap
 

@@ -368,17 +368,13 @@ def _max_dim() -> int:
 
 
 def _cotensor_products(m) -> dict:
-    """The products ``check cartesian`` builds for a morphism (chi, alpha).
+    """The product ``check cartesian`` builds for a morphism (chi, alpha).
 
     The cotensor A' box^{H'} H is the equalizer of two maps A' (x) H ->
-    A' (x) H' (x) H.
+    A' (x) H' (x) H. B' (x) A and A' (x) H need no check: as dim B' <=
+    dim A', neither is wider than the parsed tables of A', A or H.
     """
-    dap, dh = m.target.dim, m.source.hopf.dim
-    return {
-        "pullback": m.target.base_dim * m.source.dim,
-        "cotensor_ambient": dap * dh,
-        "cotensor_equalizer": dap * m.target.hopf.dim * dh,
-    }
+    return {"cotensor_equalizer": m.target.dim * m.target.hopf.dim * m.source.hopf.dim}
 
 
 def _guard_dims(path: str, *sizes: int, **products: int):
@@ -735,16 +731,15 @@ def cmd_at(n, k, k_range, self_check, fmt):
 def cmd_phi(field, sections):
     """Distributive law of a Cartesian morphism, with its verification."""
     m = _read_morphism(sections, field)
-    products = _cotensor_products(m)
     _guard_dims(
         "sections.extension_morphism",
-        **products,
+        **_cotensor_products(m),
         # With no balancing relations the multiplication of the pullback
         # B' (x)_B A is built on (B' (x) A) (x) (B' (x) A); with relations
         # only on pairs of quotient vectors, but this guard runs before the
         # quotient is known. The H-coaction of the cotensor reads its
         # coordinates off raw = (id (x) Delta) embed, on A' (x) H (x) H.
-        pullback_product=products["pullback"] ** 2,
+        pullback_product=(m.target.base_dim * m.source.dim) ** 2,
         cotensor_h_coaction=m.target.dim * m.source.hopf.dim**2,
     )
     verdict = is_cartesian(m)

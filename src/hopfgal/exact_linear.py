@@ -18,6 +18,8 @@ Conventions used by the whole package:
   ``bilinear_compose`` evaluates a bilinear map given by structure tables,
   one table per leg. ``kron`` is two ``on_legs`` calls on an identity.
   ``on_legs`` checks every matrix it builds against HOPFGAL_MAX_DIM.
+  Every kernel that accumulates rows adds each scaled row with ``_add_row``;
+  only ``rref`` clears rows in its own loop.
 * Subspaces are stored via their reduced-echelon basis and its pivots, so
   two subspaces are equal iff their stored matrices are equal, and the
   coordinates of a vector are read off at the pivots, not solved for.
@@ -394,16 +396,8 @@ class Mat:
                 out.append(ra)
                 continue
             row = dict(ra)
-            for j, b in rb.items():
-                if sign < 0:
-                    b = -b
-                v = row.get(j)
-                v = b if v is None else v + b
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            out.append(row)
+            _add_row(row, rb, 0, sign)
+            out.append(row if all(row.values()) else {j: v for j, v in row.items() if v})
         return Mat._make(self.field, self.rows, self.cols, out)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -579,11 +573,7 @@ def _mul_rows(srows: list, orows: list) -> list:
             continue
         acc = {}
         for k, a in srow.items():
-            a_one = a == 1
-            for j, b in orows[k].items():
-                ab = b if a_one else a * b
-                v = acc.get(j)
-                acc[j] = ab if v is None else v + ab
+            _add_row(acc, orows[k], 0, a)
         out.append({j: v for j, v in acc.items() if v})
     return out
 
@@ -621,12 +611,8 @@ def on_legs(op: Mat, m: Mat, before: int, after: int) -> Mat:
             if not out[k]:
                 # Most structure constants are 1, and most rows get one term.
                 out[k] = dict(mrow) if c == 1 else {j: c * x for j, x in mrow.items()}
-                continue
-            acc = out[k]
-            for j, x in mrow.items():
-                x = x if c == 1 else c * x
-                w = acc.get(j)
-                acc[j] = x if w is None else w + x
+            else:
+                _add_row(out[k], mrow, 0, c)
     out = [r if all(r.values()) else {j: x for j, x in r.items() if x} for r in out]
     return Mat._make(m.field, rows, m.cols, out)
 
@@ -935,8 +921,7 @@ def echelon_coordinates(basis: Mat, pivots, b: Mat) -> Mat | None:
     """
     if basis.rows != b.rows:
         raise InputError(f"shape mismatch: {basis.rows} rows vs {b.rows} rows")
-    rows = b._rows
-    x = Mat._wrap(b.field, len(pivots), b.cols, [rows[p] for p in pivots])
+    x = b.take_rows(pivots)
     return x if basis.mul(x) == b else None
 
 

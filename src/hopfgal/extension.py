@@ -799,11 +799,10 @@ def is_k_continuous(
     reasons = []
     all_matched = True
     for idx, cov in enumerate(t_src.covers):
-        pool = [c for c in candidates if extension_equal(c.source, cov)]
         pool = [
             c
-            for c in pool
-            if any(extension_equal(c.target, ct) for ct in t_tgt.covers)
+            for c in candidates
+            if extension_equal(c.source, cov) and any(extension_equal(c.target, ct) for ct in t_tgt.covers)
         ]
         if extension_equal(cov, ident_src):
             # The shapes, the Hopf algebras and the base map of this lift are right by construction.
@@ -814,19 +813,11 @@ def is_k_continuous(
             for cov_t in t_tgt.covers:
                 if extension_equal(cov, cov_t):
                     pool.append(ExtensionMorphism.identity(cov))
-        matched = None
-        for cand in pool:
-            if cand.beta != f:
-                continue
-            verdict = is_cartesian(cand)
-            if verdict.value is True:
-                matched = (cand, verdict)
-                break
-        if matched is None:
+        cand = next((c for c in pool if c.beta == f and is_cartesian(c).value is True), None)
+        if cand is None:
             all_matched = False
             reasons.append(f"cover {idx}: no Cartesian candidate found")
             continue
-        cand, verdict = matched
         certified, note = is_cosemisimple_certified(cand.chi.target)
         flat = (
             "coflatness certified by cosemisimplicity"

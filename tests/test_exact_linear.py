@@ -20,6 +20,7 @@ from hopfgal.exact_linear import (
     Mat,
     QQ,
     Subspace,
+    bilinear_compose,
     flip,
     inverse,
     is_bijective,
@@ -455,3 +456,31 @@ def test_more_digits_than_int_reads_are_an_input_error():
     with pytest.raises(InputError) as e:
         Field(7).parse(digits)
     assert str(e.value) == f"unparsable scalar {digits!r}"
+
+
+class TestShapeErrors:
+    """Each kernel refuses operands of the wrong shape with its own message."""
+
+    def message(self, call) -> str:
+        with pytest.raises(InputError) as e:
+            call()
+        return str(e.value)
+
+    def test_sum_and_difference(self):
+        a, b = Mat.zeros(QQ, 2, 3), Mat.zeros(QQ, 3, 2)
+        assert self.message(lambda: a + b) == "shape mismatch in addition"
+        assert self.message(lambda: a - b) == "shape mismatch in subtraction"
+
+    def test_product(self):
+        a, b = Mat.zeros(QQ, 2, 3), Mat.zeros(QQ, 2, 4)
+        assert self.message(lambda: a.mul(b)) == "shape mismatch in product: 2x3 * 2x4"
+
+    def test_stacks(self):
+        a = Mat.zeros(QQ, 2, 3)
+        assert self.message(lambda: a.hstack(Mat.zeros(QQ, 2, 1), Mat.zeros(QQ, 3, 3))) == "row mismatch in hstack"
+        assert self.message(lambda: a.vstack(Mat.zeros(QQ, 1, 3), Mat.zeros(QQ, 3, 2))) == "column mismatch in vstack"
+
+    def test_bilinear_compose_with_a_zero_dimensional_leg(self):
+        # A table with right leg 0 has no column, so it takes only g into dimension 0.
+        table, f, g = Mat.zeros(QQ, 2, 0), Mat.identity(QQ, 3), Mat.identity(QQ, 2)
+        assert self.message(lambda: bilinear_compose([(table, 0)], f, g)) == "maps into dimension 2, tables take 0"

@@ -203,10 +203,9 @@ def guard_calls(command, n, d=None):
             *comodule_algebra_calls(f"{path}.target.comodule_algebra", n, d),
             *parsed(path, chi=n, alpha=n),
         ]
-        pullback = n // d * n
-        products = {"pullback": pullback, "cotensor_ambient": n * n, "cotensor_equalizer": n * d * n}
+        products = {"cotensor_equalizer": n * d * n}
         if command == "phi":
-            products.update(pullback_product=pullback**2, cotensor_h_coaction=n**3)
+            products.update(pullback_product=(n // d * n) ** 2, cotensor_h_coaction=n**3)
         return calls + [(path, products)]
     calls = hopf_calls("sections.hopf", n)
     if command == "hopf":

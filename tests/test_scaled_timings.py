@@ -53,6 +53,9 @@ spec.loader.exec_module(scaled_timings)
             "kG:8:comodule-algebra:+16",
             ("kG:8:comodule-algebra cap +16", ["check", "comodule-algebra"], ("kG", 8), "+16"),
         ),
+        # N and D are read by parse_int, so the label carries the value read
+        ("kG:+8:galois", ("kG:8:galois", ["check", "galois"], ("kG", 8), None)),
+        ("coarsen:+8:04:phi", ("coarsen:8:4:phi", ["phi"], ("coarsen", 8, 4), None)),
     ],
 )
 def test_cases_parse(text, expect):
@@ -94,6 +97,11 @@ def test_cases_parse(text, expect):
         "identity:8:4:phi:-16",
         "identity:8:4:cartesian:x",
         "identity:8:4:phi:16:1",
+        # N and D are positive integers in the same grammar as CAP
+        "kG:0:galois",
+        "kG:\u0663:galois",
+        "coarsen:0:2:phi",
+        "identity:\u0668:4:cartesian",
     ],
 )
 def test_malformed_cases_are_refused(text):
@@ -179,4 +187,4 @@ def test_an_identity_case_runs_against_a_second_tree_and_writes_its_morphism(tmp
     read, target = cli._read_morphism(sections, field), zoo.cyclic_group_change(8, 2).target
     assert extension_equal(read.source, target) and extension_equal(read.target, target)
     assert read.canonical.domain.relations.dim
-    assert cli._cotensor_products(read)["pullback"] ** 2 == 1024
+    assert (read.target.base_dim * read.source.dim) ** 2 == 1024
