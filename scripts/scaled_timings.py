@@ -1,38 +1,39 @@
-"""Time `at`, `check` on regular k[Z_n] and k^{Z_n}, and morphism commands on coarsenings, one process per run.
+"""Time `at` and the commands of the KINDS documents, one process per run.
 
-A ``check`` case is ``KIND:N:COMMAND[:CAP]``: KIND is ``kG`` (the group
-algebra k[Z_n]) or ``kG_dual`` (the dual k^{Z_n}), COMMAND a ``check``
-subcommand (``hopf``, ``comodule-algebra`` or ``galois``) and CAP the value of
-``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). N, CAP and
-the D below are positive integers in the grammar of ``parse_int``. The
-regular extension of each algebra is written over Q with the ``hopfgal.cli``
-writers into ``--workdir``. The kinds ``kG_scaled`` and ``kG_dual_scaled``
-write the same extension in a diagonal rational basis of H and of A,
-e'_i = s_i e_i with each s_i drawn from SCALES by a generator seeded with N,
-as the ``regular_scaled`` workload of perfbench does (without its
-permutation), so their structure constants are fractions. A ``coarsen`` case is
-``coarsen:N:D:COMMAND[:CAP]``: the morphism ``zoo.cyclic_group_change(N, D)``,
-which coarsens the regular extension of k[Z_N] along Z_N -> Z_D (D divides
-N), written over Q with ``cli.morphism_sections``, and COMMAND is
-``cartesian`` (``check cartesian``) or ``phi``. An ``identity`` case,
-``identity:N:D:COMMAND[:CAP]``, writes in the same way the identity morphism
-of that coarsening's target, whose pullback B' (x)_B A has balancing
-relations (the coarsened base has dimension N/D). An ``at`` case is ``at:``
-and the command's options, separated by commas, each value after ``=``:
-``at:--n=128,--k=1000000`` runs ``at --n 128 --k 1000000``, and
-``at:--n=512,--self-check`` a self-check.
-Every run is a fresh ``python -m hopfgal`` process, so start-up is
-included. Wall time is taken with ``perf_counter`` around the child, and peak
-RSS from the child's own ``wait4`` resource usage.
+A document case is ``KIND:N[:D]:COMMAND[:CAP]``: KIND a row of KINDS, which
+names the kind's integer parameters (N, or N and D with D dividing N), its
+commands and how its document is built, and CAP the value of
+``HOPFGAL_MAX_DIM`` for the run (the default cap when left out). N, D and
+CAP are positive integers in the grammar of ``parse_int``. ``document``
+builds the document over Q with the ``hopfgal.cli`` writers, and a case
+writes it once into ``--workdir`` as ``KIND_N[_D].json``. ``kG`` and
+``kG_dual`` are the regular extensions of k[Z_N] and k^{Z_N} with the left
+regular comodule of H, for ``bundle`` and the ``check`` commands ``hopf``,
+``comodule-algebra`` and ``galois``. ``kG_scaled`` and ``kG_dual_scaled``
+write them in a diagonal rational basis, e'_i = s_i e_i with each s_i drawn
+from SCALES by a generator seeded with N, so their structure constants are
+fractions. ``coarsen`` is ``zoo.cyclic_group_change(N, D)``, the regular
+extension of k[Z_N] coarsened along Z_N -> Z_D, and ``identity`` the
+identity of its target, whose pullback B' (x)_B A has balancing relations;
+both take ``cartesian`` (``check cartesian``) and ``phi``.
+
+An ``at`` case is ``at:`` and the command's options, separated by commas,
+each value after ``=``: ``at:--n=128,--k=1000000`` runs ``at --n 128 --k
+1000000``, and ``at:--n=512,--self-check`` a self-check. Every run is a
+fresh ``python -m hopfgal`` process, so start-up is included. Wall time is
+taken with ``perf_counter`` around the child, and peak RSS from the child's
+own ``wait4`` resource usage.
 
 ``--against DIR`` names the ``src`` directory of another checkout (a parent
 commit, say): the runs of the two trees then alternate, this tree first in
 odd rounds and the other first in even ones, and each line shows both and
-whether their reports are byte-identical. Standard library only::
+whether their reports are byte-identical. The exit status is 1 if the
+reports of any case differ. Standard library only::
 
     python3 scripts/scaled_timings.py --repeat 3
     python3 scripts/scaled_timings.py kG:128:hopf:16384 --against ../parent/src
     python3 scripts/scaled_timings.py kG_scaled:64:hopf kG_dual_scaled:64:galois --repeat 5 --against ../parent/src
+    python3 scripts/scaled_timings.py kG:32:bundle:32768 kG_dual:32:bundle:32768 --repeat 5
     python3 scripts/scaled_timings.py at:--n=64,--k=1000000000000 --repeat 5 --against ../parent/src
     python3 scripts/scaled_timings.py coarsen:16:2:phi:65536 coarsen:32:4:phi:65536 --repeat 3
     python3 scripts/scaled_timings.py identity:64:2:phi:4194304 --repeat 3 --against ../parent/src
@@ -53,24 +54,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from fractions import Fraction  # noqa: E402
+from typing import Callable, NamedTuple  # noqa: E402
 
 from hopfgal import cli, zoo  # noqa: E402
+from hopfgal.bundle import LeftComodule  # noqa: E402
 from hopfgal.comodule import ComoduleAlgebra, Extension  # noqa: E402
-from hopfgal.exact_linear import InputError, Mat, Subspace, parse_int  # noqa: E402
+from hopfgal.exact_linear import QQ, InputError, Mat, Subspace, parse_int  # noqa: E402
 from hopfgal.extension import ExtensionMorphism  # noqa: E402
 from hopfgal.hopf_core import AlgebraData, Group, HopfData, build_dual_group_algebra, build_group_algebra  # noqa: E402
 
-BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
-KINDS = (*BUILDERS, *(f"{kind}_scaled" for kind in BUILDERS))
-# The check subcommands of a KIND case.
-CHECK_COMMANDS = ("hopf", "comodule-algebra", "galois")
-# The morphism of a coarsen or identity case, by kind, and its commands, by name.
-MORPHISMS = {
-    "coarsen": zoo.cyclic_group_change,
-    "identity": lambda n, d: ExtensionMorphism.identity(zoo.cyclic_group_change(n, d).target),
-}
-MORPHISM_COMMANDS = {"cartesian": ["check", "cartesian"], "phi": ["phi"]}
-# The scales of perfbench's regular_scaled documents.
+# The scales of perfbench's regular_scaled documents, which also permute the basis.
 SCALES = tuple(Fraction(s) for s in ("1", "-1", "2", "-2", "3", "1/2", "-1/3", "3/2"))
 DEFAULT_CASES = (
     "kG:64:galois",
@@ -82,51 +75,14 @@ DEFAULT_CASES = (
 )
 
 
-def is_positive(text: str) -> bool:
-    """Is text a positive integer in the grammar of HOPFGAL_MAX_DIM (parse_int's)?"""
-    try:
-        return parse_int(text) > 0
-    except InputError:
-        return False
+class Kind(NamedTuple):
+    """A row of KINDS: its integer parameters, each command's argv, the builder of its
+    sections from the parameters and, for a regular kind, of its Hopf algebra from a group."""
 
-
-def parse_case(text: str):
-    """(label, arguments, document, cap): a check case names its document as
-    (KIND, N), a coarsen or identity case as (kind, N, D), an at case none."""
-    if text.startswith("at:"):
-        options = text[3:].split(",")
-        if not all(o.startswith("--") for o in options):
-            raise argparse.ArgumentTypeError(f"expected at:--OPTION[=VALUE],..., got {text!r}")
-        return text, ["at"] + [part for o in options for part in o.split("=", 1)], None, None
-    parts = text.split(":")
-    if parts[0] in MORPHISMS:
-        if (
-            len(parts) not in (4, 5)
-            or not all(map(is_positive, [*parts[1:3], *parts[4:]]))
-            or parts[3] not in MORPHISM_COMMANDS
-            or parse_int(parts[1]) % parse_int(parts[2])
-        ):
-            raise argparse.ArgumentTypeError(
-                f"expected {parts[0]}:N:D:cartesian|phi[:CAP] with N, D and CAP positive "
-                f"and D dividing N, got {text!r}"
-            )
-        kind, n, d, command = parts[0], parse_int(parts[1]), parse_int(parts[2]), parts[3]
-        cap = parts[4] if len(parts) == 5 else None
-        label = f"{kind}:{n}:{d}:{command}" + (f" cap {cap}" if cap else "")
-        return label, MORPHISM_COMMANDS[command], (kind, n, d), cap
-    if (
-        len(parts) not in (3, 4)
-        or parts[0] not in KINDS
-        or not all(map(is_positive, [parts[1], *parts[3:]]))
-        or parts[2] not in CHECK_COMMANDS
-    ):
-        raise argparse.ArgumentTypeError(
-            "expected KIND:N:hopf|comodule-algebra|galois[:CAP] with N and CAP positive, "
-            f"coarsen|identity:N:D:COMMAND[:CAP] or at:OPTIONS, got {text!r}"
-        )
-    kind, n, command, cap = parts[0], parse_int(parts[1]), parts[2], parts[3] if len(parts) == 4 else None
-    label = f"{kind}:{n}:{command}" + (f" cap {cap}" if cap else "")
-    return label, ["check", command], (kind, n), cap
+    params: tuple
+    commands: dict
+    sections: Callable
+    hopf: Callable | None = None
 
 
 def rescaled(m: Mat, row_scales, col_scales) -> Mat:
@@ -150,21 +106,87 @@ def scaled_regular_extension(h: HopfData, rng: random.Random) -> Extension:
     return Extension(ComoduleAlgebra(a, hopf, coaction=coaction), Subspace.from_spanning_columns(a.unit))
 
 
-def write_document(workdir: pathlib.Path, kind: str, n: int, d: int | None = None) -> pathlib.Path:
-    """The document of a case, written once into workdir: the regular extension
-    of KIND for n, or for kind "coarsen" or "identity" the morphism MORPHISMS[kind](n, d)."""
-    path = workdir / (f"{kind}_{n}_{d}.json" if kind in MORPHISMS else f"regular_{kind}_{n}.json")
+def regular(hopf, scaled=False) -> Kind:
+    """The regular extension of hopf(Z_N), in a scaled basis or not, with the
+    left regular comodule of H: the documents of the check commands and bundle."""
+
+    def sections(n):
+        h = hopf(Group.cyclic(n))
+        e = scaled_regular_extension(h, random.Random(n)) if scaled else zoo.regular_extension(h)
+        return cli.bundle_sections(e, LeftComodule(e.hopf, n, coaction=e.hopf.comult))
+
+    checks = {c: ["check", c] for c in ("hopf", "comodule-algebra", "galois")}
+    return Kind(("N",), {**checks, "bundle": ["bundle"]}, sections, hopf)
+
+
+def morphism(build) -> Kind:
+    """The morphism build(N, D), D dividing N: the documents of check cartesian and phi."""
+    commands = {"cartesian": ["check", "cartesian"], "phi": ["phi"]}
+    return Kind(("N", "D"), commands, lambda n, d: cli.morphism_sections(build(n, d)))
+
+
+KINDS = {
+    "kG": regular(build_group_algebra),
+    "kG_dual": regular(build_dual_group_algebra),
+    "kG_scaled": regular(build_group_algebra, scaled=True),
+    "kG_dual_scaled": regular(build_dual_group_algebra, scaled=True),
+    "coarsen": morphism(zoo.cyclic_group_change),
+    "identity": morphism(lambda n, d: ExtensionMorphism.identity(zoo.cyclic_group_change(n, d).target)),
+}
+
+
+def is_positive(text: str) -> bool:
+    """Is text a positive integer in the grammar of HOPFGAL_MAX_DIM (parse_int's)?"""
+    try:
+        return parse_int(text) > 0
+    except InputError:
+        return False
+
+
+def parse_case(text: str):
+    """(label, arguments, document, cap): a KINDS case names its document as
+    (KIND, N[, D]), an at case none."""
+    if text.startswith("at:"):
+        options = text[3:].split(",")
+        if not all(o.startswith("--") for o in options):
+            raise argparse.ArgumentTypeError(f"expected at:--OPTION[=VALUE],..., got {text!r}")
+        return text, ["at"] + [part for o in options for part in o.split("=", 1)], None, None
+    name, *parts = text.split(":")
+    if name not in KINDS:
+        raise argparse.ArgumentTypeError(
+            f"expected KIND:N[:D]:COMMAND[:CAP] with KIND one of {', '.join(KINDS)}, or at:OPTIONS, got {text!r}"
+        )
+    kind = KINDS[name]
+    k = len(kind.params)
+    params, cap = parts[:k], parts[k + 1 :]
+    # A one-parameter kind has params[-1] = N, which divides N.
+    if (
+        len(parts) not in (k + 1, k + 2)
+        or not all(map(is_positive, params + cap))
+        or parts[k] not in kind.commands
+        or parse_int(params[0]) % parse_int(params[-1])
+    ):
+        raise argparse.ArgumentTypeError(
+            f"expected {name}:{':'.join(kind.params)}:{'|'.join(kind.commands)}[:CAP] with "
+            f"{', '.join(kind.params)} and CAP positive{' and D dividing N' if k > 1 else ''}, got {text!r}"
+        )
+    key = (name, *map(parse_int, params))
+    cap = cap[0] if cap else None
+    label = ":".join(map(str, (*key, parts[k]))) + (f" cap {cap}" if cap else "")
+    return label, kind.commands[parts[k]], key, cap
+
+
+def document(kind: str, *params: int) -> dict:
+    """The document of KINDS[kind] for params, over Q: a fresh dict on every call."""
+    return cli.document(QQ, KINDS[kind].sections(*params))
+
+
+def write_document(workdir: pathlib.Path, kind: str, *params: int) -> pathlib.Path:
+    """The document of a case, written once into workdir as KIND_N[_D].json."""
+    path = workdir / ("_".join(map(str, (kind, *params))) + ".json")
     if not path.exists():
         workdir.mkdir(parents=True, exist_ok=True)
-        if kind in MORPHISMS:
-            m = MORPHISMS[kind](n, d)
-            doc = cli.document(m.field, cli.morphism_sections(m))
-        else:
-            base, scaled = kind.removesuffix("_scaled"), kind.endswith("_scaled")
-            h = BUILDERS[base](Group.cyclic(n))
-            e = scaled_regular_extension(h, random.Random(n)) if scaled else zoo.regular_extension(h)
-            doc = cli.document(h.field, cli.extension_sections(e))
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(document(kind, *params)))
     return path
 
 
@@ -200,7 +222,7 @@ def main() -> int:
         "cases",
         nargs="*",
         type=parse_case,
-        help="KIND:N:COMMAND[:CAP], coarsen|identity:N:D:COMMAND[:CAP] or at:OPTIONS",
+        help="KIND:N[:D]:COMMAND[:CAP] or at:OPTIONS",
     )
     parser.add_argument("--repeat", type=int, default=1, help="runs of each case and tree")
     parser.add_argument("--against", type=pathlib.Path, help="src directory of a second tree")
@@ -208,9 +230,10 @@ def main() -> int:
     args = parser.parse_args()
     cases = args.cases or [parse_case(c) for c in DEFAULT_CASES]
     trees = [("this", SRC)] + ([("against", args.against.resolve())] if args.against else [])
-    for label, arguments, document, cap in cases:
-        if document is not None:
-            arguments = arguments + [str(write_document(args.workdir, *document))]
+    differ = False
+    for label, arguments, key, cap in cases:
+        if key is not None:
+            arguments = arguments + [str(write_document(args.workdir, *key))]
         runs = {name: [] for name, _ in trees}
         for round_ in range(args.repeat):
             order = trees if round_ % 2 == 0 else trees[::-1]
@@ -218,10 +241,11 @@ def main() -> int:
                 runs[name].append(run_once(src, arguments, cap))
         line = f"{label:28} " + "  |  ".join(f"{name} {summary(runs[name])}" for name, _ in trees)
         if args.against:
-            digests = {d for rs in runs.values() for _, _, _, d in rs}
-            line += "  reports " + ("identical" if len(digests) == 1 else "DIFFER")
+            same = len({d for rs in runs.values() for _, _, _, d in rs}) == 1
+            differ |= not same
+            line += "  reports " + ("identical" if same else "DIFFER")
         print(line, flush=True)
-    return 0
+    return int(differ)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import pytest
 from hopfgal.exact_linear import (
     Field,
     InputError,
+    InvariantViolation,
     Mat,
     PreconditionError,
     QQ,
@@ -326,6 +327,14 @@ class TestCotensorBundle:
         e = zoo.q_sqrt2_extension()
         with pytest.raises(InputError, match="different structure Hopf"):
             cotensor_bundle(e, trivial_left_comodule(sweedler_h4()))
+
+    def test_refuses_an_antipode_inverse_that_is_the_antipode(self):
+        # Sweedler's S has S^2 != id: declared as S^-1 it twists A <| V wrongly.
+        h = sweedler_h4()
+        h = HopfData(h.algebra, h.comult, h.counit, h.antipode, h.antipode)
+        with pytest.raises(InvariantViolation) as raised:
+            cotensor_bundle(zoo.regular_extension(h), LeftComodule(h, 4, coaction=h.comult))
+        assert str(raised.value) == "cotensor and coinvariant computations of the bundle disagree"
 
 
 class TestCertifyFgp:

@@ -27,7 +27,7 @@ from hopfgal.bundle import LeftComodule
 from hopfgal.cli import _exit_code, _format_shifted, _verdict_from_tristate, main
 from hopfgal.comodule import Verdict
 from hopfgal.exact_linear import QQ, Field, Mat
-from hopfgal.hopf_core import Group, build_group_algebra, sweedler_h4
+from hopfgal.hopf_core import Group, HopfData, build_group_algebra, sweedler_h4
 from hopfgal.kring import at_base_change, at_table, primary_identity, secondary_identity
 
 from test_law_differential import yd_phi_expected
@@ -557,6 +557,18 @@ class TestBundle:
             "failed: coaction_counital fails at basis (e): "
             "coefficient of (e) is 0 on the left, 1 on the right\n"
         )
+
+    def test_refuses_an_antipode_inverse_that_is_the_antipode(self, tmp_path):
+        # Sweedler's S has S^2 != id, so S declared as S^-1 breaks no law bundle
+        # checks first; the cotensor product then disagrees with the coinvariants.
+        h = sweedler_h4()
+        h = HopfData(h.algebra, h.comult, h.counit, h.antipode, h.antipode)
+        sections = cli.bundle_sections(zoo.regular_extension(h), LeftComodule(h, 4, coaction=h.comult))
+        p = tmp_path / "antipode_inv.json"
+        p.write_text(json.dumps(cli.document(QQ, sections)))
+        r = invoke(["bundle", p])
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert r.stderr == "failed: cotensor and coinvariant computations of the bundle disagree\n"
 
     def test_requires_marker_section(self, tmp_path):
         doc = json.load(open(fx("bundle_sign_qsqrt2.json")))

@@ -28,6 +28,7 @@ from hopfgal.comodule import (
     BalancedTensor,
     ComoduleAlgebra,
     Extension,
+    Verdict,
     balanced_self_tensor,
     canonical_map,
     change_basis,
@@ -152,6 +153,11 @@ class TestGaloisVerdicts:
     def test_regular_extension_is_galois(self, name, build):
         v = is_hopf_galois(zoo.regular_extension(build()))
         assert v.value is True, v
+
+    def test_verdict_repr_names_its_value_and_reasons(self):
+        assert repr(Verdict(True, ("a", "b"))) == "Verdict(true; a; b)"
+        assert repr(Verdict(False, ("x",))) == "Verdict(false; x)"
+        assert repr(Verdict(None)) == "Verdict(undecided; )"
 
     def test_trivial_coaction_is_not_galois(self):
         v = is_hopf_galois(zoo.trivial_coaction_extension())

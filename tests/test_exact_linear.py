@@ -426,6 +426,13 @@ def test_subspace_canonical_equality():
     assert not s1.contains(Mat.column(QQ, [1, 0, 0]))
 
 
+def test_equal_subspaces_hash_alike_and_print_their_dimension():
+    s1 = Subspace.from_spanning_columns(Mat.from_rows(QQ, [[1, 0], [1, 1], [0, 1]]))
+    s2 = Subspace.from_spanning_columns(Mat.from_rows(QQ, [[1, 2], [2, 3], [1, 1]]))
+    assert hash(s1) == hash(s2) and len({s1, s2}) == 1
+    assert repr(s1) == "Subspace(dim 2 of k^3)"
+
+
 def test_scalar_parse_format_roundtrip():
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert QQ.parse("-2") == Fraction(-2)

@@ -257,6 +257,11 @@ class TestAbelianGroup:
         assert len(set(elems)) == 6
         assert g.add((1, 2), (1, 2)) == (0, 1)
 
+    def test_reprs(self):
+        assert repr(AbelianGroup(free_rank=1, torsion=(2, 4))) == "Z x Z/2 x Z/4"
+        assert repr(AbelianGroup()) == "0"
+        assert repr(GradedHopfShortcut(AbelianGroup(torsion=(4,)))) == "GradedHopfShortcut(Z/4)"
+
     def test_infinite_refuses_materialization(self):
         sh = GradedHopfShortcut(AbelianGroup(free_rank=1))
         with pytest.raises(InputError):

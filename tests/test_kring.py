@@ -207,6 +207,9 @@ class TestLineClass:
     def test_multiplicativity(self, n, k1, k2):
         assert k_product(line_class(n, k1), line_class(n, k2)) == line_class(n, k1 + k2)
 
+    def test_sum_adds_coordinates(self):
+        assert KClassVector(2, (1, 2, 3)) + KClassVector(2, (0, -2, 5)) == KClassVector(2, (1, 0, 8))
+
     def test_mixed_degrees_rejected(self):
         with pytest.raises(InputError):
             k_product(line_class(1, 0), line_class(2, 0))
@@ -1269,6 +1272,12 @@ class TestRingPresentations:
             with pytest.raises(InputError, match="integers"):
                 FiniteZAlgebra(AlgebraData(QQ, 1, ["1"], mult, unit))
         assert FiniteZAlgebra(scalar_algebra()) == integers_ring()
+
+    def test_reprs(self):
+        assert repr(LaurentRing()) == "Z[t,t^-1]"
+        assert repr(TruncatedRing(3)) == "Z[x]/(x^4)"
+        assert repr(integers_ring()) == "Z-algebra<1>"
+        assert repr(FiniteZAlgebra(build_group_algebra(Group.cyclic(2)).algebra)) == "Z-algebra<e,g>"
 
     @settings(max_examples=60, deadline=None)
     @given(

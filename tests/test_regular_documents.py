@@ -10,7 +10,8 @@
   galois`` decides regular k[Z_64] and k^{Z_64}. ``check cartesian`` and
   ``phi`` on the coarsenings ``cyclic_group_change(n, d)`` either stop at
   the guard, naming the morphism's path, or keep to the same bound.
-  Wall-clock free: the test records shapes, not times.
+  Wall-clock free: the test records shapes, not times. Documents, commands
+  and Hopf-algebra builders come from ``scripts/scaled_timings.py``'s KINDS.
 * Oversized documents: under a cap below the largest size the guard
   checks, every command exits 2 naming the matrix or section path (and the
   product, if it is one), before it builds anything wider than a size
@@ -24,17 +25,17 @@
 
 from __future__ import annotations
 
-import functools
 import json
+import pathlib
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfgal import cli, zoo
-from hopfgal.exact_linear import Field, InvariantViolation, QQ, is_bijective
-from hopfgal.bundle import LeftComodule
-from hopfgal.hopf_core import Group, build_dual_group_algebra, build_group_algebra, report_ok
+from hopfgal.exact_linear import Field, InvariantViolation, is_bijective
+from hopfgal.hopf_core import Group, report_ok
 from test_law_differential import (
     ref_base_mult,
     ref_check_comodule_algebra,
@@ -44,8 +45,10 @@ from test_law_differential import (
     ref_self_tensor,
 )
 
-BUILDERS = {"kG": build_group_algebra, "kG_dual": build_dual_group_algebra}
-COMMANDS = ("hopf", "comodule-algebra", "galois")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
+from scaled_timings import KINDS, document, write_document  # noqa: E402
+
+REGULAR = ("kG", "kG_dual")
 
 
 def regular_document(h) -> dict:
@@ -53,37 +56,25 @@ def regular_document(h) -> dict:
     return cli.document(h.field, cli.extension_sections(zoo.regular_extension(h)))
 
 
-def invoke(path, command, env=None):
-    args = [command] if command in ("bundle", "phi") else ["check", command]
-    return CliRunner().invoke(cli.main, [*args, str(path), "--format", "json"], env=env)
+def invoke(path, kind, command, env=None):
+    argv = KINDS[kind].commands[command]
+    return CliRunner().invoke(cli.main, [*argv, str(path), "--format", "json"], env=env)
 
 
-DOCUMENTS = [(kind, n) for n in (4, 8, 9, 16) for kind in BUILDERS] + [("kG", 32)]
+DOCUMENTS = [(kind, n) for n in (4, 8, 9, 16) for kind in REGULAR] + [("kG", 32)]
+COARSENINGS = [(n, d) for n in (8, 16, 32) for d in range(2, n) if n % d == 0]
 # The guard refuses bundle on k[Z_32]: its cotensor ambient has dimension 32^3.
 SIZE_CASES = [
-    (kind, n, command)
-    for kind, n in DOCUMENTS
-    for command in (*COMMANDS, "bundle")
-    if (n, command) != (32, "bundle")
+    (kind, n, command) for kind, n in DOCUMENTS for command in KINDS[kind].commands if (n, command) != (32, "bundle")
 ]
-
-
-@functools.cache
-def bundle_document(kind, n) -> str:
-    """The regular document of k[Z_n] or k^{Z_n}, with the left regular comodule of H for bundle."""
-    h = BUILDERS[kind](Group.cyclic(n))
-    regular = LeftComodule(h, n, coaction=h.comult)
-    return json.dumps(cli.document(QQ, cli.bundle_sections(zoo.regular_extension(h), regular)))
 
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    root = tmp_path_factory.mktemp("regular")
-    paths = {}
-    for kind, n in DOCUMENTS:
-        paths[kind, n] = root / f"{kind}_{n}.json"
-        paths[kind, n].write_text(bundle_document(kind, n))
-    return paths
+    """The size contract's documents by case key, written before any test records a product."""
+    root = tmp_path_factory.mktemp("documents")
+    keys = [*DOCUMENTS, *((kind, 64) for kind in REGULAR), *(("coarsen", *nd) for nd in COARSENINGS)]
+    return {key: write_document(root, *key) for key in keys}
 
 
 @pytest.fixture
@@ -107,19 +98,17 @@ def largest(calls) -> int:
 
 @pytest.mark.parametrize("kind,n,command", SIZE_CASES, ids=[f"{k}-{n}-{c}" for k, n, c in SIZE_CASES])
 def test_guard_bounds_every_kronecker_product(documents, guarded, kron_recorder, kind, n, command):
-    r = invoke(documents[kind, n], command)
+    r = invoke(documents[kind, n], kind, command)
     assert r.exit_code == 0, r.output
     assert all(v["status"] == "pass" for v in json.loads(r.stdout)["verdicts"])
     assert guarded == guard_calls(command, n)
     assert kron_recorder.widest <= largest(guarded), (kron_recorder.widest, largest(guarded))
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_galois_at_dimension_64(tmp_path, guarded, kron_recorder, kind):
+@pytest.mark.parametrize("kind", REGULAR)
+def test_galois_at_dimension_64(documents, guarded, kron_recorder, kind):
     """The default cap admits n = 64, and check galois decides it."""
-    path = tmp_path / f"{kind}_64.json"
-    path.write_text(json.dumps(regular_document(BUILDERS[kind](Group.cyclic(64)))))
-    r = invoke(path, "galois")
+    r = invoke(documents[kind, 64], kind, "galois")
     assert r.exit_code == 0, r.output
     verdicts = json.loads(r.stdout)["verdicts"]
     assert all(v["status"] == "pass" for v in verdicts)
@@ -128,33 +117,16 @@ def test_galois_at_dimension_64(tmp_path, guarded, kron_recorder, kind):
     assert kron_recorder.widest <= largest(guarded), (kron_recorder.widest, largest(guarded))
 
 
-COARSENINGS = [(n, d) for n in (8, 16, 32) for d in range(2, n) if n % d == 0]
-MORPHISM_CASES = [(n, d, command) for n, d in COARSENINGS for command in ("cartesian", "phi")]
+MORPHISM_CASES = [(n, d, command) for n, d in COARSENINGS for command in KINDS["coarsen"].commands]
 # The cases the guard refuses at the default cap; every other one passes.
 REFUSED = {(16, 2, "phi"), (32, 2, "phi"), (32, 4, "phi")} | {
     (32, d, command) for d in (8, 16) for command in ("cartesian", "phi")
 }
 
 
-@functools.cache
-def morphism_document(n, d) -> str:
-    """cyclic_group_change(n, d), serialized as the fixtures are."""
-    return json.dumps(cli.document(QQ, cli.morphism_sections(zoo.cyclic_group_change(n, d))))
-
-
-@pytest.fixture(scope="module")
-def coarsenings(tmp_path_factory):
-    out = tmp_path_factory.mktemp("coarsenings")
-    paths = {}
-    for n, d in COARSENINGS:
-        paths[n, d] = out / f"cyclic_{n}_{d}.json"
-        paths[n, d].write_text(morphism_document(n, d))
-    return paths
-
-
 @pytest.mark.parametrize("n,d,command", MORPHISM_CASES, ids=[f"{n}-{d}-{c}" for n, d, c in MORPHISM_CASES])
-def test_guard_refuses_or_bounds_morphism_commands(coarsenings, guarded, kron_recorder, n, d, command):
-    r = invoke(coarsenings[n, d], command)
+def test_guard_refuses_or_bounds_morphism_commands(documents, guarded, kron_recorder, n, d, command):
+    r = invoke(documents["coarsen", n, d], "coarsen", command)
     # A refusal comes at the last check, so the checks made are the same.
     assert guarded == guard_calls(command, n, d)
     assert (r.exit_code == 2) == ((n, d, command) in REFUSED), r.output
@@ -220,28 +192,28 @@ def guard_calls(command, n, d=None):
 def oversized(draw):
     """A document, a command, and a cap below the largest product its guard checks."""
     if draw(st.booleans()):
-        n = draw(st.integers(2, 8))
+        kind, n = "coarsen", draw(st.integers(2, 8))
         d = draw(st.sampled_from([d for d in range(2, n) if n % d == 0] or [n]))
-        command, doc = draw(st.sampled_from(["cartesian", "phi"])), json.loads(morphism_document(n, d))
+        doc = document(kind, n, d)
         ends = [doc["sections"]["extension_morphism"][end] for end in ("source", "target")]
     else:
-        n, d = draw(st.integers(2, 8)), None
-        command = draw(st.sampled_from((*COMMANDS, "bundle")))
-        doc = json.loads(bundle_document(draw(st.sampled_from(sorted(BUILDERS))), n))
+        kind, n, d = draw(st.sampled_from(REGULAR)), draw(st.integers(2, 8)), None
+        doc = document(kind, n)
         ends = [doc["sections"]["extension"]]
+    command = draw(st.sampled_from(list(KINDS[kind].commands)))
     base = draw(st.booleans())
     if not base:
         for end in ends:
             del end["base_columns"]
     calls = guard_calls(command, n, d)
     cap = draw(st.integers(1, largest(calls) - 1))
-    return doc, command, calls, cap
+    return doc, kind, command, calls, cap
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(oversized())
 def test_oversized_document_exits_two_naming_its_path(tmp_path, kron_recorder, case):
-    doc, command, calls, cap = case
+    doc, kind, command, calls, cap = case
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps(doc))
     # The first size over the cap, in the order the guard checks them; no
@@ -254,7 +226,7 @@ def test_oversized_document_exits_two_naming_its_path(tmp_path, kron_recorder, c
             break
         passed += products.values()
     kron_recorder.calls = kron_recorder.widest = 0
-    r = invoke(path, command, env={"HOPFGAL_MAX_DIM": str(cap)})
+    r = invoke(path, kind, command, env={"HOPFGAL_MAX_DIM": str(cap)})
     label = f"{name} " if name else ""
     error = f"error at {section}: {label}tensor dimension {p} exceeds HOPFGAL_MAX_DIM={cap}\n"
     assert (r.exit_code, r.stdout, r.stderr) == (2, "", error)
@@ -308,8 +280,9 @@ def test_planted_corruption_matches_the_reference(tmp_path, data):
     group = data.draw(
         st.sampled_from([Group.cyclic(n) for n in range(1, 7)] + [Group.symmetric(3)]), label="group"
     )
-    h = BUILDERS[data.draw(st.sampled_from(sorted(BUILDERS)), label="kind")](group, field)
-    command = data.draw(st.sampled_from(COMMANDS), label="command")
+    kind = data.draw(st.sampled_from(REGULAR), label="kind")
+    h = KINDS[kind].hopf(group, field)
+    command = data.draw(st.sampled_from(list(CORRUPTIBLE)), label="command")
     section, key = data.draw(st.sampled_from(CORRUPTIBLE[command]), label="matrix")
     doc = regular_document(h)
     m = doc["sections"][section][key]
@@ -323,7 +296,7 @@ def test_planted_corruption_matches_the_reference(tmp_path, data):
         old[2] = field.format(field.parse(old[2]) + c)
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
-    r = invoke(path, command)
+    r = invoke(path, kind, command)
     verdicts = json.loads(r.stdout)["verdicts"]
     expected = oracle(path, command)
     if command != "galois":
@@ -339,10 +312,10 @@ def test_planted_corruption_matches_the_reference(tmp_path, data):
 def test_a_change_that_keeps_every_law_exits_zero(tmp_path):
     # Regular k[Z_2] over F_2 with g*g = 0: k[x]/(x^2) under the same coaction.
     field = Field(2)
-    doc = regular_document(build_group_algebra(Group.cyclic(2), field))
+    doc = regular_document(KINDS["kG"].hopf(Group.cyclic(2), field))
     doc["sections"]["comodule_algebra"]["mult"]["triples"].remove([0, 3, "1"])
     path = tmp_path / "dual_numbers.json"
     path.write_text(json.dumps(doc))
-    r = invoke(path, "comodule-algebra")
+    r = invoke(path, "kG", "comodule-algebra")
     assert r.exit_code == 0, r.output
     assert report_ok(oracle(path, "comodule-algebra"))

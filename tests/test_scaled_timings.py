@@ -56,6 +56,9 @@ spec.loader.exec_module(scaled_timings)
         # N and D are read by parse_int, so the label carries the value read
         ("kG:+8:galois", ("kG:8:galois", ["check", "galois"], ("kG", 8), None)),
         ("coarsen:+8:04:phi", ("coarsen:8:4:phi", ["phi"], ("coarsen", 8, 4), None)),
+        # bundle is a command of the regular kinds, scaled or not
+        ("kG:8:bundle", ("kG:8:bundle", ["bundle"], ("kG", 8), None)),
+        ("kG_dual_scaled:4:bundle", ("kG_dual_scaled:4:bundle", ["bundle"], ("kG_dual_scaled", 4), None)),
     ],
 )
 def test_cases_parse(text, expect):
@@ -102,6 +105,9 @@ def test_cases_parse(text, expect):
         "kG:\u0663:galois",
         "coarsen:0:2:phi",
         "identity:\u0668:4:cartesian",
+        # each kind takes only its own commands
+        "coarsen:8:4:bundle",
+        "kG:8:phi",
     ],
 )
 def test_malformed_cases_are_refused(text):
@@ -135,14 +141,13 @@ def test_a_scaled_kind_writes_the_same_extension_in_a_rational_basis(tmp_path, k
     scaled = scaled_timings.write_document(tmp_path / "a", f"{kind}_scaled", 6)
     again = scaled_timings.write_document(tmp_path / "b", f"{kind}_scaled", 6)
     plain = scaled_timings.write_document(tmp_path / "a", kind, 6)
-    assert scaled.name == f"regular_{kind}_scaled_6.json"
+    assert scaled.name == f"{kind}_scaled_6.json"
     assert scaled.read_text() == again.read_text() != plain.read_text()
     assert "/" in scaled.read_text() and "/" not in plain.read_text()
     for command in ("hopf", "comodule-algebra", "galois"):
         reports = [CliRunner().invoke(cli.main, ["check", command, str(p)]) for p in (scaled, plain)]
         assert [r.exit_code for r in reports] == [0, 0]
         assert reports[0].output == reports[1].output
-
 
 
 def test_coarsen_cases_run_and_write_their_morphism(tmp_path):
@@ -164,6 +169,19 @@ def test_coarsen_cases_run_and_write_their_morphism(tmp_path):
         read, built = cli._read_morphism(sections, field), zoo.cyclic_group_change(n, d)
         assert extension_equal(read.source, built.source) and extension_equal(read.target, built.target)
         assert (read.chi.matrix, read.alpha) == (built.chi.matrix, built.alpha)
+
+
+@pytest.mark.parametrize("digests, status", [(["a", "a"], 0), (["a", "b"], 1)])
+def test_against_exits_one_when_reports_differ(monkeypatch, capsys, tmp_path, digests, status):
+    """Every case is printed; the exit status is 1 if any case's reports differ."""
+    runs = iter([(0.1, 20.0, 0, "same"), (0.1, 20.0, 0, "same")] + [(0.1, 20.0, 0, d) for d in digests])
+    monkeypatch.setattr(scaled_timings, "run_once", lambda src, arguments, cap: next(runs))
+    monkeypatch.setattr(sys, "argv", ["scaled_timings.py", "at:--n=4", "at:--n=5", "--against", str(tmp_path)])
+    assert scaled_timings.main() == status
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["at:--n=4", "at:--n=5"]
+    assert lines[0].endswith("reports identical")
+    assert lines[1].endswith("reports " + ("identical" if status == 0 else "DIFFER"))
 
 
 def test_an_identity_case_runs_against_a_second_tree_and_writes_its_morphism(tmp_path):
